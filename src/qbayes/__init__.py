@@ -16,19 +16,18 @@ evaluate bounds:
 from .matcore import (ExtendedOperator, IllConditionedError, NotPsdError,
                       NumericalFailureError, SingularStateError,
                       check_hermitian, hermitize, hermitian_eig,
-                      lyapunov_solve, partial_trace_h, partial_transpose_1,
-                      psd_sqrt, regularize_state, sym_split, trace_abs,
-                      weighted_trace_abs)
+                      lyapunov_solve, psd_sqrt, regularize_state,
+                      sym_split, trace_abs, weighted_trace_abs)
 from .model import (BayesMoments, CapabilityError, ExtendedMoments, GridPoint,
                     ModelError, StatisticalModel, WeightSpec, build_moments,
                     build_extended_moments, load_model, model_from_dict,
                     model_to_dict, model_zoo, save_model, with_weight)
 from .closedform import (RldPackage, SingularInformationError, SldPackage,
-                         collapse_values, personick_value, rld_bound,
-                         sld_bound, sld_fisher_point, van_tree_bound)
+                         personick_value, rld_bound, sld_bound,
+                         sld_fisher_point, van_tree_bound)
 from .conic import (ConicProgram, ConicSolution, ProgramError, SolveOptions,
                     SolverFailureError, dump_program, holevo_lemma_sdp_value,
-                    holevo_lemma_suite, holevo_lemma_value, realify, solve,
+                    holevo_lemma_suite, holevo_lemma_value, solve,
                     solve_or_raise)
 from .sdpbounds import (HolevoSolution, NhSolution, appendix_f,
                         f_family_pinned_example, f_family_suite,
@@ -45,20 +44,18 @@ __version__ = "0.1.0"
 __all__ = [
     "ExtendedOperator", "IllConditionedError", "NotPsdError",
     "NumericalFailureError", "SingularStateError", "check_hermitian",
-    "hermitize", "hermitian_eig", "lyapunov_solve", "partial_trace_h",
-    "partial_transpose_1", "psd_sqrt", "regularize_state", "sym_split",
-    "trace_abs", "weighted_trace_abs",
+    "hermitize", "hermitian_eig", "lyapunov_solve", "psd_sqrt",
+    "regularize_state", "sym_split", "trace_abs", "weighted_trace_abs",
     "BayesMoments", "CapabilityError", "ExtendedMoments", "GridPoint",
     "ModelError", "StatisticalModel", "WeightSpec", "build_moments",
     "build_extended_moments", "load_model", "model_from_dict",
     "model_to_dict", "model_zoo", "save_model", "with_weight",
     "RldPackage", "SingularInformationError", "SldPackage",
-    "collapse_values", "personick_value", "rld_bound", "sld_bound",
-    "sld_fisher_point", "van_tree_bound",
+    "personick_value", "rld_bound", "sld_bound", "sld_fisher_point",
+    "van_tree_bound",
     "ConicProgram", "ConicSolution", "ProgramError", "SolveOptions",
     "SolverFailureError", "dump_program", "holevo_lemma_sdp_value",
-    "holevo_lemma_suite", "holevo_lemma_value", "realify", "solve",
-    "solve_or_raise",
+    "holevo_lemma_suite", "holevo_lemma_value", "solve", "solve_or_raise",
     "HolevoSolution", "NhSolution", "appendix_f", "f_family_pinned_example",
     "f_family_suite", "holevo_type_bound", "nagaoka_bound_search",
     "nagaoka_hayashi_bound", "nagaoka_objective",

@@ -373,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=50)
     p.add_argument("--seeds", default="0", help="comma-separated seesaw seeds")
     p.add_argument("--outcomes", type=int, default=None,
-                   help="measurement outcome count (default n+2)")
+                   help="measurement outcome count (default max(n+2, d))")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 

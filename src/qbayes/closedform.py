@@ -17,7 +17,7 @@ import numpy.linalg as npl
 from .matcore import (ConditioningWarning, STRICT_POS_MIN, hermitian_eig,
                       hermitize, lyapunov_solve, regularize_state,
                       weighted_trace_abs)
-from .model import BayesMoments, CapabilityError, StatisticalModel, build_moments
+from .model import BayesMoments, CapabilityError, StatisticalModel
 
 INFO_SINGULAR_TOL = 1e-12
 DERIV_TRACE_TOL = 1e-9
@@ -147,13 +147,3 @@ def personick_value(moments: BayesMoments) -> float:
     value, _ = sld_bound(moments, np.eye(1))
     return value
 
-
-def collapse_values(model: StatisticalModel) -> dict:
-    """SLD and RLD values for a model with its constant weight (convenience)."""
-    if not model.weight_spec.is_constant:
-        raise CapabilityError("closed-form bounds need a constant weight matrix")
-    mom = build_moments(model)
-    W = model.weight_spec.constant
-    sld, _ = sld_bound(mom, W)
-    rld, _ = rld_bound(mom, W)
-    return {"sld": sld, "rld": rld}

@@ -1,15 +1,20 @@
 """Small dense semidefinite programming with a deterministic interior-point solver.
 
-Programs are equality-constrained over PSD blocks (real-symmetric or
-complex-Hermitian) plus free real scalars; inequalities are the caller's job
-via slack blocks. The solver is a primal-dual path-following method on the
-homogeneous self-dual embedding with Nesterov-Todd scaling and dense LU
-linear algebra, so infeasibility is certified rather than diverged on.
-Problem sizes here are at most a few hundred rows; robustness beats sparsity.
+Programs are equality-constrained over Hermitian PSD blocks plus free real
+scalars; inequalities are the caller's job via slack blocks. The solver is a
+primal-dual path-following method on the homogeneous self-dual embedding with
+Nesterov-Todd scaling and dense LU linear algebra, so infeasibility is
+certified rather than diverged on.
 
-Complex Hermitian blocks are rewritten over real symmetric cones at assembly
-(`realify`), with the factor-2 inner-product mismatch folded into the
-coefficients, and answers are reported back in the complex picture.
+A k x k Hermitian block lives in isometric real coordinates (`hvec`): the
+diagonal, then sqrt2 Re and sqrt2 Im of the strict upper triangle, k^2 numbers
+whose dot product is the trace inner product. Real-symmetric data needs no
+block kind of its own: a program with real coefficients is invariant under
+complex conjugation, and so is its central path from the identity start, so
+its optimum is real on the Hermitian block.
+
+Every solve runs one iteration path with fixed parameters. A run that stalls
+or reaches MAX_ITERS returns `numerical-failure` with the best iterate seen.
 """
 
 from __future__ import annotations
@@ -50,53 +55,40 @@ class SolverFailureError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Symmetric vectorization and the real picture of Hermitian blocks
+# Isometric coordinates of Hermitian blocks
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _triu(k: int):
-    return np.triu_indices(k)
+def _upper(k: int):
+    """Row and column indices of the diagonal, then the strict upper triangle."""
+    iu, ju = np.triu_indices(k, 1)
+    diag = np.arange(k)
+    return np.concatenate([diag, iu]), np.concatenate([diag, ju])
 
 
-def svec_dim(k: int) -> int:
-    return k * (k + 1) // 2
+def _hvec_rows(Z: np.ndarray, k: int) -> np.ndarray:
+    """hvec coordinates from entries listed in `_upper` order along axis 0."""
+    return np.concatenate([Z[:k].real, SQRT2 * Z[k:].real, SQRT2 * Z[k:].imag])
 
 
-def svec(X: np.ndarray) -> np.ndarray:
-    """Isometric vectorization of a real symmetric matrix (off-diag x sqrt2)."""
-    iu, ju = _triu(X.shape[0])
-    v = np.ascontiguousarray(X[iu, ju], dtype=float)
-    v[iu != ju] *= SQRT2
-    return v
+def hvec(X: np.ndarray) -> np.ndarray:
+    """Isometric real coordinates of Hermitian X: hvec(A) @ hvec(B) = Tr(A B)."""
+    k = X.shape[0]
+    a, b = _upper(k)
+    return _hvec_rows(np.asarray(X)[a, b], k)
 
 
-def smat(v: np.ndarray, k: int) -> np.ndarray:
-    """Inverse of svec."""
-    iu, ju = _triu(k)
-    w = np.asarray(v, dtype=float).copy()
-    w[iu != ju] /= SQRT2
-    X = np.zeros((k, k))
-    X[iu, ju] = w
-    X[ju, iu] = w
+def hmat(v: np.ndarray, k: int) -> np.ndarray:
+    """Inverse of hvec."""
+    a, b = _upper(k)
+    m = len(a)
+    z = np.empty(m, dtype=complex)
+    z[:k] = v[:k]
+    z[k:] = (v[k:m] + 1j * v[m:]) / SQRT2
+    X = np.empty((k, k), dtype=complex)
+    X[b, a] = z.conj()
+    X[a, b] = z
     return X
-
-
-def realify(H: np.ndarray) -> np.ndarray:
-    """Real-symmetric picture [[Re H, -Im H], [Im H, Re H]] of Hermitian H.
-
-    Eigenvalues double up, PSD is preserved both ways, and Frobenius inner
-    products double: <T(A), T(B)> = 2 <A, B>. Assembly compensates with a
-    factor 1/2 on coefficient matrices.
-    """
-    H = np.asarray(H, dtype=complex)
-    return np.block([[H.real, -H.imag], [H.imag, H.real]])
-
-
-def _complexify(Y: np.ndarray, k: int) -> np.ndarray:
-    """Project a real-symmetric 2k x 2k iterate back to a Hermitian k x k matrix."""
-    P = (Y[:k, :k] + Y[k:, k:]) / 2
-    Q = (Y[k:, :k] - Y[:k, k:]) / 2
-    return P + 1j * Q
 
 
 def re_entry_coeff(k: int, a: int, b: int) -> np.ndarray:
@@ -125,16 +117,6 @@ def im_entry_coeff(k: int, a: int, b: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class _Block:
-    kind: str      # "real" | "complex"
-    dim: int       # matrix dimension in its own picture
-
-    @property
-    def real_dim(self) -> int:
-        return self.dim if self.kind == "real" else 2 * self.dim
-
-
-@dataclass
 class _Row:
     coeffs: dict            # block index -> coefficient matrix
     free: np.ndarray | None
@@ -142,25 +124,24 @@ class _Row:
 
 
 class ConicProgram:
-    """Equality-form conic program over PSD blocks and free scalars.
+    """Equality-form conic program over Hermitian PSD blocks and free scalars.
 
     Constraints and the objective are real linear functionals given by one
-    coefficient matrix per referenced block (symmetric for real blocks,
-    Hermitian for complex ones; contributing <C, X>) plus coefficients on the
-    free variables.
+    Hermitian coefficient matrix per referenced block (contributing <C, X>)
+    plus coefficients on the free variables.
     """
 
     def __init__(self):
-        self.blocks: list[_Block] = []
+        self.blocks: list[int] = []     # block dimensions
         self.nfree = 0
         self.rows: list[_Row] = []
         self.obj: _Row | None = None
         self.offset = 0.0
 
-    def add_psd_block(self, dim: int, complex_: bool = False) -> int:
+    def add_psd_block(self, dim: int) -> int:
         if dim < 1:
             raise ProgramError(f"block dimension {dim} < 1")
-        self.blocks.append(_Block("complex" if complex_ else "real", dim))
+        self.blocks.append(dim)
         return len(self.blocks) - 1
 
     def add_free(self, count: int) -> np.ndarray:
@@ -176,18 +157,12 @@ class ConicProgram:
         for bid, C in coeffs.items():
             if not 0 <= bid < len(self.blocks):
                 raise ProgramError(f"unknown block {bid}")
-            blk = self.blocks[bid]
+            dim = self.blocks[bid]
             C = np.asarray(C)
-            if C.shape != (blk.dim, blk.dim):
+            if C.shape != (dim, dim):
                 raise ProgramError(
-                    f"coefficient shape {C.shape} for block of dim {blk.dim}")
-            if blk.kind == "complex":
-                coeffs[bid] = check_hermitian(C)
-            else:
-                C = C.real.astype(float)
-                if np.abs(C - C.T).max() > 1e-12 * max(1.0, np.abs(C).max()):
-                    raise ProgramError("real-block coefficient not symmetric")
-                coeffs[bid] = (C + C.T) / 2
+                    f"coefficient shape {C.shape} for block of dim {dim}")
+            coeffs[bid] = check_hermitian(C)
         fvec = None
         if free is not None:
             if isinstance(free, dict):
@@ -217,9 +192,9 @@ class ConicProgram:
     def _layout(self):
         starts = []
         pos = self.nfree
-        for blk in self.blocks:
+        for dim in self.blocks:
             starts.append(pos)
-            pos += svec_dim(blk.real_dim)
+            pos += dim * dim
         return starts, pos
 
     def _row_vector(self, row: _Row, N: int, starts) -> np.ndarray:
@@ -227,13 +202,8 @@ class ConicProgram:
         if row.free is not None:
             v[:self.nfree] = row.free
         for bid, C in row.coeffs.items():
-            blk = self.blocks[bid]
-            if blk.kind == "complex":
-                R = realify(C) / 2.0     # <T(C)/2, T(X)> = <C, X>
-            else:
-                R = C
             s = starts[bid]
-            v[s:s + svec_dim(blk.real_dim)] = svec(R)
+            v[s:s + self.blocks[bid] ** 2] = hvec(C)
         return v
 
     def assemble(self):
@@ -253,44 +223,34 @@ class ConicProgram:
 def dump_program(p: ConicProgram) -> str:
     """Plain-text dump for cross-checking against external solvers.
 
-    Format: one `block ID kind dim` line per block, `free COUNT`, then
+    Format: one `block ID DIM` line per Hermitian block, `free COUNT`, then
     `obj BLOCK I J RE IM` / `objfree IDX V` / `offset V` entries and per
     constraint `con ROW BLOCK I J RE IM` / `confree ROW IDX V` / `rhs ROW V`.
     Only nonzero upper-triangle coefficients are listed.
     """
     out = ["conic-program"]
-    for i, blk in enumerate(p.blocks):
-        out.append(f"block {i} {blk.kind} {blk.dim}")
+    for i, dim in enumerate(p.blocks):
+        out.append(f"block {i} {dim}")
     out.append(f"free {p.nfree}")
     out.append(f"offset {p.offset!r}")
 
-    def emit(tag: str, row: _Row):
+    def emit(tag: str, row: _Row, label: str = ""):
         for bid in sorted(row.coeffs):
-            C = np.asarray(row.coeffs[bid], dtype=complex)
+            C = row.coeffs[bid]
             for a in range(C.shape[0]):
                 for b_ in range(a, C.shape[1]):
                     z = C[a, b_]
                     if z != 0:
-                        out.append(f"{tag} {bid} {a} {b_} {z.real!r} {z.imag!r}")
+                        out.append(f"{tag} {label}{bid} {a} {b_} {z.real!r} {z.imag!r}")
         if row.free is not None:
             for i, v in enumerate(row.free):
                 if v != 0:
-                    out.append(f"{tag}free {i} {v!r}")
+                    out.append(f"{tag}free {label}{i} {v!r}")
 
     if p.obj is not None:
         emit("obj", p.obj)
     for r, row in enumerate(p.rows):
-        for bid in sorted(row.coeffs):
-            C = np.asarray(row.coeffs[bid], dtype=complex)
-            for a in range(C.shape[0]):
-                for b_ in range(a, C.shape[1]):
-                    z = C[a, b_]
-                    if z != 0:
-                        out.append(f"con {r} {bid} {a} {b_} {z.real!r} {z.imag!r}")
-        if row.free is not None:
-            for i, v in enumerate(row.free):
-                if v != 0:
-                    out.append(f"confree {r} {i} {v!r}")
+        emit("con", row, f"{r} ")
         out.append(f"rhs {r} {row.rhs!r}")
     return "\n".join(out) + "\n"
 
@@ -302,11 +262,6 @@ def dump_program(p: ConicProgram) -> str:
 @dataclass(frozen=True)
 class SolveOptions:
     gap_tol: float | None = None     # None: QBAYES_GAP_TOL env or GAP_TOL
-    feas_tol: float = FEAS_TOL
-    max_iters: int = MAX_ITERS
-    step_frac: float = STEP_FRAC
-    refine: int = 1                  # rounds of iterative refinement per solve
-    sigma_min: float = SIGMA_MIN     # centering weight floor
 
     def resolved_gap_tol(self) -> float:
         if self.gap_tol is not None:
@@ -338,25 +293,28 @@ class ConicSolution:
 
 
 def _congruence_rep(P: np.ndarray) -> np.ndarray:
-    """svec-coordinate matrix of M -> P M P^T for symmetric P."""
+    """hvec-coordinate matrix of M -> P M P^dag.
+
+    Column c is hvec(P E_c P^dag) for the hvec basis matrix E_c: e_i e_i^dag,
+    (e_i e_j^dag + e_j e_i^dag)/sqrt2 or i(e_i e_j^dag - e_j e_i^dag)/sqrt2.
+    X1 and X2 hold the entries (a, b) of P e_i e_j^dag P^dag and of
+    P e_j e_i^dag P^dag for every listed pair (i, j).
+    """
     k = P.shape[0]
-    iu, ju = _triu(k)
-    cols = np.einsum("am,bm->mab", P[:, iu], P[:, ju])
-    cols = cols + cols.transpose(0, 2, 1)
-    diag = iu == ju
-    cols[diag] *= 0.5
-    cols[~diag] /= SQRT2
-    H = cols[:, iu, ju]
-    H[:, ~diag] *= SQRT2
-    return np.ascontiguousarray(H.T)
+    a, b = _upper(k)
+    X1 = P[np.ix_(a, a)] * P[np.ix_(b, b)].conj()
+    X2 = P[np.ix_(a, b)] * P[np.ix_(b, a)].conj()
+    Y = np.concatenate([X1[:, :k], (X1[:, k:] + X2[:, k:]) / SQRT2,
+                        1j * (X1[:, k:] - X2[:, k:]) / SQRT2], axis=1)
+    return _hvec_rows(Y, k)
 
 
 def _factor_psd(X: np.ndarray) -> np.ndarray:
-    """Some full-rank factor L with L L^T = X (cholesky, eigh fallback)."""
+    """Some full-rank factor L with L L^dag = X (cholesky, eigh fallback)."""
     try:
         return npl.cholesky(X)
     except npl.LinAlgError:
-        w, U = npl.eigh((X + X.T) / 2)
+        w, U = npl.eigh(hermitize(X))
         floor = max(w.max(), 1.0) * 1e-14
         return U * np.sqrt(np.maximum(w, floor))
 
@@ -364,16 +322,11 @@ def _factor_psd(X: np.ndarray) -> np.ndarray:
 def _alpha_boundary(L: np.ndarray, dX: np.ndarray) -> float:
     """sup alpha with X + alpha dX >= 0, given a factor L of X."""
     M = npl.solve(L, dX)
-    M = npl.solve(L, M.T).T
-    wmin = npl.eigvalsh((M + M.T) / 2)[0]
+    M = npl.solve(L, M.conj().T).conj().T
+    wmin = npl.eigvalsh(hermitize(M))[0]
     if wmin >= 0:
         return np.inf
     return 1.0 / (-wmin)
-
-
-# fallback (sigma_min, step_frac, gamma_cap, iters) profiles tried in order
-# when a run stalls; slow creep near the tolerance earns a larger budget
-_RETRY_PROFILES = ((0.15, 0.95, 0.05, 400), (0.3, 0.9, 0.05, 400))
 
 
 def solve(program: ConicProgram, options: SolveOptions | None = None) -> ConicSolution:
@@ -381,65 +334,31 @@ def solve(program: ConicProgram, options: SolveOptions | None = None) -> ConicSo
 
     Deterministic for fixed input and options. Status `optimal` certifies a
     relative duality gap <= gap_tol (measured against the reported value) and
-    a scaled primal residual <= feas_tol, with the dual residual under the
+    a scaled primal residual <= FEAS_TOL, with the dual residual under the
     DRES_GUARD ceiling; primal/dual infeasibility is reported from the
-    embedding's certificates. A stalled run is retried on a fixed ladder of
-    more conservative profiles before `numerical-failure` comes back carrying
-    the best iterate seen.
+    embedding's certificates. A run that stalls or reaches MAX_ITERS returns
+    `numerical-failure` carrying the best iterate seen; `iterations` counts
+    every iteration taken.
     """
-    opts = options or SolveOptions()
-    gap_tol = opts.resolved_gap_tol()
-    profiles = [(opts.sigma_min, opts.step_frac, PROX_GAMMA, opts.max_iters)]
-    for sm, sf, gc, mi in _RETRY_PROFILES:
-        profiles.append((sm, sf, gc, max(mi, opts.max_iters)))
-    fallback = None
-    for sigma_min, step_frac, gamma_cap, iters in profiles:
-        sol = _attempt(program, opts, gap_tol, sigma_min, step_frac,
-                       gamma_cap, iters)
-        if sol.status != "numerical-failure":
-            return sol
-        score = max(sol.feas_primal, sol.feas_dual, sol.gap)
-        if fallback is None or score < fallback[0]:
-            fallback = (score, sol)
-    return fallback[1]
-
-
-def _attempt(program: ConicProgram, opts: SolveOptions, gap_tol: float,
-             sigma_min: float, step_frac: float, gamma_cap: float,
-             iters: int) -> ConicSolution:
-    feas_tol = opts.feas_tol
+    gap_tol = (options or SolveOptions()).resolved_gap_tol()
 
     A, b, c, starts, N = program.assemble()
     p = A.shape[0]
-    real_dims = [blk.real_dim for blk in program.blocks]
-    nu = sum(real_dims)
+    layout = [(k, st, k * k) for k, st in zip(program.blocks, starts)]
+    nu = sum(program.blocks)
     nfree = program.nfree
     bnorm = 1.0 + (np.abs(b).max() if p else 0.0)
     cnorm = 1.0 + (np.abs(c).max() if N else 0.0)
 
-    def block_slices():
-        for blk, s in zip(program.blocks, starts):
-            yield blk, s, svec_dim(blk.real_dim)
-
     # interior start: identity in every block, tau = kappa = 1
     x = np.zeros(N)
     s = np.zeros(N)
-    for blk, st, ln in block_slices():
-        e = svec(np.eye(blk.real_dim))
+    for k, st, ln in layout:
+        e = hvec(np.eye(k))
         x[st:st + ln] = e
         s[st:st + ln] = e
     y = np.zeros(p)
     tau, kappa = 1.0, 1.0
-
-    def unpack(xvec: np.ndarray):
-        vals = []
-        for blk, st, ln in block_slices():
-            Y = smat(xvec[st:st + ln], blk.real_dim)
-            if blk.kind == "complex":
-                vals.append(hermitize(_complexify(Y, blk.dim)))
-            else:
-                vals.append((Y + Y.T) / 2)
-        return tuple(vals)
 
     def measures(xv, yv, sv, tv):
         xh, yh, sh = xv / tv, yv / tv, sv / tv
@@ -451,70 +370,71 @@ def _attempt(program: ConicProgram, opts: SolveOptions, gap_tol: float,
         gap = abs(pobj - dobj) / max(1.0, abs(pobj + program.offset))
         return pres, dres, gap, pobj, dobj
 
-    def final(status, xv, yv, sv, tv, iters, meas):
+    def final(status, iters, xv, yv, sv, tv, meas):
         pres, dres, gap, pobj, dobj = meas
+        xh = xv / tv
         return ConicSolution(
             status=status,
             primal_value=pobj + program.offset,
             dual_value=dobj + program.offset,
             gap=gap, feas_primal=pres, feas_dual=dres,
-            variable_values=unpack(xv / tv),
-            free_values=xv[:nfree] / tv,
+            variable_values=tuple(hmat(xh[st:st + ln], k) for k, st, ln in layout),
+            free_values=xh[:nfree],
             y=yv / tv, iterations=iters)
 
-    best = None   # (score, status-free snapshot)
-    it = 0
-    for it in range(iters):
+    best = None   # (score, x, y, s, tau, measures) of the best iterate so far
+
+    def failure(iters):
+        return final("numerical-failure", iters, *best[1:])
+
+    for it in range(MAX_ITERS):
         meas = measures(x, y, s, tau)
         pres, dres, gap, pobj, dobj = meas
         score = max(pres, dres, gap)
         if best is None or score < best[0]:
-            best = (score, (x.copy(), y.copy(), s.copy(), tau, it, meas))
-        if pres <= feas_tol and dres <= max(feas_tol, DRES_GUARD) and gap <= gap_tol:
-            return final("optimal", x, y, s, tau, it, meas)
+            best = (score, x.copy(), y.copy(), s.copy(), tau, meas)
+        if pres <= FEAS_TOL and dres <= DRES_GUARD and gap <= gap_tol:
+            return final("optimal", it, x, y, s, tau, meas)
 
         # certificates from the embedding
         by = float(b @ y) if p else 0.0
         cx = float(c @ x)
-        if by > 0 and np.abs(A.T @ y + s).max() <= feas_tol * by:
-            return final("infeasible", x, y, s, tau, it, meas)
-        if cx < 0 and (np.abs(A @ x).max() if p else 0.0) <= feas_tol * (-cx):
-            return final("unbounded", x, y, s, tau, it, meas)
+        if by > 0 and np.abs(A.T @ y + s).max() <= FEAS_TOL * by:
+            return final("infeasible", it, x, y, s, tau, meas)
+        if cx < 0 and (np.abs(A @ x).max() if p else 0.0) <= FEAS_TOL * (-cx):
+            return final("unbounded", it, x, y, s, tau, meas)
 
         mu = (float(x @ s) + tau * kappa) / (nu + 1)
 
-        # NT scaling per block: H = G^2 with G the scaled-space congruence
-        Hb, Gib = {}, {}
-        factors = []
+        # NT scaling per block: W^-1 X W^-1 = S, with H the hvec matrix of
+        # M -> W^-1 M W^-1 and Gi that of M -> W^1/2 M W^1/2 (Gi^2 = H^-1)
+        Hb, Gib, factors = [], [], []
         xinv_vec = np.zeros(N)
         prox0 = tau * kappa / mu
-        for blk, st, ln in block_slices():
-            k = blk.real_dim
-            X = smat(x[st:st + ln], k)
-            Sb = smat(s[st:st + ln], k)
+        for k, st, ln in layout:
+            X = hmat(x[st:st + ln], k)
+            Sb = hmat(s[st:st + ln], k)
             Lx = _factor_psd(X)
             Ls = _factor_psd(Sb)
-            B = Lx.T @ Sb @ Lx
-            wB, UB = npl.eigh((B + B.T) / 2)
+            wB, UB = npl.eigh(hermitize(Lx.conj().T @ Sb @ Lx))
             if wB[0] <= 0:
-                return final("numerical-failure", *best[1][:4], best[1][4], best[1][5])
+                return failure(it)
             prox0 = min(prox0, wB[0] / mu)
-            Tinv = npl.solve(Lx.T, (UB * wB ** 0.5) @ UB.T) @ npl.solve(Lx, np.eye(k))
-            Tinv = (Tinv + Tinv.T) / 2
-            wT, UT = npl.eigh(Tinv)
+            Li = npl.solve(Lx, np.eye(k))
+            Winv = hermitize(Li.conj().T @ ((UB * wB ** 0.5) @ UB.conj().T) @ Li)
+            wT, UT = npl.eigh(Winv)
             if wT[0] <= 0:
-                return final("numerical-failure", *best[1][:4], best[1][4], best[1][5])
-            Hb[st] = _congruence_rep(Tinv)
-            Gib[st] = _congruence_rep((UT * wT ** -0.5) @ UT.T)
-            Xi = npl.solve(Lx.T, npl.solve(Lx, np.eye(k)))
-            xinv_vec[st:st + ln] = svec((Xi + Xi.T) / 2)
-            factors.append((Lx, Ls, st, ln, k))
+                return failure(it)
+            Hb.append(_congruence_rep(Winv))
+            Gib.append(_congruence_rep((UT * wT ** -0.5) @ UT.conj().T))
+            xinv_vec[st:st + ln] = hvec(Li.conj().T @ Li)
+            factors.append((Lx, Ls))
 
-        def apply_blocks(table, v, offset=0):
+        def apply_blocks(table, v):
+            """Blockwise product on the cone part of a full-length vector."""
             out = np.zeros_like(v)
-            for blk, st, ln in block_slices():
-                lo = st - offset
-                out[lo:lo + ln] = table[st] @ v[lo:lo + ln]
+            for T, (k, st, ln) in zip(table, layout):
+                out[st:st + ln] = T @ v[st:st + ln]
             return out
 
         r_d = A.T @ y + s - c * tau
@@ -525,15 +445,14 @@ def _attempt(program: ConicProgram, opts: SolveOptions, gap_tol: float,
         # (p + 1 + nfree) system in (dy, dtau, dx_free)
         Af = A[:, :nfree]
         cf = c[:nfree]
-        ncone = N - nfree
-        AkGi = np.zeros((p, ncone))
-        for blk, st, ln in block_slices():
-            AkGi[:, st - nfree:st - nfree + ln] = A[:, st:st + ln] @ Gib[st]
-        cGi = apply_blocks(Gib, c[nfree:], offset=nfree)
+        AGi = np.zeros((p, N))
+        for Gi, (k, st, ln) in zip(Gib, layout):
+            AGi[:, st:st + ln] = A[:, st:st + ln] @ Gi
+        cGi = apply_blocks(Gib, c)
         q = p + 1 + nfree
         M2 = np.zeros((q, q))
-        M2[:p, :p] = AkGi @ AkGi.T
-        v1 = AkGi @ cGi
+        M2[:p, :p] = AGi @ AGi.T
+        v1 = AGi @ cGi
         M2[:p, p] = -(v1 + b)
         M2[:p, p + 1:] = Af
         M2[p, :p] = b - v1
@@ -552,18 +471,17 @@ def _attempt(program: ConicProgram, opts: SolveOptions, gap_tol: float,
         try:
             lu = sla.lu_factor(M2s)
         except (ValueError, npl.LinAlgError):
-            return final("numerical-failure", *best[1][:4], best[1][4], best[1][5])
+            return failure(it)
 
         def reduced_solve(r1, r2, r3):
-            t0 = apply_blocks(Gib, r1[nfree:], offset=nfree)
-            rhs2 = np.concatenate([r2 + AkGi @ t0, [r3 - float(cGi @ t0)],
+            t0 = apply_blocks(Gib, r1)
+            rhs2 = np.concatenate([r2 + AGi @ t0, [r3 - float(cGi @ t0)],
                                    r1[:nfree]])
             sol2 = cscale * sla.lu_solve(lu, rscale * rhs2)
             dy = sol2[:p]
             dtau = float(sol2[p])
-            w = AkGi.T @ dy - cGi * dtau - t0
-            dx = np.concatenate([sol2[p + 1:],
-                                 apply_blocks(Gib, w, offset=nfree)])
+            dx = apply_blocks(Gib, AGi.T @ dy - cGi * dtau - t0)
+            dx[:nfree] = sol2[p + 1:]
             return dx, dy, dtau
 
         def newton(sigma: float, eta: float):
@@ -572,19 +490,15 @@ def _attempt(program: ConicProgram, opts: SolveOptions, gap_tol: float,
             r2 = -eta * r_p
             r3 = eta * r_g + (sigma * mu - tau * kappa) / tau
             dx, dy, dtau = reduced_solve(r1, r2, r3)
-            for _ in range(max(0, opts.refine)):
-                hdx = np.concatenate([np.zeros(nfree),
-                                      apply_blocks(Hb, dx[nfree:], offset=nfree)])
-                e1 = r1 - (A.T @ dy - c * dtau - hdx)
-                e2 = r2 - (A @ dx - b * dtau)
-                e3 = r3 - (-float(c @ dx) + float(b @ dy) + (kappa / tau) * dtau)
-                fx, fy, ftau = reduced_solve(e1, e2, e3)
-                dx = dx + fx
-                dy = dy + fy
-                dtau = dtau + ftau
-            hdx = np.concatenate([np.zeros(nfree),
-                                  apply_blocks(Hb, dx[nfree:], offset=nfree)])
-            ds = Rc - hdx
+            # one round of iterative refinement
+            e1 = r1 - (A.T @ dy - c * dtau - apply_blocks(Hb, dx))
+            e2 = r2 - (A @ dx - b * dtau)
+            e3 = r3 - (-float(c @ dx) + float(b @ dy) + (kappa / tau) * dtau)
+            fx, fy, ftau = reduced_solve(e1, e2, e3)
+            dx = dx + fx
+            dy = dy + fy
+            dtau = dtau + ftau
+            ds = Rc - apply_blocks(Hb, dx)
             dkappa = (sigma * mu - tau * kappa - kappa * dtau) / tau
             return dx, dy, dtau, ds, dkappa
 
@@ -597,14 +511,14 @@ def _attempt(program: ConicProgram, opts: SolveOptions, gap_tol: float,
                 alpha = min(alpha, tau / -dtau)
             if dkappa < 0:
                 alpha = min(alpha, kappa / -dkappa)
-            for Lx, Ls, st, ln, k in factors:
-                alpha = min(alpha, _alpha_boundary(Lx, smat(dx[st:st + ln], k)))
-                alpha = min(alpha, _alpha_boundary(Ls, smat(ds[st:st + ln], k)))
+            for (Lx, Ls), (k, st, ln) in zip(factors, layout):
+                alpha = min(alpha, _alpha_boundary(Lx, hmat(dx[st:st + ln], k)))
+                alpha = min(alpha, _alpha_boundary(Ls, hmat(ds[st:st + ln], k)))
             return alpha
 
         # wide-neighborhood guard: a step is admitted only while every
         # complementarity eigenvalue stays >= gamma * mu of the new point
-        gamma = min(gamma_cap, 0.9 * prox0)
+        gamma = min(PROX_GAMMA, 0.9 * prox0)
 
         def centered(al, dx, ds, dtau, dkappa) -> bool:
             tk = (tau + al * dtau) * (kappa + al * dkappa)
@@ -612,15 +526,14 @@ def _attempt(program: ConicProgram, opts: SolveOptions, gap_tol: float,
             mup = (xs + tk) / (nu + 1)
             if not np.isfinite(mup) or mup <= 0 or tk < gamma * mup:
                 return False
-            for blk, st, ln in block_slices():
-                k = blk.real_dim
-                Xp = smat(x[st:st + ln] + al * dx[st:st + ln], k)
-                Sp = smat(s[st:st + ln] + al * ds[st:st + ln], k)
+            for k, st, ln in layout:
+                Xp = hmat(x[st:st + ln] + al * dx[st:st + ln], k)
+                Sp = hmat(s[st:st + ln] + al * ds[st:st + ln], k)
                 try:
                     Lc = npl.cholesky(Xp)
                 except npl.LinAlgError:
                     return False
-                if npl.eigvalsh(Lc.T @ Sp @ Lc)[0] < gamma * mup:
+                if npl.eigvalsh(Lc.conj().T @ Sp @ Lc)[0] < gamma * mup:
                     return False
             return True
 
@@ -634,18 +547,18 @@ def _attempt(program: ConicProgram, opts: SolveOptions, gap_tol: float,
         alpha_a = min(1.0, boundary(dxa, dsa, dtaua, dkappaa))
         mu_aff = (float((x + alpha_a * dxa) @ (s + alpha_a * dsa))
                   + (tau + alpha_a * dtaua) * (kappa + alpha_a * dkappaa)) / (nu + 1)
-        sigma = min(0.9999, max(sigma_min, max(0.0, (mu_aff / mu)) ** 3))
+        sigma = min(0.9999, max(SIGMA_MIN, max(0.0, (mu_aff / mu)) ** 3))
 
         dx, dy, dtau, ds, dkappa = newton(sigma, 1.0 - sigma)
-        alpha = min(1.0, step_frac * boundary(dx, ds, dtau, dkappa))
+        alpha = min(1.0, STEP_FRAC * boundary(dx, ds, dtau, dkappa))
         alpha = admitted(alpha, dx, ds, dtau, dkappa)
         if not np.isfinite(alpha) or alpha <= 1e-10:
             # blocked: one pure-centering attempt before giving up
             dx, dy, dtau, ds, dkappa = newton(0.8, 0.2)
-            alpha = min(1.0, step_frac * boundary(dx, ds, dtau, dkappa))
+            alpha = min(1.0, STEP_FRAC * boundary(dx, ds, dtau, dkappa))
             alpha = admitted(alpha, dx, ds, dtau, dkappa)
             if not np.isfinite(alpha) or alpha <= 1e-10:
-                return final("numerical-failure", *best[1][:4], best[1][4], best[1][5])
+                return failure(it)
 
         x = x + alpha * dx
         y = y + alpha * dy
@@ -653,10 +566,9 @@ def _attempt(program: ConicProgram, opts: SolveOptions, gap_tol: float,
         tau = tau + alpha * dtau
         kappa = kappa + alpha * dkappa
         if tau <= 0 or kappa < 0 or not np.isfinite(x).all():
-            return final("numerical-failure", *best[1][:4], best[1][4], best[1][5])
+            return failure(it + 1)
 
-    bx, by_, bs, btau, bit, bmeas = best[1]
-    return final("numerical-failure", bx, by_, bs, btau, iters, bmeas)
+    return failure(MAX_ITERS)
 
 
 def solve_or_raise(program: ConicProgram, options: SolveOptions | None = None,
@@ -700,11 +612,11 @@ def holevo_lemma_sdp_value(W: np.ndarray, A: np.ndarray, B: np.ndarray,
     B = np.asarray(B, dtype=float)
     k = W.shape[0]
     prog = ConicProgram()
-    z = prog.add_psd_block(k, complex_=True)
+    z = prog.add_psd_block(k)
     for a in range(k):
         for bb in range(a + 1, k):
             prog.add_eq({z: im_entry_coeff(k, a, bb)}, rhs=-B[a, bb])
-    prog.set_objective({z: W.astype(complex)}, offset=float(np.trace(W @ A)))
+    prog.set_objective({z: W}, offset=float(np.trace(W @ A)))
     return solve(prog, options)
 
 

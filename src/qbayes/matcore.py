@@ -205,19 +205,6 @@ class ExtendedOperator:
         return bool(dev <= tol * scale)
 
 
-def partial_trace_h(A: ExtendedOperator) -> np.ndarray:
-    """Trace out H: result[j, k] = Tr blocks[j, k]. Hermitian if A is."""
-    return np.trace(A.blocks, axis1=2, axis2=3)
-
-
-def partial_transpose_1(A: ExtendedOperator) -> ExtendedOperator:
-    """Transpose over the C^n factor: blocks[j, k] -> blocks[k, j].
-
-    Pure relabeling, hence a bit-exact involution.
-    """
-    return ExtendedOperator(A.blocks.transpose(1, 0, 2, 3))
-
-
 def sym_split(A: ExtendedOperator) -> tuple[ExtendedOperator, ExtendedOperator]:
     """Split A into its block-symmetric and block-antisymmetric parts.
 

@@ -208,7 +208,6 @@ class ExtendedMoments:
     S_bar: ExtendedOperator
     D_bar: np.ndarray                       # (n, d, d)
     w_bar: float
-    per_point_S: tuple[ExtendedOperator, ...]
     pi: np.ndarray                          # (m,)
     states: np.ndarray                      # (m, d, d)
     thetas: np.ndarray                      # (m, n)
@@ -244,7 +243,7 @@ def build_moments(model: StatisticalModel) -> BayesMoments:
 
 
 def build_extended_moments(model: StatisticalModel) -> ExtendedMoments:
-    """Fold the weight into the grid: per-point W (x) S blocks and their average.
+    """Fold the weight into the grid: the average of the per-point W (x) S blocks.
 
     For a constant weight this reduces to S_bar = W (x) S_B and
     D_bar[j] = sum_k W_jk D_B[k], which the tests pin entrywise.
@@ -253,20 +252,16 @@ def build_extended_moments(model: StatisticalModel) -> ExtendedMoments:
     thetas = model.thetas
     states = model.states
     n, d = model.n, model.d
-    per_point = []
     S_bar = np.zeros((n, n, d, d), dtype=complex)
     D_bar = np.zeros((n, d, d), dtype=complex)
     for m in range(len(model.points)):
         W = model.weight_spec.matrix_at(m)
-        blocks = W[:, :, None, None] * states[m][None, None, :, :]
-        per_point.append(ExtendedOperator(blocks))
-        S_bar = S_bar + pi[m] * blocks
+        S_bar = S_bar + pi[m] * W[:, :, None, None] * states[m][None, None, :, :]
         D_bar = D_bar + pi[m] * np.einsum("jk,k,ab->jab", W, thetas[m], states[m])
     w_bar = build_moments(model).w_bar
     return ExtendedMoments(
-        S_bar=ExtendedOperator(S_bar), D_bar=D_bar, w_bar=w_bar,
-        per_point_S=tuple(per_point), pi=pi, states=states, thetas=thetas,
-        weight_spec=model.weight_spec)
+        S_bar=ExtendedOperator(S_bar), D_bar=D_bar, w_bar=w_bar, pi=pi,
+        states=states, thetas=thetas, weight_spec=model.weight_spec)
 
 
 # ---------------------------------------------------------------------------

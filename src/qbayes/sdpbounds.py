@@ -146,7 +146,7 @@ def nagaoka_hayashi_bound(em: ExtendedMoments,
     dim = nd + d
 
     prog = ConicProgram()
-    g = prog.add_psd_block(dim, complex_=True)
+    g = prog.add_psd_block(dim)
     _identity_corner_rows(prog, g, dim, nd, d)
     # off-diagonal blocks of L pair up symmetrically: L_jk = L_kj, i.e. each
     # upper block is Hermitian on its own (G Hermitian supplies L_kj = L_jk^+)
@@ -253,7 +253,7 @@ def holevo_type_bound(em: ExtendedMoments,
         _require_strictly_positive(W, "the weight matrix")
         sqS = psd_sqrt(_mean_state(em))
         P = np.stack([sqS @ E for E in basis])
-        blk = prog.add_psd_block(dim, complex_=True)
+        blk = prog.add_psd_block(dim)
         _identity_corner_rows(prog, blk, dim, n, B)
         _v_block_rows(prog, blk, dim, n)
         # constant form: M row j involves X_j only (identity in place of sqW)
@@ -270,7 +270,7 @@ def holevo_type_bound(em: ExtendedMoments,
             sqW = psd_sqrt(Wm.astype(complex)).real
             sqS = psd_sqrt(em.states[m])
             P = np.stack([sqS @ E for E in basis])
-            blk = prog.add_psd_block(dim, complex_=True)
+            blk = prog.add_psd_block(dim)
             _identity_corner_rows(prog, blk, dim, n, B)
             _v_block_rows(prog, blk, dim, n)
             _m_link_rows(prog, blk, dim, n, d, B, sqW, P, n * B)
@@ -436,7 +436,7 @@ def _dominating_value(Sfull: np.ndarray, X: ExtendedOperator,
     nd = n * d
     Xb = X.blocks
     prog = ConicProgram()
-    t = prog.add_psd_block(nd, complex_=True)
+    t = prog.add_psd_block(nd)
     for j in range(n):
         for k in range(j + 1, n):
             G = Xb[k, j] - Xb[j, k]

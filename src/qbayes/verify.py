@@ -144,7 +144,7 @@ def optimal_povm_step(model: StatisticalModel, estimates,
     d = model.d
 
     prog = ConicProgram()
-    blocks = [prog.add_psd_block(d, complex_=True) for _ in range(K)]
+    blocks = [prog.add_psd_block(d) for _ in range(K)]
     for a in range(d):
         for b in range(a, d):
             prog.add_eq({blk: re_entry_coeff(d, a, b) for blk in blocks},
@@ -196,7 +196,9 @@ def seesaw(model: StatisticalModel, outcome_count: int | None = None,
     improvement drops below 1e-10.
     """
     _require_constant_weight(model, "the seesaw")
-    K = outcome_count if outcome_count is not None else model.n + 2
+    # the random start has rank-one elements: fewer than d cannot resolve
+    # the identity on C^d
+    K = outcome_count if outcome_count is not None else max(model.n + 2, model.d)
     if K < 1:
         raise ValueError("outcome count must be positive")
     rng = np.random.default_rng(seed)

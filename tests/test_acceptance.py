@@ -102,15 +102,20 @@ def test_correlated_pair_fixture():
     assert seesaw(model, iters=25, seed=0).risk <= 1.28 + 1e-5
 
 
-def test_ordering_chain_on_random_models():
-    """seesaw >= block bound >= trace-norm bound >= both quadratic bounds."""
+def audit_ensemble():
+    """The seeded 50-model ensemble: n, d and grid size each 2..3, SPD weight."""
     rng = np.random.default_rng(404)
-    worst = np.inf
     for _ in range(50):
         n = int(rng.integers(2, 4))
         d = int(rng.integers(2, 4))
         g = int(rng.integers(2, 4))
-        model = random_grid_model(rng, n, d, g, W=random_spd(rng, n))
+        yield random_grid_model(rng, n, d, g, W=random_spd(rng, n))
+
+
+def test_ordering_chain_on_random_models():
+    """seesaw >= block bound >= trace-norm bound >= both quadratic bounds."""
+    worst = np.inf
+    for model in audit_ensemble():
         audit = ordering_audit(model, iters=8, seed=0)
         worst = min(worst, audit["min_margin"])
     assert worst >= -1e-6
@@ -155,8 +160,7 @@ def test_right_derivative_fixture_is_strictly_tighter():
     W = np.eye(2)
     blocks = W[:, :, None, None] * mom.S_B[None, None, :, :]
     em = ExtendedMoments(S_bar=ExtendedOperator(blocks), D_bar=mom.D_B,
-                         w_bar=0.2, per_point_S=(ExtendedOperator(blocks),),
-                         pi=np.array([1.0]), states=mom.S_B[None],
+                         w_bar=0.2, pi=np.array([1.0]), states=mom.S_B[None],
                          thetas=np.zeros((1, 2)),
                          weight_spec=WeightSpec(constant=W))
     assert holevo_type_bound(em).value >= 11.0 / 75.0 - 1e-6
@@ -248,12 +252,14 @@ def test_invariance_suite():
 
 
 def test_solver_conformance():
-    """Optimal solves certify gap and primal residual; infeasibility is
-    reported as such rather than as a value."""
+    """Optimal solves certify gap and primal residual within 25 iterations,
+    on the audit ensemble too; infeasibility is reported as such rather than
+    as a value."""
     rng = np.random.default_rng(111)
+    models = [random_grid_model(rng, 2, 2, 2, W=random_spd(rng, 2))
+              for _ in range(2)]
     diagnostics = []
-    for seed in (1, 2):
-        model = random_grid_model(rng, 2, 2, 2, W=random_spd(rng, 2))
+    for model in models + list(audit_ensemble()):
         em = build_extended_moments(model)
         diagnostics.append(nagaoka_hayashi_bound(em).diagnostics)
         diagnostics.append(holevo_type_bound(em).diagnostics)
@@ -261,6 +267,7 @@ def test_solver_conformance():
         assert trial["status"] == "optimal"
     for diag in diagnostics:
         assert diag.status == "optimal"
+        assert diag.iterations <= 25
         assert diag.gap <= 1e-8
         assert diag.feas_primal <= 1e-8
         assert diag.dual_value <= diag.primal_value + 1e-9

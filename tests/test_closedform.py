@@ -6,7 +6,6 @@ import pytest
 from helpers import random_grid_model
 from qbayes.closedform import (
     SingularInformationError,
-    collapse_values,
     personick_value,
     rld_bound,
     sld_bound,
@@ -135,13 +134,6 @@ def test_van_tree_flags_singular_information():
                              prior_score=np.zeros((1, 1)))
     with pytest.raises(SingularInformationError):
         van_tree_bound(model, np.eye(1))
-
-
-def test_collapse_values_convenience():
-    model = classical_binary(1.0, 0.6)
-    vals = collapse_values(model)
-    assert set(vals) == {"sld", "rld"}
-    assert abs(vals["sld"] - 0.64) < 1e-12
 
 
 def test_rld_singular_weight_warns_and_stays_exact():

@@ -6,46 +6,45 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_hermitian
+from qbayes import conic
 from qbayes.conic import (
     ConicProgram,
     ProgramError,
     SolveOptions,
     SolverFailureError,
+    _congruence_rep,
     dump_program,
+    hmat,
     holevo_lemma_sdp_value,
     holevo_lemma_value,
+    hvec,
     im_entry_coeff,
     random_lemma_triple,
     re_entry_coeff,
-    realify,
-    smat,
     solve,
     solve_or_raise,
-    svec,
-    svec_dim,
 )
 
 
 @given(st.integers(0, 10**6), st.integers(1, 6))
 @settings(max_examples=25, deadline=None)
-def test_svec_smat_round_trip_preserves_inner_products(seed, k):
+def test_hvec_hmat_round_trip_preserves_inner_products(seed, k):
     rng = np.random.default_rng(seed)
-    A = rng.standard_normal((k, k))
-    A = (A + A.T) / 2
-    B = rng.standard_normal((k, k))
-    B = (B + B.T) / 2
-    assert svec(A).shape == (svec_dim(k),)
-    assert np.allclose(smat(svec(A), k), A, atol=1e-14)
-    assert abs(svec(A) @ svec(B) - np.trace(A @ B)) < 1e-10
+    A = random_hermitian(rng, k)
+    B = random_hermitian(rng, k)
+    assert hvec(A).shape == (k * k,)
+    assert np.allclose(hmat(hvec(A), k), A, atol=1e-14)
+    assert abs(hvec(A) @ hvec(B) - np.trace(A @ B).real) < 1e-10
 
 
-def test_realify_embeds_the_hermitian_spectrum():
-    rng = np.random.default_rng(31)
-    H = random_hermitian(rng, 4)
-    T = realify(H)
-    assert np.allclose(T, T.T, atol=1e-14)
-    doubled = np.sort(np.concatenate([np.linalg.eigvalsh(H)] * 2))
-    assert np.allclose(np.sort(np.linalg.eigvalsh(T)), doubled, atol=1e-10)
+@given(st.integers(0, 10**6), st.integers(1, 6))
+@settings(max_examples=25, deadline=None)
+def test_congruence_rep_acts_as_the_congruence(seed, k):
+    rng = np.random.default_rng(seed)
+    P = random_hermitian(rng, k)
+    M = random_hermitian(rng, k)
+    lhs = _congruence_rep(P) @ hvec(M)
+    assert np.allclose(lhs, hvec(P @ M @ P.conj().T), atol=1e-12)
 
 
 def test_entry_coefficients_extract_real_and_imaginary_parts():
@@ -59,9 +58,9 @@ def test_entry_coefficients_extract_real_and_imaginary_parts():
             assert abs(re - H[a, b].real) < 1e-12
             assert abs(im - H[a, b].imag) < 1e-12
     assert abs(np.trace(re_entry_coeff(3, 1, 1) @ H) - H[1, 1].real) < 1e-12
-    # the realified embedding halves the pairing, which add_eq compensates
+    # the coefficient pairs with the block through its hvec coordinates
     C = re_entry_coeff(3, 0, 2)
-    pair = svec(realify(C) / 2.0) @ svec(realify(H))
+    pair = hvec(C) @ hvec(H)
     assert abs(pair - H[0, 2].real) < 1e-12
 
 
@@ -70,7 +69,7 @@ def smallest_eigenvalue_program():
     rng = np.random.default_rng(33)
     H = random_hermitian(rng, 3)
     prog = ConicProgram()
-    blk = prog.add_psd_block(3, complex_=True)
+    blk = prog.add_psd_block(3)
     t = prog.add_free(1)
     for a in range(3):
         for b in range(a, 3):
@@ -151,12 +150,21 @@ def test_solutions_are_deterministic():
     assert np.array_equal(a.free_values, b.free_values)
 
 
-def test_retry_ladder_rescues_a_bad_profile():
-    """A hopeless centering floor on the first attempt still ends optimal."""
-    prog, H = smallest_eigenvalue_program()
-    sol = solve(prog, SolveOptions(sigma_min=0.9999, max_iters=60))
-    assert sol.status == "optimal"
-    assert abs(sol.primal_value - np.linalg.eigvalsh(H)[-1]) < 1e-7
+def test_iteration_cap_returns_the_best_iterate(monkeypatch):
+    """A run cut off at MAX_ITERS reports numerical-failure with its best
+    iterate, and solve_or_raise raises with that solution attached."""
+    prog, _ = smallest_eigenvalue_program()
+    monkeypatch.setattr(conic, "MAX_ITERS", 3)
+    sol = solve(prog)
+    assert sol.status == "numerical-failure"
+    assert sol.iterations == 3
+    assert np.isfinite(sol.primal_value) and np.isfinite(sol.dual_value)
+    assert np.isfinite(sol.free_values).all()
+    assert all(np.isfinite(X).all() for X in sol.variable_values)
+    with pytest.raises(SolverFailureError) as err:
+        solve_or_raise(prog)
+    assert err.value.solution is not None
+    assert err.value.solution.status == "numerical-failure"
 
 
 def test_gap_tolerance_env_override(monkeypatch):
@@ -183,7 +191,7 @@ def test_program_validation_rejects_bad_shapes():
 def test_dump_program_round_trips_the_structure():
     prog, _ = smallest_eigenvalue_program()
     text = dump_program(prog)
-    assert "block 0 complex 3" in text
+    assert "block 0 3" in text
     assert "offset" in text
 
 

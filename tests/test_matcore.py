@@ -14,8 +14,6 @@ from qbayes.matcore import (
     hermitian_eig,
     hermitize,
     lyapunov_solve,
-    partial_trace_h,
-    partial_transpose_1,
     psd_sqrt,
     regularize_state,
     sym_split,
@@ -132,20 +130,6 @@ def test_extended_operator_hermitian_and_block_symmetric_flags():
     assert sym.is_block_symmetric()
     assert np.allclose(sym.blocks + antisym.blocks, op.blocks)
     assert np.allclose(antisym.blocks, -antisym.blocks.transpose(1, 0, 2, 3))
-
-
-def test_partial_trace_and_partial_transpose():
-    rng = np.random.default_rng(7)
-    blocks = rng.standard_normal((3, 3, 2, 2)) + 1j * rng.standard_normal((3, 3, 2, 2))
-    op = ExtendedOperator(blocks)
-    pt = partial_trace_h(op)
-    assert pt.shape == (3, 3)
-    assert np.allclose(pt[1, 2], np.trace(blocks[1, 2]))
-    flipped = partial_transpose_1(op)
-    assert np.array_equal(flipped.blocks[0, 2], blocks[2, 0])
-    # involution, and the full trace is preserved
-    assert np.array_equal(partial_transpose_1(flipped).blocks, blocks)
-    assert np.isclose(np.trace(flipped.full()), np.trace(op.full()))
 
 
 def test_tensor_product_round_trip_through_full():

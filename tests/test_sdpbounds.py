@@ -46,7 +46,6 @@ def tensor_moments(W, S_B, D_bar, M):
     return ExtendedMoments(S_bar=ExtendedOperator(blocks),
                            D_bar=np.asarray(D_bar, dtype=complex),
                            w_bar=float(np.trace(W @ M)),
-                           per_point_S=(ExtendedOperator(blocks),),
                            pi=np.array([1.0]),
                            states=np.asarray(S_B, dtype=complex)[None],
                            thetas=np.zeros((1, n)),

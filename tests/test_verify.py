@@ -99,6 +99,14 @@ def test_seesaw_risk_is_reproducible_and_above_the_bound():
     assert a.risk >= nagaoka_hayashi_bound(em).value - 1e-6
 
 
+def test_seesaw_default_outcome_count_covers_the_dimension():
+    """d = 6 exceeds n + 2 = 4; the default start must still resolve I."""
+    model = random_model(2, 6, seed=1, grid=4)
+    dec = seesaw(model, iters=2)
+    assert len(dec.povm) >= model.d
+    assert np.allclose(sum(dec.povm.elements), np.eye(model.d), atol=1e-8)
+
+
 def test_personick_measurement_attains_the_quadratic_bound():
     for model in (classical_binary(1.0, 0.6), random_model(1, 3, seed=2)):
         mom = build_moments(model)
