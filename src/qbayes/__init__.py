@@ -13,11 +13,11 @@ evaluate bounds:
     print(nagaoka_hayashi_bound(em).value)
 """
 
-from .matcore import (ExtendedOperator, IllConditionedError, NotPsdError,
-                      NumericalFailureError, SingularStateError,
-                      check_hermitian, hermitize, hermitian_eig,
-                      lyapunov_solve, psd_sqrt, regularize_state,
-                      sym_split, trace_abs, weighted_trace_abs)
+from .matcore import (ExtendedOperator, NotPsdError, NumericalFailureError,
+                      SingularStateError, check_hermitian, hermitize,
+                      hermitian_eig, lyapunov_solve, psd_sqrt,
+                      regularize_state, sym_split, trace_abs,
+                      weighted_trace_abs)
 from .model import (BayesMoments, CapabilityError, ExtendedMoments, GridPoint,
                     ModelError, StatisticalModel, WeightSpec, build_moments,
                     build_extended_moments, load_model, model_from_dict,
@@ -42,7 +42,7 @@ from .verify import (DecisionRisk, PersonickMeasurement, Povm,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ExtendedOperator", "IllConditionedError", "NotPsdError",
+    "ExtendedOperator", "NotPsdError",
     "NumericalFailureError", "SingularStateError", "check_hermitian",
     "hermitize", "hermitian_eig", "lyapunov_solve", "psd_sqrt",
     "regularize_state", "sym_split", "trace_abs", "weighted_trace_abs",

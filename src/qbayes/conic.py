@@ -1,8 +1,13 @@
 """Small dense semidefinite programming with a deterministic interior-point solver.
 
-Programs are equality-constrained over Hermitian PSD blocks plus free real
-scalars; inequalities are the caller's job via slack blocks. The solver is a
-primal-dual path-following method on the homogeneous self-dual embedding with
+Programs are equality-constrained over Hermitian PSD blocks only:
+min sum_b <C_b, X_b> subject to sum_b <A_ib, X_b> = b_i, X_b >= 0.
+Inequalities are the caller's job via slack blocks. A linear matrix
+inequality F0 + sum_i z_i F_i >= 0 with objective g . z is the dual of the
+program whose objective is F0 and whose row i has coefficients F_i and rhs
+g_i: the solver's dual vector is y = -z, read from `sol.y`, and
+`sol.dual_value` is -g . z plus the offset. The solver is a primal-dual
+path-following method on the homogeneous self-dual embedding with
 Nesterov-Todd scaling and dense LU linear algebra, so infeasibility is
 certified rather than diverged on.
 
@@ -119,21 +124,18 @@ def im_entry_coeff(k: int, a: int, b: int) -> np.ndarray:
 @dataclass
 class _Row:
     coeffs: dict            # block index -> coefficient matrix
-    free: np.ndarray | None
     rhs: float
 
 
 class ConicProgram:
-    """Equality-form conic program over Hermitian PSD blocks and free scalars.
+    """Equality-form conic program over Hermitian PSD blocks.
 
     Constraints and the objective are real linear functionals given by one
-    Hermitian coefficient matrix per referenced block (contributing <C, X>)
-    plus coefficients on the free variables.
+    Hermitian coefficient matrix per referenced block (contributing <C, X>).
     """
 
     def __init__(self):
         self.blocks: list[int] = []     # block dimensions
-        self.nfree = 0
         self.rows: list[_Row] = []
         self.obj: _Row | None = None
         self.offset = 0.0
@@ -144,15 +146,7 @@ class ConicProgram:
         self.blocks.append(dim)
         return len(self.blocks) - 1
 
-    def add_free(self, count: int) -> np.ndarray:
-        """Declare free scalars; returns their indices."""
-        if count < 0:
-            raise ProgramError("negative free-variable count")
-        idx = np.arange(self.nfree, self.nfree + count)
-        self.nfree += count
-        return idx
-
-    def _check_row(self, coeffs: dict | None, free) -> _Row:
+    def _check_row(self, coeffs: dict | None) -> _Row:
         coeffs = dict(coeffs or {})
         for bid, C in coeffs.items():
             if not 0 <= bid < len(self.blocks):
@@ -163,35 +157,25 @@ class ConicProgram:
                 raise ProgramError(
                     f"coefficient shape {C.shape} for block of dim {dim}")
             coeffs[bid] = check_hermitian(C)
-        fvec = None
-        if free is not None:
-            if isinstance(free, dict):
-                fvec = np.zeros(self.nfree)
-                for i, v in free.items():
-                    fvec[i] = v
-            else:
-                fvec = np.asarray(free, dtype=float)
-                if fvec.shape != (self.nfree,):
-                    raise ProgramError(f"free coefficient length {fvec.shape}")
-        return _Row(coeffs=coeffs, free=fvec, rhs=0.0)
+        return _Row(coeffs=coeffs, rhs=0.0)
 
-    def add_eq(self, coeffs: dict | None = None, free=None, rhs: float = 0.0) -> None:
-        """Add the equality  sum_b <C_b, X_b> + f . u = rhs."""
-        row = self._check_row(coeffs, free)
+    def add_eq(self, coeffs: dict | None = None, rhs: float = 0.0) -> None:
+        """Add the equality  sum_b <C_b, X_b> = rhs."""
+        row = self._check_row(coeffs)
         row.rhs = float(rhs)
         self.rows.append(row)
 
-    def set_objective(self, coeffs: dict | None = None, free=None,
+    def set_objective(self, coeffs: dict | None = None,
                       offset: float = 0.0) -> None:
-        """Minimize  sum_b <C_b, X_b> + f . u + offset."""
-        self.obj = self._check_row(coeffs, free)
+        """Minimize  sum_b <C_b, X_b> + offset."""
+        self.obj = self._check_row(coeffs)
         self.offset = float(offset)
 
     # -- numeric form -------------------------------------------------------
 
     def _layout(self):
         starts = []
-        pos = self.nfree
+        pos = 0
         for dim in self.blocks:
             starts.append(pos)
             pos += dim * dim
@@ -199,8 +183,6 @@ class ConicProgram:
 
     def _row_vector(self, row: _Row, N: int, starts) -> np.ndarray:
         v = np.zeros(N)
-        if row.free is not None:
-            v[:self.nfree] = row.free
         for bid, C in row.coeffs.items():
             s = starts[bid]
             v[s:s + self.blocks[bid] ** 2] = hvec(C)
@@ -215,7 +197,7 @@ class ConicProgram:
         for i, row in enumerate(self.rows):
             A[i] = self._row_vector(row, N, starts)
             b[i] = row.rhs
-        obj = self.obj if self.obj is not None else _Row({}, None, 0.0)
+        obj = self.obj if self.obj is not None else _Row({}, 0.0)
         c = self._row_vector(obj, N, starts)
         return A, b, c, starts, N
 
@@ -223,15 +205,14 @@ class ConicProgram:
 def dump_program(p: ConicProgram) -> str:
     """Plain-text dump for cross-checking against external solvers.
 
-    Format: one `block ID DIM` line per Hermitian block, `free COUNT`, then
-    `obj BLOCK I J RE IM` / `objfree IDX V` / `offset V` entries and per
-    constraint `con ROW BLOCK I J RE IM` / `confree ROW IDX V` / `rhs ROW V`.
-    Only nonzero upper-triangle coefficients are listed.
+    Format: one `block ID DIM` line per Hermitian block, `offset V`, the
+    objective as `obj BLOCK I J RE IM` entries, then per constraint its
+    `con ROW BLOCK I J RE IM` entries and `rhs ROW V`. Only nonzero
+    upper-triangle coefficients are listed.
     """
     out = ["conic-program"]
     for i, dim in enumerate(p.blocks):
         out.append(f"block {i} {dim}")
-    out.append(f"free {p.nfree}")
     out.append(f"offset {p.offset!r}")
 
     def emit(tag: str, row: _Row, label: str = ""):
@@ -242,10 +223,6 @@ def dump_program(p: ConicProgram) -> str:
                     z = C[a, b_]
                     if z != 0:
                         out.append(f"{tag} {label}{bid} {a} {b_} {z.real!r} {z.imag!r}")
-        if row.free is not None:
-            for i, v in enumerate(row.free):
-                if v != 0:
-                    out.append(f"{tag}free {label}{i} {v!r}")
 
     if p.obj is not None:
         emit("obj", p.obj)
@@ -287,7 +264,6 @@ class ConicSolution:
     feas_primal: float
     feas_dual: float
     variable_values: tuple
-    free_values: np.ndarray
     y: np.ndarray
     iterations: int
 
@@ -346,7 +322,6 @@ def solve(program: ConicProgram, options: SolveOptions | None = None) -> ConicSo
     p = A.shape[0]
     layout = [(k, st, k * k) for k, st in zip(program.blocks, starts)]
     nu = sum(program.blocks)
-    nfree = program.nfree
     bnorm = 1.0 + (np.abs(b).max() if p else 0.0)
     cnorm = 1.0 + (np.abs(c).max() if N else 0.0)
 
@@ -379,7 +354,6 @@ def solve(program: ConicProgram, options: SolveOptions | None = None) -> ConicSo
             dual_value=dobj + program.offset,
             gap=gap, feas_primal=pres, feas_dual=dres,
             variable_values=tuple(hmat(xh[st:st + ln], k) for k, st, ln in layout),
-            free_values=xh[:nfree],
             y=yv / tv, iterations=iters)
 
     best = None   # (score, x, y, s, tau, measures) of the best iterate so far
@@ -442,24 +416,18 @@ def solve(program: ConicProgram, options: SolveOptions | None = None) -> ConicSo
         r_g = cx - by + kappa
 
         # eliminate the cone step through the scaling: LU lives on the
-        # (p + 1 + nfree) system in (dy, dtau, dx_free)
-        Af = A[:, :nfree]
-        cf = c[:nfree]
+        # (p + 1) system in (dy, dtau)
         AGi = np.zeros((p, N))
         for Gi, (k, st, ln) in zip(Gib, layout):
             AGi[:, st:st + ln] = A[:, st:st + ln] @ Gi
         cGi = apply_blocks(Gib, c)
-        q = p + 1 + nfree
+        q = p + 1
         M2 = np.zeros((q, q))
         M2[:p, :p] = AGi @ AGi.T
         v1 = AGi @ cGi
         M2[:p, p] = -(v1 + b)
-        M2[:p, p + 1:] = Af
         M2[p, :p] = b - v1
         M2[p, p] = float(cGi @ cGi) + kappa / tau
-        M2[p, p + 1:] = -cf
-        M2[p + 1:, :p] = Af.T
-        M2[p + 1:, p] = -cf
         # equilibrate before factoring: near a degenerate optimum the rows
         # span many orders of magnitude, which starves the small pivots; the
         # tiny shift on the balanced matrix is corrected by refinement below
@@ -475,13 +443,11 @@ def solve(program: ConicProgram, options: SolveOptions | None = None) -> ConicSo
 
         def reduced_solve(r1, r2, r3):
             t0 = apply_blocks(Gib, r1)
-            rhs2 = np.concatenate([r2 + AGi @ t0, [r3 - float(cGi @ t0)],
-                                   r1[:nfree]])
+            rhs2 = np.concatenate([r2 + AGi @ t0, [r3 - float(cGi @ t0)]])
             sol2 = cscale * sla.lu_solve(lu, rscale * rhs2)
             dy = sol2[:p]
             dtau = float(sol2[p])
             dx = apply_blocks(Gib, AGi.T @ dy - cGi * dtau - t0)
-            dx[:nfree] = sol2[p + 1:]
             return dx, dy, dtau
 
         def newton(sigma: float, eta: float):

@@ -19,7 +19,6 @@ HERM_TOL = 1e-12        # max |A - A^dag| accepted before symmetrization
 PSD_CLAMP = 1e-10       # eigenvalues above -PSD_CLAMP are clamped to zero
 STRICT_POS_MIN = 1e-10  # minimum eigenvalue for "strictly positive" states
 REG_EPS = 1e-10         # mixing weight of the regularization fallback
-DEFECTIVE_COND = 1e8    # eigenvector condition number treated as defective
 
 SQRT2 = np.sqrt(2.0)
 
@@ -30,10 +29,6 @@ class NotPsdError(ValueError):
 
 class SingularStateError(ValueError):
     """A state is singular beyond what regularization absorbs."""
-
-
-class IllConditionedError(ValueError):
-    """An eigenvector basis is too ill-conditioned to trust."""
 
 
 class NumericalFailureError(RuntimeError):
@@ -127,12 +122,8 @@ def lyapunov_solve(S: np.ndarray, D: np.ndarray) -> np.ndarray:
 
 
 def trace_abs(A: np.ndarray) -> float:
-    """Sum of the absolute values of the eigenvalues of A.
-
-    Hermitian and anti-Hermitian inputs are handled with eigh; anything else
-    goes through a general eigensolver and raises IllConditionedError when the
-    eigenvector basis looks defective (condition number > DEFECTIVE_COND).
-    """
+    """Sum of the absolute values of the eigenvalues of Hermitian or
+    anti-Hermitian A, through eigh; any other input raises ValueError."""
     A = np.asarray(A, dtype=complex)
     scale = max(1.0, float(np.abs(A).max())) if A.size else 1.0
     if np.abs(A - A.conj().T).max() <= HERM_TOL * scale:
@@ -140,11 +131,7 @@ def trace_abs(A: np.ndarray) -> float:
     if np.abs(A + A.conj().T).max() <= HERM_TOL * scale:
         # eigenvalues are i times those of the Hermitian matrix -iA
         return float(np.abs(npl.eigvalsh(hermitize(-1j * A))).sum())
-    vals, vecs = npl.eig(A)
-    if npl.cond(vecs) > DEFECTIVE_COND:
-        raise IllConditionedError(
-            "matrix is too close to defective for a trustworthy eigenbasis")
-    return float(np.abs(vals).sum())
+    raise ValueError("trace_abs needs a Hermitian or anti-Hermitian matrix")
 
 
 def weighted_trace_abs(W: np.ndarray, B: np.ndarray) -> float:

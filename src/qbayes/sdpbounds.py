@@ -106,18 +106,20 @@ class NhSolution:
     diagnostics: ConicSolution
 
 
-def _hermitian_offblock_rows(prog, blk, dim, row0, col0, d):
-    """Rows pinning the d x d block at (row0, col0) of a Hermitian variable
-    to be itself Hermitian."""
+def _hermitian_offblock_rows(prog, blk, dim, row0, col0, G):
+    """Rows pinning the d x d block T at (row0, col0) of a Hermitian variable
+    to T - T^+ = G, for anti-Hermitian d x d G (zero: T is Hermitian)."""
+    d = G.shape[0]
     for a in range(d):
-        prog.add_eq({blk: im_entry_coeff(dim, row0 + a, col0 + a)}, rhs=0.0)
+        prog.add_eq({blk: im_entry_coeff(dim, row0 + a, col0 + a)},
+                    rhs=G[a, a].imag / 2.0)
         for b in range(a + 1, d):
             Cre = (re_entry_coeff(dim, row0 + a, col0 + b)
                    - re_entry_coeff(dim, row0 + b, col0 + a))
             Cim = (im_entry_coeff(dim, row0 + a, col0 + b)
                    + im_entry_coeff(dim, row0 + b, col0 + a))
-            prog.add_eq({blk: Cre}, rhs=0.0)
-            prog.add_eq({blk: Cim}, rhs=0.0)
+            prog.add_eq({blk: Cre}, rhs=G[a, b].real)
+            prog.add_eq({blk: Cim}, rhs=G[a, b].imag)
 
 
 def _identity_corner_rows(prog, blk, dim, start, k):
@@ -150,12 +152,13 @@ def nagaoka_hayashi_bound(em: ExtendedMoments,
     _identity_corner_rows(prog, g, dim, nd, d)
     # off-diagonal blocks of L pair up symmetrically: L_jk = L_kj, i.e. each
     # upper block is Hermitian on its own (G Hermitian supplies L_kj = L_jk^+)
+    zero = np.zeros((d, d))
     for j in range(n):
         for k in range(j + 1, n):
-            _hermitian_offblock_rows(prog, g, dim, j * d, k * d, d)
+            _hermitian_offblock_rows(prog, g, dim, j * d, k * d, zero)
     # the estimator column blocks are Hermitian observables
     for j in range(n):
-        _hermitian_offblock_rows(prog, g, dim, j * d, nd, d)
+        _hermitian_offblock_rows(prog, g, dim, j * d, nd, zero)
 
     Dstack = np.asarray(em.D_bar).reshape(nd, d)
     C = np.zeros((dim, dim), dtype=complex)
@@ -194,44 +197,26 @@ class HolevoSolution:
     diagnostics: ConicSolution
 
 
-def _v_block_rows(prog, blk, dim, n):
-    # V must be real: kill the imaginary parts of its upper triangle
-    for j in range(n):
-        for k in range(j + 1, n):
-            prog.add_eq({blk: im_entry_coeff(dim, j, k)}, rhs=0.0)
-
-
-def _m_link_rows(prog, blk, dim, n, d, B, sqW, P, nfree):
-    """Rows equating the M block with the linear image of the X coordinates.
-
-    M row j is the column-major vectorization of sum_k sqW[j,k] (sqS X_k);
-    P[beta] = sqS @ basis[beta] supplies the building blocks. Entry (a, c) of
-    that matrix sits at column n + c*d + a of the PSD variable.
-    """
-    for j in range(n):
-        for c in range(d):
-            for a in range(d):
-                col = n + c * d + a
-                fre = np.zeros(nfree)
-                fim = np.zeros(nfree)
-                for k in range(n):
-                    fre[k * B:(k + 1) * B] = -sqW[j, k] * P[:, a, c].real
-                    fim[k * B:(k + 1) * B] = -sqW[j, k] * P[:, a, c].imag
-                prog.add_eq({blk: re_entry_coeff(dim, j, col)}, free=fre, rhs=0.0)
-                prog.add_eq({blk: im_entry_coeff(dim, j, col)}, free=fim, rhs=0.0)
-
-
 def holevo_type_bound(em: ExtendedMoments,
                       options: SolveOptions | None = None,
                       force_general: bool = False) -> HolevoSolution:
     """Lower-bound the Bayes risk through correlation caps on estimator
     observables.
 
-    Per grid point m, a real symmetric V_m dominates Z(S_m, X) via the Schur
-    block [[V_m, M_m], [M_m^+, I]] with M_m M_m^+ = Z(S_m, X); the objective
-    is sum_m pi_m Tr V_m - 2 sum_j Tr(D_bar_j X_j) + w_bar. For a constant
+    Per grid point m, a real symmetric V_m dominates Z(S_m, X) through the
+    linear matrix inequality [[V_m, M_m], [M_m^+, I]] >= 0, where row j of
+    M_m is the column-major vectorization of sum_k sqrt(W_m)[j, k]
+    sqrt(S_m) X_k, so that M_m M_m^+ = Z(S_m, X); the objective is
+    sum_m pi_m Tr V_m - 2 sum_j Tr(D_bar_j X_j) + w_bar. For a constant
     weight the per-point blocks collapse to a single one built on the average
     state, with objective Tr(W V) in place of the pi-weighted trace.
+
+    The LMI F0 + sum_i z_i F_i >= 0 in the real unknowns z = (V, X) is the
+    dual of a PSD program: one row per unknown, with the unknown's F_i on
+    each block as coefficients and its objective coefficient as rhs, and the
+    identity corner F0 as objective. The solver's dual vector is y = -z, and
+    with offset -w_bar the bound is -sol.dual_value, the LMI objective at the
+    returned (V, X).
 
     Every participating weight matrix must be strictly positive.
     """
@@ -240,54 +225,62 @@ def holevo_type_bound(em: ExtendedMoments,
     dim = n + B
     basis = _herm_basis(d)
 
-    prog = ConicProgram()
-    u = prog.add_free(n * B)
-    obj_free = np.zeros(n * B)
-    for j in range(n):
-        for beta, E in enumerate(basis):
-            obj_free[j * B + beta] = -2.0 * float(np.real(np.trace(em.D_bar[j] @ E)))
-
-    constant = em.constant_W is not None and not force_general
-    if constant:
+    # per block: the objective weight on V, sqrt(W) and sqrt(S)
+    if em.constant_W is not None and not force_general:
         W = em.weight_spec.constant
         _require_strictly_positive(W, "the weight matrix")
-        sqS = psd_sqrt(_mean_state(em))
-        P = np.stack([sqS @ E for E in basis])
-        blk = prog.add_psd_block(dim)
-        _identity_corner_rows(prog, blk, dim, n, B)
-        _v_block_rows(prog, blk, dim, n)
         # constant form: M row j involves X_j only (identity in place of sqW)
-        _m_link_rows(prog, blk, dim, n, d, B, np.eye(n), P, n * B)
-        Cobj = np.zeros((dim, dim), dtype=complex)
-        Cobj[:n, :n] = W
-        prog.set_objective({blk: Cobj}, free=obj_free, offset=em.w_bar)
+        points = [(W, np.eye(n), psd_sqrt(_mean_state(em)))]
         form = "constant"
     else:
-        obj_coeffs = {}
+        points = []
         for m, pi_m in enumerate(em.pi):
             Wm = em.weight_spec.matrix_at(m)
             _require_strictly_positive(Wm, f"the weight matrix at grid point {m}")
-            sqW = psd_sqrt(Wm.astype(complex)).real
-            sqS = psd_sqrt(em.states[m])
-            P = np.stack([sqS @ E for E in basis])
-            blk = prog.add_psd_block(dim)
-            _identity_corner_rows(prog, blk, dim, n, B)
-            _v_block_rows(prog, blk, dim, n)
-            _m_link_rows(prog, blk, dim, n, d, B, sqW, P, n * B)
-            Cm = np.zeros((dim, dim), dtype=complex)
-            Cm[:n, :n] = pi_m * np.eye(n)
-            obj_coeffs[blk] = Cm
-        prog.set_objective(obj_coeffs, free=obj_free, offset=em.w_bar)
+            points.append((pi_m * np.eye(n), psd_sqrt(Wm.astype(complex)).real,
+                           psd_sqrt(em.states[m])))
         form = "general"
 
+    prog = ConicProgram()
+    blks = [prog.add_psd_block(dim) for _ in points]
+    F0 = np.zeros((dim, dim))
+    F0[n:, n:] = np.eye(B)
+    prog.set_objective({blk: F0 for blk in blks}, offset=-em.w_bar)
+
+    # V_m[j, k] = V_m[k, j] for j <= k, block by block
+    pairs = list(zip(*np.triu_indices(n)))
+    for blk, (Wobj, _, _) in zip(blks, points):
+        for j, k in pairs:
+            F = np.zeros((dim, dim))
+            F[j, k] = F[k, j] = 1.0
+            prog.add_eq({blk: F}, rhs=float(np.trace(Wobj @ F[:n, :n])))
+
+    # coordinate beta of X_k: entry (a, c) of sqrt(S) E_beta sits at column
+    # n + c*d + a of every block, scaled by sqW[j, k] in row j
+    vecs = [np.stack([(sqS @ E).T.reshape(B) for E in basis])
+            for _, _, sqS in points]
+    for k in range(n):
+        for beta, E in enumerate(basis):
+            coeffs = {}
+            for blk, (_, sqW, _), P in zip(blks, points, vecs):
+                F = np.zeros((dim, dim), dtype=complex)
+                F[:n, n:] = np.outer(sqW[:, k], P[beta])
+                F[n:, :n] = F[:n, n:].conj().T
+                coeffs[blk] = F
+            prog.add_eq(coeffs, rhs=-2.0 * float(np.real(np.trace(em.D_bar[k] @ E))))
+
     sol = solve_or_raise(prog, options, what="estimator-correlation bound")
-    barr = np.stack(basis)
-    Xopt = np.tensordot(sol.free_values.reshape(n, B), barr, axes=(1, 0))
-    Xopt = np.stack([hermitize(x) for x in Xopt])
-    V_blocks = tuple((V[:n, :n].real + V[:n, :n].real.T) / 2
-                     for V in sol.variable_values)
-    return HolevoSolution(value=sol.primal_value, Xopt=Xopt,
-                          V_blocks=V_blocks, form=form, diagnostics=sol)
+    z = -sol.y
+    V_blocks = []
+    for i in range(len(blks)):
+        V = np.zeros((n, n))
+        for (j, k), v in zip(pairs, z[i * len(pairs):(i + 1) * len(pairs)]):
+            V[j, k] = V[k, j] = v
+        V_blocks.append(V)
+    Xopt = np.tensordot(z[len(blks) * len(pairs):].reshape(n, B),
+                        np.stack(basis), axes=(1, 0))
+    return HolevoSolution(value=-sol.dual_value, Xopt=Xopt,
+                          V_blocks=tuple(V_blocks), form=form, diagnostics=sol)
 
 
 # ---------------------------------------------------------------------------
@@ -439,17 +432,7 @@ def _dominating_value(Sfull: np.ndarray, X: ExtendedOperator,
     t = prog.add_psd_block(nd)
     for j in range(n):
         for k in range(j + 1, n):
-            G = Xb[k, j] - Xb[j, k]
-            for a in range(d):
-                prog.add_eq({t: im_entry_coeff(nd, j * d + a, k * d + a)},
-                            rhs=G[a, a].imag / 2.0)
-                for b in range(a + 1, d):
-                    Cre = (re_entry_coeff(nd, j * d + a, k * d + b)
-                           - re_entry_coeff(nd, j * d + b, k * d + a))
-                    Cim = (im_entry_coeff(nd, j * d + a, k * d + b)
-                           + im_entry_coeff(nd, j * d + b, k * d + a))
-                    prog.add_eq({t: Cre}, rhs=G[a, b].real)
-                    prog.add_eq({t: Cim}, rhs=G[a, b].imag)
+            _hermitian_offblock_rows(prog, t, nd, j * d, k * d, Xb[k, j] - Xb[j, k])
     offset = float(np.real(np.trace(Sfull @ X.full())))
     prog.set_objective({t: hermitize(Sfull)}, offset=offset)
     sol = solve_or_raise(prog, options, what="block-symmetric dominating program")

@@ -65,21 +65,14 @@ def test_entry_coefficients_extract_real_and_imaginary_parts():
 
 
 def smallest_eigenvalue_program():
-    """min t s.t. t I - H >= 0, via one complex block and a free scalar."""
+    """min Tr(-H X) s.t. Tr X = 1 over one complex block: the smallest
+    eigenvalue of -H. Its dual is the LMI -H - y I >= 0, max y."""
     rng = np.random.default_rng(33)
     H = random_hermitian(rng, 3)
     prog = ConicProgram()
     blk = prog.add_psd_block(3)
-    t = prog.add_free(1)
-    for a in range(3):
-        for b in range(a, 3):
-            # (tI - H)_{ab} fixed entrywise: Re and, off-diagonal, Im
-            target = (1.0 if a == b else 0.0)
-            prog.add_eq({blk: re_entry_coeff(3, a, b)}, free={int(t[0]): -target},
-                        rhs=-H[a, b].real)
-            if a != b:
-                prog.add_eq({blk: im_entry_coeff(3, a, b)}, rhs=-H[a, b].imag)
-    prog.set_objective(free={int(t[0]): 1.0})
+    prog.add_eq({blk: np.eye(3)}, rhs=1.0)
+    prog.set_objective({blk: -H})
     return prog, H
 
 
@@ -87,7 +80,8 @@ def test_largest_eigenvalue_as_an_sdp():
     prog, H = smallest_eigenvalue_program()
     sol = solve_or_raise(prog)
     top = np.linalg.eigvalsh(H)[-1]
-    assert abs(sol.primal_value - top) < 1e-7
+    assert abs(-sol.primal_value - top) < 1e-7
+    assert abs(-sol.y[0] - top) < 1e-7
     assert sol.status == "optimal"
     assert sol.gap <= 1e-8
     assert sol.feas_primal <= 1e-8
@@ -147,7 +141,9 @@ def test_solutions_are_deterministic():
     b = solve(prog)
     assert a.primal_value == b.primal_value
     assert a.iterations == b.iterations
-    assert np.array_equal(a.free_values, b.free_values)
+    assert np.array_equal(a.y, b.y)
+    assert all(np.array_equal(x, z)
+               for x, z in zip(a.variable_values, b.variable_values))
 
 
 def test_iteration_cap_returns_the_best_iterate(monkeypatch):
@@ -159,7 +155,7 @@ def test_iteration_cap_returns_the_best_iterate(monkeypatch):
     assert sol.status == "numerical-failure"
     assert sol.iterations == 3
     assert np.isfinite(sol.primal_value) and np.isfinite(sol.dual_value)
-    assert np.isfinite(sol.free_values).all()
+    assert np.isfinite(sol.y).all()
     assert all(np.isfinite(X).all() for X in sol.variable_values)
     with pytest.raises(SolverFailureError) as err:
         solve_or_raise(prog)

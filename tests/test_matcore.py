@@ -89,10 +89,11 @@ def test_trace_abs_sums_eigenvalue_magnitudes():
     assert abs(trace_abs(H) - np.abs(np.linalg.eigvalsh(H)).sum()) < 1e-10
     # anti-Hermitian path: eigenvalues are purely imaginary
     assert abs(trace_abs(1j * H) - np.abs(np.linalg.eigvalsh(H)).sum()) < 1e-10
-    # diagonalizable non-normal input goes through the general path
+    # any other input is rejected
     P = np.array([[1.0, 0.3], [0.0, 1.0]])
     A = P @ np.diag([2.0, -3.0]) @ np.linalg.inv(P)
-    assert abs(trace_abs(A) - 5.0) < 1e-10
+    with pytest.raises(ValueError):
+        trace_abs(A)
 
 
 def test_weighted_trace_abs_is_a_similarity_invariant():

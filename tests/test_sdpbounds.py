@@ -22,6 +22,7 @@ from qbayes.model import (
     build_moments,
     classical_binary,
     correlated_pair,
+    model_zoo,
     random_model,
     with_weight,
 )
@@ -119,6 +120,40 @@ def test_holevo_dominating_blocks_certify():
                         for k in range(em.n)] for j in range(em.n)])
         Z = sqW @ Zt @ sqW
         assert np.linalg.eigvalsh((V - Z + (V - Z).conj().T) / 2)[0] > -1e-7
+
+
+def test_holevo_program_has_one_row_per_real_unknown():
+    """The LMI has a row per V_m entry (j <= k) and per X coordinate, and
+    (V, X) are read back from the dual vector."""
+    em = build_extended_moments(random_model(3, 2, seed=2, grid=3))
+    n, d = em.n, em.d
+    for force_general, blocks in ((False, 1), (True, len(em.pi))):
+        sol = holevo_type_bound(em, force_general=force_general)
+        assert len(sol.diagnostics.y) == blocks * n * (n + 1) // 2 + n * d * d
+        assert len(sol.V_blocks) == blocks
+        assert all(np.array_equal(V, V.T) for V in sol.V_blocks)
+        assert all(np.array_equal(X, X.conj().T) for X in sol.Xopt)
+
+
+# Holevo values of both forms from the primal program that the LMI replaced
+# (identity corner pinned by rows, X as free scalars), solved to a relative
+# gap of 1e-10. At the default gap that program reported up to its duality
+# gap above the optimum: 1.04e-7 relative on random_model(2, 2) per point.
+HOLEVO_REFERENCE = [
+    ("qubit_xy", (0.6,), 0.29520000008104463, 0.2952000001726113),
+    ("random_model", (2, 2, 1), 0.1541182887943091, 0.15509885515056354),
+    ("random_model", (2, 3, 1), 0.12604830538732004, 0.12607986706350538),
+    ("random_model", (2, 4, 1), 0.3491834945895764, 0.34927925034567414),
+    ("random_model", (2, 5, 1), 0.40546410013423206, 0.4055054479619702),
+]
+
+
+@pytest.mark.parametrize("name,params,constant,general", HOLEVO_REFERENCE)
+def test_holevo_values_match_the_primal_program(name, params, constant, general):
+    em = build_extended_moments(model_zoo(name, params, grid_size=4))
+    assert abs(holevo_type_bound(em).value - constant) <= 1e-7 * constant
+    vg = holevo_type_bound(em, force_general=True).value
+    assert abs(vg - general) <= 1e-7 * general
 
 
 def test_per_point_form_dominates_the_collapsed_form():
