@@ -26,7 +26,7 @@ from .closedform import (RldPackage, SingularInformationError, SldPackage,
                          personick_value, rld_bound, sld_bound,
                          sld_fisher_point, van_tree_bound)
 from .conic import (ConicProgram, ConicSolution, ProgramError, SolveOptions,
-                    SolverFailureError, dump_program, holevo_lemma_sdp_value,
+                    SolverFailureError, holevo_lemma_sdp_value,
                     holevo_lemma_suite, holevo_lemma_value, solve,
                     solve_or_raise)
 from .sdpbounds import (HolevoSolution, NhSolution, appendix_f,
@@ -54,7 +54,7 @@ __all__ = [
     "personick_value", "rld_bound", "sld_bound", "sld_fisher_point",
     "van_tree_bound",
     "ConicProgram", "ConicSolution", "ProgramError", "SolveOptions",
-    "SolverFailureError", "dump_program", "holevo_lemma_sdp_value",
+    "SolverFailureError", "holevo_lemma_sdp_value",
     "holevo_lemma_suite", "holevo_lemma_value", "solve", "solve_or_raise",
     "HolevoSolution", "NhSolution", "appendix_f", "f_family_pinned_example",
     "f_family_suite", "holevo_type_bound", "nagaoka_bound_search",

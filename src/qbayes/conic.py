@@ -9,7 +9,9 @@ g_i: the solver's dual vector is y = -z, read from `sol.y`, and
 `sol.dual_value` is -g . z plus the offset. The solver is a primal-dual
 path-following method on the homogeneous self-dual embedding with
 Nesterov-Todd scaling and dense LU linear algebra, so infeasibility is
-certified rather than diverged on.
+certified rather than diverged on. Equal-size blocks are stacked once per
+solve, and the scaling is applied to each block as k x k congruences
+(hvec(P hmat(v) P)), one batched call per distinct block size.
 
 A k x k Hermitian block lives in isometric real coordinates (`hvec`): the
 diagonal, then sqrt2 Re and sqrt2 Im of the strict upper triangle, k^2 numbers
@@ -71,28 +73,28 @@ def _upper(k: int):
     return np.concatenate([diag, iu]), np.concatenate([diag, ju])
 
 
-def _hvec_rows(Z: np.ndarray, k: int) -> np.ndarray:
-    """hvec coordinates from entries listed in `_upper` order along axis 0."""
-    return np.concatenate([Z[:k].real, SQRT2 * Z[k:].real, SQRT2 * Z[k:].imag])
-
-
 def hvec(X: np.ndarray) -> np.ndarray:
-    """Isometric real coordinates of Hermitian X: hvec(A) @ hvec(B) = Tr(A B)."""
-    k = X.shape[0]
+    """Isometric real coordinates of Hermitian X: hvec(A) @ hvec(B) = Tr(A B).
+
+    Acts on the last two axes, so a (..., k, k) stack gives (..., k^2).
+    """
+    k = X.shape[-1]
     a, b = _upper(k)
-    return _hvec_rows(np.asarray(X)[a, b], k)
+    z = np.asarray(X)[..., a, b]
+    return np.concatenate([z[..., :k].real, SQRT2 * z[..., k:].real,
+                           SQRT2 * z[..., k:].imag], axis=-1)
 
 
 def hmat(v: np.ndarray, k: int) -> np.ndarray:
-    """Inverse of hvec."""
+    """Inverse of hvec, on the last axis."""
     a, b = _upper(k)
     m = len(a)
-    z = np.empty(m, dtype=complex)
-    z[:k] = v[:k]
-    z[k:] = (v[k:m] + 1j * v[m:]) / SQRT2
-    X = np.empty((k, k), dtype=complex)
-    X[b, a] = z.conj()
-    X[a, b] = z
+    z = np.empty(v.shape[:-1] + (m,), dtype=complex)
+    z[..., :k] = v[..., :k]
+    z[..., k:] = (v[..., k:m] + 1j * v[..., m:]) / SQRT2
+    X = np.empty(v.shape[:-1] + (k, k), dtype=complex)
+    X[..., b, a] = z.conj()
+    X[..., a, b] = z
     return X
 
 
@@ -202,36 +204,6 @@ class ConicProgram:
         return A, b, c, starts, N
 
 
-def dump_program(p: ConicProgram) -> str:
-    """Plain-text dump for cross-checking against external solvers.
-
-    Format: one `block ID DIM` line per Hermitian block, `offset V`, the
-    objective as `obj BLOCK I J RE IM` entries, then per constraint its
-    `con ROW BLOCK I J RE IM` entries and `rhs ROW V`. Only nonzero
-    upper-triangle coefficients are listed.
-    """
-    out = ["conic-program"]
-    for i, dim in enumerate(p.blocks):
-        out.append(f"block {i} {dim}")
-    out.append(f"offset {p.offset!r}")
-
-    def emit(tag: str, row: _Row, label: str = ""):
-        for bid in sorted(row.coeffs):
-            C = row.coeffs[bid]
-            for a in range(C.shape[0]):
-                for b_ in range(a, C.shape[1]):
-                    z = C[a, b_]
-                    if z != 0:
-                        out.append(f"{tag} {label}{bid} {a} {b_} {z.real!r} {z.imag!r}")
-
-    if p.obj is not None:
-        emit("obj", p.obj)
-    for r, row in enumerate(p.rows):
-        emit("con", row, f"{r} ")
-        out.append(f"rhs {r} {row.rhs!r}")
-    return "\n".join(out) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Solver
 # ---------------------------------------------------------------------------
@@ -268,41 +240,43 @@ class ConicSolution:
     iterations: int
 
 
-def _congruence_rep(P: np.ndarray) -> np.ndarray:
-    """hvec-coordinate matrix of M -> P M P^dag.
-
-    Column c is hvec(P E_c P^dag) for the hvec basis matrix E_c: e_i e_i^dag,
-    (e_i e_j^dag + e_j e_i^dag)/sqrt2 or i(e_i e_j^dag - e_j e_i^dag)/sqrt2.
-    X1 and X2 hold the entries (a, b) of P e_i e_j^dag P^dag and of
-    P e_j e_i^dag P^dag for every listed pair (i, j).
-    """
-    k = P.shape[0]
-    a, b = _upper(k)
-    X1 = P[np.ix_(a, a)] * P[np.ix_(b, b)].conj()
-    X2 = P[np.ix_(a, b)] * P[np.ix_(b, a)].conj()
-    Y = np.concatenate([X1[:, :k], (X1[:, k:] + X2[:, k:]) / SQRT2,
-                        1j * (X1[:, k:] - X2[:, k:]) / SQRT2], axis=1)
-    return _hvec_rows(Y, k)
+def _ct(M: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix in a stack."""
+    return M.conj().swapaxes(-1, -2)
 
 
 def _factor_psd(X: np.ndarray) -> np.ndarray:
-    """Some full-rank factor L with L L^dag = X (cholesky, eigh fallback)."""
+    """Full-rank factors L with L L^dag = X for a (K, k, k) stack: cholesky,
+    or eigh with a floored spectrum when some matrix is not positive definite."""
     try:
         return npl.cholesky(X)
     except npl.LinAlgError:
         w, U = npl.eigh(hermitize(X))
-        floor = max(w.max(), 1.0) * 1e-14
-        return U * np.sqrt(np.maximum(w, floor))
+        floor = np.maximum(w.max(axis=-1, keepdims=True), 1.0) * 1e-14
+        return U * np.sqrt(np.maximum(w, floor))[..., None, :]
 
 
 def _alpha_boundary(L: np.ndarray, dX: np.ndarray) -> float:
-    """sup alpha with X + alpha dX >= 0, given a factor L of X."""
+    """sup alpha with X + alpha dX >= 0 for every matrix of a stack, given
+    factors L of X."""
     M = npl.solve(L, dX)
-    M = npl.solve(L, M.conj().T).conj().T
-    wmin = npl.eigvalsh(hermitize(M))[0]
+    M = _ct(npl.solve(L, _ct(M)))
+    wmin = npl.eigvalsh(hermitize(M))[..., 0].min()
     if wmin >= 0:
         return np.inf
     return 1.0 / (-wmin)
+
+
+def _congruence(groups, P, v: np.ndarray) -> np.ndarray:
+    """hvec(P_b hmat(v_b) P_b) for every block b along the last axis of v.
+
+    `groups` lists (k, cols) per block size, cols the (K, k^2) column indices
+    of its K blocks; P holds the matching (K, k, k) Hermitian stacks.
+    """
+    out = np.empty_like(v)
+    for (k, cols), Pk in zip(groups, P):
+        out[..., cols] = hvec(Pk @ hmat(v[..., cols], k) @ Pk)
+    return out
 
 
 def solve(program: ConicProgram, options: SolveOptions | None = None) -> ConicSolution:
@@ -320,18 +294,22 @@ def solve(program: ConicProgram, options: SolveOptions | None = None) -> ConicSo
 
     A, b, c, starts, N = program.assemble()
     p = A.shape[0]
-    layout = [(k, st, k * k) for k, st in zip(program.blocks, starts)]
     nu = sum(program.blocks)
     bnorm = 1.0 + (np.abs(b).max() if p else 0.0)
     cnorm = 1.0 + (np.abs(c).max() if N else 0.0)
 
+    # equal-size blocks are stacked, so every per-block step below is one
+    # batched call per distinct size k
+    columns = {}
+    for k, st in zip(program.blocks, starts):
+        columns.setdefault(k, []).append(np.arange(st, st + k * k))
+    groups = [(k, np.array(cols)) for k, cols in columns.items()]
+
     # interior start: identity in every block, tau = kappa = 1
     x = np.zeros(N)
-    s = np.zeros(N)
-    for k, st, ln in layout:
-        e = hvec(np.eye(k))
-        x[st:st + ln] = e
-        s[st:st + ln] = e
+    for k, cols in groups:
+        x[cols] = hvec(np.eye(k))
+    s = x.copy()
     y = np.zeros(p)
     tau, kappa = 1.0, 1.0
 
@@ -353,7 +331,8 @@ def solve(program: ConicProgram, options: SolveOptions | None = None) -> ConicSo
             primal_value=pobj + program.offset,
             dual_value=dobj + program.offset,
             gap=gap, feas_primal=pres, feas_dual=dres,
-            variable_values=tuple(hmat(xh[st:st + ln], k) for k, st, ln in layout),
+            variable_values=tuple(hmat(xh[st:st + k * k], k)
+                                  for k, st in zip(program.blocks, starts)),
             y=yv / tv, iterations=iters)
 
     best = None   # (score, x, y, s, tau, measures) of the best iterate so far
@@ -380,36 +359,32 @@ def solve(program: ConicProgram, options: SolveOptions | None = None) -> ConicSo
 
         mu = (float(x @ s) + tau * kappa) / (nu + 1)
 
-        # NT scaling per block: W^-1 X W^-1 = S, with H the hvec matrix of
-        # M -> W^-1 M W^-1 and Gi that of M -> W^1/2 M W^1/2 (Gi^2 = H^-1)
-        Hb, Gib, factors = [], [], []
+        # NT scaling per block, W^-1 X W^-1 = S, kept per size group as the
+        # stacks W^-1 and W^1/2 and applied as k x k congruences: M -> W^-1 M W^-1
+        # takes dx to its share of ds, and M -> W^1/2 M W^1/2 (its inverse
+        # square root) scales the rows of A, c and the right-hand sides, so
+        # AGi AGi^T is the Schur complement <A_i, W A_j W>
+        Winv, Wh, factors = [], [], []
         xinv_vec = np.zeros(N)
         prox0 = tau * kappa / mu
-        for k, st, ln in layout:
-            X = hmat(x[st:st + ln], k)
-            Sb = hmat(s[st:st + ln], k)
+        for k, cols in groups:
+            X = hmat(x[cols], k)
+            Sb = hmat(s[cols], k)
             Lx = _factor_psd(X)
             Ls = _factor_psd(Sb)
-            wB, UB = npl.eigh(hermitize(Lx.conj().T @ Sb @ Lx))
-            if wB[0] <= 0:
+            wB, UB = npl.eigh(hermitize(_ct(Lx) @ Sb @ Lx))
+            if wB[:, 0].min() <= 0:
                 return failure(it)
-            prox0 = min(prox0, wB[0] / mu)
-            Li = npl.solve(Lx, np.eye(k))
-            Winv = hermitize(Li.conj().T @ ((UB * wB ** 0.5) @ UB.conj().T) @ Li)
-            wT, UT = npl.eigh(Winv)
-            if wT[0] <= 0:
+            prox0 = min(prox0, wB[:, 0].min() / mu)
+            Li = npl.inv(Lx)
+            Wi = hermitize(_ct(Li) @ ((UB * wB[:, None, :] ** 0.5) @ _ct(UB)) @ Li)
+            wT, UT = npl.eigh(Wi)
+            if wT[:, 0].min() <= 0:
                 return failure(it)
-            Hb.append(_congruence_rep(Winv))
-            Gib.append(_congruence_rep((UT * wT ** -0.5) @ UT.conj().T))
-            xinv_vec[st:st + ln] = hvec(Li.conj().T @ Li)
+            Winv.append(Wi)
+            Wh.append((UT * wT[:, None, :] ** -0.5) @ _ct(UT))
+            xinv_vec[cols] = hvec(_ct(Li) @ Li)
             factors.append((Lx, Ls))
-
-        def apply_blocks(table, v):
-            """Blockwise product on the cone part of a full-length vector."""
-            out = np.zeros_like(v)
-            for T, (k, st, ln) in zip(table, layout):
-                out[st:st + ln] = T @ v[st:st + ln]
-            return out
 
         r_d = A.T @ y + s - c * tau
         r_p = (A @ x - b * tau) if p else np.zeros(0)
@@ -417,10 +392,8 @@ def solve(program: ConicProgram, options: SolveOptions | None = None) -> ConicSo
 
         # eliminate the cone step through the scaling: LU lives on the
         # (p + 1) system in (dy, dtau)
-        AGi = np.zeros((p, N))
-        for Gi, (k, st, ln) in zip(Gib, layout):
-            AGi[:, st:st + ln] = A[:, st:st + ln] @ Gi
-        cGi = apply_blocks(Gib, c)
+        AGi = _congruence(groups, Wh, A)
+        cGi = _congruence(groups, Wh, c)
         q = p + 1
         M2 = np.zeros((q, q))
         M2[:p, :p] = AGi @ AGi.T
@@ -442,12 +415,12 @@ def solve(program: ConicProgram, options: SolveOptions | None = None) -> ConicSo
             return failure(it)
 
         def reduced_solve(r1, r2, r3):
-            t0 = apply_blocks(Gib, r1)
+            t0 = _congruence(groups, Wh, r1)
             rhs2 = np.concatenate([r2 + AGi @ t0, [r3 - float(cGi @ t0)]])
             sol2 = cscale * sla.lu_solve(lu, rscale * rhs2)
             dy = sol2[:p]
             dtau = float(sol2[p])
-            dx = apply_blocks(Gib, AGi.T @ dy - cGi * dtau - t0)
+            dx = _congruence(groups, Wh, AGi.T @ dy - cGi * dtau - t0)
             return dx, dy, dtau
 
         def newton(sigma: float, eta: float):
@@ -457,14 +430,14 @@ def solve(program: ConicProgram, options: SolveOptions | None = None) -> ConicSo
             r3 = eta * r_g + (sigma * mu - tau * kappa) / tau
             dx, dy, dtau = reduced_solve(r1, r2, r3)
             # one round of iterative refinement
-            e1 = r1 - (A.T @ dy - c * dtau - apply_blocks(Hb, dx))
+            e1 = r1 - (A.T @ dy - c * dtau - _congruence(groups, Winv, dx))
             e2 = r2 - (A @ dx - b * dtau)
             e3 = r3 - (-float(c @ dx) + float(b @ dy) + (kappa / tau) * dtau)
             fx, fy, ftau = reduced_solve(e1, e2, e3)
             dx = dx + fx
             dy = dy + fy
             dtau = dtau + ftau
-            ds = Rc - apply_blocks(Hb, dx)
+            ds = Rc - _congruence(groups, Winv, dx)
             dkappa = (sigma * mu - tau * kappa - kappa * dtau) / tau
             return dx, dy, dtau, ds, dkappa
 
@@ -477,9 +450,9 @@ def solve(program: ConicProgram, options: SolveOptions | None = None) -> ConicSo
                 alpha = min(alpha, tau / -dtau)
             if dkappa < 0:
                 alpha = min(alpha, kappa / -dkappa)
-            for (Lx, Ls), (k, st, ln) in zip(factors, layout):
-                alpha = min(alpha, _alpha_boundary(Lx, hmat(dx[st:st + ln], k)))
-                alpha = min(alpha, _alpha_boundary(Ls, hmat(ds[st:st + ln], k)))
+            for (k, cols), (Lx, Ls) in zip(groups, factors):
+                alpha = min(alpha, _alpha_boundary(Lx, hmat(dx[cols], k)),
+                            _alpha_boundary(Ls, hmat(ds[cols], k)))
             return alpha
 
         # wide-neighborhood guard: a step is admitted only while every
@@ -488,18 +461,17 @@ def solve(program: ConicProgram, options: SolveOptions | None = None) -> ConicSo
 
         def centered(al, dx, ds, dtau, dkappa) -> bool:
             tk = (tau + al * dtau) * (kappa + al * dkappa)
-            xs = float((x + al * dx) @ (s + al * ds))
-            mup = (xs + tk) / (nu + 1)
+            xp = x + al * dx
+            sp = s + al * ds
+            mup = (float(xp @ sp) + tk) / (nu + 1)
             if not np.isfinite(mup) or mup <= 0 or tk < gamma * mup:
                 return False
-            for k, st, ln in layout:
-                Xp = hmat(x[st:st + ln] + al * dx[st:st + ln], k)
-                Sp = hmat(s[st:st + ln] + al * ds[st:st + ln], k)
+            for k, cols in groups:
                 try:
-                    Lc = npl.cholesky(Xp)
+                    Lc = npl.cholesky(hmat(xp[cols], k))
                 except npl.LinAlgError:
                     return False
-                if npl.eigvalsh(Lc.conj().T @ Sp @ Lc)[0] < gamma * mup:
+                if npl.eigvalsh(_ct(Lc) @ hmat(sp[cols], k) @ Lc)[:, 0].min() < gamma * mup:
                     return False
             return True
 

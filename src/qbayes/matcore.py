@@ -44,9 +44,9 @@ class ConditioningWarning(UserWarning):
 
 
 def hermitize(A: np.ndarray) -> np.ndarray:
-    """Return the Hermitian part (A + A^dag) / 2."""
+    """Return the Hermitian part (A + A^dag) / 2 of A, or of each matrix in a stack."""
     A = np.asarray(A, dtype=complex)
-    return (A + A.conj().T) / 2
+    return (A + A.conj().swapaxes(-1, -2)) / 2
 
 
 def check_hermitian(A: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:

@@ -12,8 +12,7 @@ from qbayes.conic import (
     ProgramError,
     SolveOptions,
     SolverFailureError,
-    _congruence_rep,
-    dump_program,
+    _factor_psd,
     hmat,
     holevo_lemma_sdp_value,
     holevo_lemma_value,
@@ -37,14 +36,18 @@ def test_hvec_hmat_round_trip_preserves_inner_products(seed, k):
     assert abs(hvec(A) @ hvec(B) - np.trace(A @ B).real) < 1e-10
 
 
-@given(st.integers(0, 10**6), st.integers(1, 6))
+@given(st.integers(0, 10**6), st.integers(1, 6), st.integers(1, 4))
 @settings(max_examples=25, deadline=None)
-def test_congruence_rep_acts_as_the_congruence(seed, k):
+def test_hvec_hmat_act_on_stacks(seed, k, K):
+    """On a (K, k, k) Hermitian stack hvec gives the per-matrix coordinates
+    row by row, and hmat maps them back."""
     rng = np.random.default_rng(seed)
-    P = random_hermitian(rng, k)
-    M = random_hermitian(rng, k)
-    lhs = _congruence_rep(P) @ hvec(M)
-    assert np.allclose(lhs, hvec(P @ M @ P.conj().T), atol=1e-12)
+    stack = np.stack([random_hermitian(rng, k) for _ in range(K)])
+    v = hvec(stack)
+    assert v.shape == (K, k * k)
+    for row, H in zip(v, stack):
+        assert np.array_equal(row, hvec(H))
+    assert np.allclose(hmat(v, k), stack, atol=1e-14)
 
 
 def test_entry_coefficients_extract_real_and_imaginary_parts():
@@ -85,6 +88,43 @@ def test_largest_eigenvalue_as_an_sdp():
     assert sol.status == "optimal"
     assert sol.gap <= 1e-8
     assert sol.feas_primal <= 1e-8
+
+
+def test_interleaved_block_sizes_share_size_stacks():
+    """max sum_b Tr(H_b X_b) s.t. Tr X_b = 1 on blocks of sizes 2, 3, 2, 3:
+    each size's blocks sit in non-adjacent columns, and the value is the sum
+    of the largest eigenvalues."""
+    rng = np.random.default_rng(35)
+    prog = ConicProgram()
+    Hs = []
+    obj = {}
+    for k in (2, 3, 2, 3):
+        blk = prog.add_psd_block(k)
+        H = random_hermitian(rng, k)
+        Hs.append(H)
+        prog.add_eq({blk: np.eye(k)}, rhs=1.0)
+        obj[blk] = -H
+    prog.set_objective(obj)
+    sol = solve(prog)
+    assert sol.status == "optimal"
+    top = sum(np.linalg.eigvalsh(H)[-1] for H in Hs)
+    assert abs(-sol.primal_value - top) < 1e-7
+    assert [X.shape[0] for X in sol.variable_values] == [2, 3, 2, 3]
+
+
+def test_factor_psd_falls_back_on_a_singular_stack_member():
+    """A stack with one singular matrix fails cholesky as a whole, and the
+    eigh fallback still factors every matrix: L L^dag = X."""
+    rng = np.random.default_rng(36)
+    G = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    singular = np.outer(G[0], G[0].conj())
+    stack = np.stack([G @ G.conj().T + np.eye(3), singular,
+                      G.conj().T @ G + 0.5 * np.eye(3)])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(stack)
+    L = _factor_psd(stack)
+    assert L.shape == stack.shape
+    assert np.allclose(L @ L.conj().swapaxes(-1, -2), stack, atol=1e-10)
 
 
 def test_equality_pinned_diagonal():
@@ -182,13 +222,6 @@ def test_program_validation_rejects_bad_shapes():
         prog.add_eq({blk + 7: np.eye(2)})
     with pytest.raises(ProgramError):
         ConicProgram().assemble()
-
-
-def test_dump_program_round_trips_the_structure():
-    prog, _ = smallest_eigenvalue_program()
-    text = dump_program(prog)
-    assert "block 0 3" in text
-    assert "offset" in text
 
 
 def test_lemma_identity_on_random_triples():

@@ -1,5 +1,7 @@
 """Unit tests for the conic Bayes-risk bounds and the comparison functionals."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,29 @@ def test_holevo_values_match_the_primal_program(name, params, constant, general)
     assert abs(holevo_type_bound(em).value - constant) <= 1e-7 * constant
     vg = holevo_type_bound(em, force_general=True).value
     assert abs(vg - general) <= 1e-7 * general
+
+
+def test_holevo_scaling_memory_stays_small():
+    """The solver scales each block with k x k products, so Holevo on a
+    d = 6 model, one block of size n + d^2 = 38, allocates well under the
+    two k^2 x k^2 scaling tables per iteration that a dense operator form
+    of the scaling would need."""
+    em = build_extended_moments(random_model(2, 6, seed=1, grid=4))
+    tracemalloc.start()
+    try:
+        holevo_type_bound(em)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25 * 2**20
+
+
+def test_holevo_pinned_value_at_d8():
+    """One 66 x 66 block and 131 rows; a second or so with k x k scaling."""
+    em = build_extended_moments(random_model(2, 8, seed=1, grid=4))
+    sol = holevo_type_bound(em)
+    assert sol.diagnostics.status == "optimal"
+    assert abs(sol.value - 0.5516922693518) <= 1e-7 * 0.5516922693518
 
 
 def test_per_point_form_dominates_the_collapsed_form():
