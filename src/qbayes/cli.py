@@ -98,7 +98,7 @@ def _constant_weight(model) -> np.ndarray:
 # bounds
 # ---------------------------------------------------------------------------
 
-def _bound_runner(model, options, search_restarts, search_seed):
+def _bound_runner(model, options):
     cache = {}
 
     def moments():
@@ -119,8 +119,7 @@ def _bound_runner(model, options, search_restarts, search_seed):
             sol = holevo_type_bound(extended(), options=options)
             return sol.value, sol.diagnostics.status, sol.diagnostics.gap, []
         if name == "nagaoka2":
-            value = nagaoka_bound_search(extended(), restarts=search_restarts,
-                                         seed=search_seed)
+            value = nagaoka_bound_search(extended())
             note = ("nagaoka2 is the best value found by a local search: an "
                     "upper bound on its own two-parameter objective minimum, "
                     "not a certified optimum")
@@ -157,7 +156,7 @@ def cmd_bounds(args) -> int:
                 f"{', '.join(BOUND_NAMES + ('all',))}")
 
     options = SolveOptions()
-    run = _bound_runner(model, options, args.search_restarts, args.search_seed)
+    run = _bound_runner(model, options)
     bounds = {}
     notes = []
     solver_failed = False
@@ -363,9 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated: nh,holevo,nagaoka2,sld,rld,vantree,all")
     p.add_argument("--out", default=None, help="report JSON path (default stdout)")
     p.add_argument("--csv", default=None, help="also write a flat CSV here")
-    p.add_argument("--search-restarts", type=int, default=4,
-                   help="random restarts for nagaoka2")
-    p.add_argument("--search-seed", type=int, default=0)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("verify", help="ordering audit plus seesaw certification")

@@ -15,10 +15,15 @@ solve, and the scaling is applied to each block as k x k congruences
 
 A k x k Hermitian block lives in isometric real coordinates (`hvec`): the
 diagonal, then sqrt2 Re and sqrt2 Im of the strict upper triangle, k^2 numbers
-whose dot product is the trace inner product. Real-symmetric data needs no
-block kind of its own: a program with real coefficients is invariant under
-complex conjugation, and so is its central path from the identity start, so
-its optimum is real on the Hermitian block.
+whose dot product is the trace inner product. Constraint rows and the
+objective are validated when added and stored in these coordinates.
+`hvec_basis(k)` is the (k^2, k, k) stack E with Tr(E[i] H) = hvec(H)[i], and
+`add_eq` takes an (r, k, k) coefficient stack with an rhs of length r as r
+rows, so pinning a sub-block to the hvec coordinates of a target is one call.
+
+Real-symmetric data needs no block kind of its own: a program with real
+coefficients is invariant under complex conjugation, and so is its central
+path from the identity start, so its optimum is real on the Hermitian block.
 
 Every solve runs one iteration path with fixed parameters. A run that stalls
 or reaches MAX_ITERS returns `numerical-failure` with the best iterate seen.
@@ -98,48 +103,30 @@ def hmat(v: np.ndarray, k: int) -> np.ndarray:
     return X
 
 
-def re_entry_coeff(k: int, a: int, b: int) -> np.ndarray:
-    """Hermitian C with Tr(C H) = Re H[a, b] for Hermitian H."""
-    C = np.zeros((k, k), dtype=complex)
-    if a == b:
-        C[a, a] = 1.0
-    else:
-        C[a, b] = 0.5
-        C[b, a] = 0.5
-    return C
-
-
-def im_entry_coeff(k: int, a: int, b: int) -> np.ndarray:
-    """Hermitian C with Tr(C H) = Im H[a, b] for Hermitian H (a != b)."""
-    if a == b:
-        raise ProgramError("diagonal entries of a Hermitian matrix are real")
-    C = np.zeros((k, k), dtype=complex)
-    C[a, b] = 0.5j
-    C[b, a] = -0.5j
-    return C
+@lru_cache(maxsize=None)
+def hvec_basis(k: int) -> np.ndarray:
+    """The (k^2, k, k) Hermitian stack E with Tr(E[i] H) = hvec(H)[i]."""
+    E = hmat(np.eye(k * k), k)
+    E.flags.writeable = False
+    return E
 
 
 # ---------------------------------------------------------------------------
 # Program assembly
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Row:
-    coeffs: dict            # block index -> coefficient matrix
-    rhs: float
-
-
 class ConicProgram:
     """Equality-form conic program over Hermitian PSD blocks.
 
     Constraints and the objective are real linear functionals given by one
     Hermitian coefficient matrix per referenced block (contributing <C, X>).
+    Coefficients are validated when added and kept as hvec rows.
     """
 
     def __init__(self):
         self.blocks: list[int] = []     # block dimensions
-        self.rows: list[_Row] = []
-        self.obj: _Row | None = None
+        self.rows: list[tuple] = []     # ({block: (r, dim^2) hvec rows}, rhs (r,))
+        self.obj: dict = {}             # {block: (1, dim^2) hvec row}
         self.offset = 0.0
 
     def add_psd_block(self, dim: int) -> int:
@@ -148,60 +135,58 @@ class ConicProgram:
         self.blocks.append(dim)
         return len(self.blocks) - 1
 
-    def _check_row(self, coeffs: dict | None) -> _Row:
-        coeffs = dict(coeffs or {})
-        for bid, C in coeffs.items():
+    def _hvec_rows(self, coeffs: dict | None, r: int) -> dict:
+        """hvec rows of each block's coefficient: a (dim, dim) matrix for one
+        row, or an (r, dim, dim) stack for r rows."""
+        rows = {}
+        for bid, C in (coeffs or {}).items():
             if not 0 <= bid < len(self.blocks):
                 raise ProgramError(f"unknown block {bid}")
             dim = self.blocks[bid]
             C = np.asarray(C)
-            if C.shape != (dim, dim):
-                raise ProgramError(
-                    f"coefficient shape {C.shape} for block of dim {dim}")
-            coeffs[bid] = check_hermitian(C)
-        return _Row(coeffs=coeffs, rhs=0.0)
+            shape = (dim, dim) if r == 1 and C.ndim == 2 else (r, dim, dim)
+            if C.shape != shape:
+                raise ProgramError(f"coefficient shape {C.shape} for {r} rows "
+                                   f"on a block of dim {dim}")
+            try:
+                rows[bid] = hvec(check_hermitian(C)).reshape(r, dim * dim)
+            except ValueError as exc:
+                raise ProgramError(f"block {bid}: {exc}") from None
+        return rows
 
-    def add_eq(self, coeffs: dict | None = None, rhs: float = 0.0) -> None:
-        """Add the equality  sum_b <C_b, X_b> = rhs."""
-        row = self._check_row(coeffs)
-        row.rhs = float(rhs)
-        self.rows.append(row)
+    def add_eq(self, coeffs: dict | None = None, rhs=0.0) -> None:
+        """Add the equality  sum_b <C_b, X_b> = rhs, or, with (r, dim, dim)
+        coefficient stacks and an rhs of length r, r such rows at once."""
+        rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
+        if rhs.ndim != 1:
+            raise ProgramError(f"rhs of shape {rhs.shape} is not a vector")
+        self.rows.append((self._hvec_rows(coeffs, len(rhs)), rhs))
 
     def set_objective(self, coeffs: dict | None = None,
                       offset: float = 0.0) -> None:
         """Minimize  sum_b <C_b, X_b> + offset."""
-        self.obj = self._check_row(coeffs)
+        self.obj = self._hvec_rows(coeffs, 1)
         self.offset = float(offset)
 
     # -- numeric form -------------------------------------------------------
 
-    def _layout(self):
-        starts = []
-        pos = 0
-        for dim in self.blocks:
-            starts.append(pos)
-            pos += dim * dim
-        return starts, pos
-
-    def _row_vector(self, row: _Row, N: int, starts) -> np.ndarray:
-        v = np.zeros(N)
-        for bid, C in row.coeffs.items():
-            s = starts[bid]
-            v[s:s + self.blocks[bid] ** 2] = hvec(C)
-        return v
-
     def assemble(self):
-        starts, N = self._layout()
+        sizes = [dim * dim for dim in self.blocks]
+        starts = np.concatenate([[0], np.cumsum(sizes)])
+        N = int(starts[-1])
         if N == 0:
             raise ProgramError("program has no variables")
-        A = np.zeros((len(self.rows), N))
-        b = np.zeros(len(self.rows))
-        for i, row in enumerate(self.rows):
-            A[i] = self._row_vector(row, N, starts)
-            b[i] = row.rhs
-        obj = self.obj if self.obj is not None else _Row({}, 0.0)
-        c = self._row_vector(obj, N, starts)
-        return A, b, c, starts, N
+        b = np.concatenate([rhs for _, rhs in self.rows] + [np.zeros(0)])
+        A = np.zeros((len(b), N))
+        i = 0
+        for rows, rhs in self.rows:
+            for bid, v in rows.items():
+                A[i:i + len(rhs), starts[bid]:starts[bid + 1]] = v
+            i += len(rhs)
+        c = np.zeros(N)
+        for bid, v in self.obj.items():
+            c[starts[bid]:starts[bid + 1]] = v[0]
+        return A, b, c, starts[:-1].tolist(), N
 
 
 # ---------------------------------------------------------------------------
@@ -212,16 +197,28 @@ class ConicProgram:
 class SolveOptions:
     gap_tol: float | None = None     # None: QBAYES_GAP_TOL env or GAP_TOL
 
+    def __post_init__(self):
+        if self.gap_tol is not None and not _positive_finite(self.gap_tol):
+            raise ValueError(f"gap_tol must be finite and positive, got {self.gap_tol!r}")
+
     def resolved_gap_tol(self) -> float:
         if self.gap_tol is not None:
             return self.gap_tol
         env = os.environ.get(GAP_TOL_ENV)
         if env:
             try:
-                return float(env)
+                tol = float(env)
             except ValueError:
-                warnings.warn(f"ignoring malformed {GAP_TOL_ENV}={env!r}")
+                tol = np.nan
+            if _positive_finite(tol):
+                return tol
+            warnings.warn(f"ignoring {GAP_TOL_ENV}={env!r}: "
+                          "not a finite positive number")
         return GAP_TOL
+
+
+def _positive_finite(x: float) -> bool:
+    return bool(np.isfinite(x) and x > 0)
 
 
 @dataclass(frozen=True)
@@ -542,8 +539,9 @@ def holevo_lemma_sdp_value(W: np.ndarray, A: np.ndarray, B: np.ndarray,
                            options: SolveOptions | None = None) -> ConicSolution:
     """min Tr(W V) over real symmetric V >= A + iB, as one Hermitian-block SDP.
 
-    The variable is Z = V - A - iB >= 0; realness of V pins Im Z = -B on the
-    strict upper triangle, and the objective is <W, Z> + Tr(W A).
+    The variable is Z = V - A - iB >= 0; realness of V pins the imaginary
+    hvec coordinates of Z to those of -iB, and the objective is
+    <W, Z> + Tr(W A).
     """
     W = np.asarray(W, dtype=float)
     A = np.asarray(A, dtype=float)
@@ -551,9 +549,8 @@ def holevo_lemma_sdp_value(W: np.ndarray, A: np.ndarray, B: np.ndarray,
     k = W.shape[0]
     prog = ConicProgram()
     z = prog.add_psd_block(k)
-    for a in range(k):
-        for bb in range(a + 1, k):
-            prog.add_eq({z: im_entry_coeff(k, a, bb)}, rhs=-B[a, bb])
+    im = slice(k * (k + 1) // 2, k * k)
+    prog.add_eq({z: hvec_basis(k)[im]}, rhs=hvec(-1j * B)[im])
     prog.set_objective({z: W}, offset=float(np.trace(W @ A)))
     return solve(prog, options)
 

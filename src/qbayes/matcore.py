@@ -50,11 +50,14 @@ def hermitize(A: np.ndarray) -> np.ndarray:
 
 
 def check_hermitian(A: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
-    """Symmetrize A, raising if it deviates from Hermitian by more than tol."""
+    """Symmetrize A, raising if it deviates from Hermitian by more than tol
+    (relative to max(1, |A|)); a stack is checked matrix by matrix."""
     A = np.asarray(A, dtype=complex)
-    dev = np.abs(A - A.conj().T).max() if A.size else 0.0
-    if dev > tol * max(1.0, np.abs(A).max()):
-        raise ValueError(f"matrix deviates from Hermitian by {dev:.3e}")
+    if A.size:
+        dev = np.abs(A - A.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        bad = dev > tol * np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))
+        if np.any(bad):
+            raise ValueError(f"matrix deviates from Hermitian by {np.max(dev):.3e}")
     return hermitize(A)
 
 

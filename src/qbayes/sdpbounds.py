@@ -17,15 +17,13 @@ concurrently by callers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import numpy.linalg as npl
 from scipy.optimize import minimize_scalar
 
 from .conic import (ConicProgram, ConicSolution, SolveOptions,
-                    SolverFailureError, im_entry_coeff, re_entry_coeff,
-                    solve_or_raise)
+                    SolverFailureError, hmat, hvec, hvec_basis, solve_or_raise)
 from .matcore import (ExtendedOperator, hermitize, lyapunov_solve, psd_sqrt,
                       sym_split, trace_abs)
 from .model import CapabilityError, ExtendedMoments
@@ -36,43 +34,6 @@ __all__ = [
     "nagaoka_objective", "nagaoka_bound_search",
     "appendix_f", "f_family_suite", "f_family_pinned_example",
 ]
-
-
-@lru_cache(maxsize=None)
-def _herm_basis(d: int) -> tuple:
-    """Entry basis of the d x d Hermitian space.
-
-    Order: diagonal units, then symmetric off-diagonal pairs, then the
-    i(E_ab - E_ba) pairs, both in row-major (a < b) order. Coordinates of a
-    Hermitian X are (diag Re, upper Re, upper Im) in the same order.
-    """
-    mats = []
-    for a in range(d):
-        E = np.zeros((d, d), dtype=complex)
-        E[a, a] = 1.0
-        mats.append(E)
-    for a in range(d):
-        for b in range(a + 1, d):
-            E = np.zeros((d, d), dtype=complex)
-            E[a, b] = 1.0
-            E[b, a] = 1.0
-            mats.append(E)
-    for a in range(d):
-        for b in range(a + 1, d):
-            E = np.zeros((d, d), dtype=complex)
-            E[a, b] = 1j
-            E[b, a] = -1j
-            mats.append(E)
-    return tuple(mats)
-
-
-def _herm_coords(X: np.ndarray) -> np.ndarray:
-    """Coordinates of Hermitian X in _herm_basis order."""
-    d = X.shape[0]
-    parts = [X[a, a].real for a in range(d)]
-    parts += [X[a, b].real for a in range(d) for b in range(a + 1, d)]
-    parts += [X[a, b].imag for a in range(d) for b in range(a + 1, d)]
-    return np.array(parts)
 
 
 def _require_strictly_positive(W: np.ndarray, what: str) -> None:
@@ -107,30 +68,15 @@ class NhSolution:
 
 
 def _hermitian_offblock_rows(prog, blk, dim, row0, col0, G):
-    """Rows pinning the d x d block T at (row0, col0) of a Hermitian variable
-    to T - T^+ = G, for anti-Hermitian d x d G (zero: T is Hermitian)."""
+    """Pin the d x d block T at (row0, col0) of a Hermitian variable to
+    T - T^+ = G, for anti-Hermitian d x d G (zero: T is Hermitian): d^2 rows
+    equating the hvec coordinates of -i(T - T^+) and -iG."""
     d = G.shape[0]
-    for a in range(d):
-        prog.add_eq({blk: im_entry_coeff(dim, row0 + a, col0 + a)},
-                    rhs=G[a, a].imag / 2.0)
-        for b in range(a + 1, d):
-            Cre = (re_entry_coeff(dim, row0 + a, col0 + b)
-                   - re_entry_coeff(dim, row0 + b, col0 + a))
-            Cim = (im_entry_coeff(dim, row0 + a, col0 + b)
-                   + im_entry_coeff(dim, row0 + b, col0 + a))
-            prog.add_eq({blk: Cre}, rhs=G[a, b].real)
-            prog.add_eq({blk: Cim}, rhs=G[a, b].imag)
-
-
-def _identity_corner_rows(prog, blk, dim, start, k):
-    """Rows pinning the k x k block at (start, start) to the identity."""
-    for a in range(k):
-        for b in range(a, k):
-            prog.add_eq({blk: re_entry_coeff(dim, start + a, start + b)},
-                        rhs=1.0 if a == b else 0.0)
-            if a != b:
-                prog.add_eq({blk: im_entry_coeff(dim, start + a, start + b)},
-                            rhs=0.0)
+    E = hvec_basis(d)
+    C = np.zeros((d * d, dim, dim), dtype=complex)
+    C[:, row0:row0 + d, col0:col0 + d] = 1j * E
+    C[:, col0:col0 + d, row0:row0 + d] = -1j * E
+    prog.add_eq({blk: C}, rhs=hvec(-1j * G))
 
 
 def nagaoka_hayashi_bound(em: ExtendedMoments,
@@ -149,7 +95,9 @@ def nagaoka_hayashi_bound(em: ExtendedMoments,
 
     prog = ConicProgram()
     g = prog.add_psd_block(dim)
-    _identity_corner_rows(prog, g, dim, nd, d)
+    corner = np.zeros((d * d, dim, dim), dtype=complex)
+    corner[:, nd:, nd:] = hvec_basis(d)
+    prog.add_eq({g: corner}, rhs=hvec(np.eye(d)))
     # off-diagonal blocks of L pair up symmetrically: L_jk = L_kj, i.e. each
     # upper block is Hermitian on its own (G Hermitian supplies L_kj = L_jk^+)
     zero = np.zeros((d, d))
@@ -211,8 +159,8 @@ def holevo_type_bound(em: ExtendedMoments,
     weight the per-point blocks collapse to a single one built on the average
     state, with objective Tr(W V) in place of the pi-weighted trace.
 
-    The LMI F0 + sum_i z_i F_i >= 0 in the real unknowns z = (V, X) is the
-    dual of a PSD program: one row per unknown, with the unknown's F_i on
+    The LMI F0 + sum_i z_i F_i >= 0 in the real unknowns z, the hvec
+    coordinates of (V, X), is the dual of a PSD program: one row per unknown, with the unknown's F_i on
     each block as coefficients and its objective coefficient as rhs, and the
     identity corner F0 as objective. The solver's dual vector is y = -z, and
     with offset -w_bar the bound is -sol.dual_value, the LMI objective at the
@@ -223,7 +171,6 @@ def holevo_type_bound(em: ExtendedMoments,
     n, d = em.n, em.d
     B = d * d
     dim = n + B
-    basis = _herm_basis(d)
 
     # per block: the objective weight on V, sqrt(W) and sqrt(S)
     if em.constant_W is not None and not force_general:
@@ -247,40 +194,36 @@ def holevo_type_bound(em: ExtendedMoments,
     F0[n:, n:] = np.eye(B)
     prog.set_objective({blk: F0 for blk in blks}, offset=-em.w_bar)
 
-    # V_m[j, k] = V_m[k, j] for j <= k, block by block
-    pairs = list(zip(*np.triu_indices(n)))
+    # V_m is real symmetric: its hvec coordinates are the first n(n+1)/2,
+    # the imaginary ones vanish
+    npairs = n * (n + 1) // 2
+    Fv = np.zeros((npairs, dim, dim))
+    Fv[:, :n, :n] = hvec_basis(n)[:npairs].real
     for blk, (Wobj, _, _) in zip(blks, points):
-        for j, k in pairs:
-            F = np.zeros((dim, dim))
-            F[j, k] = F[k, j] = 1.0
-            prog.add_eq({blk: F}, rhs=float(np.trace(Wobj @ F[:n, :n])))
+        prog.add_eq({blk: Fv}, rhs=hvec(Wobj)[:npairs])
 
-    # coordinate beta of X_k: entry (a, c) of sqrt(S) E_beta sits at column
-    # n + c*d + a of every block, scaled by sqW[j, k] in row j
-    vecs = [np.stack([(sqS @ E).T.reshape(B) for E in basis])
-            for _, _, sqS in points]
-    for k in range(n):
-        for beta, E in enumerate(basis):
-            coeffs = {}
-            for blk, (_, sqW, _), P in zip(blks, points, vecs):
-                F = np.zeros((dim, dim), dtype=complex)
-                F[:n, n:] = np.outer(sqW[:, k], P[beta])
-                F[n:, :n] = F[:n, n:].conj().T
-                coeffs[blk] = F
-            prog.add_eq(coeffs, rhs=-2.0 * float(np.real(np.trace(em.D_bar[k] @ E))))
+    # row (k, beta) is the unknown hvec(X_k)[beta]: entry (a, c) of
+    # sqrt(S) E_beta sits at column n + c*d + a of every block, scaled by
+    # sqW[j, k] in row j
+    E = hvec_basis(d)
+    coeffs = {}
+    for blk, (_, sqW, sqS) in zip(blks, points):
+        vecs = (sqS @ E).swapaxes(-1, -2).reshape(B, B)
+        F = np.zeros((n, B, dim, dim), dtype=complex)
+        F[:, :, :n, n:] = sqW.T[:, None, :, None] * vecs[None, :, None, :]
+        F[:, :, n:, :n] = F[:, :, :n, n:].conj().swapaxes(-1, -2)
+        coeffs[blk] = F.reshape(n * B, dim, dim)
+    prog.add_eq(coeffs, rhs=-2.0 * hvec(hermitize(em.D_bar)).reshape(n * B))
 
     sol = solve_or_raise(prog, options, what="estimator-correlation bound")
     z = -sol.y
-    V_blocks = []
-    for i in range(len(blks)):
-        V = np.zeros((n, n))
-        for (j, k), v in zip(pairs, z[i * len(pairs):(i + 1) * len(pairs)]):
-            V[j, k] = V[k, j] = v
-        V_blocks.append(V)
-    Xopt = np.tensordot(z[len(blks) * len(pairs):].reshape(n, B),
-                        np.stack(basis), axes=(1, 0))
+    nv = len(blks) * npairs
+    zV = np.zeros((len(blks), n * n))
+    zV[:, :npairs] = z[:nv].reshape(len(blks), npairs)
+    V = hmat(zV, n).real
+    Xopt = hmat(z[nv:].reshape(n, B), d)
     return HolevoSolution(value=-sol.dual_value, Xopt=Xopt,
-                          V_blocks=tuple(V_blocks), form=form, diagnostics=sol)
+                          V_blocks=tuple(V), form=form, diagnostics=sol)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +302,7 @@ def _line_minimum(fcoord, t0: float, f0: float):
 
 def nagaoka_bound_search(em: ExtendedMoments, restarts: int = 4, seed: int = 0,
                          max_sweeps: int = 50, tol: float = 1e-10) -> float:
-    """Best objective value found by coordinatewise Hermitian-basis descent.
+    """Best objective value found by coordinatewise descent in hvec coordinates.
 
     Each coordinate slice of the objective is convex (PSD quadratic plus the
     trace-norm of an affine family plus linear), so every slice is solved by
@@ -373,17 +316,14 @@ def nagaoka_bound_search(em: ExtendedMoments, restarts: int = 4, seed: int = 0,
         raise CapabilityError("the commutator search needs exactly two parameters")
     d = em.d
     B = d * d
-    basis = _herm_basis(d)
-    barr = np.stack(basis)
     evaluate = _nagaoka_evaluator(em)
 
     def fval(u: np.ndarray) -> float:
-        X = np.tensordot(u.reshape(2, B), barr, axes=(1, 0))
-        return evaluate(X)
+        return evaluate(hmat(u.reshape(2, B), d))
 
     S_B = _mean_state(em)
     sld = [lyapunov_solve(S_B, em.D_bar[j]) for j in range(2)]
-    starts = [np.concatenate([_herm_coords(L) for L in sld])]
+    starts = [hvec(np.stack(sld)).reshape(2 * B)]
     rng = np.random.default_rng(seed)
     scale = 1.0 + float(np.abs(np.asarray(em.thetas)).max(initial=0.0))
     for _ in range(max(0, restarts)):

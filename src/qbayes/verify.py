@@ -19,8 +19,7 @@ import numpy as np
 import numpy.linalg as npl
 
 from .closedform import rld_bound, sld_bound
-from .conic import ConicProgram, SolveOptions, re_entry_coeff, im_entry_coeff, \
-    solve_or_raise
+from .conic import ConicProgram, SolveOptions, hvec, hvec_basis, solve_or_raise
 from .matcore import hermitian_eig, hermitize, lyapunov_solve
 from .model import BayesMoments, StatisticalModel, build_extended_moments, \
     build_moments
@@ -145,13 +144,7 @@ def optimal_povm_step(model: StatisticalModel, estimates,
 
     prog = ConicProgram()
     blocks = [prog.add_psd_block(d) for _ in range(K)]
-    for a in range(d):
-        for b in range(a, d):
-            prog.add_eq({blk: re_entry_coeff(d, a, b) for blk in blocks},
-                        rhs=1.0 if a == b else 0.0)
-            if a != b:
-                prog.add_eq({blk: im_entry_coeff(d, a, b) for blk in blocks},
-                            rhs=0.0)
+    prog.add_eq({blk: hvec_basis(d) for blk in blocks}, rhs=hvec(np.eye(d)))
     coeffs = {}
     for x, blk in enumerate(blocks):
         F = np.zeros((d, d), dtype=complex)

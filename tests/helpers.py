@@ -5,6 +5,7 @@ Everything is seeded through numpy Generators so failures reproduce exactly.
 
 import numpy as np
 
+from qbayes.conic import ConicProgram
 from qbayes.model import GridPoint, StatisticalModel, WeightSpec
 
 
@@ -50,3 +51,17 @@ def random_grid_model(rng, n, d, grid, W=None):
                 for m in range(grid))
     spec = WeightSpec(constant=np.eye(n) if W is None else W)
     return StatisticalModel(n=n, d=d, points=pts, weight_spec=spec)
+
+
+def record_row_counts(monkeypatch):
+    """List that collects the row count of every program assembled from now on."""
+    counts = []
+    assemble = ConicProgram.assemble
+
+    def counted(self):
+        out = assemble(self)
+        counts.append(out[0].shape[0])
+        return out
+
+    monkeypatch.setattr(ConicProgram, "assemble", counted)
+    return counts

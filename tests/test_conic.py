@@ -17,9 +17,8 @@ from qbayes.conic import (
     holevo_lemma_sdp_value,
     holevo_lemma_value,
     hvec,
-    im_entry_coeff,
+    hvec_basis,
     random_lemma_triple,
-    re_entry_coeff,
     solve,
     solve_or_raise,
 )
@@ -50,21 +49,37 @@ def test_hvec_hmat_act_on_stacks(seed, k, K):
     assert np.allclose(hmat(v, k), stack, atol=1e-14)
 
 
-def test_entry_coefficients_extract_real_and_imaginary_parts():
-    """Tr(C H) picks out Re/Im of a chosen entry of Hermitian H."""
-    rng = np.random.default_rng(32)
-    H = random_hermitian(rng, 3)
-    for a in range(3):
-        for b in range(a + 1, 3):
-            re = np.trace(re_entry_coeff(3, a, b) @ H)
-            im = np.trace(im_entry_coeff(3, a, b) @ H)
-            assert abs(re - H[a, b].real) < 1e-12
-            assert abs(im - H[a, b].imag) < 1e-12
-    assert abs(np.trace(re_entry_coeff(3, 1, 1) @ H) - H[1, 1].real) < 1e-12
-    # the coefficient pairs with the block through its hvec coordinates
-    C = re_entry_coeff(3, 0, 2)
-    pair = hvec(C) @ hvec(H)
-    assert abs(pair - H[0, 2].real) < 1e-12
+@given(st.integers(0, 10**6), st.integers(1, 6))
+@settings(max_examples=25, deadline=None)
+def test_hvec_basis_reads_hvec_coordinates(seed, k):
+    """Tr(E[i] H) = hvec(H)[i] for the Hermitian stack E = hvec_basis(k)."""
+    rng = np.random.default_rng(seed)
+    H = random_hermitian(rng, k)
+    E = hvec_basis(k)
+    assert E.shape == (k * k, k, k)
+    assert np.array_equal(E, E.conj().swapaxes(-1, -2))
+    traces = np.einsum("iab,ba->i", E, H)
+    assert np.allclose(traces, hvec(H), atol=1e-12)
+
+
+def test_stacked_rows_assemble_like_single_rows():
+    """An (r, k, k) coefficient stack with an rhs of length r assembles the
+    same A and b as the r rows added one at a time."""
+    rng = np.random.default_rng(37)
+    stack = np.stack([random_hermitian(rng, 3) for _ in range(4)])
+    other = np.stack([random_hermitian(rng, 2) for _ in range(4)])
+    rhs = rng.standard_normal(4)
+    progs = [ConicProgram(), ConicProgram()]
+    for prog in progs:
+        prog.add_psd_block(3)
+        prog.add_psd_block(2)
+        prog.add_eq({1: np.eye(2)}, rhs=1.0)
+    progs[0].add_eq({0: stack, 1: other}, rhs=rhs)
+    for C, D, r in zip(stack, other, rhs):
+        progs[1].add_eq({0: C, 1: D}, rhs=r)
+    (A0, b0, _, starts, N), (A1, b1, *_) = (p.assemble() for p in progs)
+    assert A0.shape == (5, 13) and starts == [0, 9] and N == 13
+    assert np.array_equal(A0, A1) and np.array_equal(b0, b1)
 
 
 def smallest_eigenvalue_program():
@@ -209,8 +224,15 @@ def test_gap_tolerance_env_override(monkeypatch):
     monkeypatch.setenv("QBAYES_GAP_TOL", "not-a-number")
     with pytest.warns(UserWarning):
         assert SolveOptions().resolved_gap_tol() == 1e-8
+    for bad in ("nan", "0", "-1", "inf"):
+        monkeypatch.setenv("QBAYES_GAP_TOL", bad)
+        with pytest.warns(UserWarning):
+            assert SolveOptions().resolved_gap_tol() == 1e-8
     monkeypatch.delenv("QBAYES_GAP_TOL")
     assert SolveOptions(gap_tol=1e-10).resolved_gap_tol() == 1e-10
+    for bad in (float("nan"), 0.0, -1.0, float("inf")):
+        with pytest.raises(ValueError):
+            SolveOptions(gap_tol=bad)
 
 
 def test_program_validation_rejects_bad_shapes():
@@ -220,6 +242,15 @@ def test_program_validation_rejects_bad_shapes():
         prog.add_eq({blk: np.eye(3)})
     with pytest.raises(ProgramError):
         prog.add_eq({blk + 7: np.eye(2)})
+    with pytest.raises(ProgramError):
+        prog.add_eq({blk: np.array([[1.0, 1.0], [0.0, 1.0]])})
+    with pytest.raises(ProgramError):
+        prog.add_eq({blk: np.stack([np.eye(2)] * 3)}, rhs=[1.0, 2.0])
+    with pytest.raises(ProgramError):
+        prog.add_eq({blk: np.stack([np.eye(2), np.diag([1.0, 1j])])}, rhs=[1.0, 2.0])
+    with pytest.raises(ProgramError):
+        prog.add_eq({blk: np.stack([np.eye(2)])}, rhs=[[1.0]])
+    assert prog.rows == []
     with pytest.raises(ProgramError):
         ConicProgram().assemble()
 

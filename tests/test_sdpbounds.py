@@ -12,8 +12,10 @@ from helpers import (
     random_hermitian,
     random_spd,
     random_unitary,
+    record_row_counts,
 )
-from qbayes.matcore import ExtendedOperator, psd_sqrt
+from qbayes.conic import ConicProgram, solve_or_raise
+from qbayes.matcore import ExtendedOperator, hermitize, psd_sqrt
 from qbayes.model import (
     CapabilityError,
     ExtendedMoments,
@@ -29,6 +31,7 @@ from qbayes.model import (
     with_weight,
 )
 from qbayes.sdpbounds import (
+    _hermitian_offblock_rows,
     appendix_f,
     f_family_pinned_example,
     holevo_type_bound,
@@ -53,6 +56,38 @@ def tensor_moments(W, S_B, D_bar, M):
                            states=np.asarray(S_B, dtype=complex)[None],
                            thetas=np.zeros((1, n)),
                            weight_spec=WeightSpec(constant=W))
+
+
+# ---------------------------------------------------------------------------
+# sub-block pins and row counts
+# ---------------------------------------------------------------------------
+
+def test_offblock_pin_returns_the_target():
+    """min Tr X over 4 x 4 PSD X with T - T^+ = G on its off-block T at
+    (0, 2): d^2 = 4 rows, and the solution's off-block meets the pin."""
+    rng = np.random.default_rng(40)
+    G = 1j * random_hermitian(rng, 2)
+    prog = ConicProgram()
+    x = prog.add_psd_block(4)
+    _hermitian_offblock_rows(prog, x, 4, 0, 2, G)
+    prog.set_objective({x: np.eye(4)})
+    assert prog.assemble()[0].shape == (4, 16)
+    T = solve_or_raise(prog).variable_values[0][:2, 2:]
+    assert np.allclose(T - T.conj().T, G, atol=1e-7)
+
+
+def test_programs_keep_their_row_counts(monkeypatch):
+    """NH pins its identity corner and n(n+1)/2 off-blocks, d^2 rows each;
+    the dominating program pins its n(n-1)/2 off-blocks."""
+    counts = record_row_counts(monkeypatch)
+    em = build_extended_moments(random_model(3, 2, seed=2, grid=3))
+    n, d = em.n, em.d
+    nagaoka_hayashi_bound(em)
+    rng = np.random.default_rng(46)
+    M = rng.standard_normal((n * d, n * d)) + 1j * rng.standard_normal((n * d, n * d))
+    X = ExtendedOperator.from_full(hermitize(M), n, d)
+    appendix_f("f_sdp", [(1.0, random_spd(rng, n), random_density(rng, d))], X)
+    assert counts == [(1 + n * (n + 1) // 2) * d * d, n * (n - 1) // 2 * d * d]
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_grid_model, random_spd
+from helpers import random_grid_model, random_spd, record_row_counts
 from qbayes.closedform import personick_value
 from qbayes.model import (
     StatisticalModel,
@@ -81,6 +81,17 @@ def test_optimal_povm_step_improves_a_random_start():
     start = posterior_mean_estimator(model, random_povm(2, 4, rng))
     stepped = optimal_povm_step(model, start.estimates)
     assert bayes_risk(model, stepped, start.estimates) <= start.risk + 1e-9
+
+
+def test_optimal_povm_step_pins_the_identity_resolution(monkeypatch):
+    """One program with d^2 rows for sum_x E_x = I, however many outcomes."""
+    counts = record_row_counts(monkeypatch)
+    rng = np.random.default_rng(53)
+    model = random_grid_model(rng, 2, 3, 3)
+    povm = optimal_povm_step(model, rng.uniform(-1.0, 1.0, (5, 2)))
+    assert counts == [9]
+    assert len(povm) == 5
+    assert np.allclose(sum(povm.elements), np.eye(3), atol=1e-9)
 
 
 def test_seesaw_certifies_the_classical_binary_value():
