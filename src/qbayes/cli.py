@@ -98,6 +98,17 @@ def _constant_weight(model) -> np.ndarray:
 # bounds
 # ---------------------------------------------------------------------------
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _solved(sol) -> dict:
+    """Report fields of an SDP bound: its value and the solve's record."""
+    diag = sol.diagnostics
+    return {"value": sol.value, "solver_status": diag.status, "gap": diag.gap,
+            "iterations": diag.iterations, "feas_primal": diag.feas_primal,
+            "feas_dual": diag.feas_dual}
+
+
 def _bound_runner(model, options):
     cache = {}
 
@@ -111,28 +122,27 @@ def _bound_runner(model, options):
             cache["em"] = build_extended_moments(model)
         return cache["em"]
 
+    def closed_form(value):
+        return {"value": value, "solver_status": "closed-form", "gap": 0.0}, []
+
     def run(name):
+        """The report entry of one bound, and its notes."""
         if name == "nh":
-            sol = nagaoka_hayashi_bound(extended(), options=options)
-            return sol.value, sol.diagnostics.status, sol.diagnostics.gap, []
+            return _solved(nagaoka_hayashi_bound(extended(), options=options)), []
         if name == "holevo":
-            sol = holevo_type_bound(extended(), options=options)
-            return sol.value, sol.diagnostics.status, sol.diagnostics.gap, []
+            return _solved(holevo_type_bound(extended(), options=options)), []
         if name == "nagaoka2":
             value = nagaoka_bound_search(extended())
             note = ("nagaoka2 is the best value found by a local search: an "
                     "upper bound on its own two-parameter objective minimum, "
                     "not a certified optimum")
-            return value, "heuristic", 0.0, [note]
+            return {"value": value, "solver_status": "heuristic", "gap": 0.0}, [note]
         if name == "sld":
-            value, _ = sld_bound(moments(), _constant_weight(model))
-            return value, "closed-form", 0.0, []
+            return closed_form(sld_bound(moments(), _constant_weight(model))[0])
         if name == "rld":
-            value, _ = rld_bound(moments(), _constant_weight(model))
-            return value, "closed-form", 0.0, []
+            return closed_form(rld_bound(moments(), _constant_weight(model))[0])
         if name == "vantree":
-            value = van_tree_bound(model, _constant_weight(model))
-            return value, "closed-form", 0.0, []
+            return closed_form(van_tree_bound(model, _constant_weight(model)))
         raise _Validation(f"unknown bound selector {name!r}")
 
     return run
@@ -165,8 +175,7 @@ def cmd_bounds(args) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                value, status, gap, extra = run(name)
-                entry = {"value": value, "solver_status": status, "gap": gap}
+                entry, extra = run(name)
                 notes.extend(extra)
             except (CapabilityError, UnsupportedConfigurationError,
                     SingularInformationError) as exc:
@@ -193,6 +202,7 @@ def cmd_bounds(args) -> int:
     report = {
         "model_digest": _model_digest(model),
         "gap_tol": options.resolved_gap_tol(),
+        "blas_threads": {v: os.environ.get(v) for v in BLAS_THREAD_VARS},
         "bounds": bounds,
         "audit": audit,
         "warnings": notes,

@@ -8,10 +8,11 @@ program whose objective is F0 and whose row i has coefficients F_i and rhs
 g_i: the solver's dual vector is y = -z, read from `sol.y`, and
 `sol.dual_value` is -g . z plus the offset. The solver is a primal-dual
 path-following method on the homogeneous self-dual embedding with
-Nesterov-Todd scaling and dense LU linear algebra, so infeasibility is
-certified rather than diverged on. Equal-size blocks are stacked once per
-solve, and the scaling is applied to each block as k x k congruences
-(hvec(P hmat(v) P)), one batched call per distinct block size.
+Nesterov-Todd scaling and a dense LAPACK LU of the Schur system, so
+infeasibility is certified rather than diverged on. `assemble` lays the
+columns out by block size, so the blocks of one size fill one contiguous run
+and are read as one (K, k, k) stack, and the scaling is applied to each block
+as k x k congruences (hvec(P hmat(v) P)), one batched call per distinct size.
 
 A k x k Hermitian block lives in isometric real coordinates (`hvec`): the
 diagonal, then sqrt2 Re and sqrt2 Im of the strict upper triangle, k^2 numbers
@@ -38,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 import numpy.linalg as npl
-import scipy.linalg as sla
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .matcore import SQRT2, check_hermitian, hermitize, weighted_trace_abs
 
@@ -71,11 +72,22 @@ class SolverFailureError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _upper(k: int):
-    """Row and column indices of the diagonal, then the strict upper triangle."""
+def _gather_maps(k: int):
+    """Index and scale maps between hvec coordinates and the float64 view of
+    a complex (k, k) matrix (re, im of each entry, row-major)."""
     iu, ju = np.triu_indices(k, 1)
-    diag = np.arange(k)
-    return np.concatenate([diag, iu]), np.concatenate([diag, ju])
+    up, low = 2 * (iu * k + ju), 2 * (ju * k + iu)
+    vec_idx = np.concatenate([2 * (k + 1) * np.arange(k), up, up + 1])
+    vec_scale = np.concatenate([np.ones(k), np.full(2 * len(iu), SQRT2)])
+    # hmat reads the upper triangle back, mirrors it with the imaginary parts
+    # negated, and zeroes the imaginary parts of the diagonal (scale 0)
+    mat_idx = np.zeros(2 * k * k, dtype=np.intp)
+    mat_scale = np.zeros(2 * k * k)
+    mat_idx[vec_idx] = np.arange(k * k)
+    mat_scale[vec_idx] = 1 / vec_scale
+    mat_idx[low], mat_idx[low + 1] = mat_idx[up], mat_idx[up + 1]
+    mat_scale[low], mat_scale[low + 1] = mat_scale[up], -mat_scale[up + 1]
+    return vec_idx, vec_scale, mat_idx, mat_scale
 
 
 def hvec(X: np.ndarray) -> np.ndarray:
@@ -83,24 +95,20 @@ def hvec(X: np.ndarray) -> np.ndarray:
 
     Acts on the last two axes, so a (..., k, k) stack gives (..., k^2).
     """
+    X = np.ascontiguousarray(X, dtype=complex)
     k = X.shape[-1]
-    a, b = _upper(k)
-    z = np.asarray(X)[..., a, b]
-    return np.concatenate([z[..., :k].real, SQRT2 * z[..., k:].real,
-                           SQRT2 * z[..., k:].imag], axis=-1)
+    idx, scale, _, _ = _gather_maps(k)
+    v = X.view(np.float64).reshape(X.shape[:-2] + (2 * k * k,)).take(idx, axis=-1)
+    v *= scale
+    return v
 
 
 def hmat(v: np.ndarray, k: int) -> np.ndarray:
     """Inverse of hvec, on the last axis."""
-    a, b = _upper(k)
-    m = len(a)
-    z = np.empty(v.shape[:-1] + (m,), dtype=complex)
-    z[..., :k] = v[..., :k]
-    z[..., k:] = (v[..., k:m] + 1j * v[..., m:]) / SQRT2
-    X = np.empty(v.shape[:-1] + (k, k), dtype=complex)
-    X[..., b, a] = z.conj()
-    X[..., a, b] = z
-    return X
+    _, _, idx, scale = _gather_maps(k)
+    w = np.asarray(v, dtype=np.float64).take(idx, axis=-1)
+    w *= scale
+    return w.view(complex).reshape(w.shape[:-1] + (k, k))
 
 
 @lru_cache(maxsize=None)
@@ -158,22 +166,33 @@ class ConicProgram:
         """Add the equality  sum_b <C_b, X_b> = rhs, or, with (r, dim, dim)
         coefficient stacks and an rhs of length r, r such rows at once."""
         rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
-        if rhs.ndim != 1:
-            raise ProgramError(f"rhs of shape {rhs.shape} is not a vector")
+        if rhs.ndim != 1 or not np.isfinite(rhs).all():
+            raise ProgramError(f"rhs {rhs!r} is not a finite vector")
         self.rows.append((self._hvec_rows(coeffs, len(rhs)), rhs))
 
     def set_objective(self, coeffs: dict | None = None,
                       offset: float = 0.0) -> None:
         """Minimize  sum_b <C_b, X_b> + offset."""
+        if not np.isfinite(offset):
+            raise ProgramError(f"offset {offset!r} is not finite")
         self.obj = self._hvec_rows(coeffs, 1)
         self.offset = float(offset)
 
     # -- numeric form -------------------------------------------------------
 
     def assemble(self):
-        sizes = [dim * dim for dim in self.blocks]
-        starts = np.concatenate([[0], np.cumsum(sizes)])
-        N = int(starts[-1])
+        """The dense form (A, b, c, starts, N): row i of A and c are hvec
+        coefficients over N columns, and block b occupies the columns from
+        starts[b] on. Columns are laid out by block size, sizes in order of
+        first appearance and blocks of one size in their order, so each size
+        group is one contiguous run of columns."""
+        sizes = list(dict.fromkeys(self.blocks))
+        starts = [0] * len(self.blocks)
+        N = 0
+        for bid in sorted(range(len(self.blocks)),
+                          key=lambda i: sizes.index(self.blocks[i])):
+            starts[bid] = N
+            N += self.blocks[bid] ** 2
         if N == 0:
             raise ProgramError("program has no variables")
         b = np.concatenate([rhs for _, rhs in self.rows] + [np.zeros(0)])
@@ -181,12 +200,12 @@ class ConicProgram:
         i = 0
         for rows, rhs in self.rows:
             for bid, v in rows.items():
-                A[i:i + len(rhs), starts[bid]:starts[bid + 1]] = v
+                A[i:i + len(rhs), starts[bid]:starts[bid] + v.shape[1]] = v
             i += len(rhs)
         c = np.zeros(N)
         for bid, v in self.obj.items():
-            c[starts[bid]:starts[bid + 1]] = v[0]
-        return A, b, c, starts[:-1].tolist(), N
+            c[starts[bid]:starts[bid] + v.shape[1]] = v[0]
+        return A, b, c, starts, N
 
 
 # ---------------------------------------------------------------------------
@@ -264,16 +283,22 @@ def _alpha_boundary(L: np.ndarray, dX: np.ndarray) -> float:
     return 1.0 / (-wmin)
 
 
+def _blocks(v: np.ndarray, k: int, cols: slice) -> np.ndarray:
+    """The (..., K, k, k) stack of the K blocks of size k held in columns
+    `cols` along the last axis of v."""
+    return hmat(v[..., cols].reshape(v.shape[:-1] + (-1, k * k)), k)
+
+
 def _congruence(groups, P, v: np.ndarray) -> np.ndarray:
     """hvec(P_b hmat(v_b) P_b) for every block b along the last axis of v.
 
-    `groups` lists (k, cols) per block size, cols the (K, k^2) column indices
-    of its K blocks; P holds the matching (K, k, k) Hermitian stacks.
+    `groups` lists (k, cols) per block size, cols the slice of columns its K
+    blocks fill, in column order; P holds the matching (K, k, k) Hermitian
+    stacks.
     """
-    out = np.empty_like(v)
-    for (k, cols), Pk in zip(groups, P):
-        out[..., cols] = hvec(Pk @ hmat(v[..., cols], k) @ Pk)
-    return out
+    return np.concatenate([
+        hvec(Pk @ _blocks(v, k, cols) @ Pk).reshape(v.shape[:-1] + (-1,))
+        for (k, cols), Pk in zip(groups, P)], axis=-1)
 
 
 def solve(program: ConicProgram, options: SolveOptions | None = None) -> ConicSolution:
@@ -295,17 +320,17 @@ def solve(program: ConicProgram, options: SolveOptions | None = None) -> ConicSo
     bnorm = 1.0 + (np.abs(b).max() if p else 0.0)
     cnorm = 1.0 + (np.abs(c).max() if N else 0.0)
 
-    # equal-size blocks are stacked, so every per-block step below is one
-    # batched call per distinct size k
-    columns = {}
-    for k, st in zip(program.blocks, starts):
-        columns.setdefault(k, []).append(np.arange(st, st + k * k))
-    groups = [(k, np.array(cols)) for k, cols in columns.items()]
+    # the blocks of each size fill one run of columns (see assemble), so
+    # every per-block step below is one batched call per distinct size k
+    groups = []
+    for k in dict.fromkeys(program.blocks):
+        st = starts[program.blocks.index(k)]
+        groups.append((k, slice(st, st + program.blocks.count(k) * k * k)))
 
     # interior start: identity in every block, tau = kappa = 1
     x = np.zeros(N)
     for k, cols in groups:
-        x[cols] = hvec(np.eye(k))
+        x[cols].reshape(-1, k * k)[:] = hvec(np.eye(k))
     s = x.copy()
     y = np.zeros(p)
     tau, kappa = 1.0, 1.0
@@ -365,8 +390,8 @@ def solve(program: ConicProgram, options: SolveOptions | None = None) -> ConicSo
         xinv_vec = np.zeros(N)
         prox0 = tau * kappa / mu
         for k, cols in groups:
-            X = hmat(x[cols], k)
-            Sb = hmat(s[cols], k)
+            X = _blocks(x, k, cols)
+            Sb = _blocks(s, k, cols)
             Lx = _factor_psd(X)
             Ls = _factor_psd(Sb)
             wB, UB = npl.eigh(hermitize(_ct(Lx) @ Sb @ Lx))
@@ -380,7 +405,7 @@ def solve(program: ConicProgram, options: SolveOptions | None = None) -> ConicSo
                 return failure(it)
             Winv.append(Wi)
             Wh.append((UT * wT[:, None, :] ** -0.5) @ _ct(UT))
-            xinv_vec[cols] = hvec(_ct(Li) @ Li)
+            xinv_vec[cols] = hvec(_ct(Li) @ Li).ravel()
             factors.append((Lx, Ls))
 
         r_d = A.T @ y + s - c * tau
@@ -406,15 +431,16 @@ def solve(program: ConicProgram, options: SolveOptions | None = None) -> ConicSo
         cscale = 1.0 / np.maximum(np.abs(M2s).max(axis=0), 1e-300)
         M2s = M2s * cscale[None, :]
         M2s[np.diag_indices(q)] += 1e-14
-        try:
-            lu = sla.lu_factor(M2s)
-        except (ValueError, npl.LinAlgError):
+        if not np.isfinite(M2s).all():
+            return failure(it)
+        lu, piv, info = dgetrf(M2s)
+        if info != 0:
             return failure(it)
 
         def reduced_solve(r1, r2, r3):
             t0 = _congruence(groups, Wh, r1)
             rhs2 = np.concatenate([r2 + AGi @ t0, [r3 - float(cGi @ t0)]])
-            sol2 = cscale * sla.lu_solve(lu, rscale * rhs2)
+            sol2 = cscale * dgetrs(lu, piv, rscale * rhs2)[0]
             dy = sol2[:p]
             dtau = float(sol2[p])
             dx = _congruence(groups, Wh, AGi.T @ dy - cGi * dtau - t0)
@@ -448,8 +474,8 @@ def solve(program: ConicProgram, options: SolveOptions | None = None) -> ConicSo
             if dkappa < 0:
                 alpha = min(alpha, kappa / -dkappa)
             for (k, cols), (Lx, Ls) in zip(groups, factors):
-                alpha = min(alpha, _alpha_boundary(Lx, hmat(dx[cols], k)),
-                            _alpha_boundary(Ls, hmat(ds[cols], k)))
+                alpha = min(alpha, _alpha_boundary(Lx, _blocks(dx, k, cols)),
+                            _alpha_boundary(Ls, _blocks(ds, k, cols)))
             return alpha
 
         # wide-neighborhood guard: a step is admitted only while every
@@ -465,10 +491,10 @@ def solve(program: ConicProgram, options: SolveOptions | None = None) -> ConicSo
                 return False
             for k, cols in groups:
                 try:
-                    Lc = npl.cholesky(hmat(xp[cols], k))
+                    Lc = npl.cholesky(_blocks(xp, k, cols))
                 except npl.LinAlgError:
                     return False
-                if npl.eigvalsh(_ct(Lc) @ hmat(sp[cols], k) @ Lc)[:, 0].min() < gamma * mup:
+                if npl.eigvalsh(_ct(Lc) @ _blocks(sp, k, cols) @ Lc)[:, 0].min() < gamma * mup:
                     return False
             return True
 

@@ -50,9 +50,12 @@ def hermitize(A: np.ndarray) -> np.ndarray:
 
 
 def check_hermitian(A: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
-    """Symmetrize A, raising if it deviates from Hermitian by more than tol
-    (relative to max(1, |A|)); a stack is checked matrix by matrix."""
+    """Symmetrize A, raising if it has a non-finite entry or deviates from
+    Hermitian by more than tol (relative to max(1, |A|)); a stack is checked
+    matrix by matrix."""
     A = np.asarray(A, dtype=complex)
+    if not np.isfinite(A).all():
+        raise ValueError("matrix has non-finite entries")
     if A.size:
         dev = np.abs(A - A.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
         bad = dev > tol * np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))

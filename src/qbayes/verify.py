@@ -6,9 +6,6 @@ mean is the optimal estimator at a fixed measurement and the measurement
 update is a linear PSD program; alternating the two (`seesaw`) produces a
 non-increasing sequence of achieved risks. One-parameter models additionally
 get the tight spectral measurement of the averaged logarithmic derivative.
-
-Seesaw restarts are independent given their seeds and may run concurrently;
-a single run is sequential by nature.
 """
 
 from __future__ import annotations

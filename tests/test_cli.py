@@ -20,11 +20,15 @@ def write_cb(tmp_path, name="cb.json"):
     return str(path)
 
 
-def test_bounds_report_on_the_binary_model(tmp_path):
+def test_bounds_report_on_the_binary_model(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "2")
     model_path = write_cb(tmp_path)
     out = tmp_path / "report.json"
+    csv = tmp_path / "report.csv"
     code = main(["bounds", "--model", model_path, "--bounds", "all",
-                 "--out", str(out)])
+                 "--out", str(out), "--csv", str(csv)])
     assert code == 0
     report = json.loads(out.read_text())
     for name in ("nh", "holevo", "sld", "rld"):
@@ -35,6 +39,19 @@ def test_bounds_report_on_the_binary_model(tmp_path):
     assert abs(report["audit"]["nh_minus_holevo"]) < 1e-5
     for entry in report["bounds"].values():
         assert "wall_time_ms" in entry
+    for name in ("nh", "holevo"):
+        entry = report["bounds"][name]
+        assert entry["solver_status"] == "optimal"
+        assert isinstance(entry["iterations"], int) and entry["iterations"] > 0
+        assert 0.0 <= entry["feas_primal"] <= 1e-8
+        assert 0.0 <= entry["feas_dual"] <= 1e-6
+    assert "iterations" not in report["bounds"]["sld"]
+    assert report["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1",
+                                      "OMP_NUM_THREADS": None,
+                                      "MKL_NUM_THREADS": "2"}
+    lines = csv.read_text().strip().splitlines()
+    assert lines[0] == "bound,value,solver_status,gap,wall_time_ms"
+    assert len(lines) == 7 and all(line.count(",") == 4 for line in lines)
 
 
 def test_bounds_selector_subset_and_csv(tmp_path):

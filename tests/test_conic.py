@@ -62,6 +62,39 @@ def test_hvec_basis_reads_hvec_coordinates(seed, k):
     assert np.allclose(traces, hvec(H), atol=1e-12)
 
 
+def hvec_by_definition(X):
+    """hvec written out entry by entry: the diagonal, then sqrt2 Re and
+    sqrt2 Im of the strict upper triangle in row-major order."""
+    k = X.shape[-1]
+    upper = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    out = np.empty(X.shape[:-2] + (k * k,))
+    for idx in np.ndindex(X.shape[:-2]):
+        M = X[idx]
+        out[idx] = ([M[i, i].real for i in range(k)]
+                    + [np.sqrt(2.0) * M[i, j].real for i, j in upper]
+                    + [np.sqrt(2.0) * M[i, j].imag for i, j in upper])
+    return out
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_hvec_hmat_on_views_real_input_and_stacks(k):
+    """hvec equals its written-out definition exactly on non-contiguous
+    views, real symmetric input, a single matrix and a (2, 3, k, k) stack,
+    and hmat(hvec(X)) gives X back to 1e-15."""
+    rng = np.random.default_rng(100 + k)
+    stack = np.stack([random_hermitian(rng, k) for _ in range(6)]).reshape(2, 3, k, k)
+    flat = stack.reshape(6, k, k)
+    G = rng.standard_normal((k, k))
+    inputs = [stack[0, 0], stack, flat.swapaxes(-1, -2), flat[::2],
+              G + G.T, np.stack([G + G.T, G @ G.T])]
+    for X in inputs:
+        v = hvec(X)
+        assert v.shape == X.shape[:-2] + (k * k,)
+        assert np.array_equal(v, hvec_by_definition(X))
+        assert np.abs(hmat(v, k) - X).max() <= 1e-15
+        assert hmat(v, k).dtype == complex
+
+
 def test_stacked_rows_assemble_like_single_rows():
     """An (r, k, k) coefficient stack with an rhs of length r assembles the
     same A and b as the r rows added one at a time."""
@@ -107,8 +140,9 @@ def test_largest_eigenvalue_as_an_sdp():
 
 def test_interleaved_block_sizes_share_size_stacks():
     """max sum_b Tr(H_b X_b) s.t. Tr X_b = 1 on blocks of sizes 2, 3, 2, 3:
-    each size's blocks sit in non-adjacent columns, and the value is the sum
-    of the largest eigenvalues."""
+    assemble lays each size's blocks out in one contiguous run of columns
+    (sizes in order of first appearance), and the value is the sum of the
+    largest eigenvalues."""
     rng = np.random.default_rng(35)
     prog = ConicProgram()
     Hs = []
@@ -120,6 +154,7 @@ def test_interleaved_block_sizes_share_size_stacks():
         prog.add_eq({blk: np.eye(k)}, rhs=1.0)
         obj[blk] = -H
     prog.set_objective(obj)
+    assert prog.assemble()[3] == [0, 8, 4, 17]
     sol = solve(prog)
     assert sol.status == "optimal"
     top = sum(np.linalg.eigvalsh(H)[-1] for H in Hs)
@@ -250,7 +285,21 @@ def test_program_validation_rejects_bad_shapes():
         prog.add_eq({blk: np.stack([np.eye(2), np.diag([1.0, 1j])])}, rhs=[1.0, 2.0])
     with pytest.raises(ProgramError):
         prog.add_eq({blk: np.stack([np.eye(2)])}, rhs=[[1.0]])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ProgramError):
+            prog.add_eq({blk: np.diag([1.0, bad])})
+        with pytest.raises(ProgramError):
+            prog.add_eq({blk: np.array([[1.0, bad], [bad, 1.0]])})
+        with pytest.raises(ProgramError):
+            prog.add_eq({blk: np.eye(2)}, rhs=bad)
+        with pytest.raises(ProgramError):
+            prog.add_eq({blk: np.stack([np.eye(2)] * 2)}, rhs=[1.0, bad])
+        with pytest.raises(ProgramError):
+            prog.set_objective({blk: np.diag([bad, 1.0])})
+        with pytest.raises(ProgramError):
+            prog.set_objective({blk: np.eye(2)}, offset=bad)
     assert prog.rows == []
+    assert prog.obj == {} and prog.offset == 0.0
     with pytest.raises(ProgramError):
         ConicProgram().assemble()
 
