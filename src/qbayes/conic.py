@@ -11,8 +11,17 @@ path-following method on the homogeneous self-dual embedding with
 Nesterov-Todd scaling and a dense LAPACK LU of the Schur system, so
 infeasibility is certified rather than diverged on. `assemble` lays the
 columns out by block size, so the blocks of one size fill one contiguous run
-and are read as one (K, k, k) stack, and the scaling is applied to each block
-as k x k congruences (hvec(P hmat(v) P)), one batched call per distinct size.
+and are read as one (K, k, k) stack, and every per-block step is one batched
+call per distinct size.
+
+Each iteration works in the NT-scaled frame. Per block, with X = L L^dag and
+L^dag S L = U diag(w) U^dag, the factor R = L U diag(w)^-1/4 gives the NT
+scaling W = R R^dag, and R^-1 X R^-dag = R^dag S R = diag(lam), lam = w^1/2.
+The rows of A and c are scaled once (A~_i = R^dag A_i R, as the k x k
+congruence hvec(R^dag hmat(v) R)); the Newton system, the step to the cone
+boundary and the neighbourhood test then see only the diagonal lam. The
+accepted step goes back as dX = R dX~ R^dag, and dS is read from the dual
+equation in the original coordinates.
 
 A k x k Hermitian block lives in isometric real coordinates (`hvec`): the
 diagonal, then sqrt2 Re and sqrt2 Im of the strict upper triangle, k^2 numbers
@@ -26,8 +35,9 @@ Real-symmetric data needs no block kind of its own: a program with real
 coefficients is invariant under complex conjugation, and so is its central
 path from the identity start, so its optimum is real on the Hermitian block.
 
-Every solve runs one iteration path with fixed parameters. A run that stalls
-or reaches MAX_ITERS returns `numerical-failure` with the best iterate seen.
+Every solve runs one iteration path with fixed parameters. A run whose step
+is blocked or that reaches MAX_ITERS returns `numerical-failure` with the best
+iterate seen.
 """
 
 from __future__ import annotations
@@ -272,12 +282,12 @@ def _factor_psd(X: np.ndarray) -> np.ndarray:
         return U * np.sqrt(np.maximum(w, floor))[..., None, :]
 
 
-def _alpha_boundary(L: np.ndarray, dX: np.ndarray) -> float:
-    """sup alpha with X + alpha dX >= 0 for every matrix of a stack, given
-    factors L of X."""
-    M = npl.solve(L, dX)
-    M = _ct(npl.solve(L, _ct(M)))
-    wmin = npl.eigvalsh(hermitize(M))[..., 0].min()
+def _alpha_boundary(lam: np.ndarray, D: np.ndarray) -> float:
+    """sup alpha with diag(lam) + alpha D >= 0 for every matrix of a stack:
+    lam is (K, k) and positive, D a (..., K, k, k) Hermitian stack. These are
+    the eigenvalues of diag(lam)^-1/2 D diag(lam)^-1/2, so nothing is solved."""
+    h = lam ** -0.5
+    wmin = npl.eigvalsh(D * h[..., :, None] * h[..., None, :])[..., 0].min()
     if wmin >= 0:
         return np.inf
     return 1.0 / (-wmin)
@@ -290,14 +300,13 @@ def _blocks(v: np.ndarray, k: int, cols: slice) -> np.ndarray:
 
 
 def _congruence(groups, P, v: np.ndarray) -> np.ndarray:
-    """hvec(P_b hmat(v_b) P_b) for every block b along the last axis of v.
+    """hvec(P_b^dag hmat(v_b) P_b) for every block b along the last axis of v.
 
     `groups` lists (k, cols) per block size, cols the slice of columns its K
-    blocks fill, in column order; P holds the matching (K, k, k) Hermitian
-    stacks.
+    blocks fill, in column order; P holds the matching (K, k, k) stacks.
     """
     return np.concatenate([
-        hvec(Pk @ _blocks(v, k, cols) @ Pk).reshape(v.shape[:-1] + (-1,))
+        hvec(_ct(Pk) @ _blocks(v, k, cols) @ Pk).reshape(v.shape[:-1] + (-1,))
         for (k, cols), Pk in zip(groups, P)], axis=-1)
 
 
@@ -308,9 +317,9 @@ def solve(program: ConicProgram, options: SolveOptions | None = None) -> ConicSo
     relative duality gap <= gap_tol (measured against the reported value) and
     a scaled primal residual <= FEAS_TOL, with the dual residual under the
     DRES_GUARD ceiling; primal/dual infeasibility is reported from the
-    embedding's certificates. A run that stalls or reaches MAX_ITERS returns
-    `numerical-failure` carrying the best iterate seen; `iterations` counts
-    every iteration taken.
+    embedding's certificates. A run whose step is blocked or that reaches
+    MAX_ITERS returns `numerical-failure` carrying the best iterate seen;
+    `iterations` counts every iteration taken.
     """
     gap_tol = (options or SolveOptions()).resolved_gap_tol()
 
@@ -381,48 +390,40 @@ def solve(program: ConicProgram, options: SolveOptions | None = None) -> ConicSo
 
         mu = (float(x @ s) + tau * kappa) / (nu + 1)
 
-        # NT scaling per block, W^-1 X W^-1 = S, kept per size group as the
-        # stacks W^-1 and W^1/2 and applied as k x k congruences: M -> W^-1 M W^-1
-        # takes dx to its share of ds, and M -> W^1/2 M W^1/2 (its inverse
-        # square root) scales the rows of A, c and the right-hand sides, so
-        # AGi AGi^T is the Schur complement <A_i, W A_j W>
-        Winv, Wh, factors = [], [], []
-        xinv_vec = np.zeros(N)
+        # NT scaling per block: with X = L L^dag and L^dag S L = U diag(w) U^dag,
+        # R = L U diag(w)^-1/4 gives W = R R^dag and R^-1 X R^-dag = R^dag S R
+        # = diag(lam), lam = w^1/2. The step is computed in that frame, where
+        # A~_i = R^dag A_i R, the Schur complement is A~ A~^T and both iterates
+        # are the diagonal lam (hvec coordinates in `lam`, per group in `lams`)
+        R, lams = [], []
+        lam = np.zeros(N)
         prox0 = tau * kappa / mu
         for k, cols in groups:
-            X = _blocks(x, k, cols)
-            Sb = _blocks(s, k, cols)
-            Lx = _factor_psd(X)
-            Ls = _factor_psd(Sb)
-            wB, UB = npl.eigh(hermitize(_ct(Lx) @ Sb @ Lx))
-            if wB[:, 0].min() <= 0:
+            L = _factor_psd(_blocks(x, k, cols))
+            w, U = npl.eigh(hermitize(_ct(L) @ _blocks(s, k, cols) @ L))
+            if w[:, 0].min() <= 0:
                 return failure(it)
-            prox0 = min(prox0, wB[:, 0].min() / mu)
-            Li = npl.inv(Lx)
-            Wi = hermitize(_ct(Li) @ ((UB * wB[:, None, :] ** 0.5) @ _ct(UB)) @ Li)
-            wT, UT = npl.eigh(Wi)
-            if wT[:, 0].min() <= 0:
-                return failure(it)
-            Winv.append(Wi)
-            Wh.append((UT * wT[:, None, :] ** -0.5) @ _ct(UT))
-            xinv_vec[cols] = hvec(_ct(Li) @ Li).ravel()
-            factors.append((Lx, Ls))
+            prox0 = min(prox0, w[:, 0].min() / mu)
+            R.append((L @ U) * w[:, None, :] ** -0.25)
+            lams.append(np.sqrt(w))
+            lam[cols].reshape(-1, k * k)[:, :k] = lams[-1]
+        laminv = np.divide(1.0, lam, out=np.zeros(N), where=lam > 0)
 
         r_d = A.T @ y + s - c * tau
         r_p = (A @ x - b * tau) if p else np.zeros(0)
         r_g = cx - by + kappa
 
-        # eliminate the cone step through the scaling: LU lives on the
-        # (p + 1) system in (dy, dtau)
-        AGi = _congruence(groups, Wh, A)
-        cGi = _congruence(groups, Wh, c)
+        # eliminate the cone step: LU lives on the (p + 1) system in (dy, dtau)
+        A_sc = _congruence(groups, R, A)
+        c_sc = _congruence(groups, R, c)
+        rd_sc = A_sc.T @ y + lam - c_sc * tau
         q = p + 1
         M2 = np.zeros((q, q))
-        M2[:p, :p] = AGi @ AGi.T
-        v1 = AGi @ cGi
+        M2[:p, :p] = A_sc @ A_sc.T
+        v1 = A_sc @ c_sc
         M2[:p, p] = -(v1 + b)
         M2[p, :p] = b - v1
-        M2[p, p] = float(cGi @ cGi) + kappa / tau
+        M2[p, p] = float(c_sc @ c_sc) + kappa / tau
         # equilibrate before factoring: near a degenerate optimum the rows
         # span many orders of magnitude, which starves the small pivots; the
         # tiny shift on the balanced matrix is corrected by refinement below
@@ -438,29 +439,30 @@ def solve(program: ConicProgram, options: SolveOptions | None = None) -> ConicSo
             return failure(it)
 
         def reduced_solve(r1, r2, r3):
-            t0 = _congruence(groups, Wh, r1)
-            rhs2 = np.concatenate([r2 + AGi @ t0, [r3 - float(cGi @ t0)]])
+            rhs2 = np.concatenate([r2 + A_sc @ r1, [r3 - float(c_sc @ r1)]])
             sol2 = cscale * dgetrs(lu, piv, rscale * rhs2)[0]
             dy = sol2[:p]
             dtau = float(sol2[p])
-            dx = _congruence(groups, Wh, AGi.T @ dy - cGi * dtau - t0)
-            return dx, dy, dtau
+            return A_sc.T @ dy - c_sc * dtau - r1, dy, dtau
 
         def newton(sigma: float, eta: float):
-            Rc = sigma * mu * xinv_vec - s
-            r1 = -eta * r_d - Rc
+            """The scaled step (dx~, dy, dtau, ds~, dkappa)."""
+            Rc = sigma * mu * laminv - lam
+            r1 = -eta * rd_sc - Rc
             r2 = -eta * r_p
             r3 = eta * r_g + (sigma * mu - tau * kappa) / tau
-            dx, dy, dtau = reduced_solve(r1, r2, r3)
-            # one round of iterative refinement
-            e1 = r1 - (A.T @ dy - c * dtau - _congruence(groups, Winv, dx))
-            e2 = r2 - (A @ dx - b * dtau)
-            e3 = r3 - (-float(c @ dx) + float(b @ dy) + (kappa / tau) * dtau)
-            fx, fy, ftau = reduced_solve(e1, e2, e3)
-            dx = dx + fx
-            dy = dy + fy
-            dtau = dtau + ftau
-            ds = Rc - _congruence(groups, Winv, dx)
+            # the solve, then two rounds of iterative refinement: near the
+            # optimum the Schur complement is so ill-conditioned that after one
+            # round the primal equation can be off by more than the residual
+            # the step targets, which stalls solves short of a 1e-10 gap
+            dx, dy, dtau = np.zeros(N), np.zeros(p), 0.0
+            for _ in range(3):
+                fx, fy, ftau = reduced_solve(
+                    r1 - (A_sc.T @ dy - c_sc * dtau - dx),
+                    r2 - (A_sc @ dx - b * dtau),
+                    r3 - (-float(c_sc @ dx) + float(b @ dy) + (kappa / tau) * dtau))
+                dx, dy, dtau = dx + fx, dy + fy, dtau + ftau
+            ds = Rc - dx
             dkappa = (sigma * mu - tau * kappa - kappa * dtau) / tau
             return dx, dy, dtau, ds, dkappa
 
@@ -473,19 +475,21 @@ def solve(program: ConicProgram, options: SolveOptions | None = None) -> ConicSo
                 alpha = min(alpha, tau / -dtau)
             if dkappa < 0:
                 alpha = min(alpha, kappa / -dkappa)
-            for (k, cols), (Lx, Ls) in zip(groups, factors):
-                alpha = min(alpha, _alpha_boundary(Lx, _blocks(dx, k, cols)),
-                            _alpha_boundary(Ls, _blocks(ds, k, cols)))
+            dxs = np.stack([dx, ds])
+            for (k, cols), lk in zip(groups, lams):
+                alpha = min(alpha, _alpha_boundary(lk, _blocks(dxs, k, cols)))
             return alpha
 
         # wide-neighborhood guard: a step is admitted only while every
-        # complementarity eigenvalue stays >= gamma * mu of the new point
+        # complementarity eigenvalue stays >= gamma * mu of the new point.
+        # X S is similar to the product of the scaled iterates, so the test
+        # runs in the scaled frame
         gamma = min(PROX_GAMMA, 0.9 * prox0)
 
         def centered(al, dx, ds, dtau, dkappa) -> bool:
             tk = (tau + al * dtau) * (kappa + al * dkappa)
-            xp = x + al * dx
-            sp = s + al * ds
+            xp = lam + al * dx
+            sp = lam + al * ds
             mup = (float(xp @ sp) + tk) / (nu + 1)
             if not np.isfinite(mup) or mup <= 0 or tk < gamma * mup:
                 return False
@@ -498,32 +502,27 @@ def solve(program: ConicProgram, options: SolveOptions | None = None) -> ConicSo
                     return False
             return True
 
-        def admitted(alpha, dx, ds, dtau, dkappa) -> float:
-            while alpha > 1e-10 and not centered(alpha, dx, ds, dtau, dkappa):
-                alpha *= 0.8
-            return alpha
-
         # affine probe fixes the centering weight (floored: every step recenters)
-        dxa, dya, dtaua, dsa, dkappaa = newton(0.0, 1.0)
+        dxa, _, dtaua, dsa, dkappaa = newton(0.0, 1.0)
         alpha_a = min(1.0, boundary(dxa, dsa, dtaua, dkappaa))
-        mu_aff = (float((x + alpha_a * dxa) @ (s + alpha_a * dsa))
+        mu_aff = (float((lam + alpha_a * dxa) @ (lam + alpha_a * dsa))
                   + (tau + alpha_a * dtaua) * (kappa + alpha_a * dkappaa)) / (nu + 1)
         sigma = min(0.9999, max(SIGMA_MIN, max(0.0, (mu_aff / mu)) ** 3))
 
         dx, dy, dtau, ds, dkappa = newton(sigma, 1.0 - sigma)
         alpha = min(1.0, STEP_FRAC * boundary(dx, ds, dtau, dkappa))
-        alpha = admitted(alpha, dx, ds, dtau, dkappa)
+        while alpha > 1e-10 and not centered(alpha, dx, ds, dtau, dkappa):
+            alpha *= 0.8
         if not np.isfinite(alpha) or alpha <= 1e-10:
-            # blocked: one pure-centering attempt before giving up
-            dx, dy, dtau, ds, dkappa = newton(0.8, 0.2)
-            alpha = min(1.0, STEP_FRAC * boundary(dx, ds, dtau, dkappa))
-            alpha = admitted(alpha, dx, ds, dtau, dkappa)
-            if not np.isfinite(alpha) or alpha <= 1e-10:
-                return failure(it)
+            return failure(it)
 
-        x = x + alpha * dx
+        # map the accepted step back: dX = R dX~ R^dag, and dS from the dual
+        # equation A^T dy + dS - c dtau = -eta r_d in the original coordinates,
+        # so r_d shrinks by (1 - alpha eta); R^-dag dS~ R^-1 drifts from that
+        # equation once R is ill-conditioned near the optimum
+        x = x + alpha * _congruence(groups, [_ct(Rk) for Rk in R], dx)
+        s = s + alpha * (-(1.0 - sigma) * r_d - A.T @ dy + c * dtau)
         y = y + alpha * dy
-        s = s + alpha * ds
         tau = tau + alpha * dtau
         kappa = kappa + alpha * dkappa
         if tau <= 0 or kappa < 0 or not np.isfinite(x).all():

@@ -120,7 +120,6 @@ def posterior_mean_estimator(model: StatisticalModel, povm: Povm) -> DecisionRis
 
 
 def optimal_povm_step(model: StatisticalModel, estimates,
-                      outcome_count: int | None = None,
                       options: SolveOptions | None = None) -> Povm:
     """Risk-minimizing measurement at fixed estimates (constant weight).
 
@@ -133,8 +132,6 @@ def optimal_povm_step(model: StatisticalModel, estimates,
     W = _require_constant_weight(model, "the measurement update")
     est = np.atleast_2d(np.asarray(estimates, dtype=float))
     K = est.shape[0]
-    if outcome_count is not None and outcome_count != K:
-        raise ValueError(f"{K} estimates given for {outcome_count} outcomes")
     if est.shape[1] != model.n:
         raise ValueError(f"estimate dimension {est.shape[1]}, expected {model.n}")
     d = model.d

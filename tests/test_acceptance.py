@@ -112,6 +112,18 @@ def audit_ensemble():
         yield random_grid_model(rng, n, d, g, W=random_spd(rng, n))
 
 
+def test_general_holevo_form_reaches_a_tight_gap():
+    """The per-point Holevo program reaches a 1e-10 gap on ensemble models
+    2, 7, 16 and 33."""
+    models = list(audit_ensemble())
+    for i in (2, 7, 16, 33):
+        sol = holevo_type_bound(build_extended_moments(models[i]),
+                                force_general=True,
+                                options=SolveOptions(gap_tol=1e-10))
+        assert sol.diagnostics.status == "optimal"
+        assert sol.diagnostics.gap <= 1e-10
+
+
 def test_ordering_chain_on_random_models():
     """seesaw >= block bound >= trace-norm bound >= both quadratic bounds."""
     worst = np.inf

@@ -12,6 +12,7 @@ from qbayes.conic import (
     ProgramError,
     SolveOptions,
     SolverFailureError,
+    _alpha_boundary,
     _factor_psd,
     hmat,
     holevo_lemma_sdp_value,
@@ -175,6 +176,27 @@ def test_factor_psd_falls_back_on_a_singular_stack_member():
     L = _factor_psd(stack)
     assert L.shape == stack.shape
     assert np.allclose(L @ L.conj().swapaxes(-1, -2), stack, atol=1e-10)
+
+
+@given(st.integers(0, 10**6), st.integers(1, 5), st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_alpha_boundary_reaches_the_cone_boundary(seed, k, K):
+    """For lam > 0 and Hermitian D the returned alpha is where the smallest
+    eigenvalue of diag(lam) + alpha D reaches 0 over the stack."""
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(0.1, 2.0, (K, k))
+    D = np.stack([random_hermitian(rng, k) for _ in range(K)])
+    alpha = _alpha_boundary(lam, D)
+
+    def smallest(a):
+        return np.linalg.eigvalsh(lam[:, None, :] * np.eye(k) + a * D)[:, 0].min()
+
+    if np.isinf(alpha):
+        assert smallest(1e6) >= 0
+        return
+    assert alpha > 0
+    assert abs(smallest(alpha)) <= 1e-9 * max(1.0, alpha * np.abs(D).max())
+    assert smallest(0.99 * alpha) >= 0
 
 
 def test_equality_pinned_diagonal():
