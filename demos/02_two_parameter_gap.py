@@ -11,7 +11,7 @@ import numpy as np
 
 from qbayes.closedform import rld_bound, sld_bound
 from qbayes.model import build_extended_moments, build_moments, model_zoo
-from qbayes.sdpbounds import holevo_type_bound, nagaoka_bound_search, nagaoka_hayashi_bound
+from qbayes.sdpbounds import holevo_type_bound, nagaoka_bound, nagaoka_hayashi_bound
 from qbayes.verify import seesaw
 
 model = model_zoo("qubit_xy", (0.6,), grid_size=4)
@@ -23,7 +23,7 @@ ladder = [
     ("sld", sld_bound(mom, W)[0]),
     ("rld", rld_bound(mom, W)[0]),
     ("holevo", holevo_type_bound(em).value),
-    ("nagaoka search", nagaoka_bound_search(em, restarts=4, seed=0)),
+    ("nagaoka", nagaoka_bound(em).value),
     ("nagaoka-hayashi", nagaoka_hayashi_bound(em).value),
 ]
 run = seesaw(model, iters=40, seed=0)

@@ -29,9 +29,9 @@ from .conic import (ConicProgram, ConicSolution, ProgramError, SolveOptions,
                     SolverFailureError, holevo_lemma_sdp_value,
                     holevo_lemma_suite, holevo_lemma_value, solve,
                     solve_or_raise)
-from .sdpbounds import (HolevoSolution, NhSolution, appendix_f,
-                        f_family_pinned_example, f_family_suite,
-                        holevo_type_bound, nagaoka_bound_search,
+from .sdpbounds import (HolevoSolution, NagaokaSolution, NhSolution,
+                        appendix_f, f_family_pinned_example, f_family_suite,
+                        holevo_type_bound, nagaoka_bound,
                         nagaoka_hayashi_bound, nagaoka_objective)
 from .verify import (DecisionRisk, PersonickMeasurement, Povm,
                      UnsupportedConfigurationError, bayes_risk,
@@ -56,9 +56,9 @@ __all__ = [
     "ConicProgram", "ConicSolution", "ProgramError", "SolveOptions",
     "SolverFailureError", "holevo_lemma_sdp_value",
     "holevo_lemma_suite", "holevo_lemma_value", "solve", "solve_or_raise",
-    "HolevoSolution", "NhSolution", "appendix_f", "f_family_pinned_example",
-    "f_family_suite", "holevo_type_bound", "nagaoka_bound_search",
-    "nagaoka_hayashi_bound", "nagaoka_objective",
+    "HolevoSolution", "NagaokaSolution", "NhSolution", "appendix_f",
+    "f_family_pinned_example", "f_family_suite", "holevo_type_bound",
+    "nagaoka_bound", "nagaoka_hayashi_bound", "nagaoka_objective",
     "DecisionRisk", "PersonickMeasurement", "Povm",
     "UnsupportedConfigurationError", "bayes_risk", "optimal_povm_step",
     "ordering_audit", "personick_optimal_measurement",

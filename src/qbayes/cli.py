@@ -31,7 +31,7 @@ from .conic import GAP_TOL_ENV, SolveOptions, SolverFailureError, \
 from .model import CapabilityError, ModelError, build_extended_moments, \
     build_moments, load_model, model_to_dict, model_zoo, save_model
 from .sdpbounds import f_family_pinned_example, f_family_suite, \
-    holevo_type_bound, nagaoka_bound_search, nagaoka_hayashi_bound
+    holevo_type_bound, nagaoka_bound, nagaoka_hayashi_bound
 from .verify import UnsupportedConfigurationError, ordering_audit, seesaw
 
 BOUND_NAMES = ("nh", "holevo", "nagaoka2", "sld", "rld", "vantree")
@@ -132,11 +132,7 @@ def _bound_runner(model, options):
         if name == "holevo":
             return _solved(holevo_type_bound(extended(), options=options)), []
         if name == "nagaoka2":
-            value = nagaoka_bound_search(extended())
-            note = ("nagaoka2 is the best value found by a local search: an "
-                    "upper bound on its own two-parameter objective minimum, "
-                    "not a certified optimum")
-            return {"value": value, "solver_status": "heuristic", "gap": 0.0}, [note]
+            return _solved(nagaoka_bound(extended(), options=options)), []
         if name == "sld":
             return closed_form(sld_bound(moments(), _constant_weight(model))[0])
         if name == "rld":
@@ -198,6 +194,8 @@ def cmd_bounds(args) -> int:
         audit["holevo_minus_rld"] = values["holevo"] - values["rld"]
     if "nagaoka2" in values and "holevo" in values:
         audit["nagaoka2_minus_holevo"] = values["nagaoka2"] - values["holevo"]
+    if "nh" in values and "nagaoka2" in values:
+        audit["nh_minus_nagaoka2"] = values["nh"] - values["nagaoka2"]
 
     report = {
         "model_digest": _model_digest(model),

@@ -344,16 +344,6 @@ def solve(program: ConicProgram, options: SolveOptions | None = None) -> ConicSo
     y = np.zeros(p)
     tau, kappa = 1.0, 1.0
 
-    def measures(xv, yv, sv, tv):
-        xh, yh, sh = xv / tv, yv / tv, sv / tv
-        pres = (np.abs(A @ xh - b).max() / bnorm) if p else 0.0
-        dres = np.abs(A.T @ yh + sh - c).max() / cnorm
-        pobj = float(c @ xh)
-        dobj = float(b @ yh) if p else 0.0
-        # the gap is measured against the reported value, offset included
-        gap = abs(pobj - dobj) / max(1.0, abs(pobj + program.offset))
-        return pres, dres, gap, pobj, dobj
-
     def final(status, iters, xv, yv, sv, tv, meas):
         pres, dres, gap, pobj, dobj = meas
         xh = xv / tv
@@ -372,8 +362,19 @@ def solve(program: ConicProgram, options: SolveOptions | None = None) -> ConicSo
         return final("numerical-failure", iters, *best[1:])
 
     for it in range(MAX_ITERS):
-        meas = measures(x, y, s, tau)
-        pres, dres, gap, pobj, dobj = meas
+        # the one product with A and the one with A^T of this iterate: the
+        # residuals, the measures of x/tau, y/tau and the certificates use them
+        Ax, ATy = A @ x, A.T @ y
+        cx = float(c @ x)
+        by = float(b @ y) if p else 0.0
+        r_p = Ax - b * tau
+        r_d = ATy + s - c * tau
+        pres = (np.abs(r_p).max() / (tau * bnorm)) if p else 0.0
+        dres = np.abs(r_d).max() / (tau * cnorm)
+        pobj, dobj = cx / tau, by / tau
+        # the gap is measured against the reported value, offset included
+        gap = abs(pobj - dobj) / max(1.0, abs(pobj + program.offset))
+        meas = pres, dres, gap, pobj, dobj
         score = max(pres, dres, gap)
         if best is None or score < best[0]:
             best = (score, x.copy(), y.copy(), s.copy(), tau, meas)
@@ -381,11 +382,9 @@ def solve(program: ConicProgram, options: SolveOptions | None = None) -> ConicSo
             return final("optimal", it, x, y, s, tau, meas)
 
         # certificates from the embedding
-        by = float(b @ y) if p else 0.0
-        cx = float(c @ x)
-        if by > 0 and np.abs(A.T @ y + s).max() <= FEAS_TOL * by:
+        if by > 0 and np.abs(ATy + s).max() <= FEAS_TOL * by:
             return final("infeasible", it, x, y, s, tau, meas)
-        if cx < 0 and (np.abs(A @ x).max() if p else 0.0) <= FEAS_TOL * (-cx):
+        if cx < 0 and (np.abs(Ax).max() if p else 0.0) <= FEAS_TOL * (-cx):
             return final("unbounded", it, x, y, s, tau, meas)
 
         mu = (float(x @ s) + tau * kappa) / (nu + 1)
@@ -409,8 +408,6 @@ def solve(program: ConicProgram, options: SolveOptions | None = None) -> ConicSo
             lam[cols].reshape(-1, k * k)[:, :k] = lams[-1]
         laminv = np.divide(1.0, lam, out=np.zeros(N), where=lam > 0)
 
-        r_d = A.T @ y + s - c * tau
-        r_p = (A @ x - b * tau) if p else np.zeros(0)
         r_g = cx - by + kappa
 
         # eliminate the cone step: LU lives on the (p + 1) system in (dy, dtau)

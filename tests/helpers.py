@@ -53,6 +53,16 @@ def random_grid_model(rng, n, d, grid, W=None):
     return StatisticalModel(n=n, d=d, points=pts, weight_spec=spec)
 
 
+def audit_ensemble():
+    """The seeded 50-model ensemble: n, d and grid size each 2..3, SPD weight."""
+    rng = np.random.default_rng(404)
+    for _ in range(50):
+        n = int(rng.integers(2, 4))
+        d = int(rng.integers(2, 4))
+        g = int(rng.integers(2, 4))
+        yield random_grid_model(rng, n, d, g, W=random_spd(rng, n))
+
+
 def record_row_counts(monkeypatch):
     """List that collects the row count of every program assembled from now on."""
     counts = []

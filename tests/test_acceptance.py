@@ -9,7 +9,12 @@ import functools
 import numpy as np
 import pytest
 
-from helpers import point_mass_model, random_density, random_grid_model, random_spd
+from helpers import (
+    audit_ensemble,
+    point_mass_model,
+    random_grid_model,
+    random_spd,
+)
 from qbayes.closedform import rld_bound, sld_bound
 from qbayes.conic import (
     ConicProgram,
@@ -100,16 +105,6 @@ def test_correlated_pair_fixture():
     assert abs(sld_bound(mom, np.eye(2))[0] - 1.28) <= 1e-5
     assert abs(nagaoka_hayashi_bound(em).value - 1.28) <= 1e-5
     assert seesaw(model, iters=25, seed=0).risk <= 1.28 + 1e-5
-
-
-def audit_ensemble():
-    """The seeded 50-model ensemble: n, d and grid size each 2..3, SPD weight."""
-    rng = np.random.default_rng(404)
-    for _ in range(50):
-        n = int(rng.integers(2, 4))
-        d = int(rng.integers(2, 4))
-        g = int(rng.integers(2, 4))
-        yield random_grid_model(rng, n, d, g, W=random_spd(rng, n))
 
 
 def test_general_holevo_form_reaches_a_tight_gap():

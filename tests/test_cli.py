@@ -54,6 +54,25 @@ def test_bounds_report_on_the_binary_model(tmp_path, monkeypatch):
     assert len(lines) == 7 and all(line.count(",") == 4 for line in lines)
 
 
+def test_bounds_report_certifies_nagaoka2_on_a_two_parameter_model(tmp_path):
+    path = tmp_path / "xy.json"
+    save_model(model_zoo("qubit_xy", (0.6,)), str(path))
+    out = tmp_path / "report.json"
+    code = main(["bounds", "--model", str(path), "--bounds", "nh,holevo,nagaoka2",
+                 "--out", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    entry = report["bounds"]["nagaoka2"]
+    assert entry["solver_status"] == "optimal"
+    assert entry["gap"] <= report["gap_tol"]
+    assert isinstance(entry["iterations"], int) and entry["iterations"] > 0
+    assert 0.0 <= entry["feas_primal"] <= 1e-8
+    assert 0.0 <= entry["feas_dual"] <= 1e-6
+    assert not any("search" in note for note in report["warnings"])
+    assert report["audit"]["nh_minus_nagaoka2"] >= -1e-7
+    assert report["audit"]["nagaoka2_minus_holevo"] >= -1e-7
+
+
 def test_bounds_selector_subset_and_csv(tmp_path):
     model_path = write_cb(tmp_path)
     out = tmp_path / "r.json"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    audit_ensemble,
     point_mass_model,
     random_density,
     random_grid_model,
@@ -35,7 +36,7 @@ from qbayes.sdpbounds import (
     appendix_f,
     f_family_pinned_example,
     holevo_type_bound,
-    nagaoka_bound_search,
+    nagaoka_bound,
     nagaoka_hayashi_bound,
     nagaoka_objective,
 )
@@ -245,7 +246,7 @@ def test_holevo_general_needs_strictly_positive_weights():
 
 
 # ---------------------------------------------------------------------------
-# two-parameter objective and search
+# two-parameter objective and bound
 # ---------------------------------------------------------------------------
 
 def test_nagaoka_objective_hand_value():
@@ -267,14 +268,53 @@ def test_nagaoka_objective_requires_two_parameters():
         nagaoka_objective(em, (np.eye(2),))
 
 
-def test_nagaoka_search_brackets_known_values():
+def test_nagaoka_bound_brackets_known_values():
     em_cp = build_extended_moments(correlated_pair(1.0, 0.6))
-    best = nagaoka_bound_search(em_cp, restarts=2, seed=0)
-    assert best <= 1.28 + 1e-6
-    assert best >= holevo_type_bound(em_cp).value - 1e-6
+    value = nagaoka_bound(em_cp).value
+    assert value <= 1.28 + 1e-6
+    assert value >= holevo_type_bound(em_cp).value - 1e-6
     rng = np.random.default_rng(47)
     em_pm = build_extended_moments(point_mass_model(rng, 2, 2))
-    assert nagaoka_bound_search(em_pm, restarts=1, seed=0) < 1e-6
+    assert nagaoka_bound(em_pm).value < 1e-6
+
+
+def test_nagaoka_bound_sits_between_holevo_and_nh_on_the_audit_ensemble():
+    """Every n = 2 model of the audit ensemble: optimal within 25 iterations,
+    Holevo (both forms) <= nagaoka2 <= NH, and the objective at Xopt
+    reproduces the value relative to max(1, |value|), the solver's gap
+    measure."""
+    models = [m for m in audit_ensemble() if m.n == 2]
+    assert len(models) == 21
+    for model in models:
+        em = build_extended_moments(model)
+        sol = nagaoka_bound(em)
+        assert sol.diagnostics.status == "optimal"
+        assert sol.diagnostics.iterations <= 25
+        for holevo in (holevo_type_bound(em),
+                       holevo_type_bound(em, force_general=True)):
+            assert sol.value >= holevo.value - 1e-7
+        assert sol.value <= nagaoka_hayashi_bound(em).value + 1e-7
+        assert abs(nagaoka_objective(em, sol.Xopt) - sol.value) \
+            <= 1e-7 * max(1.0, abs(sol.value))
+
+
+@pytest.mark.parametrize("make, expected", [
+    (lambda: model_zoo("qubit_xy", (0.6,)), 0.324),
+    (lambda: random_model(2, 2, seed=1), 0.1715563065),
+    (lambda: random_model(2, 2, seed=5), 0.1851915639),
+    (lambda: random_model(2, 3, seed=6), 0.0928615077),
+], ids=["qubit_xy-0.6", "random-2-2-seed1", "random-2-2-seed5",
+        "random-2-3-seed6"])
+def test_nagaoka_bound_panel_values(make, expected):
+    """The four models of the nagaoka-search benchmark panel."""
+    value = nagaoka_bound(build_extended_moments(make())).value
+    assert abs(value - expected) <= 1e-7 * abs(expected)
+
+
+def test_nagaoka_bound_requires_two_parameters():
+    for model in (classical_binary(1.0, 0.6), random_model(3, 2, seed=0)):
+        with pytest.raises(CapabilityError):
+            nagaoka_bound(build_extended_moments(model))
 
 
 # ---------------------------------------------------------------------------
