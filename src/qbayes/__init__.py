@@ -37,7 +37,7 @@ from .verify import (DecisionRisk, PersonickMeasurement, Povm,
                      UnsupportedConfigurationError, bayes_risk,
                      optimal_povm_step, ordering_audit,
                      personick_optimal_measurement, posterior_mean_estimator,
-                     random_povm, seesaw)
+                     random_povm, rounded_measurement, seesaw)
 
 __version__ = "0.1.0"
 
@@ -62,6 +62,7 @@ __all__ = [
     "DecisionRisk", "PersonickMeasurement", "Povm",
     "UnsupportedConfigurationError", "bayes_risk", "optimal_povm_step",
     "ordering_audit", "personick_optimal_measurement",
-    "posterior_mean_estimator", "random_povm", "seesaw",
+    "posterior_mean_estimator", "random_povm", "rounded_measurement",
+    "seesaw",
     "__version__",
 ]

@@ -233,8 +233,9 @@ def cmd_verify(args) -> int:
     try:
         audit = ordering_audit(model, options=options, iters=args.iters,
                                seed=seeds[0], outcome_count=args.outcomes)
-        runs = [{"seed": seeds[0], "risk": audit["values"]["seesaw_risk"]}]
-        for s in seeds[1:]:
+        runs = [{"start": audit["seesaw_start"],
+                 "risk": audit["values"]["seesaw_risk"]}]
+        for s in seeds:
             dec = seesaw(model, outcome_count=args.outcomes, iters=args.iters,
                          seed=s, options=options)
             runs.append({"seed": s, "risk": dec.risk})

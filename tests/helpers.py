@@ -6,7 +6,8 @@ Everything is seeded through numpy Generators so failures reproduce exactly.
 import numpy as np
 
 from qbayes.conic import ConicProgram
-from qbayes.model import GridPoint, StatisticalModel, WeightSpec
+from qbayes.model import GridPoint, StatisticalModel, WeightSpec, \
+    classical_binary
 
 
 def random_hermitian(rng, d, scale=1.0):
@@ -61,6 +62,18 @@ def audit_ensemble():
         d = int(rng.integers(2, 4))
         g = int(rng.integers(2, 4))
         yield random_grid_model(rng, n, d, g, W=random_spd(rng, n))
+
+
+def single_parameter_models():
+    """The classical binary model, then 20 seeded one-parameter grid models
+    with d and grid size each 2..4."""
+    rng = np.random.default_rng(202)
+    models = [classical_binary(1.0, 0.6)]
+    for _ in range(20):
+        d = int(rng.integers(2, 5))
+        g = int(rng.integers(2, 5))
+        models.append(random_grid_model(rng, 1, d, g))
+    return models
 
 
 def record_row_counts(monkeypatch):

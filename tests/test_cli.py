@@ -121,7 +121,10 @@ def test_verify_certifies_the_binary_model(tmp_path):
     report = json.loads(out.read_text())
     assert report["ok"] is True
     assert report["min_margin"] >= -1e-6
-    assert len(report["seesaw_runs"]) == 2
+    runs = report["seesaw_runs"]
+    assert runs[0]["start"] == "nh" and "seed" not in runs[0]
+    assert [r["seed"] for r in runs[1:]] == [0, 1]
+    assert report["best_seesaw_risk"] == min(r["risk"] for r in runs)
     assert abs(report["best_seesaw_risk"] - 0.64) < 1e-4
 
 

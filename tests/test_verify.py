@@ -3,14 +3,20 @@
 import numpy as np
 import pytest
 
-from helpers import random_grid_model, random_spd, record_row_counts
-from qbayes.closedform import personick_value
+from helpers import (
+    random_grid_model,
+    random_spd,
+    record_row_counts,
+    single_parameter_models,
+)
+from qbayes.closedform import personick_value, sld_bound
 from qbayes.model import (
     StatisticalModel,
     WeightSpec,
     build_extended_moments,
     build_moments,
     classical_binary,
+    qubit_xy,
     random_model,
 )
 from qbayes.sdpbounds import nagaoka_hayashi_bound
@@ -23,6 +29,7 @@ from qbayes.verify import (
     personick_optimal_measurement,
     posterior_mean_estimator,
     random_povm,
+    rounded_measurement,
     seesaw,
 )
 
@@ -118,6 +125,46 @@ def test_seesaw_default_outcome_count_covers_the_dimension():
     assert np.allclose(sum(dec.povm.elements), np.eye(model.d), atol=1e-8)
 
 
+def test_rounded_nh_measurement_attains_the_single_parameter_bound():
+    """For n = 1 the eigenbasis of NH's observable attains m - K."""
+    for model in single_parameter_models():
+        nh = nagaoka_hayashi_bound(build_extended_moments(model))
+        target = sld_bound(build_moments(model), np.eye(1))[0]
+        dec = rounded_measurement(model, nh.Xopt)
+        assert len(dec.povm) == model.d
+        assert abs(dec.risk - target) <= 1e-7
+
+
+def test_rounded_nh_measurement_attains_nh_on_qubit_xy():
+    model = qubit_xy(0.6)
+    nh = nagaoka_hayashi_bound(build_extended_moments(model))
+    dec = rounded_measurement(model, nh.Xopt)
+    assert abs(dec.risk - nh.value) <= 1e-6
+    assert dec.risk == bayes_risk(model, dec.povm, dec.estimates)
+
+
+def test_seesaw_from_a_start_is_deterministic_and_monotone():
+    model = random_model(2, 3, seed=4, grid=3)
+    start = posterior_mean_estimator(
+        model, random_povm(3, 4, np.random.default_rng(7)))
+    a = seesaw(model, iters=4, start=start)
+    b = seesaw(model, iters=4, start=start)
+    assert a.risk == b.risk
+    assert np.array_equal(a.estimates, b.estimates)
+    assert a.risk <= start.risk
+
+
+def test_start_of_the_wrong_dimension_is_rejected():
+    model = random_model(2, 3, seed=4, grid=3)
+    qubit = random_model(2, 2, seed=4, grid=3)
+    start = posterior_mean_estimator(
+        qubit, random_povm(2, 4, np.random.default_rng(7)))
+    with pytest.raises(ValueError):
+        seesaw(model, iters=2, start=start)
+    with pytest.raises(ValueError):
+        rounded_measurement(model, np.zeros((2, 2, 2)))
+
+
 def test_personick_measurement_attains_the_quadratic_bound():
     for model in (classical_binary(1.0, 0.6), random_model(1, 3, seed=2)):
         mom = build_moments(model)
@@ -154,6 +201,8 @@ def test_ordering_audit_summary():
                                      "holevo_minus_sld", "holevo_minus_rld"}
     assert audit["min_margin"] == min(audit["margins"].values())
     assert audit["ok"] and audit["min_margin"] >= -1e-6
+    assert audit["seesaw_start"] in ("nh", "seed")
+    assert audit["rounded_risk"] >= audit["values"]["seesaw_risk"]
 
 
 def test_single_outcome_povm_risks_the_prior_covariance():
