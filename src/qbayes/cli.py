@@ -6,10 +6,11 @@ Subcommands: bounds (selected lower bounds as a JSON report), verify
 model to the JSON format), lemmas (the identity/chain property suites).
 
 Exit codes: 0 success; 2 validation error (bad file, bad selector, bad zoo
-name, unsupported configuration for the requested command); 3 solver failure
-or an ordering margin below -1e-6. Per-bound capability errors are reported
-inside the output without failing the run. The environment variable
-QBAYES_GAP_TOL overrides the default SDP gap tolerance.
+name, bad seed list or outcome count, unsupported configuration for the
+requested command); 3 solver failure or an ordering margin below -1e-6.
+Per-bound capability errors are reported inside the output without failing
+the run. The environment variable QBAYES_GAP_TOL overrides the default SDP
+gap tolerance.
 """
 
 from __future__ import annotations
@@ -226,9 +227,15 @@ def cmd_bounds(args) -> int:
 
 def cmd_verify(args) -> int:
     model = _load(args.model)
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    except ValueError:
+        raise _Validation(f"--seeds must be comma-separated integers, "
+                          f"got {args.seeds!r}") from None
     if not seeds:
         raise _Validation("empty seed list")
+    if args.outcomes is not None and args.outcomes < 1:
+        raise _Validation(f"--outcomes must be positive, got {args.outcomes}")
     options = SolveOptions()
     try:
         audit = ordering_audit(model, options=options, iters=args.iters,

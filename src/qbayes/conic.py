@@ -6,8 +6,8 @@ Inequalities are the caller's job via slack blocks. A linear matrix
 inequality F0 + sum_i z_i F_i >= 0 with objective g . z is the dual of the
 program whose objective is F0 and whose row i has coefficients F_i and rhs
 g_i: the solver's dual vector is y = -z, read from `sol.y`, and
-`sol.dual_value` is -g . z plus the offset. The solver is a primal-dual
-path-following method on the homogeneous self-dual embedding with
+`sol.dual_value` is -g . z plus the offset. The solver is Mehrotra's
+predictor-corrector method on the homogeneous self-dual embedding with
 Nesterov-Todd scaling and a dense LAPACK LU of the Schur system, so
 infeasibility is certified rather than diverged on. `assemble` lays the
 columns out by block size, so the blocks of one size fill one contiguous run
@@ -19,7 +19,10 @@ L^dag S L = U diag(w) U^dag, the factor R = L U diag(w)^-1/4 gives the NT
 scaling W = R R^dag, and R^-1 X R^-dag = R^dag S R = diag(lam), lam = w^1/2.
 The rows of A and c are scaled once (A~_i = R^dag A_i R, as the k x k
 congruence hvec(R^dag hmat(v) R)); the Newton system, the step to the cone
-boundary and the neighbourhood test then see only the diagonal lam. The
+boundary and the neighbourhood test then see only the diagonal lam. So the
+corrector, the affine step's V = dX~ o dS~ (A o B = (AB + BA)/2), enters the
+right-hand side as M_ij = 2 V_ij / (lam_i + lam_j), the closed-form solution
+of diag(lam) o M = V, and reuses the affine step's factorization. The
 accepted step goes back as dX = R dX~ R^dag, and dS is read from the dual
 equation in the original coordinates.
 
@@ -310,6 +313,17 @@ def _congruence(groups, P, v: np.ndarray) -> np.ndarray:
         for (k, cols), Pk in zip(groups, P)], axis=-1)
 
 
+def _corrector(groups, lams, dx: np.ndarray, ds: np.ndarray) -> np.ndarray:
+    """hvec(M) per block for the scaled steps dx, ds, where M solves
+    diag(lam) o M = dX o dS with the Jordan product A o B = (AB + BA)/2:
+    M_ij = (dX dS + dS dX)_ij / (lam_i + lam_j)."""
+    out = []
+    for (k, cols), lk in zip(groups, lams):
+        X, S = _blocks(dx, k, cols), _blocks(ds, k, cols)
+        out.append(hvec((X @ S + S @ X) / (lk[:, :, None] + lk[:, None, :])))
+    return np.concatenate([v.reshape(-1) for v in out])
+
+
 def solve(program: ConicProgram, options: SolveOptions | None = None) -> ConicSolution:
     """Run the homogeneous self-dual interior-point method on the program.
 
@@ -442,12 +456,13 @@ def solve(program: ConicProgram, options: SolveOptions | None = None) -> ConicSo
             dtau = float(sol2[p])
             return A_sc.T @ dy - c_sc * dtau - r1, dy, dtau
 
-        def newton(sigma: float, eta: float):
-            """The scaled step (dx~, dy, dtau, ds~, dkappa)."""
-            Rc = sigma * mu * laminv - lam
+        def newton(sigma: float, eta: float, soc=0.0, soc_tk: float = 0.0):
+            """The scaled step (dx~, dy, dtau, ds~, dkappa), with the
+            corrector terms soc (cone, hvec) and soc_tk (tau kappa)."""
+            Rc = sigma * mu * laminv - lam - soc
             r1 = -eta * rd_sc - Rc
             r2 = -eta * r_p
-            r3 = eta * r_g + (sigma * mu - tau * kappa) / tau
+            r3 = eta * r_g + (sigma * mu - tau * kappa - soc_tk) / tau
             # the solve, then two rounds of iterative refinement: near the
             # optimum the Schur complement is so ill-conditioned that after one
             # round the primal equation can be off by more than the residual
@@ -460,7 +475,7 @@ def solve(program: ConicProgram, options: SolveOptions | None = None) -> ConicSo
                     r3 - (-float(c_sc @ dx) + float(b @ dy) + (kappa / tau) * dtau))
                 dx, dy, dtau = dx + fx, dy + fy, dtau + ftau
             ds = Rc - dx
-            dkappa = (sigma * mu - tau * kappa - kappa * dtau) / tau
+            dkappa = (sigma * mu - tau * kappa - soc_tk - kappa * dtau) / tau
             return dx, dy, dtau, ds, dkappa
 
         def boundary(dx, ds, dtau, dkappa) -> float:
@@ -499,14 +514,18 @@ def solve(program: ConicProgram, options: SolveOptions | None = None) -> ConicSo
                     return False
             return True
 
-        # affine probe fixes the centering weight (floored: every step recenters)
+        # the affine predictor fixes the centering weight (floored: every
+        # step recenters) and its second-order term dX~a o dS~a, divided
+        # through the Jordan product with diag(lam), is the corrector
         dxa, _, dtaua, dsa, dkappaa = newton(0.0, 1.0)
         alpha_a = min(1.0, boundary(dxa, dsa, dtaua, dkappaa))
         mu_aff = (float((lam + alpha_a * dxa) @ (lam + alpha_a * dsa))
                   + (tau + alpha_a * dtaua) * (kappa + alpha_a * dkappaa)) / (nu + 1)
         sigma = min(0.9999, max(SIGMA_MIN, max(0.0, (mu_aff / mu)) ** 3))
 
-        dx, dy, dtau, ds, dkappa = newton(sigma, 1.0 - sigma)
+        dx, dy, dtau, ds, dkappa = newton(sigma, 1.0 - sigma,
+                                          _corrector(groups, lams, dxa, dsa),
+                                          dtaua * dkappaa)
         alpha = min(1.0, STEP_FRAC * boundary(dx, ds, dtau, dkappa))
         while alpha > 1e-10 and not centered(alpha, dx, ds, dtau, dkappa):
             alpha *= 0.8

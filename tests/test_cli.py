@@ -128,6 +128,17 @@ def test_verify_certifies_the_binary_model(tmp_path):
     assert abs(report["best_seesaw_risk"] - 0.64) < 1e-4
 
 
+@pytest.mark.parametrize("bad, message", [
+    (["--seeds", "0,x"], "--seeds must be comma-separated integers"),
+    (["--outcomes", "0"], "--outcomes must be positive"),
+])
+def test_verify_rejects_bad_arguments(tmp_path, capsys, bad, message):
+    path = tmp_path / "xy.json"
+    save_model(model_zoo("qubit_xy", (0.6,)), str(path))
+    assert main(["verify", "--model", str(path), *bad]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_zoo_materializes_a_loadable_model(tmp_path, capsys):
     out = tmp_path / "xy.json"
     assert main(["zoo", "qubit_xy", "0.5", "--grid", "5",

@@ -279,7 +279,7 @@ def test_nagaoka_bound_brackets_known_values():
 
 
 def test_nagaoka_bound_sits_between_holevo_and_nh_on_the_audit_ensemble():
-    """Every n = 2 model of the audit ensemble: optimal within 25 iterations,
+    """Every n = 2 model of the audit ensemble: optimal within 15 iterations,
     Holevo (both forms) <= nagaoka2 <= NH, and the objective at Xopt
     reproduces the value relative to max(1, |value|), the solver's gap
     measure."""
@@ -289,7 +289,7 @@ def test_nagaoka_bound_sits_between_holevo_and_nh_on_the_audit_ensemble():
         em = build_extended_moments(model)
         sol = nagaoka_bound(em)
         assert sol.diagnostics.status == "optimal"
-        assert sol.diagnostics.iterations <= 25
+        assert sol.diagnostics.iterations <= 15
         for holevo in (holevo_type_bound(em),
                        holevo_type_bound(em, force_general=True)):
             assert sol.value >= holevo.value - 1e-7
