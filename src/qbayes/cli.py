@@ -6,8 +6,9 @@ Subcommands: bounds (selected lower bounds as a JSON report), verify
 model to the JSON format), lemmas (the identity/chain property suites).
 
 Exit codes: 0 success; 2 validation error (bad file, bad selector, bad zoo
-name, bad seed list or outcome count, unsupported configuration for the
-requested command); 3 solver failure or an ordering margin below -1e-6.
+name, bad seed list, outcome count, or trial or iteration count,
+unsupported configuration for the requested command); 3 solver failure or
+an ordering margin below -1e-6.
 Per-bound capability errors are reported inside the output without failing
 the run. The environment variable QBAYES_GAP_TOL overrides the default SDP
 gap tolerance.
@@ -236,6 +237,8 @@ def cmd_verify(args) -> int:
         raise _Validation("empty seed list")
     if args.outcomes is not None and args.outcomes < 1:
         raise _Validation(f"--outcomes must be positive, got {args.outcomes}")
+    if args.iters < 1:
+        raise _Validation(f"--iters must be positive, got {args.iters}")
     options = SolveOptions()
     try:
         audit = ordering_audit(model, options=options, iters=args.iters,
@@ -297,6 +300,8 @@ def cmd_zoo(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_lemmas(args) -> int:
+    if args.trials < 1:
+        raise _Validation(f"--trials must be positive, got {args.trials}")
     options = SolveOptions()
     # the 1e-7 identity check is absolute while the solver gap is relative,
     # so large-value triples need a deeper solve; an explicit env override

@@ -17,8 +17,11 @@ call per distinct size.
 Each iteration works in the NT-scaled frame. Per block, with X = L L^dag and
 L^dag S L = U diag(w) U^dag, the factor R = L U diag(w)^-1/4 gives the NT
 scaling W = R R^dag, and R^-1 X R^-dag = R^dag S R = diag(lam), lam = w^1/2.
-The rows of A and c are scaled once (A~_i = R^dag A_i R, as the k x k
-congruence hvec(R^dag hmat(v) R)); the Newton system, the step to the cone
+The rows of A and c are scaled once per iteration (A~_i = R^dag A_i R).
+A row's coefficient on a block touches only the indices S of its nonzero
+rows, found once per solve, so A~_i = R[S]^dag A_i[S, S] R[S] with s rows
+of R in place of k (s = 4 of k = 30 for NH at d = 10); c keeps the k x k
+congruence hvec(R^dag hmat(c) R). The Newton system, the step to the cone
 boundary and the neighbourhood test then see only the diagonal lam. So the
 corrector, the affine step's V = dX~ o dS~ (A o B = (AB + BA)/2), enters the
 right-hand side as M_ij = 2 V_ij / (lam_i + lam_j), the closed-form solution
@@ -313,6 +316,37 @@ def _congruence(groups, P, v: np.ndarray) -> np.ndarray:
         for (k, cols), Pk in zip(groups, P)], axis=-1)
 
 
+def _row_supports(groups, A: np.ndarray) -> list:
+    """Per size group, the indices S that each row's coefficient touches on
+    each block (its nonzero rows, which are its nonzero columns), padded with
+    untouched indices to the group's widest support s >= 1: S as flat rows of
+    the group's (K k, k) stack of R, and the (p, K, s, s) coefficients C[S, S].
+    """
+    out = []
+    p = len(A)
+    for k, cols in groups:
+        K = (cols.stop - cols.start) // (k * k)   # from cols: p may be 0
+        C = hmat(A[:, cols].reshape(p, K, k * k), k)
+        touched = (C != 0).any(axis=-1)
+        s = max(1, touched.sum(axis=-1).max(initial=0))
+        S = np.argsort(~touched, axis=-1, kind="stable")[..., :s]
+        CS = C.reshape(-1)[k * k * np.arange(p * K).reshape(p, K, 1, 1)
+                           + k * S[..., :, None] + S[..., None, :]]
+        out.append((S + k * np.arange(K)[:, None], CS))
+    return out
+
+
+def _scaled_rows(groups, R, supports) -> np.ndarray:
+    """hvec(R_b^dag A_ib R_b) for every row i and block b, each formed as
+    R[S]^dag C[S, S] R[S] over the row's support S: exact, since the entries
+    of A_ib outside S are zero."""
+    out = []
+    for (k, cols), Rk, (flat, CS) in zip(groups, R, supports):
+        RS = Rk.reshape(-1, k)[flat]        # (p, K, s, k): the rows S of R
+        out.append(hvec(_ct(RS) @ CS @ RS).reshape(len(CS), cols.stop - cols.start))
+    return np.concatenate(out, axis=-1)
+
+
 def _corrector(groups, lams, dx: np.ndarray, ds: np.ndarray) -> np.ndarray:
     """hvec(M) per block for the scaled steps dx, ds, where M solves
     diag(lam) o M = dX o dS with the Jordan product A o B = (AB + BA)/2:
@@ -349,6 +383,7 @@ def solve(program: ConicProgram, options: SolveOptions | None = None) -> ConicSo
     for k in dict.fromkeys(program.blocks):
         st = starts[program.blocks.index(k)]
         groups.append((k, slice(st, st + program.blocks.count(k) * k * k)))
+    supports = _row_supports(groups, A)
 
     # interior start: identity in every block, tau = kappa = 1
     x = np.zeros(N)
@@ -425,7 +460,7 @@ def solve(program: ConicProgram, options: SolveOptions | None = None) -> ConicSo
         r_g = cx - by + kappa
 
         # eliminate the cone step: LU lives on the (p + 1) system in (dy, dtau)
-        A_sc = _congruence(groups, R, A)
+        A_sc = _scaled_rows(groups, R, supports)
         c_sc = _congruence(groups, R, c)
         rd_sc = A_sc.T @ y + lam - c_sc * tau
         q = p + 1

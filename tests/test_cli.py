@@ -131,6 +131,8 @@ def test_verify_certifies_the_binary_model(tmp_path):
 @pytest.mark.parametrize("bad, message", [
     (["--seeds", "0,x"], "--seeds must be comma-separated integers"),
     (["--outcomes", "0"], "--outcomes must be positive"),
+    (["--iters", "0"], "--iters must be positive"),
+    (["--iters", "-3"], "--iters must be positive"),
 ])
 def test_verify_rejects_bad_arguments(tmp_path, capsys, bad, message):
     path = tmp_path / "xy.json"
@@ -165,6 +167,15 @@ def test_lemmas_suite_passes(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["failures"] == 0
     assert len(payload["identity_suite"]) == 4
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_lemmas_rejects_a_trial_count_below_one(capsys, trials):
+    """No trials would certify nothing: exit 2 rather than a vacuous PASS."""
+    assert main(["lemmas", "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert "error: --trials must be positive" in captured.err
+    assert "PASS" not in captured.out
 
 
 def run_sld_report(command, model_path, env=None):

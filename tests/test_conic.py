@@ -163,6 +163,49 @@ def test_interleaved_block_sizes_share_size_stacks():
     assert [X.shape[0] for X in sol.variable_values] == [2, 3, 2, 3]
 
 
+def test_support_scaled_rows_match_the_dense_congruence():
+    """Each row scaled through the indices its coefficient touches equals
+    the dense congruence hvec(R^dag A_i R), on blocks of sizes 3, 4, 3, 4
+    with a row on one block of a size group, a block most rows skip, and a
+    dense row that makes its group's support the whole block."""
+    rng = np.random.default_rng(13)
+    prog = ConicProgram()
+    blks = [prog.add_psd_block(k) for k in (3, 4, 3, 4)]
+    pin = np.zeros((3, 3))
+    pin[0, 2] = pin[2, 0] = 1.0
+    prog.add_eq({blks[0]: pin}, rhs=1.0)
+    prog.add_eq({blks[2]: np.diag([0.0, 2.0, 0.0]), blks[1]: np.diag([1.0, 0, 0, 0])})
+    prog.add_eq({blks[1]: conic.hvec_basis(4)[[0, 5, 11]]}, rhs=np.ones(3))
+    prog.add_eq({blks[3]: random_hermitian(rng, 4)}, rhs=1.0)
+    A = prog.assemble()[0]
+    groups = [(3, slice(0, 18)), (4, slice(18, 50))]
+    R = [rng.standard_normal((2, k, k)) + 1j * rng.standard_normal((2, k, k))
+         + k * np.eye(k) for k, _ in groups]
+    supports = conic._row_supports(groups, A)
+    assert [CS.shape[-1] for _, CS in supports] == [2, 4]
+    dense = conic._congruence(groups, R, A)
+    assert np.abs(conic._scaled_rows(groups, R, supports) - dense).max() \
+        <= 1e-12 * np.abs(dense).max()
+
+
+def test_program_without_rows_is_solved():
+    """With no equality rows, min Tr X over a 2x2 PSD block is 0 at X = 0."""
+    prog = ConicProgram()
+    blk = prog.add_psd_block(2)
+    prog.set_objective({blk: np.eye(2)})
+    sol = solve(prog)
+    assert sol.status == "optimal"
+    assert sol.primal_value <= 1e-8
+
+
+def test_program_without_rows_is_flagged_unbounded():
+    """With no equality rows, the objective diag(1, -1) is unbounded below."""
+    prog = ConicProgram()
+    blk = prog.add_psd_block(2)
+    prog.set_objective({blk: np.diag([1.0, -1.0])})
+    assert solve(prog).status == "unbounded"
+
+
 def test_factor_psd_falls_back_on_a_singular_stack_member():
     """A stack with one singular matrix fails cholesky as a whole, and the
     eigh fallback still factors every matrix: L L^dag = X."""
