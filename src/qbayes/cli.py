@@ -6,9 +6,9 @@ Subcommands: bounds (selected lower bounds as a JSON report), verify
 model to the JSON format), lemmas (the identity/chain property suites).
 
 Exit codes: 0 success; 2 validation error (bad file, bad selector, bad zoo
-name, bad seed list, outcome count, or trial or iteration count,
-unsupported configuration for the requested command); 3 solver failure or
-an ordering margin below -1e-6.
+name, bad seed list, negative seed, outcome count, or trial or iteration
+count, unsupported configuration for the requested command); 3 solver
+failure or an ordering margin below -1e-6.
 Per-bound capability errors are reported inside the output without failing
 the run. The environment variable QBAYES_GAP_TOL overrides the default SDP
 gap tolerance.
@@ -235,6 +235,8 @@ def cmd_verify(args) -> int:
                           f"got {args.seeds!r}") from None
     if not seeds:
         raise _Validation("empty seed list")
+    if min(seeds) < 0:
+        raise _Validation(f"--seeds must be non-negative, got {args.seeds!r}")
     if args.outcomes is not None and args.outcomes < 1:
         raise _Validation(f"--outcomes must be positive, got {args.outcomes}")
     if args.iters < 1:
@@ -302,6 +304,8 @@ def cmd_zoo(args) -> int:
 def cmd_lemmas(args) -> int:
     if args.trials < 1:
         raise _Validation(f"--trials must be positive, got {args.trials}")
+    if args.seed < 0:
+        raise _Validation(f"--seed must be non-negative, got {args.seed}")
     options = SolveOptions()
     # the 1e-7 identity check is absolute while the solver gap is relative,
     # so large-value triples need a deeper solve; an explicit env override

@@ -11,9 +11,11 @@ Two measurements come from a bound's optimum. One-parameter models get the
 tight spectral measurement of the averaged logarithmic derivative
 (`personick_optimal_measurement`). For any n, `rounded_measurement` reads
 the eigenbasis of the Nagaoka-Hayashi observables X_j; where they commute
-it attains the bound. `ordering_audit` seeds its seesaw from that decision
-and also runs the seeded random start only where that seesaw ends more
-than NH_ATTAINED_TOL * max(1, |NH|) above the bound.
+it attains the bound. `ordering_audit` keeps that decision as it is where
+its risk is within the solver's gap tolerance of NH (no seesaw round could
+resolve a lower risk), seeds its seesaw from it otherwise, and also runs the
+seeded random start only where that seesaw ends more than
+NH_ATTAINED_TOL * max(1, |NH|) above the bound.
 """
 
 from __future__ import annotations
@@ -195,6 +197,8 @@ def seesaw(model: StatisticalModel, outcome_count: int | None = None,
     improvement drops below 1e-10.
     """
     _require_constant_weight(model, "the seesaw")
+    if iters < 1:
+        raise ValueError(f"iters must be positive, got {iters}")
     if start is not None:
         if start.povm.dim != model.d:
             raise ValueError(f"start measurement acts on C^{start.povm.dim}, "
@@ -209,7 +213,7 @@ def seesaw(model: StatisticalModel, outcome_count: int | None = None,
             raise ValueError("outcome count must be positive")
         rng = np.random.default_rng(seed)
         current = posterior_mean_estimator(model, random_povm(model.d, K, rng))
-    for _ in range(max(1, iters)):
+    for _ in range(iters):
         povm = optimal_povm_step(model, current.estimates, options=options)
         risk_povm = bayes_risk(model, povm, current.estimates)
         if risk_povm > current.risk:
@@ -282,15 +286,21 @@ def ordering_audit(model: StatisticalModel,
     "ok": bool, "seesaw_start": "nh" | "seed", "rounded_risk": float}; `ok`
     means every ordering margin clears -1e-6.
 
-    The seesaw starts from `rounded_measurement` at NH's optimal observables,
-    whose risk is `rounded_risk`. Only where that seesaw ends more than
-    NH_ATTAINED_TOL * max(1, |NH|) above NH does the seeded random seesaw
-    (`seed`, `outcome_count`) run as well, and the lower risk is kept;
-    `seesaw_start` names the start it came from. Either way the achieved
-    risk is the exact risk of an explicit measurement, so it is an upper
-    bound regardless of how accurately NH was solved.
+    The achieved decision starts as `rounded_measurement` at NH's optimal
+    observables, whose risk is `rounded_risk`. Where that risk is within
+    gap_tol * max(1, |NH|) of NH, gap_tol being the solver's resolved gap
+    tolerance to which NH itself was solved, it is kept with no seesaw round
+    and `seesaw_start` is "nh". Otherwise the seesaw runs from it, and only
+    where that seesaw ends more than NH_ATTAINED_TOL * max(1, |NH|) above NH
+    does the seeded random seesaw (`seed`, `outcome_count`) run as well, and
+    the lower risk is kept; `seesaw_start` names the start it came from. In
+    every case the achieved risk is the exact risk of an explicit
+    measurement, so it is an upper bound regardless of how accurately NH was
+    solved.
     """
     W = _require_constant_weight(model, "the ordering audit")
+    if iters < 1:
+        raise ValueError(f"iters must be positive, got {iters}")
     moments = build_moments(model)
     em = build_extended_moments(model)
     c_sld, _ = sld_bound(moments, W)
@@ -299,8 +309,12 @@ def ordering_audit(model: StatisticalModel,
     nh = nagaoka_hayashi_bound(em, options=options)
     c_nh = nh.value
     rounded = rounded_measurement(model, nh.Xopt)
-    achieved = seesaw(model, iters=iters, options=options, start=rounded)
-    start = "nh"
+    achieved, start = rounded, "nh"
+    # NH was solved to this relative gap: below it a seesaw round cannot
+    # resolve a lower risk, so the rounded decision stands
+    gap_tol = (options or SolveOptions()).resolved_gap_tol()
+    if rounded.risk - c_nh > gap_tol * max(1.0, abs(c_nh)):
+        achieved = seesaw(model, iters=iters, options=options, start=rounded)
     if achieved.risk - c_nh > NH_ATTAINED_TOL * max(1.0, abs(c_nh)):
         cold = seesaw(model, outcome_count=outcome_count, iters=iters,
                       seed=seed, options=options)

@@ -16,6 +16,7 @@ from helpers import (
     random_spd,
     single_parameter_models,
 )
+from qbayes import verify
 from qbayes.closedform import rld_bound, sld_bound
 from qbayes.conic import (
     ConicProgram,
@@ -49,6 +50,7 @@ from qbayes.verify import (
     bayes_risk,
     ordering_audit,
     personick_optimal_measurement,
+    rounded_measurement,
     seesaw,
 )
 
@@ -138,6 +140,40 @@ def test_nh_seeded_audit_never_trails_the_seeded_seesaw():
         assert audit["margins"]["seesaw_minus_nh"] <= cold - nh + 1e-8
         attained += audit["rounded_risk"] - nh <= 1e-6 * max(1.0, abs(nh))
     assert attained >= 49
+
+
+def test_audit_skips_the_seesaw_only_where_the_rounded_nh_measurement_attains_nh(
+        monkeypatch):
+    """No measurement update runs where the rounded NH measurement is within
+    the solver's gap of NH, and a seesaw from it would not have ended lower
+    by more than that gap; on every other model the seesaw still runs."""
+    gap_tol = SolveOptions().resolved_gap_tol()
+    calls = []
+    step = verify.optimal_povm_step
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "optimal_povm_step", counted)
+    skipped = 0
+    for model in audit_ensemble():
+        calls.clear()
+        audit = ordering_audit(model, iters=8, seed=0)
+        nh = audit["values"]["nh"]
+        tol = gap_tol * max(1.0, abs(nh))
+        if audit["rounded_risk"] - nh > tol:
+            assert calls
+            continue
+        assert not calls
+        assert audit["seesaw_start"] == "nh"
+        assert audit["values"]["seesaw_risk"] == audit["rounded_risk"]
+        Xopt = nagaoka_hayashi_bound(build_extended_moments(model)).Xopt
+        explicit = seesaw(model, iters=8,
+                          start=rounded_measurement(model, Xopt))
+        assert explicit.risk >= audit["values"]["seesaw_risk"] - tol
+        skipped += 1
+    assert skipped >= 49
 
 
 def test_tensor_equivalence_and_functional_chain():

@@ -133,6 +133,8 @@ def test_verify_certifies_the_binary_model(tmp_path):
     (["--outcomes", "0"], "--outcomes must be positive"),
     (["--iters", "0"], "--iters must be positive"),
     (["--iters", "-3"], "--iters must be positive"),
+    (["--seeds=-1"], "--seeds must be non-negative"),
+    (["--seeds", "0,-2"], "--seeds must be non-negative"),
 ])
 def test_verify_rejects_bad_arguments(tmp_path, capsys, bad, message):
     path = tmp_path / "xy.json"
@@ -175,6 +177,14 @@ def test_lemmas_rejects_a_trial_count_below_one(capsys, trials):
     assert main(["lemmas", "--trials", trials]) == 2
     captured = capsys.readouterr()
     assert "error: --trials must be positive" in captured.err
+    assert "PASS" not in captured.out
+
+
+def test_lemmas_rejects_a_negative_seed(capsys):
+    """A negative seed is not a generator seed: exit 2, not a traceback."""
+    assert main(["lemmas", "--trials", "1", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "error: --seed must be non-negative" in captured.err
     assert "PASS" not in captured.out
 
 

@@ -154,6 +154,19 @@ def test_seesaw_from_a_start_is_deterministic_and_monotone():
     assert a.risk <= start.risk
 
 
+@pytest.mark.parametrize("iters", [0, -3])
+def test_seesaw_rejects_an_iteration_count_below_one(iters):
+    with pytest.raises(ValueError, match="iters must be positive"):
+        seesaw(random_model(2, 2, seed=9), iters=iters, seed=3)
+
+
+@pytest.mark.parametrize("iters", [0, -3])
+def test_ordering_audit_rejects_an_iteration_count_below_one(iters):
+    """Also where the rounded NH measurement attains NH and no seesaw runs."""
+    with pytest.raises(ValueError, match="iters must be positive"):
+        ordering_audit(qubit_xy(0.6), iters=iters)
+
+
 def test_start_of_the_wrong_dimension_is_rejected():
     model = random_model(2, 3, seed=4, grid=3)
     qubit = random_model(2, 2, seed=4, grid=3)
