@@ -1,15 +1,18 @@
 """Semidefinite lower bounds on Bayes risk over grid priors.
 
-Three bound families share the extended-moment data (S_bar, D_bar, w_bar):
-the block-operator program `nagaoka_hayashi_bound`, the estimator-correlation
-program `holevo_type_bound` (per-point form, collapsing to a single block for
-a constant weight), and for two parameters `nagaoka_bound`, the minimum of
-the commutator objective `nagaoka_objective` as one PSD program. Each returns
-its value with the optimal estimator observables and the solve's
-diagnostics. The `appendix_f` family exposes the chain of comparison
-functionals between these programs on raw operator pairs; `f_family_suite`
-exercises the chain on random tensor instances and is shared by the CLI and
-the acceptance tests.
+Three bound families share the extended-moment data (S_bar, D_bar, w_bar)
+and one program form: G = [[L, X], [X^+, I]] >= 0 with the identity corner
+pinned and Hermitian X_j (`_estimator_block`), at objective Tr(S_bar L) -
+2 sum_j Tr(D_bar_j X_j) + w_bar plus each family's own terms. The
+block-operator program `nagaoka_hayashi_bound` makes L block-symmetric; the
+estimator-correlation program `holevo_type_bound` relaxes that to real
+correlation caps, one per grid point or, for a constant weight, one on the
+mean state; and for two parameters `nagaoka_bound` is the minimum of the
+commutator objective `nagaoka_objective`. Each returns its value with the
+optimal estimator observables and the solve's diagnostics. The `appendix_f`
+family exposes the chain of comparison functionals between these programs
+on raw operator pairs; `f_family_suite` exercises the chain on random tensor
+instances and is shared by the CLI and the acceptance tests.
 
 All programs are assembled for the conic layer; bound computations are pure
 and independent, so distinct grid points and distinct bounds may be evaluated
@@ -24,7 +27,7 @@ import numpy as np
 import numpy.linalg as npl
 
 from .conic import (ConicProgram, ConicSolution, SolveOptions,
-                    SolverFailureError, hmat, hvec, hvec_basis, solve_or_raise)
+                    SolverFailureError, hvec, hvec_basis, solve_or_raise)
 from .matcore import (ExtendedOperator, hermitize, psd_sqrt, sym_split,
                       trace_abs)
 from .model import CapabilityError, ExtendedMoments
@@ -149,10 +152,12 @@ def nagaoka_hayashi_bound(em: ExtendedMoments,
 class HolevoSolution:
     """Optimum of the estimator-correlation program.
 
-    value    -- the bound itself
+    value    -- the bound itself: the solver's dual objective, the lower side
+                of its duality gap
     Xopt     -- (n, d, d) Hermitian observables
-    V_blocks -- real symmetric n x n correlation caps: one per grid point in
-                the per-point form, a single one for constant weight
+    V_blocks -- real symmetric n x n correlation caps V_m >= Z(S_m, Xopt), up
+                to solver slack: one per grid point in the per-point form, a
+                single one (on the mean state) for constant weight
     form     -- "general" or "constant"
     diagnostics -- the underlying ConicSolution
     """
@@ -164,84 +169,67 @@ class HolevoSolution:
 
 
 def holevo_type_bound(em: ExtendedMoments,
-                      options: SolveOptions | None = None,
-                      force_general: bool = False) -> HolevoSolution:
-    """Lower-bound the Bayes risk through correlation caps on estimator
-    observables.
+                      options: SolveOptions | None = None) -> HolevoSolution:
+    """Lower-bound the Bayes risk through real correlation caps on the
+    estimator observables, as a relaxation of the block-operator program.
 
-    Per grid point m, a real symmetric V_m dominates Z(S_m, X) through the
-    linear matrix inequality [[V_m, M_m], [M_m^+, I]] >= 0, where row j of
-    M_m is the column-major vectorization of sum_k sqrt(W_m)[j, k]
-    sqrt(S_m) X_k, so that M_m M_m^+ = Z(S_m, X); the objective is
-    sum_m pi_m Tr V_m - 2 sum_j Tr(D_bar_j X_j) + w_bar. For a constant
-    weight the per-point blocks collapse to a single one built on the average
-    state, with objective Tr(W V) in place of the pi-weighted trace.
+    On G = [[L, X], [X^+, I]] >= 0 of `_estimator_block` (no block-symmetry
+    rows on L), Phi_m(L)_jk = Tr(S_m L_jk) dominates Z(S_m, X), a partial
+    trace against S_m being a positive map. Per grid point, T_m >= 0 (n x n)
+    makes the cap V_m = T_m + Phi_m(L) real through the n(n-1)/2 rows
+    Im(T_m + Phi_m(L)) = 0, and the objective is sum_m pi_m Tr(W_m V_m) -
+    2 sum_j Tr(D_bar_j X_j) + w_bar. By the identity behind
+    `holevo_lemma_value` every feasible point costs at least the Holevo
+    objective at its X, and L = XX^T attains it, so the relaxation is exact.
 
-    The LMI F0 + sum_i z_i F_i >= 0 in the real unknowns z, the hvec
-    coordinates of (V, X), is the dual of a PSD program: one row per unknown, with the unknown's F_i on
-    each block as coefficients and its objective coefficient as rhs, and the
-    identity corner F0 as objective. The solver's dual vector is y = -z, and
-    with offset -w_bar the bound is -sol.dual_value, the LMI objective at the
-    returned (V, X).
+    A constant weight collapses the grid to the mean state S_B, whose single
+    T is absorbed into L: Phi_B(L + T (x) I) = Phi_B(L) + T at the same
+    cost, as Tr S_B = 1. So that form is G alone with Im Phi_B(L) = 0.
 
+    The value is the solver's dual objective, the lower side of its gap.
     Every participating weight matrix must be strictly positive.
     """
     n, d = em.n, em.d
-    B = d * d
-    dim = n + B
-
-    # per block: the objective weight on V, sqrt(W) and sqrt(S)
-    if em.constant_W is not None and not force_general:
-        W = em.weight_spec.constant
-        _require_strictly_positive(W, "the weight matrix")
-        # constant form: M row j involves X_j only (identity in place of sqW)
-        points = [(W, np.eye(n), psd_sqrt(_mean_state(em)))]
+    nd = n * d
+    if em.constant_W is not None:
+        _require_strictly_positive(em.constant_W, "the weight matrix")
+        points = [(None, _mean_state(em))]
         form = "constant"
     else:
         points = []
         for m, pi_m in enumerate(em.pi):
             Wm = em.weight_spec.matrix_at(m)
             _require_strictly_positive(Wm, f"the weight matrix at grid point {m}")
-            points.append((pi_m * np.eye(n), psd_sqrt(Wm.astype(complex)).real,
-                           psd_sqrt(em.states[m])))
+            points.append((pi_m * Wm, em.states[m]))
         form = "general"
 
     prog = ConicProgram()
-    blks = [prog.add_psd_block(dim) for _ in points]
-    F0 = np.zeros((dim, dim))
-    F0[n:, n:] = np.eye(B)
-    prog.set_objective({blk: F0 for blk in blks}, offset=-em.w_bar)
-
-    # V_m is real symmetric: its hvec coordinates are the first n(n+1)/2,
-    # the imaginary ones vanish
-    npairs = n * (n + 1) // 2
-    Fv = np.zeros((npairs, dim, dim))
-    Fv[:, :n, :n] = hvec_basis(n)[:npairs].real
-    for blk, (Wobj, _, _) in zip(blks, points):
-        prog.add_eq({blk: Fv}, rhs=hvec(Wobj)[:npairs])
-
-    # row (k, beta) is the unknown hvec(X_k)[beta]: entry (a, c) of
-    # sqrt(S) E_beta sits at column n + c*d + a of every block, scaled by
-    # sqW[j, k] in row j
-    E = hvec_basis(d)
-    coeffs = {}
-    for blk, (_, sqW, sqS) in zip(blks, points):
-        vecs = (sqS @ E).swapaxes(-1, -2).reshape(B, B)
-        F = np.zeros((n, B, dim, dim), dtype=complex)
-        F[:, :, :n, n:] = sqW.T[:, None, :, None] * vecs[None, :, None, :]
-        F[:, :, n:, :n] = F[:, :, :n, n:].conj().swapaxes(-1, -2)
-        coeffs[blk] = F.reshape(n * B, dim, dim)
-    prog.add_eq(coeffs, rhs=-2.0 * hvec(hermitize(em.D_bar)).reshape(n * B))
+    g, C = _estimator_block(prog, em)
+    objective = {g: C}
+    # Tr(E Phi(L)) = Tr(kron(E, S) L): the imaginary hvec coordinates of
+    # T_m + Phi_m(L) vanish
+    E_im = hvec_basis(n)[n * (n + 1) // 2:]
+    for Wobj, S in points:
+        F = np.zeros((len(E_im), nd + d, nd + d), dtype=complex)
+        F[:, :nd, :nd] = np.kron(E_im, S)
+        coeffs = {g: F}
+        if Wobj is not None:
+            t = prog.add_psd_block(n)
+            coeffs[t] = E_im
+            objective[t] = Wobj
+        prog.add_eq(coeffs, rhs=np.zeros(len(E_im)))
+    prog.set_objective(objective, offset=em.w_bar)
 
     sol = solve_or_raise(prog, options, what="estimator-correlation bound")
-    z = -sol.y
-    nv = len(blks) * npairs
-    zV = np.zeros((len(blks), n * n))
-    zV[:, :npairs] = z[:nv].reshape(len(blks), npairs)
-    V = hmat(zV, n).real
-    Xopt = hmat(z[nv:].reshape(n, B), d)
-    return HolevoSolution(value=-sol.dual_value, Xopt=Xopt,
-                          V_blocks=tuple(V), form=form, diagnostics=sol)
+    G = sol.variable_values[g]
+    L = G[:nd, :nd].reshape(n, d, n, d)
+    # the T_m blocks follow G; the constant form has none
+    T = sol.variable_values[g + 1:] or (0.0,)
+    V = tuple((np.einsum("ab,jbka->jk", S, L) + Tm).real
+              for (_, S), Tm in zip(points, T))
+    Xopt = np.stack([hermitize(G[j * d:(j + 1) * d, nd:]) for j in range(n)])
+    return HolevoSolution(value=sol.dual_value, Xopt=Xopt, V_blocks=V,
+                          form=form, diagnostics=sol)
 
 
 # ---------------------------------------------------------------------------

@@ -301,6 +301,11 @@ def ordering_audit(model: StatisticalModel,
     W = _require_constant_weight(model, "the ordering audit")
     if iters < 1:
         raise ValueError(f"iters must be positive, got {iters}")
+    # the seeded fallback may never run: check its arguments up front
+    if outcome_count is not None and outcome_count < 1:
+        raise ValueError(f"outcome count must be positive, got {outcome_count}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     moments = build_moments(model)
     em = build_extended_moments(model)
     c_sld, _ = sld_bound(moments, W)

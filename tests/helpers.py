@@ -3,6 +3,8 @@
 Everything is seeded through numpy Generators so failures reproduce exactly.
 """
 
+import dataclasses
+
 import numpy as np
 
 from qbayes.conic import ConicProgram
@@ -74,6 +76,16 @@ def single_parameter_models():
         g = int(rng.integers(2, 5))
         models.append(random_grid_model(rng, 1, d, g))
     return models
+
+
+def per_point(em):
+    """The extended moments `em` of a constant-weight model, with its weight
+    given once per grid point, so `holevo_type_bound` solves its per-point
+    form."""
+    W = em.weight_spec.constant
+    M = len(em.pi)
+    return dataclasses.replace(
+        em, weight_spec=WeightSpec(per_point=np.repeat(W[None], M, 0)))
 
 
 def record_row_counts(monkeypatch):

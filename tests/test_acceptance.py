@@ -11,6 +11,7 @@ import pytest
 
 from helpers import (
     audit_ensemble,
+    per_point,
     point_mass_model,
     random_grid_model,
     random_spd,
@@ -111,7 +112,7 @@ def test_nh_and_holevo_reach_a_tight_gap_on_the_ensemble():
     for model in audit_ensemble():
         em = build_extended_moments(model)
         for sol in (nagaoka_hayashi_bound(em, deep), holevo_type_bound(em, deep),
-                    holevo_type_bound(em, deep, force_general=True)):
+                    holevo_type_bound(per_point(em), deep)):
             assert sol.diagnostics.status == "optimal"
             assert sol.diagnostics.gap <= 1e-10
 
@@ -235,7 +236,7 @@ def per_point_vs_collapsed_ensemble():
         model = random_grid_model(rng, n, 2, g, W=random_spd(rng, n))
         em = build_extended_moments(model)
         vc = holevo_type_bound(em).value
-        vg = holevo_type_bound(em, force_general=True).value
+        vg = holevo_type_bound(per_point(em)).value
         worst_order = min(worst_order, vg - vc)
         worst_gap = max(worst_gap, abs(vg - vc))
     return worst_order, worst_gap

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import (
     audit_ensemble,
+    per_point,
     point_mass_model,
     random_density,
     random_grid_model,
@@ -16,7 +17,7 @@ from helpers import (
     record_row_counts,
 )
 from qbayes.conic import ConicProgram, solve_or_raise
-from qbayes.matcore import ExtendedOperator, hermitize, psd_sqrt
+from qbayes.matcore import ExtendedOperator, hermitize
 from qbayes.model import (
     CapabilityError,
     ExtendedMoments,
@@ -146,37 +147,53 @@ def test_holevo_point_mass_and_fixtures():
 
 
 def test_holevo_dominating_blocks_certify():
-    """Every returned V dominates Z at the optimizer, per point."""
+    """Every returned cap V_m dominates Z(S_m, X) at the optimizer, and
+    sum_m pi_m Tr(W_m V_m) - 2 sum_j Tr(D_bar_j X_j) + w_bar, the primal
+    objective, is within the solver's gap of the reported value; the
+    constant form has one cap, on the mean state."""
     rng = np.random.default_rng(44)
     model = random_grid_model(rng, 2, 2, 2, W=random_spd(rng, 2))
     em = build_extended_moments(model)
-    sol = holevo_type_bound(em, force_general=True)
-    assert len(sol.V_blocks) == len(em.pi)
-    for m, V in enumerate(sol.V_blocks):
-        sqW = psd_sqrt(em.weight_spec.matrix_at(m))
-        Zt = np.array([[np.trace(em.states[m] @ sol.Xopt[k] @ sol.Xopt[j])
-                        for k in range(em.n)] for j in range(em.n)])
-        Z = sqW @ Zt @ sqW
-        assert np.linalg.eigvalsh((V - Z + (V - Z).conj().T) / 2)[0] > -1e-7
+    W = em.weight_spec.constant
+    mean_state = np.einsum("m,mab->ab", em.pi, em.states)
+    for em_form, caps in ((per_point(em), list(zip(em.pi, em.states))),
+                          (em, [(1.0, mean_state)])):
+        sol = holevo_type_bound(em_form)
+        assert len(sol.V_blocks) == len(caps)
+        objective = em.w_bar - 2.0 * sum(np.trace(D @ X).real
+                                         for D, X in zip(em.D_bar, sol.Xopt))
+        for (p, S), V in zip(caps, sol.V_blocks):
+            Z = np.array([[np.trace(S @ Xj @ Xk) for Xk in sol.Xopt]
+                          for Xj in sol.Xopt])
+            assert np.linalg.eigvalsh((V - Z + (V - Z).conj().T) / 2)[0] > -1e-7
+            objective += p * np.trace(W @ V)
+        diag = sol.diagnostics
+        assert abs(objective - sol.value) \
+            <= diag.primal_value - diag.dual_value + 1e-12
 
 
-def test_holevo_program_has_one_row_per_real_unknown():
-    """The LMI has a row per V_m entry (j <= k) and per X coordinate, and
-    (V, X) are read back from the dual vector."""
+def test_holevo_program_row_counts(monkeypatch):
+    """Both forms sit on NH's block G: (n + 1) d^2 rows pin its corner and
+    make X Hermitian, and each cap adds n(n-1)/2 rows, once for the constant
+    form and once per grid point for the per-point form."""
+    counts = record_row_counts(monkeypatch)
     em = build_extended_moments(random_model(3, 2, seed=2, grid=3))
-    n, d = em.n, em.d
-    for force_general, blocks in ((False, 1), (True, len(em.pi))):
-        sol = holevo_type_bound(em, force_general=force_general)
-        assert len(sol.diagnostics.y) == blocks * n * (n + 1) // 2 + n * d * d
-        assert len(sol.V_blocks) == blocks
+    n, d, M = em.n, em.d, len(em.pi)
+    for em_form, caps in ((em, 1), (per_point(em), M)):
+        sol = holevo_type_bound(em_form)
+        assert len(sol.V_blocks) == caps
         assert all(np.array_equal(V, V.T) for V in sol.V_blocks)
         assert all(np.array_equal(X, X.conj().T) for X in sol.Xopt)
+    assert counts == [(n + 1) * d * d + n * (n - 1) // 2,
+                      (n + 1) * d * d + M * n * (n - 1) // 2]
 
 
-# Holevo values of both forms from the primal program that the LMI replaced
-# (identity corner pinned by rows, X as free scalars), solved to a relative
-# gap of 1e-10. At the default gap that program reported up to its duality
-# gap above the optimum: 1.04e-7 relative on random_model(2, 2) per point.
+# Holevo values of both forms from an earlier primal program (identity
+# corner pinned by rows, X as free scalars), solved to a relative gap of
+# 1e-10. At the default gap a primal value sits up to the duality gap above
+# the optimum: 1.04e-7 relative on random_model(2, 2) per point for that
+# program, and 1.03e-7 and 1.47e-7 on random_model(2, 2) and (2, 3) for the
+# constant form on G. So `holevo_type_bound` reports the dual value.
 HOLEVO_REFERENCE = [
     ("qubit_xy", (0.6,), 0.29520000008104463, 0.2952000001726113),
     ("random_model", (2, 2, 1), 0.1541182887943091, 0.15509885515056354),
@@ -190,16 +207,16 @@ HOLEVO_REFERENCE = [
 def test_holevo_values_match_the_primal_program(name, params, constant, general):
     em = build_extended_moments(model_zoo(name, params, grid_size=4))
     assert abs(holevo_type_bound(em).value - constant) <= 1e-7 * constant
-    vg = holevo_type_bound(em, force_general=True).value
+    vg = holevo_type_bound(per_point(em)).value
     assert abs(vg - general) <= 1e-7 * general
 
 
 def test_holevo_scaling_memory_stays_small():
-    """The solver scales each row with products of the s rows of the
-    scaling factor its coefficient touches (s = 13 here), so Holevo on a
-    d = 6 model, one block of size n + d^2 = 38, allocates well under the
-    two k^2 x k^2 scaling tables per iteration that a dense operator form
-    of the scaling would need."""
+    """The solver scales each row through the rows of the scaling factor
+    its coefficient touches, padded to the widest (the cap row's nd = 12 of
+    18 here), so Holevo on a d = 6 model, one block G of size (n + 1)d = 18,
+    allocates well under the two k^2 x k^2 scaling tables per iteration
+    that a dense operator form of the scaling would need."""
     em = build_extended_moments(random_model(2, 6, seed=1, grid=4))
     tracemalloc.start()
     try:
@@ -211,8 +228,9 @@ def test_holevo_scaling_memory_stays_small():
 
 
 def test_holevo_pinned_value_at_d8():
-    """One 66 x 66 block and 131 rows, each scaled through 17 of the 66
-    rows of the scaling factor; about 0.15 s on two cores."""
+    """One 24 x 24 block G and (n + 1)d^2 + 1 = 193 rows, each scaled
+    through 16 of the 24 rows of the scaling factor (the cap row touches all
+    of L); about 0.05 s on two cores."""
     em = build_extended_moments(random_model(2, 8, seed=1, grid=4))
     sol = holevo_type_bound(em)
     assert sol.diagnostics.status == "optimal"
@@ -221,19 +239,28 @@ def test_holevo_pinned_value_at_d8():
 
 def test_per_point_form_dominates_the_collapsed_form():
     """With a constant weight the per-point program is never below the
-    collapsed one, and the two agree when the imaginary parts vanish."""
+    collapsed one, and the two agree when the imaginary parts vanish or
+    when the grid has a single point, where the per-point cap T is absorbed
+    into L."""
     rng = np.random.default_rng(45)
     for _ in range(3):
         model = random_grid_model(rng, 2, 2, 3, W=random_spd(rng, 2))
         em = build_extended_moments(model)
-        vg = holevo_type_bound(em, force_general=True).value
+        vg = holevo_type_bound(per_point(em)).value
         vc = holevo_type_bound(em).value
         assert vg >= vc - 1e-7
     # commuting (diagonal) states: both reduce to the same classical program
     em_cp = build_extended_moments(correlated_pair(1.0, 0.6))
-    vg = holevo_type_bound(em_cp, force_general=True).value
+    vg = holevo_type_bound(per_point(em_cp)).value
     vc = holevo_type_bound(em_cp).value
     assert abs(vg - vc) < 1e-7
+    # one grid point where Holevo is strictly below NH (5.058 against 5.128)
+    W, S = random_spd(rng, 2), random_density(rng, 3)
+    D = np.stack([random_hermitian(rng, 3, scale=0.3) for _ in range(2)])
+    em_one = tensor_moments(W, S, D, np.eye(2))
+    vg = holevo_type_bound(per_point(em_one)).value
+    vc = holevo_type_bound(em_one).value
+    assert abs(vg - vc) <= 1e-7 * max(1.0, abs(vc))
 
 
 def test_holevo_general_needs_strictly_positive_weights():
@@ -293,7 +320,7 @@ def test_nagaoka_bound_sits_between_holevo_and_nh_on_the_audit_ensemble():
         assert sol.diagnostics.status == "optimal"
         assert sol.diagnostics.iterations <= 15
         for holevo in (holevo_type_bound(em),
-                       holevo_type_bound(em, force_general=True)):
+                       holevo_type_bound(per_point(em))):
             assert sol.value >= holevo.value - 1e-7
         assert sol.value <= nagaoka_hayashi_bound(em).value + 1e-7
         assert abs(nagaoka_objective(em, sol.Xopt) - sol.value) \

@@ -167,6 +167,15 @@ def test_ordering_audit_rejects_an_iteration_count_below_one(iters):
         ordering_audit(qubit_xy(0.6), iters=iters)
 
 
+@pytest.mark.parametrize("kwargs", [{"outcome_count": 0}, {"seed": -1}],
+                         ids=["outcome_count-0", "seed-minus-1"])
+def test_ordering_audit_rejects_bad_fallback_arguments_before_solving(kwargs):
+    """On qubit_xy(0.6) the rounded NH measurement attains NH, so the seeded
+    fallback that would reject these arguments never runs."""
+    with pytest.raises(ValueError):
+        ordering_audit(qubit_xy(0.6), **kwargs)
+
+
 def test_start_of_the_wrong_dimension_is_rejected():
     model = random_model(2, 3, seed=4, grid=3)
     qubit = random_model(2, 2, seed=4, grid=3)
