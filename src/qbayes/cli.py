@@ -6,8 +6,8 @@ Subcommands: bounds (selected lower bounds as a JSON report), verify
 model to the JSON format), lemmas (the identity/chain property suites).
 
 Exit codes: 0 success; 2 validation error (bad file, bad selector, bad zoo
-name, bad seed list, negative seed, outcome count, or trial or iteration
-count, unsupported configuration for the requested command); 3 solver
+name, count or seed, bad seed list, negative seed, outcome count, or trial or
+iteration count, unsupported configuration for the requested command); 3 solver
 failure or an ordering margin below -1e-6.
 Per-bound capability errors are reported inside the output without failing
 the run. The environment variable QBAYES_GAP_TOL overrides the default SDP
@@ -17,6 +17,7 @@ gap tolerance.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -112,29 +113,20 @@ def _solved(sol) -> dict:
 
 
 def _bound_runner(model, options):
-    cache = {}
-
-    def moments():
-        if "m" not in cache:
-            cache["m"] = build_moments(model)
-        return cache["m"]
-
-    def extended():
-        if "em" not in cache:
-            cache["em"] = build_extended_moments(model)
-        return cache["em"]
+    moments = functools.cache(lambda: build_moments(model))
+    extended = functools.cache(lambda: build_extended_moments(model))
 
     def closed_form(value):
-        return {"value": value, "solver_status": "closed-form", "gap": 0.0}, []
+        return {"value": value, "solver_status": "closed-form", "gap": 0.0}
 
     def run(name):
-        """The report entry of one bound, and its notes."""
+        """The report entry of one bound."""
         if name == "nh":
-            return _solved(nagaoka_hayashi_bound(extended(), options=options)), []
+            return _solved(nagaoka_hayashi_bound(extended(), options=options))
         if name == "holevo":
-            return _solved(holevo_type_bound(extended(), options=options)), []
+            return _solved(holevo_type_bound(extended(), options=options))
         if name == "nagaoka2":
-            return _solved(nagaoka_bound(extended(), options=options)), []
+            return _solved(nagaoka_bound(extended(), options=options))
         if name == "sld":
             return closed_form(sld_bound(moments(), _constant_weight(model))[0])
         if name == "rld":
@@ -173,8 +165,7 @@ def cmd_bounds(args) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                entry, extra = run(name)
-                notes.extend(extra)
+                entry = run(name)
             except (CapabilityError, UnsupportedConfigurationError,
                     SingularInformationError) as exc:
                 entry = {"error": str(exc), "error_kind": "capability"}
@@ -187,17 +178,11 @@ def cmd_bounds(args) -> int:
         bounds[name] = entry
 
     values = {n: e["value"] for n, e in bounds.items() if "value" in e}
-    audit = {}
-    if "nh" in values and "holevo" in values:
-        audit["nh_minus_holevo"] = values["nh"] - values["holevo"]
-    if "holevo" in values and "sld" in values:
-        audit["holevo_minus_sld"] = values["holevo"] - values["sld"]
-    if "holevo" in values and "rld" in values:
-        audit["holevo_minus_rld"] = values["holevo"] - values["rld"]
-    if "nagaoka2" in values and "holevo" in values:
-        audit["nagaoka2_minus_holevo"] = values["nagaoka2"] - values["holevo"]
-    if "nh" in values and "nagaoka2" in values:
-        audit["nh_minus_nagaoka2"] = values["nh"] - values["nagaoka2"]
+    audit = {f"{hi}_minus_{lo}": values[hi] - values[lo]
+             for hi, lo in (("nh", "holevo"), ("holevo", "sld"),
+                            ("holevo", "rld"), ("nagaoka2", "holevo"),
+                            ("nh", "nagaoka2"))
+             if hi in values and lo in values}
 
     report = {
         "model_digest": _model_digest(model),
@@ -245,8 +230,7 @@ def cmd_verify(args) -> int:
     try:
         audit = ordering_audit(model, options=options, iters=args.iters,
                                seed=seeds[0], outcome_count=args.outcomes)
-        runs = [{"start": audit["seesaw_start"],
-                 "risk": audit["values"]["seesaw_risk"]}]
+        runs = [{"start": "nh", "risk": audit["values"]["seesaw_risk"]}]
         for s in seeds:
             dec = seesaw(model, outcome_count=args.outcomes, iters=args.iters,
                          seed=s, options=options)
@@ -394,7 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=50)
     p.add_argument("--seeds", default="0", help="comma-separated seesaw seeds")
     p.add_argument("--outcomes", type=int, default=None,
-                   help="measurement outcome count (default max(n+2, d))")
+                   help="outcomes of the seeded random measurement that "
+                        "the --seeds runs start from and the audit blends "
+                        "in (default max(n+2, d))")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 

@@ -375,7 +375,7 @@ def solve(program: ConicProgram, options: SolveOptions | None = None) -> ConicSo
     p = A.shape[0]
     nu = sum(program.blocks)
     bnorm = 1.0 + (np.abs(b).max() if p else 0.0)
-    cnorm = 1.0 + (np.abs(c).max() if N else 0.0)
+    cnorm = 1.0 + np.abs(c).max()
 
     # the blocks of each size fill one run of columns (see assemble), so
     # every per-block step below is one batched call per distinct size k

@@ -364,6 +364,7 @@ def model_zoo(
     Known names: classical_binary(a, r), correlated_pair(a, r),
     qubit_xy(b, grid), qubit_z_line(grid), random_model(n, d, seed). A grid
     count may come either as the trailing entry of params or via grid_size.
+    Counts and seeds must be whole numbers, n, d and grid counts at least 1.
     """
     if name not in _ZOO:
         raise ModelError(f"unknown zoo model {name!r}; known: {sorted(_ZOO)}")
@@ -375,16 +376,24 @@ def model_zoo(
     if name == "qubit_xy":
         if not params:
             raise ModelError("qubit_xy takes parameters (b[, grid])")
-        g = grid_size if grid_size is not None else (int(params[1]) if len(params) > 1 else 4)
-        return qubit_xy(params[0], g)
+        g = grid_size if grid_size is not None else (params[1] if len(params) > 1 else 4)
+        return qubit_xy(params[0], _whole(g, "grid count", 1))
     if name == "qubit_z_line":
-        g = grid_size if grid_size is not None else (int(params[0]) if params else 3)
-        return qubit_z_line(g)
+        g = grid_size if grid_size is not None else (params[0] if params else 3)
+        return qubit_z_line(_whole(g, "grid count", 1))
     # random_model
     if len(params) < 3:
         raise ModelError("random_model takes parameters (n, d, seed)")
-    g = grid_size if grid_size is not None else (int(params[3]) if len(params) > 3 else 3)
-    return random_model(int(params[0]), int(params[1]), int(params[2]), g)
+    g = grid_size if grid_size is not None else (params[3] if len(params) > 3 else 3)
+    return random_model(_whole(params[0], "n", 1), _whole(params[1], "d", 1),
+                        _whole(params[2], "seed", 0), _whole(g, "grid count", 1))
+
+
+def _whole(value: float, what: str, least: int) -> int:
+    """`value` as an int, if it is a whole number no less than `least`."""
+    if not (np.isfinite(value) and float(value).is_integer() and value >= least):
+        raise ModelError(f"{what} must be an integer >= {least}, got {value:g}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,12 @@ def _estimator_block(prog: ConicProgram, em: ExtendedMoments):
     return g, C
 
 
+def _observables(G: np.ndarray, em: ExtendedMoments) -> np.ndarray:
+    """The Hermitian X_j of `_estimator_block`'s G, stacked (n, d, d)."""
+    nd = em.n * em.d
+    return hermitize(G[:nd, nd:].reshape(em.n, em.d, em.d))
+
+
 def nagaoka_hayashi_bound(em: ExtendedMoments,
                           options: SolveOptions | None = None) -> NhSolution:
     """Lower-bound the Bayes risk by one PSD program over ([[L, X], [X^T, I]]).
@@ -139,9 +145,8 @@ def nagaoka_hayashi_bound(em: ExtendedMoments,
     sol = solve_or_raise(prog, options, what="block-operator bound")
     G = sol.variable_values[0]
     Lopt = ExtendedOperator.from_full(G[:nd, :nd], n, d)
-    Xopt = np.stack([hermitize(G[j * d:(j + 1) * d, nd:]) for j in range(n)])
-    return NhSolution(value=sol.primal_value, Lopt=Lopt, Xopt=Xopt,
-                      diagnostics=sol)
+    return NhSolution(value=sol.primal_value, Lopt=Lopt,
+                      Xopt=_observables(G, em), diagnostics=sol)
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +232,8 @@ def holevo_type_bound(em: ExtendedMoments,
     T = sol.variable_values[g + 1:] or (0.0,)
     V = tuple((np.einsum("ab,jbka->jk", S, L) + Tm).real
               for (_, S), Tm in zip(points, T))
-    Xopt = np.stack([hermitize(G[j * d:(j + 1) * d, nd:]) for j in range(n)])
-    return HolevoSolution(value=sol.dual_value, Xopt=Xopt, V_blocks=V,
-                          form=form, diagnostics=sol)
+    return HolevoSolution(value=sol.dual_value, Xopt=_observables(G, em),
+                          V_blocks=V, form=form, diagnostics=sol)
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +332,9 @@ def nagaoka_bound(em: ExtendedMoments,
     prog.set_objective(objective, offset=em.w_bar)
 
     sol = solve_or_raise(prog, options, what="two-parameter commutator bound")
-    G = sol.variable_values[0]
-    Xopt = np.stack([hermitize(G[j * d:(j + 1) * d, nd:]) for j in range(2)])
-    return NagaokaSolution(value=sol.primal_value, Xopt=Xopt, diagnostics=sol)
+    return NagaokaSolution(value=sol.primal_value,
+                           Xopt=_observables(sol.variable_values[0], em),
+                           diagnostics=sol)
 
 
 def nagaoka_bound_search(em: ExtendedMoments, *, restarts: int = 4,

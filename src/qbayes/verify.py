@@ -13,9 +13,8 @@ tight spectral measurement of the averaged logarithmic derivative
 the eigenbasis of the Nagaoka-Hayashi observables X_j; where they commute
 it attains the bound. `ordering_audit` keeps that decision as it is where
 its risk is within the solver's gap tolerance of NH (no seesaw round could
-resolve a lower risk), seeds its seesaw from it otherwise, and also runs the
-seeded random start only where that seesaw ends more than
-NH_ATTAINED_TOL * max(1, |NH|) above the bound.
+resolve a lower risk), and otherwise runs one seesaw from the even mixture
+of it and the seeded random measurement.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from .sdpbounds import holevo_type_bound, nagaoka_hayashi_bound
 POVM_ELEMENT_TOL = 1e-10     # allowed eigenvalue undershoot per element
 POVM_SUM_TOL = 1e-9          # allowed deviation of the identity resolution
 DEAD_OUTCOME_PROB = 1e-12    # below this an outcome gets the prior mean
-NH_ATTAINED_TOL = 1e-6       # excess over NH, per max(1, |NH|), still "attained"
 
 
 class UnsupportedConfigurationError(ValueError):
@@ -182,6 +180,19 @@ def random_povm(d: int, outcomes: int, rng: np.random.Generator) -> Povm:
     return _renormalize(elems)
 
 
+def _seeded_povm(model: StatisticalModel, outcome_count: int | None,
+                 seed: int) -> Povm:
+    """The seesaw's random start: `random_povm` from default_rng(seed). The
+    default max(n + 2, d) outcomes keeps at least d rank-one elements, as
+    the identity on C^d needs."""
+    K = outcome_count if outcome_count is not None else max(model.n + 2, model.d)
+    if K < 1:
+        raise ValueError(f"outcome count must be positive, got {K}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return random_povm(model.d, K, np.random.default_rng(seed))
+
+
 def seesaw(model: StatisticalModel, outcome_count: int | None = None,
            iters: int = 50, seed: int = 0,
            options: SolveOptions | None = None,
@@ -205,14 +216,8 @@ def seesaw(model: StatisticalModel, outcome_count: int | None = None,
                              f"the model on C^{model.d}")
         current = start
     else:
-        # the random start has rank-one elements: fewer than d cannot
-        # resolve the identity on C^d
-        K = (outcome_count if outcome_count is not None
-             else max(model.n + 2, model.d))
-        if K < 1:
-            raise ValueError("outcome count must be positive")
-        rng = np.random.default_rng(seed)
-        current = posterior_mean_estimator(model, random_povm(model.d, K, rng))
+        current = posterior_mean_estimator(
+            model, _seeded_povm(model, outcome_count, seed))
     for _ in range(iters):
         povm = optimal_povm_step(model, current.estimates, options=options)
         risk_povm = bayes_risk(model, povm, current.estimates)
@@ -283,29 +288,22 @@ def ordering_audit(model: StatisticalModel,
     """Compute the full bound chain plus an achieved risk and their margins.
 
     Returns {"values": {...}, "margins": {...}, "min_margin": float,
-    "ok": bool, "seesaw_start": "nh" | "seed", "rounded_risk": float}; `ok`
-    means every ordering margin clears -1e-6.
+    "ok": bool, "rounded_risk": float}; `ok` means every ordering margin
+    clears -1e-6.
 
-    The achieved decision starts as `rounded_measurement` at NH's optimal
-    observables, whose risk is `rounded_risk`. Where that risk is within
-    gap_tol * max(1, |NH|) of NH, gap_tol being the solver's resolved gap
-    tolerance to which NH itself was solved, it is kept with no seesaw round
-    and `seesaw_start` is "nh". Otherwise the seesaw runs from it, and only
-    where that seesaw ends more than NH_ATTAINED_TOL * max(1, |NH|) above NH
-    does the seeded random seesaw (`seed`, `outcome_count`) run as well, and
-    the lower risk is kept; `seesaw_start` names the start it came from. In
-    every case the achieved risk is the exact risk of an explicit
-    measurement, so it is an upper bound regardless of how accurately NH was
-    solved.
+    The achieved decision is `rounded_measurement` at NH's optimal
+    observables (risk `rounded_risk`) where that risk is within
+    gap_tol * max(1, |NH|) of NH, gap_tol being the gap NH was solved to.
+    Otherwise one seesaw runs from the even mixture of its d projectors and
+    `seesaw`'s seeded start (`seed`, `outcome_count`), and the lower risk of
+    the two decisions is kept. Either way the achieved risk is the exact risk
+    of an explicit measurement, an upper bound however NH was solved.
     """
     W = _require_constant_weight(model, "the ordering audit")
     if iters < 1:
         raise ValueError(f"iters must be positive, got {iters}")
-    # the seeded fallback may never run: check its arguments up front
-    if outcome_count is not None and outcome_count < 1:
-        raise ValueError(f"outcome count must be positive, got {outcome_count}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    # drawn up front, so bad arguments fail before any solve
+    seeded = _seeded_povm(model, outcome_count, seed)
     moments = build_moments(model)
     em = build_extended_moments(model)
     c_sld, _ = sld_bound(moments, W)
@@ -313,18 +311,18 @@ def ordering_audit(model: StatisticalModel,
     c_h = holevo_type_bound(em, options=options).value
     nh = nagaoka_hayashi_bound(em, options=options)
     c_nh = nh.value
-    rounded = rounded_measurement(model, nh.Xopt)
-    achieved, start = rounded, "nh"
+    rounded = achieved = rounded_measurement(model, nh.Xopt)
     # NH was solved to this relative gap: below it a seesaw round cannot
     # resolve a lower risk, so the rounded decision stands
     gap_tol = (options or SolveOptions()).resolved_gap_tol()
     if rounded.risk - c_nh > gap_tol * max(1.0, abs(c_nh)):
-        achieved = seesaw(model, iters=iters, options=options, start=rounded)
-    if achieved.risk - c_nh > NH_ATTAINED_TOL * max(1.0, abs(c_nh)):
-        cold = seesaw(model, outcome_count=outcome_count, iters=iters,
-                      seed=seed, options=options)
-        if cold.risk < achieved.risk:
-            achieved, start = cold, "seed"
+        # the 1/2 weights cancel in each outcome's posterior mean, so the
+        # first measurement update chooses among both starts' estimates
+        blend = Povm(tuple(0.5 * E for E in
+                           rounded.povm.elements + seeded.elements))
+        run = seesaw(model, iters=iters, options=options,
+                     start=posterior_mean_estimator(model, blend))
+        achieved = min(rounded, run, key=lambda r: r.risk)
     values = {
         "sld": c_sld,
         "rld": c_rld,
@@ -343,6 +341,5 @@ def ordering_audit(model: StatisticalModel,
         "margins": margins,
         "min_margin": min(margins.values()),
         "ok": all(v >= -1e-6 for v in margins.values()),
-        "seesaw_start": start,
         "rounded_risk": rounded.risk,
     }

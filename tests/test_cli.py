@@ -154,6 +154,26 @@ def test_zoo_materializes_a_loadable_model(tmp_path, capsys):
     assert "martian_lattice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["random_model", "2", "2", "-1"], "seed must be an integer >= 0"),
+    (["random_model", "2", "2", "inf"], "seed must be an integer >= 0"),
+    (["random_model", "2", "2", "0", "--grid", "0"], "grid count must be"),
+    (["random_model", "0", "2", "0"], "n must be an integer >= 1"),
+    (["random_model", "2", "0", "0"], "d must be an integer >= 1"),
+    (["random_model", "1.5", "2", "0"], "n must be an integer >= 1, got 1.5"),
+    (["random_model", "2", "2", "0", "2.5"], "grid count must be"),
+    (["qubit_xy", "0.5", "2.5"], "grid count must be"),
+    (["qubit_z_line", "1.5"], "grid count must be"),
+])
+def test_zoo_rejects_bad_counts_and_seeds(capsys, args, message):
+    """A count or seed that is not a whole number in range exits 2 with an
+    error: no traceback, and no silent truncation to an integer."""
+    assert main(["zoo", *args]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert captured.out == ""
+
+
 def test_zoo_prints_json_without_out(capsys):
     assert main(["zoo", "classical_binary", "1", "0.6"]) == 0
     data = json.loads(capsys.readouterr().out)
