@@ -6,9 +6,9 @@ Subcommands: bounds (selected lower bounds as a JSON report), verify
 model to the JSON format), lemmas (the identity/chain property suites).
 
 Exit codes: 0 success; 2 validation error (bad file, bad selector, bad zoo
-name, count or seed, bad seed list, negative seed, outcome count, or trial or
-iteration count, unsupported configuration for the requested command); 3 solver
-failure or an ordering margin below -1e-6.
+name, count or seed, bad seed list, negative seed, outcome count below the
+model's d, or trial or iteration count below one, unsupported configuration
+for the requested command); 3 solver failure or an ordering margin below -1e-6.
 Per-bound capability errors are reported inside the output without failing
 the run. The environment variable QBAYES_GAP_TOL overrides the default SDP
 gap tolerance.
@@ -222,8 +222,9 @@ def cmd_verify(args) -> int:
         raise _Validation("empty seed list")
     if min(seeds) < 0:
         raise _Validation(f"--seeds must be non-negative, got {args.seeds!r}")
-    if args.outcomes is not None and args.outcomes < 1:
-        raise _Validation(f"--outcomes must be positive, got {args.outcomes}")
+    if args.outcomes is not None and args.outcomes < model.d:
+        raise _Validation(f"--outcomes must be positive and at least the "
+                          f"model's d = {model.d}, got {args.outcomes}")
     if args.iters < 1:
         raise _Validation(f"--iters must be positive, got {args.iters}")
     options = SolveOptions()
@@ -380,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outcomes", type=int, default=None,
                    help="outcomes of the seeded random measurement that "
                         "the --seeds runs start from and the audit blends "
-                        "in (default max(n+2, d))")
+                        "in, at least the model's d (default max(n+2, d))")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 

@@ -21,13 +21,13 @@ The rows of A and c are scaled once per iteration (A~_i = R^dag A_i R).
 A row's coefficient on a block touches only the indices S of its nonzero
 rows, found once per solve, so A~_i = R[S]^dag A_i[S, S] R[S] with s rows
 of R in place of k (s = 4 of k = 30 for NH at d = 10); c keeps the k x k
-congruence hvec(R^dag hmat(c) R). The Newton system, the step to the cone
-boundary and the neighbourhood test then see only the diagonal lam. So the
-corrector, the affine step's V = dX~ o dS~ (A o B = (AB + BA)/2), enters the
-right-hand side as M_ij = 2 V_ij / (lam_i + lam_j), the closed-form solution
-of diag(lam) o M = V, and reuses the affine step's factorization. The
-accepted step goes back as dX = R dX~ R^dag, and dS is read from the dual
-equation in the original coordinates.
+congruence hvec(R^dag hmat(c) R). The Newton system and the step to the
+cone boundary then see only the diagonal lam. So the corrector, the affine
+step's V = dX~ o dS~ (A o B = (AB + BA)/2), enters the right-hand side
+as M_ij = 2 V_ij / (lam_i + lam_j), the closed-form solution of
+diag(lam) o M = V, and reuses the affine step's factorization. The accepted
+step goes back as dX = R dX~ R^dag, and dS is read from the dual equation in
+the original coordinates.
 
 A k x k Hermitian block lives in isometric real coordinates (`hvec`): the
 diagonal, then sqrt2 Re and sqrt2 Im of the strict upper triangle, k^2 numbers
@@ -41,9 +41,10 @@ Real-symmetric data needs no block kind of its own: a program with real
 coefficients is invariant under complex conjugation, and so is its central
 path from the identity start, so its optimum is real on the Hermitian block.
 
-Every solve runs one iteration path with fixed parameters. A run whose step
-is blocked or that reaches MAX_ITERS returns `numerical-failure` with the best
-iterate seen.
+Every solve runs one iteration path with fixed parameters and one step rule:
+STEP_FRAC of the way to the cone boundary, at most a full step. No
+neighbourhood test is run; the fraction keeps the iterates interior, and such
+a test cut no step in 18 127 measured iterations (notes/decisions.md).
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ DRES_GUARD = 1e-6    # sanity ceiling on the scaled dual residual; typical
 MAX_ITERS = 200
 STEP_FRAC = 0.98     # fraction of the step to the cone boundary
 SIGMA_MIN = 0.05     # keeps every step at least mildly centering
-PROX_GAMMA = 0.01    # wide-neighborhood floor on complementarity eigenvalues
 GAP_TOL_ENV = "QBAYES_GAP_TOL"
 
 
@@ -365,9 +365,9 @@ def solve(program: ConicProgram, options: SolveOptions | None = None) -> ConicSo
     relative duality gap <= gap_tol (measured against the reported value) and
     a scaled primal residual <= FEAS_TOL, with the dual residual under the
     DRES_GUARD ceiling; primal/dual infeasibility is reported from the
-    embedding's certificates. A run whose step is blocked or that reaches
-    MAX_ITERS returns `numerical-failure` carrying the best iterate seen;
-    `iterations` counts every iteration taken.
+    embedding's certificates. Every step follows the module's step rule; one
+    blocked below 1e-10, or MAX_ITERS, returns `numerical-failure` carrying
+    the best iterate seen. `iterations` counts every iteration taken.
     """
     gap_tol = (options or SolveOptions()).resolved_gap_tol()
 
@@ -445,13 +445,11 @@ def solve(program: ConicProgram, options: SolveOptions | None = None) -> ConicSo
         # are the diagonal lam (hvec coordinates in `lam`, per group in `lams`)
         R, lams = [], []
         lam = np.zeros(N)
-        prox0 = tau * kappa / mu
         for k, cols in groups:
             L = _factor_psd(_blocks(x, k, cols))
             w, U = npl.eigh(hermitize(_ct(L) @ _blocks(s, k, cols) @ L))
             if w[:, 0].min() <= 0:
                 return failure(it)
-            prox0 = min(prox0, w[:, 0].min() / mu)
             R.append((L @ U) * w[:, None, :] ** -0.25)
             lams.append(np.sqrt(w))
             lam[cols].reshape(-1, k * k)[:, :k] = lams[-1]
@@ -527,28 +525,6 @@ def solve(program: ConicProgram, options: SolveOptions | None = None) -> ConicSo
                 alpha = min(alpha, _alpha_boundary(lk, _blocks(dxs, k, cols)))
             return alpha
 
-        # wide-neighborhood guard: a step is admitted only while every
-        # complementarity eigenvalue stays >= gamma * mu of the new point.
-        # X S is similar to the product of the scaled iterates, so the test
-        # runs in the scaled frame
-        gamma = min(PROX_GAMMA, 0.9 * prox0)
-
-        def centered(al, dx, ds, dtau, dkappa) -> bool:
-            tk = (tau + al * dtau) * (kappa + al * dkappa)
-            xp = lam + al * dx
-            sp = lam + al * ds
-            mup = (float(xp @ sp) + tk) / (nu + 1)
-            if not np.isfinite(mup) or mup <= 0 or tk < gamma * mup:
-                return False
-            for k, cols in groups:
-                try:
-                    Lc = npl.cholesky(_blocks(xp, k, cols))
-                except npl.LinAlgError:
-                    return False
-                if npl.eigvalsh(_ct(Lc) @ _blocks(sp, k, cols) @ Lc)[:, 0].min() < gamma * mup:
-                    return False
-            return True
-
         # the affine predictor fixes the centering weight (floored: every
         # step recenters) and its second-order term dX~a o dS~a, divided
         # through the Jordan product with diag(lam), is the corrector
@@ -556,15 +532,13 @@ def solve(program: ConicProgram, options: SolveOptions | None = None) -> ConicSo
         alpha_a = min(1.0, boundary(dxa, dsa, dtaua, dkappaa))
         mu_aff = (float((lam + alpha_a * dxa) @ (lam + alpha_a * dsa))
                   + (tau + alpha_a * dtaua) * (kappa + alpha_a * dkappaa)) / (nu + 1)
-        sigma = min(0.9999, max(SIGMA_MIN, max(0.0, (mu_aff / mu)) ** 3))
+        sigma = min(0.9999, max(SIGMA_MIN, (mu_aff / mu) ** 3))
 
         dx, dy, dtau, ds, dkappa = newton(sigma, 1.0 - sigma,
                                           _corrector(groups, lams, dxa, dsa),
                                           dtaua * dkappaa)
         alpha = min(1.0, STEP_FRAC * boundary(dx, ds, dtau, dkappa))
-        while alpha > 1e-10 and not centered(alpha, dx, ds, dtau, dkappa):
-            alpha *= 0.8
-        if not np.isfinite(alpha) or alpha <= 1e-10:
+        if alpha <= 1e-10:
             return failure(it)
 
         # map the accepted step back: dX = R dX~ R^dag, and dS from the dual

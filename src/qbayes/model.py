@@ -49,10 +49,16 @@ def _check_density(rho: np.ndarray, d: int, where: str) -> np.ndarray:
     return rho
 
 
+def _check_finite(a: np.ndarray, what: str) -> None:
+    if not np.isfinite(a).all():
+        raise ModelError(f"{what} has non-finite entries")
+
+
 def _check_weight_matrix(W: np.ndarray, n: int, where: str) -> np.ndarray:
     W = np.asarray(W, dtype=float)
     if W.shape != (n, n):
         raise ModelError(f"{where}: weight shape {W.shape}, expected {(n, n)}")
+    _check_finite(W, f"{where}: weight matrix")
     if np.abs(W - W.T).max() > 1e-12 * max(1.0, np.abs(W).max()):
         raise ModelError(f"{where}: weight matrix not symmetric")
     W = (W + W.T) / 2
@@ -73,11 +79,14 @@ class GridPoint:
     def __post_init__(self):
         object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float).reshape(-1))
         object.__setattr__(self, "weight", float(self.weight))
-        if self.weight < 0:
-            raise ModelError(f"negative grid weight {self.weight!r}")
+        _check_finite(self.theta, "theta")
+        if not (np.isfinite(self.weight) and self.weight >= 0):
+            raise ModelError(f"grid weight {self.weight!r} is not a finite "
+                             "non-negative number")
         if self.state_derivatives is not None:
             object.__setattr__(self, "state_derivatives",
                                np.asarray(self.state_derivatives, dtype=complex))
+            _check_finite(self.state_derivatives, "state derivative")
 
 
 @dataclass(frozen=True)
@@ -141,6 +150,7 @@ class StatisticalModel:
             score = np.asarray(self.prior_score, dtype=float)
             if score.shape != (len(points), self.n):
                 raise ModelError(f"prior_score shape {score.shape}, expected {(len(points), self.n)}")
+            _check_finite(score, "prior_score")
             object.__setattr__(self, "prior_score", score)
 
     @property
@@ -391,7 +401,8 @@ def model_zoo(
 
 def _whole(value: float, what: str, least: int) -> int:
     """`value` as an int, if it is a whole number no less than `least`."""
-    if not (np.isfinite(value) and float(value).is_integer() and value >= least):
+    value = float(value)
+    if not (value.is_integer() and value >= least):
         raise ModelError(f"{what} must be an integer >= {least}, got {value:g}")
     return int(value)
 
@@ -437,46 +448,62 @@ def model_to_dict(model: StatisticalModel) -> dict:
     return {"n": model.n, "d": model.d, "weight": weight, "points": points}
 
 
+def _field(entry: dict, key: str, parse, where: str = "model"):
+    """parse(entry[key]), with a missing key, or a ValueError or TypeError
+    from parsing it, reported as a ModelError that names the field."""
+    if key not in entry:
+        raise ModelError(f"{where}: missing field '{key}'")
+    try:
+        return parse(entry[key])
+    except ModelError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ModelError(f"{where}: field '{key}': {exc}") from None
+
+
+def _weight_spec(weight) -> WeightSpec:
+    if "constant" in weight:
+        return WeightSpec(constant=np.asarray(weight["constant"], dtype=float))
+    if "per_point" in weight:
+        return WeightSpec(per_point=np.asarray(weight["per_point"], dtype=float))
+    raise ModelError("'weight' must contain 'constant' or 'per_point'")
+
+
 def model_from_dict(data: dict) -> StatisticalModel:
     """Parse the JSON model format, with field-level diagnostics."""
     if not isinstance(data, dict):
         raise ModelError("model file must contain a JSON object")
-    try:
-        n = int(data["n"])
-        d = int(data["d"])
-        weight = data["weight"]
-        raw_points = data["points"]
-    except KeyError as exc:
-        raise ModelError(f"missing model field {exc}") from exc
+    n = _field(data, "n", lambda v: _whole(v, "n", 1))
+    d = _field(data, "d", lambda v: _whole(v, "d", 1))
+    spec = _field(data, "weight", _weight_spec)
+    raw_points = _field(data, "points", lambda v: v)
     if not isinstance(raw_points, list) or not raw_points:
         raise ModelError("'points' must be a non-empty list")
-    if "constant" in weight:
-        spec = WeightSpec(constant=np.asarray(weight["constant"], dtype=float))
-    elif "per_point" in weight:
-        spec = WeightSpec(per_point=np.asarray(weight["per_point"], dtype=float))
-    else:
-        raise ModelError("'weight' must contain 'constant' or 'per_point'")
     points = []
     scores = []
     for m, entry in enumerate(raw_points):
         where = f"point {m}"
-        try:
-            theta = [float(t) for t in entry["theta"]]
-            w = float(entry["weight"])
-            rho = _matrix_from_json(entry["rho"], d, where)
-        except KeyError as exc:
-            raise ModelError(f"{where}: missing field {exc}") from exc
+        if not isinstance(entry, dict):
+            raise ModelError(f"{where} must be a JSON object")
+        theta = _field(entry, "theta", lambda v: [float(t) for t in v], where)
+        w = _field(entry, "weight", float, where)
+        rho = _field(entry, "rho", lambda v: _matrix_from_json(v, d, where), where)
         drho = None
         if "drho" in entry:
-            mats = [_matrix_from_json(Dj, d, f"{where} drho[{j}]")
-                    for j, Dj in enumerate(entry["drho"])]
+            mats = _field(entry, "drho", lambda v: [
+                _matrix_from_json(Dj, d, f"{where} drho[{j}]")
+                for j, Dj in enumerate(v)], where)
             if len(mats) != n:
                 raise ModelError(f"{where}: expected {n} derivative matrices")
             drho = np.stack(mats)
-        points.append(GridPoint(theta=theta, weight=w, state=rho,
-                                state_derivatives=drho))
+        try:
+            points.append(GridPoint(theta=theta, weight=w, state=rho,
+                                    state_derivatives=drho))
+        except ModelError as exc:
+            raise ModelError(f"{where}: {exc}") from None
         if "score" in entry:
-            scores.append([float(s) for s in entry["score"]])
+            scores.append(_field(entry, "score",
+                                 lambda v: [float(s) for s in v], where))
     if scores and len(scores) != len(points):
         raise ModelError("'score' must be attached to every point or none")
     return StatisticalModel(

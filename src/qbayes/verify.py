@@ -172,7 +172,13 @@ def _renormalize(elements) -> Povm:
 
 
 def random_povm(d: int, outcomes: int, rng: np.random.Generator) -> Povm:
-    """Seeded random measurement: a ridge-stabilized pure-state resolution."""
+    """Seeded random measurement: a ridge-stabilized pure-state resolution.
+
+    Needs at least d outcomes: fewer rank-one elements leave their sum
+    singular up to the ridge, too close to renormalize."""
+    if outcomes < d:
+        raise ValueError(f"a random measurement on C^{d} needs at least {d} "
+                         f"outcomes, got {outcomes}")
     elems = []
     for _ in range(outcomes):
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
@@ -186,8 +192,6 @@ def _seeded_povm(model: StatisticalModel, outcome_count: int | None,
     default max(n + 2, d) outcomes keeps at least d rank-one elements, as
     the identity on C^d needs."""
     K = outcome_count if outcome_count is not None else max(model.n + 2, model.d)
-    if K < 1:
-        raise ValueError(f"outcome count must be positive, got {K}")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     return random_povm(model.d, K, np.random.default_rng(seed))

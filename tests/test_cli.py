@@ -11,7 +11,7 @@ import pytest
 
 import qbayes
 from qbayes.cli import main
-from qbayes.model import load_model, model_zoo, save_model
+from qbayes.model import load_model, model_to_dict, model_zoo, save_model
 
 
 def write_cb(tmp_path, name="cb.json"):
@@ -101,6 +101,49 @@ def test_bounds_rejects_missing_or_corrupt_files(tmp_path, capsys):
     capsys.readouterr()
 
 
+NAN = float("nan")
+
+
+def _set(path, value):
+    """An edit of a model dict: set the entry at `path` (keys and indices)."""
+    def edit(data):
+        for key in path[:-1]:
+            data = data[key]
+        data[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, bound, message", [
+    (_set(("weight", "constant", 0, 0), NAN), "sld", "weight matrix has non-finite entries"),
+    (_set(("weight", "constant", 0, 0), NAN), "nh", "weight matrix has non-finite entries"),
+    (_set(("points", 0, "theta", 0), NAN), "nh", "point 0: theta has non-finite entries"),
+    (_set(("points", 0, "weight"), NAN), "sld", "point 0: grid weight nan is not"),
+    (_set(("n",), "two"), "sld", "field 'n': could not convert"),
+    (_set(("n",), 2.7), "sld", "n must be an integer >= 1, got 2.7"),
+    (_set(("d",), 2.5), "sld", "d must be an integer >= 1, got 2.5"),
+    (_set(("weight",), 3), "sld", "field 'weight'"),
+    (_set(("weight", "constant"), [[1.0, 0.0], [0.0]]), "sld", "field 'weight'"),
+    (_set(("points", 0, "theta"), 5), "sld", "point 0: field 'theta'"),
+    (_set(("points", 0, "weight"), "x"), "sld", "point 0: field 'weight'"),
+    (_set(("points", 0), 5), "sld", "point 0 must be a JSON object"),
+], ids=["nan-weight-sld", "nan-weight-nh", "nan-theta", "nan-point-weight",
+        "n-string", "n-fraction", "d-fraction", "weight-number", "ragged-weight",
+        "theta-number", "point-weight-string", "point-number"])
+def test_bounds_rejects_non_finite_or_mistyped_model_fields(tmp_path, capsys, edit,
+                                                            bound, message):
+    """An edited `qbayes zoo qubit_xy 0.6` file exits 2 with `error: ...`:
+    no traceback, no NaN in the report, no silent truncation of n or d."""
+    data = model_to_dict(model_zoo("qubit_xy", (0.6,)))
+    edit(data)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    assert main(["bounds", "--model", str(path), "--bounds", bound]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: model file rejected: ")
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_gap_tolerance_env_is_reported(tmp_path, monkeypatch):
     monkeypatch.setenv("QBAYES_GAP_TOL", "1e-6")
     model_path = write_cb(tmp_path)
@@ -135,11 +178,17 @@ def test_verify_certifies_the_binary_model(tmp_path):
     (["--iters", "-3"], "--iters must be positive"),
     (["--seeds=-1"], "--seeds must be non-negative"),
     (["--seeds", "0,-2"], "--seeds must be non-negative"),
+    (["--outcomes", "1"], "--outcomes must be positive and at least the model's d = 2"),
+    (["--model", "rm.json", "--outcomes", "3"],
+     "--outcomes must be positive and at least the model's d = 4, got 3"),
 ])
-def test_verify_rejects_bad_arguments(tmp_path, capsys, bad, message):
-    path = tmp_path / "xy.json"
-    save_model(model_zoo("qubit_xy", (0.6,)), str(path))
-    assert main(["verify", "--model", str(path), *bad]) == 2
+def test_verify_rejects_bad_arguments(tmp_path, monkeypatch, capsys, bad, message):
+    """On qubit_xy(0.6), or on random_model(2, 4, seed=2) where the arguments
+    name rm.json (argparse keeps the last --model)."""
+    monkeypatch.chdir(tmp_path)
+    save_model(model_zoo("qubit_xy", (0.6,)), "xy.json")
+    save_model(model_zoo("random_model", (2, 4, 2)), "rm.json")
+    assert main(["verify", "--model", "xy.json", *bad]) == 2
     assert f"error: {message}" in capsys.readouterr().err
 
 

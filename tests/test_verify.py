@@ -53,6 +53,40 @@ def test_random_povm_is_valid_and_seeded():
     assert all(np.array_equal(x, y) for x, y in zip(a.elements, b.elements))
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_random_povm_needs_at_least_d_outcomes(d):
+    """Fewer rank-one elements than d leave their sum singular up to the ridge."""
+    with pytest.raises(ValueError, match=f"needs at least {d} outcomes"):
+        random_povm(d, d - 1, np.random.default_rng(0))
+    assert len(random_povm(d, d, np.random.default_rng(0))) == d
+
+
+def test_ordering_audit_rejects_fewer_outcomes_than_d_before_solving(monkeypatch):
+    import qbayes.conic as conic
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before rejecting the outcome count")
+
+    monkeypatch.setattr(conic, "solve", no_solve)
+    model = random_model(2, 4, seed=2)
+    with pytest.raises(ValueError, match="needs at least 4 outcomes"):
+        ordering_audit(model, outcome_count=model.d - 1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda m: bayes_risk(m, Povm((np.eye(2),)), np.zeros((2, 2))),
+     r"estimates shape \(2, 2\), expected \(1, 2\)"),
+    (lambda m: optimal_povm_step(m, np.zeros((3, 1))),
+     "estimate dimension 1, expected 2"),
+    (lambda m: Povm((np.eye(2) / 2, np.diag([0.5, 0.5, 0.0]))),
+     "measurement elements must share one dimension"),
+], ids=["bayes-risk-estimates-shape", "povm-step-estimate-dimension",
+        "povm-elements-of-two-dimensions"])
+def test_documented_argument_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(qubit_xy(0.6))
+
+
 def test_bayes_risk_hand_computation():
     """Reading the diagonal of the classical binary model in its own basis."""
     model = classical_binary(1.0, 0.6)
