@@ -11,7 +11,7 @@ import numpy as np
 from qbayes.closedform import rld_bound, sld_bound
 from qbayes.model import build_extended_moments, build_moments, classical_binary, random_model
 from qbayes.sdpbounds import holevo_type_bound, nagaoka_hayashi_bound
-from qbayes.verify import bayes_risk, personick_optimal_measurement
+from qbayes.verify import rounded_measurement
 
 models = [("classical binary", classical_binary(1.0, 0.6))]
 for seed in (1, 2, 3):
@@ -22,13 +22,12 @@ W = np.eye(1)
 for name, model in models:
     mom = build_moments(model)
     em = build_extended_moments(model)
-    c_sld = sld_bound(mom, W)[0]
+    c_sld, sld = sld_bound(mom, W)
     c_rld = rld_bound(mom, W)[0]
     c_h = holevo_type_bound(em).value
     c_nh = nagaoka_hayashi_bound(em).value
 
-    meas = personick_optimal_measurement(mom)
-    achieved = bayes_risk(model, meas.povm, meas.estimates)
+    achieved = rounded_measurement(model, sld.L).risk
 
     print(name)
     print(f"  sld      {c_sld:.10f}")

@@ -9,18 +9,17 @@ cheaper relaxations.
 """
 import numpy as np
 
-from qbayes.conic import SolveOptions, holevo_lemma_sdp_value, holevo_lemma_value, random_lemma_triple
+from qbayes.conic import holevo_lemma_sdp_value, holevo_lemma_value, random_lemma_triple
 from qbayes.matcore import ExtendedOperator
 from qbayes.sdpbounds import appendix_f, f_family_pinned_example
 
 rng = np.random.default_rng(7)
-options = SolveOptions(gap_tol=1e-10)
 
 print("identity: Tr(WA) + TrAbs(WB) vs SDP")
 for trial in range(5):
     W, A, B = random_lemma_triple(rng, int(rng.integers(2, 5)))
     closed = holevo_lemma_value(W, A, B)
-    sdp = holevo_lemma_sdp_value(W, A, B, options).primal_value
+    sdp = holevo_lemma_sdp_value(W, A, B, 1e-10).primal_value
     print(f"  trial {trial}: closed {closed:12.8f}  sdp {sdp:12.8f}  diff {abs(closed - sdp):.2e}")
 
 W = np.eye(2)

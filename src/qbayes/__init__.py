@@ -23,9 +23,9 @@ from .model import (BayesMoments, CapabilityError, ExtendedMoments, GridPoint,
                     build_extended_moments, load_model, model_from_dict,
                     model_to_dict, model_zoo, save_model, with_weight)
 from .closedform import (RldPackage, SingularInformationError, SldPackage,
-                         personick_value, rld_bound, sld_bound,
-                         sld_fisher_point, van_tree_bound)
-from .conic import (ConicProgram, ConicSolution, ProgramError, SolveOptions,
+                         rld_bound, sld_bound, sld_fisher_point,
+                         van_tree_bound)
+from .conic import (ConicProgram, ConicSolution, ProgramError,
                     SolverFailureError, holevo_lemma_sdp_value,
                     holevo_lemma_suite, holevo_lemma_value, solve,
                     solve_or_raise)
@@ -33,11 +33,10 @@ from .sdpbounds import (HolevoSolution, NagaokaSolution, NhSolution,
                         appendix_f, f_family_pinned_example, f_family_suite,
                         holevo_type_bound, nagaoka_bound,
                         nagaoka_hayashi_bound, nagaoka_objective)
-from .verify import (DecisionRisk, PersonickMeasurement, Povm,
-                     UnsupportedConfigurationError, bayes_risk,
-                     optimal_povm_step, ordering_audit,
-                     personick_optimal_measurement, posterior_mean_estimator,
-                     random_povm, rounded_measurement, seesaw)
+from .verify import (DecisionRisk, Povm, UnsupportedConfigurationError,
+                     bayes_risk, optimal_povm_step, ordering_audit,
+                     posterior_mean_estimator, random_povm,
+                     rounded_measurement, seesaw)
 
 __version__ = "0.1.0"
 
@@ -51,18 +50,16 @@ __all__ = [
     "build_extended_moments", "load_model", "model_from_dict",
     "model_to_dict", "model_zoo", "save_model", "with_weight",
     "RldPackage", "SingularInformationError", "SldPackage",
-    "personick_value", "rld_bound", "sld_bound", "sld_fisher_point",
-    "van_tree_bound",
-    "ConicProgram", "ConicSolution", "ProgramError", "SolveOptions",
+    "rld_bound", "sld_bound", "sld_fisher_point", "van_tree_bound",
+    "ConicProgram", "ConicSolution", "ProgramError",
     "SolverFailureError", "holevo_lemma_sdp_value",
     "holevo_lemma_suite", "holevo_lemma_value", "solve", "solve_or_raise",
     "HolevoSolution", "NagaokaSolution", "NhSolution", "appendix_f",
     "f_family_pinned_example", "f_family_suite", "holevo_type_bound",
     "nagaoka_bound", "nagaoka_hayashi_bound", "nagaoka_objective",
-    "DecisionRisk", "PersonickMeasurement", "Povm",
+    "DecisionRisk", "Povm",
     "UnsupportedConfigurationError", "bayes_risk", "optimal_povm_step",
-    "ordering_audit", "personick_optimal_measurement",
-    "posterior_mean_estimator", "random_povm", "rounded_measurement",
-    "seesaw",
+    "ordering_audit", "posterior_mean_estimator", "random_povm",
+    "rounded_measurement", "seesaw",
     "__version__",
 ]

@@ -5,13 +5,16 @@ Subcommands: bounds (selected lower bounds as a JSON report), verify
 (ordering audit plus seesaw certification), zoo (materialize a built-in
 model to the JSON format), lemmas (the identity/chain property suites).
 
-Exit codes: 0 success; 2 validation error (bad file, bad selector, bad zoo
-name, count or seed, bad seed list, negative seed, outcome count below the
-model's d, or trial or iteration count below one, unsupported configuration
-for the requested command); 3 solver failure or an ordering margin below -1e-6.
-Per-bound capability errors are reported inside the output without failing
-the run. The environment variable QBAYES_GAP_TOL overrides the default SDP
-gap tolerance.
+Exit codes: 0 success; 2 validation error (a model file that cannot be
+read or is rejected, an output path that cannot be written, bad selector,
+bad zoo name, count or seed, bad seed list, negative seed, outcome count
+below the model's d, or trial or iteration count below one, unsupported
+configuration for the requested command); 3 solver failure or an ordering
+margin below -1e-6. Per-bound capability errors are reported inside the
+output without failing the run. QBAYES_GAP_TOL, a finite positive number,
+sets the relative gap of every SDP a command solves (default GAP_TOL, and
+1e-10 for the `lemmas` identity suite); each command reads it once and
+reports an invalid value on stderr. The library never reads it.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -29,45 +33,63 @@ import numpy as np
 
 from .closedform import SingularInformationError, rld_bound, sld_bound, \
     van_tree_bound
-from .conic import GAP_TOL_ENV, SolveOptions, SolverFailureError, \
-    holevo_lemma_suite
+from .conic import GAP_TOL, SolverFailureError, holevo_lemma_sdp_value, \
+    holevo_lemma_suite, holevo_lemma_value
 from .model import CapabilityError, ModelError, build_extended_moments, \
-    build_moments, load_model, model_to_dict, model_zoo, save_model
+    build_moments, load_model, model_to_dict, model_zoo
 from .sdpbounds import f_family_pinned_example, f_family_suite, \
     holevo_type_bound, nagaoka_bound, nagaoka_hayashi_bound
 from .verify import UnsupportedConfigurationError, ordering_audit, seesaw
 
 BOUND_NAMES = ("nh", "holevo", "nagaoka2", "sld", "rld", "vantree")
 MARGIN_ALARM = -1e-6
+GAP_TOL_ENV = "QBAYES_GAP_TOL"
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
+def _json_default(obj):
+    """NumPy scalars and arrays, which json.dumps does not encode itself."""
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _Validation(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _write_report(report: dict, out_path: str | None) -> None:
-    text = json.dumps(_jsonable(report), indent=2, sort_keys=True)
+    text = json.dumps(report, indent=2, sort_keys=True, default=_json_default)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_text(out_path, text + "\n")
     else:
         print(text)
+
+
+def _env_gap_tol() -> float | None:
+    """QBAYES_GAP_TOL if it is a finite positive number, else None; an
+    invalid value is reported on stderr."""
+    env = os.environ.get(GAP_TOL_ENV)
+    if not env:
+        return None
+    try:
+        tol = float(env)
+    except ValueError:
+        tol = math.nan
+    if math.isfinite(tol) and tol > 0:
+        return tol
+    print(f"warning: ignoring {GAP_TOL_ENV}={env!r}: not a finite positive "
+          "number", file=sys.stderr)
+    return None
 
 
 def _model_digest(model) -> str:
@@ -79,8 +101,10 @@ def _model_digest(model) -> str:
 def _load(path: str):
     try:
         return load_model(path)
-    except FileNotFoundError as exc:
-        raise _Validation(f"model file not found: {exc}")
+    except OSError as exc:
+        raise _Validation(f"cannot read model file: {exc}")
+    except UnicodeDecodeError as exc:
+        raise _Validation(f"model file is not UTF-8 text: {exc}")
     except json.JSONDecodeError as exc:
         raise _Validation(f"model file is not valid JSON: {exc}")
     except ModelError as exc:
@@ -112,30 +136,23 @@ def _solved(sol) -> dict:
             "feas_dual": diag.feas_dual}
 
 
-def _bound_runner(model, options):
+def _bound_runners(model, gap_tol: float) -> dict:
+    """Per bound name, a call that returns its report entry."""
     moments = functools.cache(lambda: build_moments(model))
     extended = functools.cache(lambda: build_extended_moments(model))
+    weight = functools.partial(_constant_weight, model)
 
     def closed_form(value):
         return {"value": value, "solver_status": "closed-form", "gap": 0.0}
 
-    def run(name):
-        """The report entry of one bound."""
-        if name == "nh":
-            return _solved(nagaoka_hayashi_bound(extended(), options=options))
-        if name == "holevo":
-            return _solved(holevo_type_bound(extended(), options=options))
-        if name == "nagaoka2":
-            return _solved(nagaoka_bound(extended(), options=options))
-        if name == "sld":
-            return closed_form(sld_bound(moments(), _constant_weight(model))[0])
-        if name == "rld":
-            return closed_form(rld_bound(moments(), _constant_weight(model))[0])
-        if name == "vantree":
-            return closed_form(van_tree_bound(model, _constant_weight(model)))
-        raise _Validation(f"unknown bound selector {name!r}")
-
-    return run
+    return {
+        "nh": lambda: _solved(nagaoka_hayashi_bound(extended(), gap_tol)),
+        "holevo": lambda: _solved(holevo_type_bound(extended(), gap_tol)),
+        "nagaoka2": lambda: _solved(nagaoka_bound(extended(), gap_tol)),
+        "sld": lambda: closed_form(sld_bound(moments(), weight())[0]),
+        "rld": lambda: closed_form(rld_bound(moments(), weight())[0]),
+        "vantree": lambda: closed_form(van_tree_bound(model, weight())),
+    }
 
 
 def cmd_bounds(args) -> int:
@@ -155,8 +172,8 @@ def cmd_bounds(args) -> int:
                 f"unknown bound selector {t!r}; valid: "
                 f"{', '.join(BOUND_NAMES + ('all',))}")
 
-    options = SolveOptions()
-    run = _bound_runner(model, options)
+    gap_tol = _env_gap_tol() or GAP_TOL
+    runners = _bound_runners(model, gap_tol)
     bounds = {}
     notes = []
     solver_failed = False
@@ -165,7 +182,7 @@ def cmd_bounds(args) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                entry = run(name)
+                entry = runners[name]()
             except (CapabilityError, UnsupportedConfigurationError,
                     SingularInformationError) as exc:
                 entry = {"error": str(exc), "error_kind": "capability"}
@@ -186,7 +203,7 @@ def cmd_bounds(args) -> int:
 
     report = {
         "model_digest": _model_digest(model),
-        "gap_tol": options.resolved_gap_tol(),
+        "gap_tol": gap_tol,
         "blas_threads": {v: os.environ.get(v) for v in BLAS_THREAD_VARS},
         "bounds": bounds,
         "audit": audit,
@@ -194,16 +211,16 @@ def cmd_bounds(args) -> int:
     }
     _write_report(report, args.out)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("bound,value,solver_status,gap,wall_time_ms\n")
-            for name in selected:
-                e = bounds[name]
-                if "value" in e:
-                    fh.write(f"{name},{e['value']!r},{e['solver_status']},"
+        lines = ["bound,value,solver_status,gap,wall_time_ms\n"]
+        for name in selected:
+            e = bounds[name]
+            if "value" in e:
+                lines.append(f"{name},{e['value']!r},{e['solver_status']},"
                              f"{e['gap']!r},{e['wall_time_ms']:.3f}\n")
-                else:
-                    fh.write(f"{name},,error:{e['error_kind']},,"
+            else:
+                lines.append(f"{name},,error:{e['error_kind']},,"
                              f"{e['wall_time_ms']:.3f}\n")
+        _write_text(args.csv, "".join(lines))
     return EXIT_SOLVER if solver_failed else EXIT_OK
 
 
@@ -227,14 +244,14 @@ def cmd_verify(args) -> int:
                           f"model's d = {model.d}, got {args.outcomes}")
     if args.iters < 1:
         raise _Validation(f"--iters must be positive, got {args.iters}")
-    options = SolveOptions()
+    gap_tol = _env_gap_tol() or GAP_TOL
     try:
-        audit = ordering_audit(model, options=options, iters=args.iters,
+        audit = ordering_audit(model, gap_tol, iters=args.iters,
                                seed=seeds[0], outcome_count=args.outcomes)
         runs = [{"start": "nh", "risk": audit["values"]["seesaw_risk"]}]
         for s in seeds:
             dec = seesaw(model, outcome_count=args.outcomes, iters=args.iters,
-                         seed=s, options=options)
+                         seed=s, gap_tol=gap_tol)
             runs.append({"seed": s, "risk": dec.risk})
     except UnsupportedConfigurationError as exc:
         raise _Validation(str(exc))
@@ -248,7 +265,7 @@ def cmd_verify(args) -> int:
     ok = all(v >= MARGIN_ALARM for v in margins.values())
     report = {
         "model_digest": _model_digest(model),
-        "gap_tol": options.resolved_gap_tol(),
+        "gap_tol": gap_tol,
         "values": audit["values"],
         "seesaw_runs": runs,
         "best_seesaw_risk": best,
@@ -273,12 +290,13 @@ def cmd_zoo(args) -> int:
         model = model_zoo(args.name, args.params, grid_size=args.grid)
     except ModelError as exc:
         raise _Validation(str(exc))
+    text = json.dumps(model_to_dict(model), indent=1)
     if args.out:
-        save_model(model, args.out)
+        _write_text(args.out, text + "\n")
         print(f"wrote {args.out} ({len(model.points)} grid points, "
               f"n={model.n}, d={model.d})")
     else:
-        print(json.dumps(_jsonable(model_to_dict(model)), indent=1))
+        print(text)
     return EXIT_OK
 
 
@@ -291,18 +309,15 @@ def cmd_lemmas(args) -> int:
         raise _Validation(f"--trials must be positive, got {args.trials}")
     if args.seed < 0:
         raise _Validation(f"--seed must be non-negative, got {args.seed}")
-    options = SolveOptions()
+    override = _env_gap_tol()
+    gap_tol = override or GAP_TOL
     # the 1e-7 identity check is absolute while the solver gap is relative,
-    # so large-value triples need a deeper solve; an explicit env override
-    # still wins
-    if os.environ.get(GAP_TOL_ENV):
-        identity_options = options
-    else:
-        identity_options = SolveOptions(gap_tol=1e-10)
+    # so large-value triples need a deeper solve; a valid override still wins
+    identity_tol = override or 1e-10
     failures = 0
 
     identity = holevo_lemma_suite(trials=args.trials, seed=args.seed,
-                                  options=identity_options)
+                                  gap_tol=identity_tol)
     bad = [r for r in identity
            if r["status"] != "optimal" or r["abs_diff"] > 1e-7]
     max_diff = max((r["abs_diff"] for r in identity), default=0.0)
@@ -311,18 +326,17 @@ def cmd_lemmas(args) -> int:
     print(line + (" PASS" if not bad else " FAIL"))
     failures += len(bad)
 
-    from .conic import holevo_lemma_sdp_value, holevo_lemma_value
     W = np.eye(2)
     A = np.diag([1.0, 2.0])
     B = np.array([[0.0, 0.5], [-0.5, 0.0]])
     pinned_closed = holevo_lemma_value(W, A, B)
-    pinned_sdp = holevo_lemma_sdp_value(W, A, B, identity_options).primal_value
+    pinned_sdp = holevo_lemma_sdp_value(W, A, B, identity_tol).primal_value
     pin_ok = abs(pinned_closed - 4.0) < 1e-12 and abs(pinned_sdp - 4.0) < 1e-7
     print(f"pinned identity case: closed {pinned_closed!r}, sdp "
           f"{pinned_sdp:.9f}, expected 4.0" + (" PASS" if pin_ok else " FAIL"))
     failures += 0 if pin_ok else 1
 
-    chain = f_family_suite(trials=args.trials, seed=args.seed, options=options)
+    chain = f_family_suite(trials=args.trials, seed=args.seed, gap_tol=gap_tol)
     bad_chain = [r for r in chain
                  if r["eq_gap"] > 1e-6 * max(1.0, abs(r["f1"]))
                  or min(r["margin_sdp_f3"], r["margin_f3_f4"],
@@ -337,7 +351,7 @@ def cmd_lemmas(args) -> int:
     print(line + (" PASS" if not bad_chain else " FAIL"))
     failures += len(bad_chain)
 
-    pinned = f_family_pinned_example(options)
+    pinned = f_family_pinned_example(gap_tol)
     pin2_ok = (abs(pinned["f_sdp"] - 2.0) < 1e-6
                and abs(pinned["f1"] - 2.0) < 1e-12)
     print(f"pinned block instance: f_sdp {pinned['f_sdp']:.9f}, f1 "

@@ -139,11 +139,3 @@ def van_tree_bound(model: StatisticalModel, W: np.ndarray) -> float:
         raise SingularInformationError("total information matrix is singular")
     return float(np.trace(npl.solve(J_total, W)))
 
-
-def personick_value(moments: BayesMoments) -> float:
-    """The scalar m - K for one-parameter moments (W = 1 convention)."""
-    if moments.n != 1:
-        raise ValueError("personick_value is single-parameter only")
-    value, _ = sld_bound(moments, np.eye(1))
-    return value
-

@@ -49,8 +49,6 @@ a test cut no step in 18 127 measured iterations (notes/decisions.md).
 
 from __future__ import annotations
 
-import os
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -68,7 +66,6 @@ DRES_GUARD = 1e-6    # sanity ceiling on the scaled dual residual; typical
 MAX_ITERS = 200
 STEP_FRAC = 0.98     # fraction of the step to the cone boundary
 SIGMA_MIN = 0.05     # keeps every step at least mildly centering
-GAP_TOL_ENV = "QBAYES_GAP_TOL"
 
 
 class ProgramError(ValueError):
@@ -229,34 +226,6 @@ class ConicProgram:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SolveOptions:
-    gap_tol: float | None = None     # None: QBAYES_GAP_TOL env or GAP_TOL
-
-    def __post_init__(self):
-        if self.gap_tol is not None and not _positive_finite(self.gap_tol):
-            raise ValueError(f"gap_tol must be finite and positive, got {self.gap_tol!r}")
-
-    def resolved_gap_tol(self) -> float:
-        if self.gap_tol is not None:
-            return self.gap_tol
-        env = os.environ.get(GAP_TOL_ENV)
-        if env:
-            try:
-                tol = float(env)
-            except ValueError:
-                tol = np.nan
-            if _positive_finite(tol):
-                return tol
-            warnings.warn(f"ignoring {GAP_TOL_ENV}={env!r}: "
-                          "not a finite positive number")
-        return GAP_TOL
-
-
-def _positive_finite(x: float) -> bool:
-    return bool(np.isfinite(x) and x > 0)
-
-
-@dataclass(frozen=True)
 class ConicSolution:
     """Solve outcome; `gap` and feasibility residuals are the scaled measures
     the optimality test used."""
@@ -358,10 +327,11 @@ def _corrector(groups, lams, dx: np.ndarray, ds: np.ndarray) -> np.ndarray:
     return np.concatenate([v.reshape(-1) for v in out])
 
 
-def solve(program: ConicProgram, options: SolveOptions | None = None) -> ConicSolution:
+def solve(program: ConicProgram, gap_tol: float = GAP_TOL) -> ConicSolution:
     """Run the homogeneous self-dual interior-point method on the program.
 
-    Deterministic for fixed input and options. Status `optimal` certifies a
+    Deterministic for fixed input and gap_tol, its one setting, which must be
+    finite and positive (ValueError otherwise). Status `optimal` certifies a
     relative duality gap <= gap_tol (measured against the reported value) and
     a scaled primal residual <= FEAS_TOL, with the dual residual under the
     DRES_GUARD ceiling; primal/dual infeasibility is reported from the
@@ -369,7 +339,8 @@ def solve(program: ConicProgram, options: SolveOptions | None = None) -> ConicSo
     blocked below 1e-10, or MAX_ITERS, returns `numerical-failure` carrying
     the best iterate seen. `iterations` counts every iteration taken.
     """
-    gap_tol = (options or SolveOptions()).resolved_gap_tol()
+    if not (np.isfinite(gap_tol) and gap_tol > 0):
+        raise ValueError(f"gap_tol must be finite and positive, got {gap_tol!r}")
 
     A, b, c, starts, N = program.assemble()
     p = A.shape[0]
@@ -556,10 +527,10 @@ def solve(program: ConicProgram, options: SolveOptions | None = None) -> ConicSo
     return failure(MAX_ITERS)
 
 
-def solve_or_raise(program: ConicProgram, options: SolveOptions | None = None,
+def solve_or_raise(program: ConicProgram, gap_tol: float = GAP_TOL,
                    what: str = "SDP") -> ConicSolution:
     """solve(), raising SolverFailureError unless the status is `optimal`."""
-    sol = solve(program, options)
+    sol = solve(program, gap_tol)
     if sol.status != "optimal":
         raise SolverFailureError(f"{what} ended with status {sol.status}", sol)
     return sol
@@ -586,7 +557,7 @@ def holevo_lemma_value(W: np.ndarray, A: np.ndarray, B: np.ndarray) -> float:
 
 
 def holevo_lemma_sdp_value(W: np.ndarray, A: np.ndarray, B: np.ndarray,
-                           options: SolveOptions | None = None) -> ConicSolution:
+                           gap_tol: float = GAP_TOL) -> ConicSolution:
     """min Tr(W V) over real symmetric V >= A + iB, as one Hermitian-block SDP.
 
     The variable is Z = V - A - iB >= 0; realness of V pins the imaginary
@@ -602,7 +573,7 @@ def holevo_lemma_sdp_value(W: np.ndarray, A: np.ndarray, B: np.ndarray,
     im = slice(k * (k + 1) // 2, k * k)
     prog.add_eq({z: hvec_basis(k)[im]}, rhs=hvec(-1j * B)[im])
     prog.set_objective({z: W}, offset=float(np.trace(W @ A)))
-    return solve(prog, options)
+    return solve(prog, gap_tol)
 
 
 def random_lemma_triple(rng: np.random.Generator, k: int):
@@ -617,9 +588,9 @@ def random_lemma_triple(rng: np.random.Generator, k: int):
 
 
 def holevo_lemma_suite(trials: int = 50, seed: int = 0,
-                       sizes: tuple = (2, 3, 4),
-                       options: SolveOptions | None = None) -> list[dict]:
-    """Closed form vs SDP on random triples; one result dict per trial.
+                       gap_tol: float = GAP_TOL) -> list[dict]:
+    """Closed form vs SDP on random triples of sizes 2, 3, 4 in turn; one
+    result dict per trial.
 
     Each dict carries both values, their absolute difference, and the solve
     status; CLI `lemmas` and the acceptance run both consume this.
@@ -627,10 +598,10 @@ def holevo_lemma_suite(trials: int = 50, seed: int = 0,
     rng = np.random.default_rng(seed)
     out = []
     for t in range(trials):
-        k = int(sizes[t % len(sizes)])
+        k = 2 + t % 3
         W, A, B = random_lemma_triple(rng, k)
         closed = holevo_lemma_value(W, A, B)
-        sol = holevo_lemma_sdp_value(W, A, B, options)
+        sol = holevo_lemma_sdp_value(W, A, B, gap_tol)
         out.append({
             "trial": t, "dim": k,
             "closed_form": closed,

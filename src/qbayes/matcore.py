@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.linalg as npl
 
-# Module-wide tolerance defaults; functions take overrides where it matters.
+# Module-wide tolerances; `is_block_symmetric` alone takes an override.
 HERM_TOL = 1e-12        # max |A - A^dag| accepted before symmetrization
 PSD_CLAMP = 1e-10       # eigenvalues above -PSD_CLAMP are clamped to zero
 STRICT_POS_MIN = 1e-10  # minimum eigenvalue for "strictly positive" states
@@ -49,16 +49,16 @@ def hermitize(A: np.ndarray) -> np.ndarray:
     return (A + A.conj().swapaxes(-1, -2)) / 2
 
 
-def check_hermitian(A: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
+def check_hermitian(A: np.ndarray) -> np.ndarray:
     """Symmetrize A, raising if it has a non-finite entry or deviates from
-    Hermitian by more than tol (relative to max(1, |A|)); a stack is checked
-    matrix by matrix."""
+    Hermitian by more than HERM_TOL (relative to max(1, |A|)); a stack is
+    checked matrix by matrix."""
     A = np.asarray(A, dtype=complex)
     if not np.isfinite(A).all():
         raise ValueError("matrix has non-finite entries")
     if A.size:
         dev = np.abs(A - A.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-        bad = dev > tol * np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))
+        bad = dev > HERM_TOL * np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))
         if np.any(bad):
             raise ValueError(f"matrix deviates from Hermitian by {np.max(dev):.3e}")
     return hermitize(A)
@@ -78,22 +78,22 @@ def hermitian_eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, U
 
 
-def psd_sqrt(A: np.ndarray, clamp: float = PSD_CLAMP) -> np.ndarray:
+def psd_sqrt(A: np.ndarray) -> np.ndarray:
     """Square root of a PSD Hermitian matrix.
 
-    Eigenvalues in [-clamp, 0) are rounding noise and are clamped to zero;
-    anything below -clamp raises NotPsdError.
+    Eigenvalues in [-PSD_CLAMP, 0) are rounding noise and are clamped to
+    zero; anything below -PSD_CLAMP raises NotPsdError.
     """
     w, U = hermitian_eig(A)
-    if w.size and w[0] < -clamp:
-        raise NotPsdError(f"eigenvalue {w[0]:.3e} below -{clamp:.0e}")
+    if w.size and w[0] < -PSD_CLAMP:
+        raise NotPsdError(f"eigenvalue {w[0]:.3e} below -{PSD_CLAMP:.0e}")
     w = np.maximum(w, 0.0)
     return hermitize((U * np.sqrt(w)) @ U.conj().T)
 
 
-def regularize_state(S: np.ndarray, min_eig: float = STRICT_POS_MIN,
-                     eps: float = REG_EPS) -> np.ndarray:
-    """Return S, or (1-eps) S + eps I/d when its minimum eigenvalue is <= min_eig.
+def regularize_state(S: np.ndarray) -> np.ndarray:
+    """Return S, or (1 - REG_EPS) S + REG_EPS I/d when its minimum eigenvalue
+    is <= STRICT_POS_MIN.
 
     Emits RegularizationWarning when the fallback fires so reports can record
     it; raises SingularStateError if the state is still not strictly positive
@@ -102,12 +102,12 @@ def regularize_state(S: np.ndarray, min_eig: float = STRICT_POS_MIN,
     S = np.asarray(S, dtype=complex)
     d = S.shape[0]
     w = npl.eigvalsh(hermitize(S))
-    if w[0] > min_eig:
+    if w[0] > STRICT_POS_MIN:
         return S
     warnings.warn(
-        f"state regularized: min eigenvalue {w[0]:.3e} <= {min_eig:.0e}",
+        f"state regularized: min eigenvalue {w[0]:.3e} <= {STRICT_POS_MIN:.0e}",
         RegularizationWarning, stacklevel=2)
-    Sreg = (1.0 - eps) * S + eps * np.eye(d) / d
+    Sreg = (1.0 - REG_EPS) * S + REG_EPS * np.eye(d) / d
     if npl.eigvalsh(hermitize(Sreg))[0] <= 0.0:
         raise SingularStateError("state singular beyond regularization")
     return Sreg
@@ -187,10 +187,10 @@ class ExtendedOperator:
             raise ValueError(f"expected shape {(n * d, n * d)}, got {M.shape}")
         return cls(M.reshape(n, d, n, d).transpose(0, 2, 1, 3))
 
-    def is_hermitian(self, tol: float = HERM_TOL) -> bool:
+    def is_hermitian(self) -> bool:
         M = self.full()
         scale = max(1.0, float(np.abs(M).max()))
-        return bool(np.abs(M - M.conj().T).max() <= tol * scale)
+        return bool(np.abs(M - M.conj().T).max() <= HERM_TOL * scale)
 
     def is_block_symmetric(self, tol: float = HERM_TOL) -> bool:
         dev = np.abs(self.blocks - self.blocks.transpose(1, 0, 2, 3)).max()

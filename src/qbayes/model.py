@@ -512,12 +512,12 @@ def model_from_dict(data: dict) -> StatisticalModel:
 
 
 def save_model(model: StatisticalModel, path: str) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(model_to_dict(model), fh, indent=1)
         fh.write("\n")
 
 
 def load_model(path: str) -> StatisticalModel:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         data = json.load(fh)   # json.JSONDecodeError carries line/column
     return model_from_dict(data)

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.linalg as npl
 
-from .conic import (ConicProgram, ConicSolution, SolveOptions,
-                    SolverFailureError, hvec, hvec_basis, solve_or_raise)
+from .conic import (GAP_TOL, ConicProgram, ConicSolution, SolverFailureError,
+                    hvec, hvec_basis, solve_or_raise)
 from .matcore import (ExtendedOperator, hermitize, psd_sqrt, sym_split,
                       trace_abs)
 from .model import CapabilityError, ExtendedMoments
@@ -121,7 +121,7 @@ def _observables(G: np.ndarray, em: ExtendedMoments) -> np.ndarray:
 
 
 def nagaoka_hayashi_bound(em: ExtendedMoments,
-                          options: SolveOptions | None = None) -> NhSolution:
+                          gap_tol: float = GAP_TOL) -> NhSolution:
     """Lower-bound the Bayes risk by one PSD program over ([[L, X], [X^T, I]]).
 
     Minimizes Tr(S_bar L) - 2 sum_j Tr(D_bar_j X_j) + w_bar over L
@@ -142,7 +142,7 @@ def nagaoka_hayashi_bound(em: ExtendedMoments,
                                      np.zeros((d, d)))
     prog.set_objective({g: C}, offset=em.w_bar)
 
-    sol = solve_or_raise(prog, options, what="block-operator bound")
+    sol = solve_or_raise(prog, gap_tol, what="block-operator bound")
     G = sol.variable_values[0]
     Lopt = ExtendedOperator.from_full(G[:nd, :nd], n, d)
     return NhSolution(value=sol.primal_value, Lopt=Lopt,
@@ -174,7 +174,7 @@ class HolevoSolution:
 
 
 def holevo_type_bound(em: ExtendedMoments,
-                      options: SolveOptions | None = None) -> HolevoSolution:
+                      gap_tol: float = GAP_TOL) -> HolevoSolution:
     """Lower-bound the Bayes risk through real correlation caps on the
     estimator observables, as a relaxation of the block-operator program.
 
@@ -225,7 +225,7 @@ def holevo_type_bound(em: ExtendedMoments,
         prog.add_eq(coeffs, rhs=np.zeros(len(E_im)))
     prog.set_objective(objective, offset=em.w_bar)
 
-    sol = solve_or_raise(prog, options, what="estimator-correlation bound")
+    sol = solve_or_raise(prog, gap_tol, what="estimator-correlation bound")
     G = sol.variable_values[g]
     L = G[:nd, :nd].reshape(n, d, n, d)
     # the T_m blocks follow G; the constant form has none
@@ -295,7 +295,7 @@ class NagaokaSolution:
 
 
 def nagaoka_bound(em: ExtendedMoments,
-                  options: SolveOptions | None = None) -> NagaokaSolution:
+                  gap_tol: float = GAP_TOL) -> NagaokaSolution:
     """Lower-bound the Bayes risk of a two-parameter model by the minimum of
     `nagaoka_objective` over Hermitian (X_1, X_2), as one PSD program.
 
@@ -331,7 +331,7 @@ def nagaoka_bound(em: ExtendedMoments,
         objective[p] = objective[q] = coeff * np.eye(d)
     prog.set_objective(objective, offset=em.w_bar)
 
-    sol = solve_or_raise(prog, options, what="two-parameter commutator bound")
+    sol = solve_or_raise(prog, gap_tol, what="two-parameter commutator bound")
     return NagaokaSolution(value=sol.primal_value,
                            Xopt=_observables(sol.variable_values[0], em),
                            diagnostics=sol)
@@ -354,7 +354,7 @@ _F_KINDS = ("f_sdp", "f1", "f2", "f3", "f4", "f5")
 
 
 def _dominating_value(Sfull: np.ndarray, X: ExtendedOperator,
-                      options: SolveOptions | None) -> float:
+                      gap_tol: float) -> float:
     """min Tr(S L) over block-symmetric Hermitian-block L >= X.
 
     The variable is the slack T = L - X >= 0; block symmetry of L becomes
@@ -370,7 +370,7 @@ def _dominating_value(Sfull: np.ndarray, X: ExtendedOperator,
             _hermitian_offblock_rows(prog, t, nd, j * d, k * d, Xb[k, j] - Xb[j, k])
     offset = float(np.real(np.trace(Sfull @ X.full())))
     prog.set_objective({t: hermitize(Sfull)}, offset=offset)
-    sol = solve_or_raise(prog, options, what="block-symmetric dominating program")
+    sol = solve_or_raise(prog, gap_tol, what="block-symmetric dominating program")
     return sol.primal_value
 
 
@@ -388,7 +388,7 @@ def _anti_commutator_trabs(S: np.ndarray, diff: np.ndarray) -> float:
 
 
 def appendix_f(kind: str, S_terms, X: ExtendedOperator,
-               options: SolveOptions | None = None) -> float:
+               gap_tol: float = GAP_TOL) -> float:
     """Evaluate one member of the comparison-functional family.
 
     S_terms is a list of (pi_j, W_j, S_j) with aggregate operator
@@ -437,7 +437,7 @@ def appendix_f(kind: str, S_terms, X: ExtendedOperator,
                          f"(min eigenvalue {ww[0]:.3e})")
 
     if kind == "f_sdp":
-        return _dominating_value(Sfull, X, options)
+        return _dominating_value(Sfull, X, gap_tol)
 
     plus_op, minus_op = sym_split(X)
     sym_plus_term = float(np.real(np.trace(Sfull @ plus_op.full())))
@@ -465,7 +465,7 @@ def appendix_f(kind: str, S_terms, X: ExtendedOperator,
             sq = psd_sqrt(hermitize(np.kron(W, S)))
             K = ExtendedOperator.from_full(hermitize(sq @ minus_full @ sq), n, d)
             total += pi_j * _dominating_value(np.eye(n * d, dtype=complex), K,
-                                              options)
+                                              gap_tol)
         return total
 
     if kind == "f4":
@@ -486,7 +486,7 @@ def appendix_f(kind: str, S_terms, X: ExtendedOperator,
     return total
 
 
-def f_family_pinned_example(options: SolveOptions | None = None) -> dict:
+def f_family_pinned_example(gap_tol: float = GAP_TOL) -> dict:
     """The hand-checkable instance: f_sdp = f1 = 2 exactly.
 
     S = I_2 (x) I_2/2 and X with off-diagonal blocks +-i sigma_z; the
@@ -498,20 +498,21 @@ def f_family_pinned_example(options: SolveOptions | None = None) -> dict:
     blocks[1, 0] = -1j * sz
     X = ExtendedOperator(blocks=blocks)
     terms = [(1.0, np.eye(2), np.eye(2, dtype=complex) / 2)]
-    fs = appendix_f("f_sdp", terms, X, options)
-    f1 = appendix_f("f1", terms, X, options)
+    fs = appendix_f("f_sdp", terms, X, gap_tol)
+    f1 = appendix_f("f1", terms, X, gap_tol)
     return {"f_sdp": fs, "f1": f1, "expected": 2.0,
             "abs_diff": abs(fs - f1)}
 
 
-def f_family_suite(trials: int = 100, seed: int = 0, dims: tuple = (2, 3, 4),
-                   options: SolveOptions | None = None) -> list[dict]:
-    """Random single-tensor-term instances with n = 2: equality of f_sdp and
-    f1, plus the inequality chain, one result dict per trial."""
+def f_family_suite(trials: int = 100, seed: int = 0,
+                   gap_tol: float = GAP_TOL) -> list[dict]:
+    """Random single-tensor-term instances with n = 2 and d = 2, 3, 4 in
+    turn: equality of f_sdp and f1, plus the inequality chain, one result
+    dict per trial."""
     rng = np.random.default_rng(seed)
     results = []
     for t in range(trials):
-        d = int(dims[t % len(dims)])
+        d = 2 + t % 3
         G = rng.standard_normal((2, 2))
         W = G @ G.T + 0.2 * np.eye(2)
         H = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -520,7 +521,7 @@ def f_family_suite(trials: int = 100, seed: int = 0, dims: tuple = (2, 3, 4),
         M = rng.standard_normal((2 * d, 2 * d)) + 1j * rng.standard_normal((2 * d, 2 * d))
         X = ExtendedOperator.from_full(hermitize(M), 2, d)
         terms = [(1.0, W, S)]
-        vals = {kind: appendix_f(kind, terms, X, options) for kind in _F_KINDS}
+        vals = {kind: appendix_f(kind, terms, X, gap_tol) for kind in _F_KINDS}
         results.append({
             "trial": t, "dim": d, **vals,
             "eq_gap": abs(vals["f_sdp"] - vals["f1"]),

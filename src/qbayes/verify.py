@@ -7,11 +7,9 @@ update is a linear PSD program; alternating the two (`seesaw`) produces a
 non-increasing sequence of achieved risks. The seesaw starts from a given
 decision or from a seeded random measurement.
 
-Two measurements come from a bound's optimum. One-parameter models get the
-tight spectral measurement of the averaged logarithmic derivative
-(`personick_optimal_measurement`). For any n, `rounded_measurement` reads
-the eigenbasis of the Nagaoka-Hayashi observables X_j; where they commute
-it attains the bound. `ordering_audit` keeps that decision as it is where
+One measurement comes from a bound's optimum: `rounded_measurement` reads
+the eigenbasis of estimator observables X_j, and where they commute it
+attains the bound. `ordering_audit` keeps that decision as it is where
 its risk is within the solver's gap tolerance of NH (no seesaw round could
 resolve a lower risk), and otherwise runs one seesaw from the even mixture
 of it and the seeded random measurement.
@@ -25,9 +23,9 @@ import numpy as np
 import numpy.linalg as npl
 
 from .closedform import rld_bound, sld_bound
-from .conic import ConicProgram, SolveOptions, hvec, hvec_basis, solve_or_raise
-from .matcore import hermitian_eig, hermitize, lyapunov_solve
-from .model import BayesMoments, StatisticalModel, build_extended_moments, \
+from .conic import GAP_TOL, ConicProgram, hvec, hvec_basis, solve_or_raise
+from .matcore import hermitian_eig, hermitize
+from .model import StatisticalModel, build_extended_moments, \
     build_moments
 from .sdpbounds import holevo_type_bound, nagaoka_hayashi_bound
 
@@ -129,7 +127,7 @@ def posterior_mean_estimator(model: StatisticalModel, povm: Povm) -> DecisionRis
 
 
 def optimal_povm_step(model: StatisticalModel, estimates,
-                      options: SolveOptions | None = None) -> Povm:
+                      gap_tol: float = GAP_TOL) -> Povm:
     """Risk-minimizing measurement at fixed estimates (constant weight).
 
     The risk is linear in the measurement, so this is one PSD program:
@@ -157,7 +155,7 @@ def optimal_povm_step(model: StatisticalModel, estimates,
         coeffs[blk] = hermitize(F)
     prog.set_objective(coeffs)
 
-    sol = solve_or_raise(prog, options, what="measurement update")
+    sol = solve_or_raise(prog, gap_tol, what="measurement update")
     return _renormalize(sol.variable_values)
 
 
@@ -199,7 +197,7 @@ def _seeded_povm(model: StatisticalModel, outcome_count: int | None,
 
 def seesaw(model: StatisticalModel, outcome_count: int | None = None,
            iters: int = 50, seed: int = 0,
-           options: SolveOptions | None = None,
+           gap_tol: float = GAP_TOL,
            start: DecisionRisk | None = None) -> DecisionRisk:
     """Alternate estimator and measurement updates from `start`, or from a
     seeded random measurement with `outcome_count` outcomes when no start is
@@ -223,7 +221,7 @@ def seesaw(model: StatisticalModel, outcome_count: int | None = None,
         current = posterior_mean_estimator(
             model, _seeded_povm(model, outcome_count, seed))
     for _ in range(iters):
-        povm = optimal_povm_step(model, current.estimates, options=options)
+        povm = optimal_povm_step(model, current.estimates, gap_tol)
         risk_povm = bayes_risk(model, povm, current.estimates)
         if risk_povm > current.risk:
             break   # solver noise: keep the certified decision
@@ -244,8 +242,9 @@ def rounded_measurement(model: StatisticalModel, X) -> DecisionRisk:
     The outcomes are the rank-one eigenprojectors of one fixed generic
     combination sum_j c_j X_j, and the estimates their posterior means. When
     the X_j commute this is their joint eigenbasis, so at the NH optimum the
-    decision attains the bound: the n >= 2 form of the spectral measurement.
-    The risk is exact for the returned measurement however X was obtained.
+    decision attains the bound. At n = 1 with the SLD L of `sld_bound` it
+    attains m - K: Tr(D_B P_i) = l_i Tr(S_B P_i), so the estimates are the
+    eigenvalues l_i. The risk is exact however X was obtained.
     """
     X = np.asarray(X)
     if X.shape != (model.n, model.d, model.d):
@@ -260,33 +259,8 @@ def rounded_measurement(model: StatisticalModel, X) -> DecisionRisk:
     return posterior_mean_estimator(model, povm)
 
 
-@dataclass(frozen=True)
-class PersonickMeasurement:
-    """Spectral measurement of the averaged logarithmic derivative."""
-
-    povm: Povm
-    estimates: np.ndarray        # (d, 1) eigenvalues as one-dim estimates
-
-
-def personick_optimal_measurement(moments: BayesMoments) -> PersonickMeasurement:
-    """Tight one-parameter measurement: eigenprojectors of L with estimates
-    its eigenvalues, where D_B = (S_B L + L S_B)/2.
-
-    On the generating grid this decision achieves the one-parameter quadratic
-    bound m - K exactly (up to the stated 1e-9), certifying tightness.
-    """
-    if moments.n != 1:
-        raise UnsupportedConfigurationError(
-            "the spectral measurement is defined for exactly one parameter")
-    L = lyapunov_solve(moments.S_B, moments.D_B[0])
-    w, U = hermitian_eig(L)
-    povm = Povm(tuple(np.outer(U[:, i], U[:, i].conj())
-                      for i in range(U.shape[1])))
-    return PersonickMeasurement(povm=povm, estimates=w.reshape(-1, 1))
-
-
 def ordering_audit(model: StatisticalModel,
-                   options: SolveOptions | None = None,
+                   gap_tol: float = GAP_TOL,
                    iters: int = 50, seed: int = 0,
                    outcome_count: int | None = None) -> dict:
     """Compute the full bound chain plus an achieved risk and their margins.
@@ -312,19 +286,18 @@ def ordering_audit(model: StatisticalModel,
     em = build_extended_moments(model)
     c_sld, _ = sld_bound(moments, W)
     c_rld, _ = rld_bound(moments, W)
-    c_h = holevo_type_bound(em, options=options).value
-    nh = nagaoka_hayashi_bound(em, options=options)
+    c_h = holevo_type_bound(em, gap_tol).value
+    nh = nagaoka_hayashi_bound(em, gap_tol)
     c_nh = nh.value
     rounded = achieved = rounded_measurement(model, nh.Xopt)
-    # NH was solved to this relative gap: below it a seesaw round cannot
-    # resolve a lower risk, so the rounded decision stands
-    gap_tol = (options or SolveOptions()).resolved_gap_tol()
+    # NH was solved to gap_tol: below it a seesaw round cannot resolve a
+    # lower risk, so the rounded decision stands
     if rounded.risk - c_nh > gap_tol * max(1.0, abs(c_nh)):
         # the 1/2 weights cancel in each outcome's posterior mean, so the
         # first measurement update chooses among both starts' estimates
         blend = Povm(tuple(0.5 * E for E in
                            rounded.povm.elements + seeded.elements))
-        run = seesaw(model, iters=iters, options=options,
+        run = seesaw(model, iters=iters, gap_tol=gap_tol,
                      start=posterior_mean_estimator(model, blend))
         achieved = min(rounded, run, key=lambda r: r.risk)
     values = {

@@ -20,8 +20,8 @@ from helpers import (
 from qbayes import verify
 from qbayes.closedform import rld_bound, sld_bound
 from qbayes.conic import (
+    GAP_TOL,
     ConicProgram,
-    SolveOptions,
     holevo_lemma_sdp_value,
     holevo_lemma_value,
     holevo_lemma_suite,
@@ -48,9 +48,7 @@ from qbayes.sdpbounds import (
     nagaoka_hayashi_bound,
 )
 from qbayes.verify import (
-    bayes_risk,
     ordering_audit,
-    personick_optimal_measurement,
     rounded_measurement,
     seesaw,
 )
@@ -84,11 +82,10 @@ def test_single_parameter_tightness():
     for i, model in enumerate(single_parameter_models()):
         mom = build_moments(model)
         em = build_extended_moments(model)
-        target = sld_bound(mom, np.eye(1))[0]
+        target, sld = sld_bound(mom, np.eye(1))
         assert abs(nagaoka_hayashi_bound(em).value - target) <= 1e-6
         assert abs(holevo_type_bound(em).value - target) <= 1e-6
-        meas = personick_optimal_measurement(mom)
-        achieved = bayes_risk(model, meas.povm, meas.estimates)
+        achieved = rounded_measurement(model, sld.L).risk
         assert abs(achieved - target) <= 1e-9
         if i == 0:
             assert abs(target - 0.64) < 1e-12
@@ -108,11 +105,10 @@ def test_nh_and_holevo_reach_a_tight_gap_on_the_ensemble():
     """NH and both Holevo forms end `optimal` at a 1e-10 gap on all 50
     ensemble models: the corrector's endgame, where the Schur system is at
     its worst conditioned."""
-    deep = SolveOptions(gap_tol=1e-10)
     for model in audit_ensemble():
         em = build_extended_moments(model)
-        for sol in (nagaoka_hayashi_bound(em, deep), holevo_type_bound(em, deep),
-                    holevo_type_bound(per_point(em), deep)):
+        for sol in (nagaoka_hayashi_bound(em, 1e-10), holevo_type_bound(em, 1e-10),
+                    holevo_type_bound(per_point(em), 1e-10)):
             assert sol.diagnostics.status == "optimal"
             assert sol.diagnostics.gap <= 1e-10
 
@@ -148,7 +144,7 @@ def test_audit_skips_the_seesaw_only_where_the_rounded_nh_measurement_attains_nh
     """No measurement update runs where the rounded NH measurement is within
     the solver's gap of NH, and a seesaw from it would not have ended lower
     by more than that gap; on every other model the seesaw still runs."""
-    gap_tol = SolveOptions().resolved_gap_tol()
+    gap_tol = GAP_TOL
     calls = []
     step = verify.optimal_povm_step
 
@@ -187,7 +183,7 @@ def test_blended_audit_start_trails_neither_single_start(which):
         model = random_model(2, 4, seed=2, grid=8)
     audit = ordering_audit(model, iters=8, seed=0)
     nh = audit["values"]["nh"]
-    tol = SolveOptions().resolved_gap_tol() * max(1.0, abs(nh))
+    tol = GAP_TOL * max(1.0, abs(nh))
     assert audit["rounded_risk"] - nh > tol
     Xopt = nagaoka_hayashi_bound(build_extended_moments(model)).Xopt
     rounded = seesaw(model, iters=8, start=rounded_measurement(model, Xopt))
@@ -212,15 +208,14 @@ def test_tensor_equivalence_and_functional_chain():
 
 def test_trace_norm_identity_suite():
     """Closed form Tr(WA) + TrAbs(WB) against its SDP twin, 50 triples."""
-    deep = SolveOptions(gap_tol=1e-10)
-    rows = holevo_lemma_suite(trials=50, seed=0, options=deep)
+    rows = holevo_lemma_suite(trials=50, seed=0, gap_tol=1e-10)
     assert all(r["status"] == "optimal" for r in rows)
     assert max(r["abs_diff"] for r in rows) <= 1e-7
     W = np.eye(2)
     A = np.diag([1.0, 2.0])
     B = np.array([[0.0, 0.5], [-0.5, 0.0]])
     assert abs(holevo_lemma_value(W, A, B) - 4.0) < 1e-12
-    sol = holevo_lemma_sdp_value(W, A, B, deep)
+    sol = holevo_lemma_sdp_value(W, A, B, 1e-10)
     assert abs(sol.primal_value - 4.0) <= 1e-7
 
 

@@ -155,6 +155,69 @@ def test_gap_tolerance_env_is_reported(tmp_path, monkeypatch):
     assert report["bounds"]["nh"]["gap"] <= 1e-6
 
 
+def test_gap_tolerance_env_override(tmp_path, monkeypatch, capsys):
+    """A valid QBAYES_GAP_TOL sets the command's gap; an invalid one is
+    reported once on stderr and the default 1e-8 stands."""
+    model_path = write_cb(tmp_path)
+    monkeypatch.setenv("QBAYES_GAP_TOL", "1e-5")
+    assert main(["bounds", "--model", model_path, "--bounds", "nh,holevo"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["gap_tol"] == 1e-5
+    assert captured.err == ""
+    for bad in ("not-a-number", "nan", "0", "-1", "inf"):
+        monkeypatch.setenv("QBAYES_GAP_TOL", bad)
+        assert main(["bounds", "--model", model_path,
+                     "--bounds", "nh,holevo"]) == 0
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["gap_tol"] == 1e-8, bad
+        assert report["warnings"] == [], bad
+        assert captured.err.count("QBAYES_GAP_TOL") == 1, bad
+        assert captured.err.startswith(
+            f"warning: ignoring QBAYES_GAP_TOL={bad!r}"), bad
+
+
+def test_lemmas_keeps_its_deep_gap_under_an_invalid_env(tmp_path, monkeypatch,
+                                                        capsys):
+    """Only a valid QBAYES_GAP_TOL overrides the identity suite's 1e-10."""
+    monkeypatch.setenv("QBAYES_GAP_TOL", "abc")
+    out = tmp_path / "lemmas.json"
+    assert main(["lemmas", "--trials", "50", "--out", str(out)]) == 0
+    assert capsys.readouterr().err.count("QBAYES_GAP_TOL") == 1
+    identity = json.loads(out.read_text())["identity_suite"]
+    assert max(r["abs_diff"] for r in identity) <= 1e-8
+
+
+def _not_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"n": 1, "name": "caf\xe9"}')
+    return str(path)
+
+
+@pytest.mark.parametrize("args, message", [
+    (lambda tmp, cb: ["bounds", "--model", str(tmp)], "cannot read model file"),
+    (lambda tmp, cb: ["bounds", "--model", _not_utf8(tmp)],
+     "model file is not UTF-8 text"),
+    (lambda tmp, cb: ["bounds", "--model", cb, "--bounds", "sld",
+                      "--out", str(tmp / "missing" / "r.json")], "cannot write"),
+    (lambda tmp, cb: ["bounds", "--model", cb, "--bounds", "sld",
+                      "--csv", str(tmp / "missing" / "r.csv")], "cannot write"),
+    (lambda tmp, cb: ["verify", "--model", cb, "--iters", "2",
+                      "--out", str(tmp / "missing" / "v.json")], "cannot write"),
+    (lambda tmp, cb: ["verify", "--model", str(tmp)], "cannot read model file"),
+    (lambda tmp, cb: ["zoo", "classical_binary", "1", "0.6",
+                      "--out", str(tmp / "missing" / "m.json")], "cannot write"),
+], ids=["model-is-a-directory", "model-not-utf8", "bounds-out", "bounds-csv",
+        "verify-out", "verify-model-is-a-directory", "zoo-out"])
+def test_file_errors_exit_2_without_a_traceback(tmp_path, capsys, args, message):
+    cb = write_cb(tmp_path)
+    capsys.readouterr()
+    assert main(args(tmp_path, cb)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert "Traceback" not in err
+
+
 def test_verify_certifies_the_binary_model(tmp_path):
     model_path = write_cb(tmp_path)
     out = tmp_path / "v.json"

@@ -6,7 +6,6 @@ import pytest
 from helpers import random_grid_model
 from qbayes.closedform import (
     SingularInformationError,
-    personick_value,
     rld_bound,
     sld_bound,
     sld_fisher_point,
@@ -59,7 +58,6 @@ def test_classical_binary_closed_forms_agree():
     rld, _ = rld_bound(mom, np.eye(1))
     assert abs(sld - 0.64) < 1e-12
     assert abs(rld - 0.64) < 1e-9
-    assert abs(personick_value(mom) - sld) < 1e-15
 
 
 def test_sld_solves_the_averaged_anticommutator():

@@ -10,7 +10,6 @@ from qbayes import conic
 from qbayes.conic import (
     ConicProgram,
     ProgramError,
-    SolveOptions,
     SolverFailureError,
     _alpha_boundary,
     _factor_psd,
@@ -318,21 +317,14 @@ def test_iteration_cap_returns_the_best_iterate(monkeypatch):
     assert err.value.solution.status == "numerical-failure"
 
 
-def test_gap_tolerance_env_override(monkeypatch):
-    monkeypatch.setenv("QBAYES_GAP_TOL", "1e-5")
-    assert SolveOptions().resolved_gap_tol() == 1e-5
-    monkeypatch.setenv("QBAYES_GAP_TOL", "not-a-number")
-    with pytest.warns(UserWarning):
-        assert SolveOptions().resolved_gap_tol() == 1e-8
-    for bad in ("nan", "0", "-1", "inf"):
-        monkeypatch.setenv("QBAYES_GAP_TOL", bad)
-        with pytest.warns(UserWarning):
-            assert SolveOptions().resolved_gap_tol() == 1e-8
-    monkeypatch.delenv("QBAYES_GAP_TOL")
-    assert SolveOptions(gap_tol=1e-10).resolved_gap_tol() == 1e-10
-    for bad in (float("nan"), 0.0, -1.0, float("inf")):
-        with pytest.raises(ValueError):
-            SolveOptions(gap_tol=bad)
+@pytest.mark.parametrize("bad", [0.0, -1e-8, float("nan"), float("inf")])
+def test_solve_rejects_a_gap_tolerance_that_is_not_finite_and_positive(bad):
+    prog = ConicProgram()
+    blk = prog.add_psd_block(2)
+    prog.add_eq({blk: np.eye(2)}, rhs=1.0)
+    prog.set_objective({blk: np.diag([1.0, 2.0])})
+    with pytest.raises(ValueError, match="gap_tol must be finite and positive"):
+        solve(prog, bad)
 
 
 def test_program_validation_rejects_bad_shapes():
@@ -372,12 +364,11 @@ def test_program_validation_rejects_bad_shapes():
 def test_lemma_identity_on_random_triples():
     """Closed form Tr(WA) + TrAbs(WB) equals its SDP on seeded draws."""
     rng = np.random.default_rng(34)
-    deep = SolveOptions(gap_tol=1e-10)
     for _ in range(6):
         k = int(rng.integers(2, 5))
         W, A, B = random_lemma_triple(rng, k)
         closed = holevo_lemma_value(W, A, B)
-        sol = holevo_lemma_sdp_value(W, A, B, deep)
+        sol = holevo_lemma_sdp_value(W, A, B, 1e-10)
         assert sol.status == "optimal"
         assert abs(sol.primal_value - closed) < 1e-7
 

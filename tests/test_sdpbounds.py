@@ -104,6 +104,15 @@ def test_point_mass_bound_is_zero():
     assert sol.diagnostics.status == "optimal"
 
 
+def test_the_bounds_ignore_the_gap_tolerance_env(monkeypatch):
+    """QBAYES_GAP_TOL is a setting of the command line alone: the library
+    solves to its gap_tol argument whatever the environment says."""
+    monkeypatch.setenv("QBAYES_GAP_TOL", "1e-3")
+    sol = nagaoka_hayashi_bound(build_extended_moments(model_zoo("qubit_xy", (0.6,))))
+    assert sol.diagnostics.status == "optimal"
+    assert sol.diagnostics.gap <= 1e-8
+
+
 def test_classical_binary_value():
     em = build_extended_moments(classical_binary(1.0, 0.6))
     assert abs(nagaoka_hayashi_bound(em).value - 0.64) < 1e-6

@@ -9,7 +9,7 @@ from helpers import (
     record_row_counts,
     single_parameter_models,
 )
-from qbayes.closedform import personick_value, sld_bound
+from qbayes.closedform import sld_bound
 from qbayes.model import (
     StatisticalModel,
     WeightSpec,
@@ -26,7 +26,6 @@ from qbayes.verify import (
     bayes_risk,
     optimal_povm_step,
     ordering_audit,
-    personick_optimal_measurement,
     posterior_mean_estimator,
     random_povm,
     rounded_measurement,
@@ -222,17 +221,14 @@ def test_start_of_the_wrong_dimension_is_rejected():
 
 
 def test_personick_measurement_attains_the_quadratic_bound():
+    """The eigenbasis of the SLD L, read by `rounded_measurement`, attains
+    m - K; its estimates are the eigenvalues of L."""
     for model in (classical_binary(1.0, 0.6), random_model(1, 3, seed=2)):
-        mom = build_moments(model)
-        meas = personick_optimal_measurement(mom)
-        risk = bayes_risk(model, meas.povm, meas.estimates)
-        assert abs(risk - personick_value(mom)) < 1e-9
-
-
-def test_personick_measurement_is_single_parameter_only():
-    mom = build_moments(random_model(2, 2, seed=1))
-    with pytest.raises(UnsupportedConfigurationError):
-        personick_optimal_measurement(mom)
+        value, sld = sld_bound(build_moments(model), np.eye(1))
+        dec = rounded_measurement(model, sld.L)
+        assert abs(dec.risk - value) < 1e-9
+        assert np.allclose(np.sort(dec.estimates[:, 0]),
+                           np.linalg.eigvalsh(sld.L[0]), atol=1e-12)
 
 
 def test_weighted_risk_requires_constant_weight():
