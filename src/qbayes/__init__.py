@@ -33,9 +33,8 @@ from .sdpbounds import (HolevoSolution, NagaokaSolution, NhSolution,
                         appendix_f, f_family_pinned_example, f_family_suite,
                         holevo_type_bound, nagaoka_bound,
                         nagaoka_hayashi_bound, nagaoka_objective)
-from .verify import (DecisionRisk, Povm, UnsupportedConfigurationError,
-                     bayes_risk, optimal_povm_step, ordering_audit,
-                     posterior_mean_estimator, random_povm,
+from .verify import (DecisionRisk, Povm, bayes_risk, optimal_povm_step,
+                     ordering_audit, posterior_mean_estimator, random_povm,
                      rounded_measurement, seesaw)
 
 __version__ = "0.1.0"
@@ -57,8 +56,7 @@ __all__ = [
     "HolevoSolution", "NagaokaSolution", "NhSolution", "appendix_f",
     "f_family_pinned_example", "f_family_suite", "holevo_type_bound",
     "nagaoka_bound", "nagaoka_hayashi_bound", "nagaoka_objective",
-    "DecisionRisk", "Povm",
-    "UnsupportedConfigurationError", "bayes_risk", "optimal_povm_step",
+    "DecisionRisk", "Povm", "bayes_risk", "optimal_povm_step",
     "ordering_audit", "posterior_mean_estimator", "random_povm",
     "rounded_measurement", "seesaw",
     "__version__",

@@ -8,13 +8,14 @@ model to the JSON format), lemmas (the identity/chain property suites).
 Exit codes: 0 success; 2 validation error (a model file that cannot be
 read or is rejected, an output path that cannot be written, bad selector,
 bad zoo name, count or seed, bad seed list, negative seed, outcome count
-below the model's d, or trial or iteration count below one, unsupported
-configuration for the requested command); 3 solver failure or an ordering
-margin below -1e-6. Per-bound capability errors are reported inside the
-output without failing the run. QBAYES_GAP_TOL, a finite positive number,
-sets the relative gap of every SDP a command solves (default GAP_TOL, and
-1e-10 for the `lemmas` identity suite); each command reads it once and
-reports an invalid value on stderr. The library never reads it.
+below the model's d, trial or iteration count below one, or a `verify`
+model whose weight is not constant); 3 solver failure or an ordering
+margin below -1e-6. Output paths are checked before any solve. Per-bound
+capability errors are reported inside the `bounds` output without failing
+the run. QBAYES_GAP_TOL, a finite positive number, sets the relative gap of
+every SDP a command solves (default GAP_TOL, and 1e-10 for the `lemmas`
+identity suite); each command reads it once and reports an invalid value on
+stderr. The library never reads it.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .model import CapabilityError, ModelError, build_extended_moments, \
     build_moments, load_model, model_to_dict, model_zoo
 from .sdpbounds import f_family_pinned_example, f_family_suite, \
     holevo_type_bound, nagaoka_bound, nagaoka_hayashi_bound
-from .verify import UnsupportedConfigurationError, ordering_audit, seesaw
+from .verify import ordering_audit, seesaw
 
 BOUND_NAMES = ("nh", "holevo", "nagaoka2", "sld", "rld", "vantree")
 MARGIN_ALARM = -1e-6
@@ -59,12 +60,22 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, text: str, mode: str = "w") -> None:
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, mode, encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         raise _Validation(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _check_writable(*paths) -> None:
+    """Fail before any work on an output path that cannot be written. The
+    probe appends nothing and removes a file it had to create."""
+    for path in filter(None, paths):
+        existed = os.path.exists(path)
+        _write_text(path, "", "a")
+        if not existed:
+            os.remove(path)
 
 
 def _write_report(report: dict, out_path: str | None) -> None:
@@ -115,12 +126,6 @@ class _Validation(Exception):
     """Internal signal mapped to exit code 2."""
 
 
-def _constant_weight(model) -> np.ndarray:
-    if not model.weight_spec.is_constant:
-        raise CapabilityError("this bound needs a constant weight matrix")
-    return model.weight_spec.constant
-
-
 # ---------------------------------------------------------------------------
 # bounds
 # ---------------------------------------------------------------------------
@@ -140,7 +145,7 @@ def _bound_runners(model, gap_tol: float) -> dict:
     """Per bound name, a call that returns its report entry."""
     moments = functools.cache(lambda: build_moments(model))
     extended = functools.cache(lambda: build_extended_moments(model))
-    weight = functools.partial(_constant_weight, model)
+    weight = model.weight_spec.require_constant
 
     def closed_form(value):
         return {"value": value, "solver_status": "closed-form", "gap": 0.0}
@@ -171,6 +176,7 @@ def cmd_bounds(args) -> int:
             raise _Validation(
                 f"unknown bound selector {t!r}; valid: "
                 f"{', '.join(BOUND_NAMES + ('all',))}")
+    _check_writable(args.out, args.csv)
 
     gap_tol = _env_gap_tol() or GAP_TOL
     runners = _bound_runners(model, gap_tol)
@@ -183,8 +189,7 @@ def cmd_bounds(args) -> int:
             warnings.simplefilter("always")
             try:
                 entry = runners[name]()
-            except (CapabilityError, UnsupportedConfigurationError,
-                    SingularInformationError) as exc:
+            except (CapabilityError, SingularInformationError) as exc:
                 entry = {"error": str(exc), "error_kind": "capability"}
             except SolverFailureError as exc:
                 entry = {"error": str(exc), "error_kind": "solver"}
@@ -244,6 +249,7 @@ def cmd_verify(args) -> int:
                           f"model's d = {model.d}, got {args.outcomes}")
     if args.iters < 1:
         raise _Validation(f"--iters must be positive, got {args.iters}")
+    _check_writable(args.out)
     gap_tol = _env_gap_tol() or GAP_TOL
     try:
         audit = ordering_audit(model, gap_tol, iters=args.iters,
@@ -253,8 +259,6 @@ def cmd_verify(args) -> int:
             dec = seesaw(model, outcome_count=args.outcomes, iters=args.iters,
                          seed=s, gap_tol=gap_tol)
             runs.append({"seed": s, "risk": dec.risk})
-    except UnsupportedConfigurationError as exc:
-        raise _Validation(str(exc))
     except SolverFailureError as exc:
         print(f"solver failure during verification: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -309,6 +313,7 @@ def cmd_lemmas(args) -> int:
         raise _Validation(f"--trials must be positive, got {args.trials}")
     if args.seed < 0:
         raise _Validation(f"--seed must be non-negative, got {args.seed}")
+    _check_writable(args.out)
     override = _env_gap_tol()
     gap_tol = override or GAP_TOL
     # the 1e-7 identity check is absolute while the solver gap is relative,
@@ -421,9 +426,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _Validation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ModelError as exc:
+    except (_Validation, ModelError, CapabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -111,6 +111,14 @@ class WeightSpec:
     def matrix_at(self, m: int) -> np.ndarray:
         return self.constant if self.constant is not None else self.per_point[m]
 
+    def require_constant(self) -> np.ndarray:
+        """The constant matrix; CapabilityError for a per-point weight."""
+        if self.constant is None:
+            raise CapabilityError("the SLD, RLD and van Tree bounds need a "
+                                  "constant weight matrix; this model gives "
+                                  "one per grid point")
+        return self.constant
+
 
 @dataclass(frozen=True)
 class StatisticalModel:
@@ -210,9 +218,9 @@ class ExtendedMoments:
 
     S_bar = sum pi_m W(theta_m) (x) S_m, D_bar[j] = sum pi_m sum_k
     W_jk(theta_m) theta_mk S_m. Beyond those, the per-point data (pi, states,
-    thetas, weight_spec) is kept: the two-parameter commutator bound and the
-    general per-point Holevo program need it and it cannot be recovered from
-    the averaged operators.
+    weight_spec) is kept: the two-parameter commutator bound and the
+    per-point Holevo program need it and it cannot be recovered from the
+    averaged operators.
     """
 
     S_bar: ExtendedOperator
@@ -220,7 +228,6 @@ class ExtendedMoments:
     w_bar: float
     pi: np.ndarray                          # (m,)
     states: np.ndarray                      # (m, d, d)
-    thetas: np.ndarray                      # (m, n)
     weight_spec: WeightSpec
 
     @property
@@ -271,7 +278,7 @@ def build_extended_moments(model: StatisticalModel) -> ExtendedMoments:
     w_bar = build_moments(model).w_bar
     return ExtendedMoments(
         S_bar=ExtendedOperator(S_bar), D_bar=D_bar, w_bar=w_bar, pi=pi,
-        states=states, thetas=thetas, weight_spec=model.weight_spec)
+        states=states, weight_spec=model.weight_spec)
 
 
 # ---------------------------------------------------------------------------

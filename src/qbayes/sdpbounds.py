@@ -163,13 +163,11 @@ class HolevoSolution:
     V_blocks -- real symmetric n x n correlation caps V_m >= Z(S_m, Xopt), up
                 to solver slack: one per grid point in the per-point form, a
                 single one (on the mean state) for constant weight
-    form     -- "general" or "constant"
     diagnostics -- the underlying ConicSolution
     """
     value: float
     Xopt: np.ndarray
     V_blocks: tuple
-    form: str
     diagnostics: ConicSolution
 
 
@@ -199,14 +197,12 @@ def holevo_type_bound(em: ExtendedMoments,
     if em.constant_W is not None:
         _require_strictly_positive(em.constant_W, "the weight matrix")
         points = [(None, _mean_state(em))]
-        form = "constant"
     else:
         points = []
         for m, pi_m in enumerate(em.pi):
             Wm = em.weight_spec.matrix_at(m)
             _require_strictly_positive(Wm, f"the weight matrix at grid point {m}")
             points.append((pi_m * Wm, em.states[m]))
-        form = "general"
 
     prog = ConicProgram()
     g, C = _estimator_block(prog, em)
@@ -233,7 +229,7 @@ def holevo_type_bound(em: ExtendedMoments,
     V = tuple((np.einsum("ab,jbka->jk", S, L) + Tm).real
               for (_, S), Tm in zip(points, T))
     return HolevoSolution(value=sol.dual_value, Xopt=_observables(G, em),
-                          V_blocks=V, form=form, diagnostics=sol)
+                          V_blocks=V, diagnostics=sol)
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +402,10 @@ def appendix_f(kind: str, S_terms, X: ExtendedOperator,
                + sum_j pi_j sqrt(det W_j) TrAbs(S_j(X_12 - X_21))
       f5    -- Tr(S sym_plus X) + sum_j pi_j TrAbs(Im Z(W_j (x) S_j, X))
 
-    On valid inputs f_sdp >= f3 >= f4 (n = 2), f_sdp >= f5, and for a single
-    tensor term f_sdp >= f2 and f_sdp = f1.
+    f1 and f2 are f4 and f5 restricted to a single tensor term, and are
+    computed as such: for block-symmetric S, Tr(S sym_plus X) = Tr Re Z(S, X),
+    and Z is linear in S. On valid inputs f_sdp >= f3 >= f4 (n = 2), f_sdp >= f5, and for a
+    single tensor term f_sdp >= f2 and f_sdp = f1.
     """
     if kind not in _F_KINDS:
         raise ValueError(f"unknown functional {kind!r}; choose from {_F_KINDS}")
@@ -447,17 +445,6 @@ def appendix_f(kind: str, S_terms, X: ExtendedOperator,
     if kind in ("f1", "f4") and n != 2:
         raise ValueError(f"{kind} needs exactly two blocks")
 
-    if kind == "f1":
-        pi_j, W, S = terms[0]
-        diff = X.blocks[0, 1] - X.blocks[1, 0]
-        detw = max(float(npl.det(W)), 0.0)
-        return sym_plus_term + pi_j * np.sqrt(detw) * _anti_commutator_trabs(S, diff)
-
-    if kind == "f2":
-        sq = psd_sqrt(hermitize(Sfull))
-        Z = _z_matrix(sq, X.full(), n, d)
-        return float(np.real(np.trace(Z))) + trace_abs(Z.imag)
-
     if kind == "f3":
         minus_full = minus_op.full()
         total = sym_plus_term
@@ -468,7 +455,7 @@ def appendix_f(kind: str, S_terms, X: ExtendedOperator,
                                               gap_tol)
         return total
 
-    if kind == "f4":
+    if kind in ("f1", "f4"):
         diff = X.blocks[0, 1] - X.blocks[1, 0]
         total = sym_plus_term
         for pi_j, W, S in terms:
@@ -476,7 +463,7 @@ def appendix_f(kind: str, S_terms, X: ExtendedOperator,
             total += pi_j * np.sqrt(detw) * _anti_commutator_trabs(S, diff)
         return total
 
-    # f5
+    # f2, f5
     Xfull = X.full()
     total = sym_plus_term
     for pi_j, W, S in terms:

@@ -1,9 +1,10 @@
 """Achievability harness: explicit measurements whose exact grid risk
 upper-bounds the optimum, certifying every lower bound numerically.
 
-The harness is restricted to constant weight matrices, where the posterior
-mean is the optimal estimator at a fixed measurement and the measurement
-update is a linear PSD program; alternating the two (`seesaw`) produces a
+At a fixed measurement the loss is quadratic per outcome, so the optimal
+estimate is the W-weighted posterior mean, for a constant weight and for one
+given per grid point alike; and at fixed estimates the measurement update is
+a linear PSD program. Alternating the two (`seesaw`) produces a
 non-increasing sequence of achieved risks. The seesaw starts from a given
 decision or from a seeded random measurement.
 
@@ -12,7 +13,8 @@ the eigenbasis of estimator observables X_j, and where they commute it
 attains the bound. `ordering_audit` keeps that decision as it is where
 its risk is within the solver's gap tolerance of NH (no seesaw round could
 resolve a lower risk), and otherwise runs one seesaw from the even mixture
-of it and the seeded random measurement.
+of it and the seeded random measurement. Its SLD and RLD rungs need a
+constant weight.
 """
 
 from __future__ import annotations
@@ -31,11 +33,7 @@ from .sdpbounds import holevo_type_bound, nagaoka_hayashi_bound
 
 POVM_ELEMENT_TOL = 1e-10     # allowed eigenvalue undershoot per element
 POVM_SUM_TOL = 1e-9          # allowed deviation of the identity resolution
-DEAD_OUTCOME_PROB = 1e-12    # below this an outcome gets the prior mean
-
-
-class UnsupportedConfigurationError(ValueError):
-    """The harness does not cover this configuration (its bounds still do)."""
+DEAD_OUTCOME_PROB = 1e-12    # below this an outcome's estimate uses the prior
 
 
 @dataclass(frozen=True)
@@ -95,48 +93,41 @@ def bayes_risk(model: StatisticalModel, povm: Povm, estimates) -> float:
     return total
 
 
-def _require_constant_weight(model: StatisticalModel, what: str) -> np.ndarray:
-    if not model.weight_spec.is_constant:
-        raise UnsupportedConfigurationError(
-            f"{what} needs a constant weight matrix; the posterior mean is "
-            "not the optimal estimator under point-dependent weights")
-    return model.weight_spec.constant
-
-
 def posterior_mean_estimator(model: StatisticalModel, povm: Povm) -> DecisionRisk:
-    """Optimal estimates for a fixed measurement under a constant weight.
+    """Optimal estimates for a fixed measurement: W-weighted posterior means.
 
-    theta_hat(x) is the posterior mean; outcomes with probability below
-    DEAD_OUTCOME_PROB get the prior mean (their risk weight vanishes).
+    With w_m = pi_m Tr(S_m E_x), mu = sum_m w_m theta_m / sum_m w_m and
+    P = sum_m w_m W_m, outcome x gets theta_hat = mu + P^+ sum_m w_m W_m
+    (theta_m - mu), which solves the normal equations P theta_hat =
+    sum_m w_m W_m theta_m even where P is singular; for a constant W it is
+    mu. Outcomes with probability below DEAD_OUTCOME_PROB take the prior in
+    place of w (their risk weight vanishes).
     """
-    _require_constant_weight(model, "the posterior-mean estimator")
-    pi = model.pi
-    thetas = model.thetas
-    prior_mean = pi @ thetas
-    est = np.empty((len(povm), model.n))
-    for x, E in enumerate(povm.elements):
-        joint = np.array([pi[m] * float(np.real(np.trace(model.states[m] @ E)))
-                          for m in range(len(model.points))])
-        px = joint.sum()
-        if px <= DEAD_OUTCOME_PROB:
-            est[x] = prior_mean
-        else:
-            est[x] = (joint @ thetas) / px
+    pi, thetas = model.pi, model.thetas
+    Ws = np.stack([model.weight_spec.matrix_at(m)
+                   for m in range(len(model.points))])
+    # w[x, m] = pi_m Tr(S_m E_x)
+    w = pi * np.einsum("mab,xba->xm", model.states, np.stack(povm.elements)).real
+    w[w.sum(axis=1) <= DEAD_OUTCOME_PROB] = pi
+    mu = (w @ thetas) / w.sum(axis=1)[:, None]
+    P = np.einsum("xm,mjk->xjk", w, Ws)
+    r = np.einsum("xm,mjk,xmk->xj", w, Ws, thetas - mu[:, None])
+    est = mu + np.einsum("xjk,xk->xj", npl.pinv(P, hermitian=True), r)
     return DecisionRisk(povm=povm, estimates=est,
                         risk=bayes_risk(model, povm, est))
 
 
 def optimal_povm_step(model: StatisticalModel, estimates,
                       gap_tol: float = GAP_TOL) -> Povm:
-    """Risk-minimizing measurement at fixed estimates (constant weight).
+    """Risk-minimizing measurement at fixed estimates.
 
     The risk is linear in the measurement, so this is one PSD program:
     elements as PSD blocks, identity-resolution equality rows, objective
-    coefficients F_x = sum_m pi_m ell(x, m) S_m with ell the quadratic loss.
+    coefficients F_x = sum_m pi_m ell(x, m) S_m with ell the quadratic loss
+    under W_m.
     The solution is exactly renormalized through the inverse square root of
     its element sum before being returned.
     """
-    W = _require_constant_weight(model, "the measurement update")
     est = np.atleast_2d(np.asarray(estimates, dtype=float))
     K = est.shape[0]
     if est.shape[1] != model.n:
@@ -151,7 +142,8 @@ def optimal_povm_step(model: StatisticalModel, estimates,
         F = np.zeros((d, d), dtype=complex)
         for m, point in enumerate(model.points):
             diff = est[x] - point.theta
-            F += point.weight * float(diff @ W @ diff) * point.state
+            Wm = model.weight_spec.matrix_at(m)
+            F += point.weight * float(diff @ Wm @ diff) * point.state
         coeffs[blk] = hermitize(F)
     prog.set_objective(coeffs)
 
@@ -201,7 +193,10 @@ def seesaw(model: StatisticalModel, outcome_count: int | None = None,
            start: DecisionRisk | None = None) -> DecisionRisk:
     """Alternate estimator and measurement updates from `start`, or from a
     seeded random measurement with `outcome_count` outcomes when no start is
-    given (`outcome_count` and `seed` are then unused).
+    given (`outcome_count` and `seed` are then unused). The weight may be
+    constant or given per grid point: each estimator update is the
+    W-weighted posterior mean of `posterior_mean_estimator`, exact for
+    either.
 
     The achieved risk never increases: a candidate measurement is accepted
     only if its exact grid risk (at the estimates it was optimized for) does
@@ -209,7 +204,6 @@ def seesaw(model: StatisticalModel, outcome_count: int | None = None,
     from solver-level noise. Stops after `iters` rounds or when the
     improvement drops below 1e-10.
     """
-    _require_constant_weight(model, "the seesaw")
     if iters < 1:
         raise ValueError(f"iters must be positive, got {iters}")
     if start is not None:
@@ -276,8 +270,11 @@ def ordering_audit(model: StatisticalModel,
     `seesaw`'s seeded start (`seed`, `outcome_count`), and the lower risk of
     the two decisions is kept. Either way the achieved risk is the exact risk
     of an explicit measurement, an upper bound however NH was solved.
+
+    The SLD and RLD values need a constant weight: a per-point one raises
+    CapabilityError before any solve.
     """
-    W = _require_constant_weight(model, "the ordering audit")
+    W = model.weight_spec.require_constant()
     if iters < 1:
         raise ValueError(f"iters must be positive, got {iters}")
     # drawn up front, so bad arguments fail before any solve

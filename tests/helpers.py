@@ -66,6 +66,17 @@ def audit_ensemble():
         yield random_grid_model(rng, n, d, g, W=random_spd(rng, n))
 
 
+def per_point_panel():
+    """20 seeded models with a random SPD weight per grid point: n, d and
+    grid size each 2..3."""
+    rng = np.random.default_rng(77)
+    for _ in range(20):
+        n, d, g = (int(k) for k in rng.integers(2, 4, 3))
+        base = random_grid_model(rng, n, d, g)
+        Ws = np.stack([random_spd(rng, n) for _ in range(g)])
+        yield dataclasses.replace(base, weight_spec=WeightSpec(per_point=Ws))
+
+
 def single_parameter_models():
     """The classical binary model, then 20 seeded one-parameter grid models
     with d and grid size each 2..4."""

@@ -12,6 +12,7 @@ import pytest
 from helpers import (
     audit_ensemble,
     per_point,
+    per_point_panel,
     point_mass_model,
     random_grid_model,
     random_spd,
@@ -45,6 +46,7 @@ from qbayes.sdpbounds import (
     f_family_pinned_example,
     f_family_suite,
     holevo_type_bound,
+    nagaoka_bound,
     nagaoka_hayashi_bound,
 )
 from qbayes.verify import (
@@ -172,6 +174,23 @@ def test_audit_skips_the_seesaw_only_where_the_rounded_nh_measurement_attains_nh
     assert skipped >= 49
 
 
+def test_sandwich_on_the_per_point_panel():
+    """With a weight per grid point: the rounded NH decision, scored by the
+    W-weighted posterior mean, risks no less than NH; NH >= Holevo in its
+    per-point form; for n = 2, Holevo <= nagaoka2 <= NH; and an 8-round
+    seesaw from the rounded decision never ends above it."""
+    for model in per_point_panel():
+        em = build_extended_moments(model)
+        nh = nagaoka_hayashi_bound(em)
+        holevo = holevo_type_bound(em).value
+        rounded = rounded_measurement(model, nh.Xopt)
+        assert rounded.risk >= nh.value - 1e-7 * max(1.0, abs(nh.value))
+        assert nh.value >= holevo - 1e-7
+        if model.n == 2:
+            assert holevo - 1e-7 <= nagaoka_bound(em).value <= nh.value + 1e-7
+        assert seesaw(model, iters=8, start=rounded).risk <= rounded.risk
+
+
 @pytest.mark.parametrize("which", ["ensemble-30", "random_model-2-4-2-8"])
 def test_blended_audit_start_trails_neither_single_start(which):
     """Where the rounded NH measurement misses NH, the audit's one seesaw,
@@ -232,7 +251,6 @@ def test_right_derivative_fixture_is_strictly_tighter():
     blocks = W[:, :, None, None] * mom.S_B[None, None, :, :]
     em = ExtendedMoments(S_bar=ExtendedOperator(blocks), D_bar=mom.D_B,
                          w_bar=0.2, pi=np.array([1.0]), states=mom.S_B[None],
-                         thetas=np.zeros((1, 2)),
                          weight_spec=WeightSpec(constant=W))
     assert holevo_type_bound(em).value >= 11.0 / 75.0 - 1e-6
 

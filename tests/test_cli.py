@@ -7,11 +7,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 import qbayes
+from qbayes import conic
 from qbayes.cli import main
-from qbayes.model import load_model, model_to_dict, model_zoo, save_model
+from qbayes.model import GridPoint, StatisticalModel, WeightSpec, \
+    load_model, model_to_dict, model_zoo, save_model
 
 
 def write_cb(tmp_path, name="cb.json"):
@@ -71,6 +76,61 @@ def test_bounds_report_certifies_nagaoka2_on_a_two_parameter_model(tmp_path):
     assert not any("search" in note for note in report["warnings"])
     assert report["audit"]["nh_minus_nagaoka2"] >= -1e-7
     assert report["audit"]["nagaoka2_minus_holevo"] >= -1e-7
+
+
+def write_per_point(tmp_path):
+    """qubit_xy(0.6) with its four weights 1, 2, 3 and 4 times the identity
+    plus a common off-diagonal term."""
+    base = model_zoo("qubit_xy", (0.6,))
+    Ws = np.stack([k * np.eye(2) + 0.3 * (1 - np.eye(2)) for k in range(1, 5)])
+    path = tmp_path / "pp.json"
+    save_model(dataclasses.replace(base, weight_spec=WeightSpec(per_point=Ws)),
+               str(path))
+    return str(path)
+
+
+def test_per_point_model_file_reaches_the_sdp_bounds_only(tmp_path, capsys):
+    """With a weight per grid point, `bounds` reports NH, Holevo and nagaoka2
+    in their sandwich and a capability error for each closed form; `verify`,
+    whose audit reports SLD and RLD, exits 2."""
+    path = write_per_point(tmp_path)
+    out = tmp_path / "r.json"
+    assert main(["bounds", "--model", path, "--out", str(out)]) == 0
+    bounds = json.loads(out.read_text())["bounds"]
+    for name in ("sld", "rld", "vantree"):
+        assert bounds[name]["error_kind"] == "capability"
+        assert "constant weight" in bounds[name]["error"]
+    for name in ("nh", "holevo", "nagaoka2"):
+        assert bounds[name]["solver_status"] == "optimal"
+    assert (bounds["holevo"]["value"] - 1e-7 <= bounds["nagaoka2"]["value"]
+            <= bounds["nh"]["value"] + 1e-7)
+    capsys.readouterr()
+    assert main(["verify", "--model", path, "--iters", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "constant weight" in err
+
+
+def test_bounds_notes_a_regularized_state(tmp_path):
+    """States on C^3 that share a 2-dimensional support leave S_B singular:
+    the SLD and RLD bounds regularize it, and the report lists both notes."""
+    rng = np.random.default_rng(7)
+    points = []
+    for theta in (-0.5, 0.5):
+        A = rng.standard_normal((3, 2))
+        A[2] = 0.0   # support in span(e_0, e_1)
+        rho = A @ A.T
+        points.append(GridPoint(theta=[theta], weight=0.5,
+                                state=rho / np.trace(rho)))
+    model = StatisticalModel(n=1, d=3, points=tuple(points),
+                             weight_spec=WeightSpec(constant=[[1.0]]))
+    path = tmp_path / "shared.json"
+    save_model(model, str(path))
+    out = tmp_path / "r.json"
+    assert main(["bounds", "--model", str(path), "--bounds", "sld,rld",
+                 "--out", str(out)]) == 0
+    notes = json.loads(out.read_text())["warnings"]
+    assert [n.split(": ")[:2] for n in notes] == [["sld", "state regularized"],
+                                                  ["rld", "state regularized"]]
 
 
 def test_bounds_selector_subset_and_csv(tmp_path):
@@ -207,11 +267,20 @@ def _not_utf8(tmp_path):
     (lambda tmp, cb: ["verify", "--model", str(tmp)], "cannot read model file"),
     (lambda tmp, cb: ["zoo", "classical_binary", "1", "0.6",
                       "--out", str(tmp / "missing" / "m.json")], "cannot write"),
+    (lambda tmp, cb: ["lemmas", "--trials", "1",
+                      "--out", str(tmp / "missing" / "l.json")], "cannot write"),
 ], ids=["model-is-a-directory", "model-not-utf8", "bounds-out", "bounds-csv",
-        "verify-out", "verify-model-is-a-directory", "zoo-out"])
-def test_file_errors_exit_2_without_a_traceback(tmp_path, capsys, args, message):
+        "verify-out", "verify-model-is-a-directory", "zoo-out", "lemmas-out"])
+def test_file_errors_exit_2_without_a_traceback(tmp_path, monkeypatch, capsys,
+                                                args, message):
+    """Each file error is found before any solve runs."""
     cb = write_cb(tmp_path)
     capsys.readouterr()
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(conic, "solve", no_solve)
     assert main(args(tmp_path, cb)) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}")

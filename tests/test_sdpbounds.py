@@ -49,14 +49,12 @@ SZ = np.diag([1.0, -1.0]).astype(complex)
 
 def tensor_moments(W, S_B, D_bar, M):
     """ExtendedMoments for one grid point at theta = 0 with given averages."""
-    n = W.shape[0]
     blocks = W[:, :, None, None] * S_B[None, None, :, :]
     return ExtendedMoments(S_bar=ExtendedOperator(blocks),
                            D_bar=np.asarray(D_bar, dtype=complex),
                            w_bar=float(np.trace(W @ M)),
                            pi=np.array([1.0]),
                            states=np.asarray(S_B, dtype=complex)[None],
-                           thetas=np.zeros((1, n)),
                            weight_spec=WeightSpec(constant=W))
 
 

@@ -1,5 +1,7 @@
 """Unit tests for measurements, exact grid risk, and the seesaw harness."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,10 @@ from helpers import (
     record_row_counts,
     single_parameter_models,
 )
+from qbayes import conic
 from qbayes.closedform import sld_bound
 from qbayes.model import (
+    CapabilityError,
     StatisticalModel,
     WeightSpec,
     build_extended_moments,
@@ -22,7 +26,6 @@ from qbayes.model import (
 from qbayes.sdpbounds import nagaoka_hayashi_bound
 from qbayes.verify import (
     Povm,
-    UnsupportedConfigurationError,
     bayes_risk,
     optimal_povm_step,
     ordering_audit,
@@ -231,17 +234,77 @@ def test_personick_measurement_attains_the_quadratic_bound():
                            np.linalg.eigvalsh(sld.L[0]), atol=1e-12)
 
 
-def test_weighted_risk_requires_constant_weight():
+def test_per_point_weight_reaches_the_seesaw_but_not_the_audit(monkeypatch):
+    """The estimator and the seesaw take a weight per grid point. With W_m =
+    c_m I the estimate is the posterior mean reweighted by c_m. The audit's
+    SLD and RLD rungs need a constant weight and say so before any solve."""
     rng = np.random.default_rng(53)
     base = random_grid_model(rng, 2, 2, 2)
+    c = np.array([1.0, 2.0])
     model = StatisticalModel(n=2, d=2, points=base.points,
                              weight_spec=WeightSpec(
-                                 per_point=(np.eye(2), 2.0 * np.eye(2))))
-    with pytest.raises(UnsupportedConfigurationError):
-        seesaw(model, iters=2)
+                                 per_point=(c[0] * np.eye(2), c[1] * np.eye(2))))
     povm = random_povm(2, 3, rng)
-    with pytest.raises(UnsupportedConfigurationError):
-        posterior_mean_estimator(model, povm)
+    dec = posterior_mean_estimator(model, povm)
+    for x, E in enumerate(povm.elements):
+        w = c * model.pi * np.real(np.einsum("mab,ba->m", model.states, E))
+        assert np.allclose(dec.estimates[x], w @ model.thetas / w.sum(),
+                           atol=1e-12)
+    assert dec.risk == bayes_risk(model, povm, dec.estimates)
+    assert seesaw(model, iters=2, start=dec).risk <= dec.risk
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(conic, "solve", no_solve)
+    with pytest.raises(CapabilityError, match="constant weight"):
+        ordering_audit(model, iters=2)
+
+
+def _per_point_model(rng, n, d, grid, weights):
+    base = random_grid_model(rng, n, d, grid)
+    return dataclasses.replace(base, weight_spec=WeightSpec(
+        per_point=np.stack(weights)))
+
+
+def test_weighted_posterior_mean_solves_the_normal_equations():
+    """Per outcome, sum_m w_m W_m (theta_hat - theta_m) = 0 with w_m =
+    pi_m Tr(S_m E_x), solved here directly."""
+    rng = np.random.default_rng(61)
+    model = _per_point_model(rng, 3, 3, 4, [random_spd(rng, 3) for _ in range(4)])
+    povm = random_povm(3, 5, rng)
+    dec = posterior_mean_estimator(model, povm)
+    Ws = model.weight_spec.per_point
+    for x, E in enumerate(povm.elements):
+        w = model.pi * np.real(np.einsum("mab,ba->m", model.states, E))
+        P = np.einsum("m,mjk->jk", w, Ws)
+        b = np.einsum("m,mjk,mk->j", w, Ws, model.thetas)
+        assert np.allclose(dec.estimates[x], np.linalg.solve(P, b),
+                           rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shared_null", [False, True],
+                         ids=["one-singular", "all-singular"])
+def test_weighted_posterior_mean_is_a_minimum_with_singular_weights(shared_null):
+    """Where one W_m is singular, or all share a null direction (so that
+    sum_m w_m W_m is singular too), no small move of any estimate lowers the
+    exact risk."""
+    rng = np.random.default_rng(62)
+    v = rng.standard_normal(2)
+    if shared_null:
+        u = np.array([-v[1], v[0]])
+        weights = [s * np.outer(u, u) for s in rng.uniform(0.5, 2.0, 3)]
+    else:
+        weights = [np.outer(v, v), random_spd(rng, 2), random_spd(rng, 2)]
+    model = _per_point_model(rng, 2, 3, 3, weights)
+    povm = random_povm(3, 4, rng)
+    dec = posterior_mean_estimator(model, povm)
+    assert np.isfinite(dec.estimates).all()
+    for _ in range(20):
+        step = 1e-3 * rng.standard_normal(dec.estimates.shape)
+        for sign in (1.0, -1.0):
+            moved = bayes_risk(model, povm, dec.estimates + sign * step)
+            assert moved >= dec.risk - 1e-13
 
 
 def test_ordering_audit_summary():
