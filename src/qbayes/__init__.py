@@ -29,9 +29,8 @@ from .conic import (ConicProgram, ConicSolution, ProgramError,
                     SolverFailureError, holevo_lemma_sdp_value,
                     holevo_lemma_suite, holevo_lemma_value, solve,
                     solve_or_raise)
-from .sdpbounds import (HolevoSolution, NagaokaSolution, NhSolution,
-                        appendix_f, f_family_pinned_example, f_family_suite,
-                        holevo_type_bound, nagaoka_bound,
+from .sdpbounds import (BoundSolution, appendix_f, f_family_pinned_example,
+                        f_family_suite, holevo_type_bound, nagaoka_bound,
                         nagaoka_hayashi_bound, nagaoka_objective)
 from .verify import (DecisionRisk, Povm, bayes_risk, optimal_povm_step,
                      ordering_audit, posterior_mean_estimator, random_povm,
@@ -53,7 +52,7 @@ __all__ = [
     "ConicProgram", "ConicSolution", "ProgramError",
     "SolverFailureError", "holevo_lemma_sdp_value",
     "holevo_lemma_suite", "holevo_lemma_value", "solve", "solve_or_raise",
-    "HolevoSolution", "NagaokaSolution", "NhSolution", "appendix_f",
+    "BoundSolution", "appendix_f",
     "f_family_pinned_example", "f_family_suite", "holevo_type_bound",
     "nagaoka_bound", "nagaoka_hayashi_bound", "nagaoka_objective",
     "DecisionRisk", "Povm", "bayes_risk", "optimal_povm_step",

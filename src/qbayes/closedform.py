@@ -58,10 +58,11 @@ def sld_bound(moments: BayesMoments, W: np.ndarray) -> tuple[float, SldPackage]:
     """Bayesian SLD bound Tr(W (M - K)).
 
     L_j solves the averaged-state Lyapunov equation D_B[j] = (S_B L_j +
-    L_j S_B)/2; near-singular S_B is regularized (see matcore).
+    L_j S_B)/2, all j in one solve; near-singular S_B is regularized once
+    (see matcore).
     """
     W = np.asarray(W, dtype=float)
-    L = np.stack([lyapunov_solve(moments.S_B, Dj) for Dj in moments.D_B])
+    L = lyapunov_solve(moments.S_B, moments.D_B)
     K = _symmetrized_gram(moments.S_B, L)
     value = float(np.trace(W @ (moments.M - K)))
     return value, SldPackage(L=L, K=K)
@@ -111,7 +112,7 @@ def sld_fisher_point(state: np.ndarray, derivatives: np.ndarray) -> np.ndarray:
         tr = abs(complex(np.trace(Dj)))
         if tr > DERIV_TRACE_TOL:
             raise ValueError(f"derivative {j} has trace {tr:.3e}, expected 0")
-    L = np.stack([lyapunov_solve(state, Dj) for Dj in derivatives])
+    L = lyapunov_solve(state, derivatives)
     return _symmetrized_gram(np.asarray(state, dtype=complex), L)
 
 

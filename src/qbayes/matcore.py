@@ -114,7 +114,8 @@ def regularize_state(S: np.ndarray) -> np.ndarray:
 
 
 def lyapunov_solve(S: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """Solve D = (S L + L S) / 2 for Hermitian L, S a strictly positive state.
+    """Solve D = (S L + L S) / 2 for Hermitian L, S a strictly positive state;
+    a stack of D is solved at once, through one eigendecomposition of S.
 
     Computed in the eigenbasis of S: Lt_ab = 2 Dt_ab / (w_a + w_b). States
     with min eigenvalue <= STRICT_POS_MIN are regularized first (with a
@@ -131,7 +132,9 @@ def trace_abs(A: np.ndarray) -> float:
     """Sum of the absolute values of the eigenvalues of Hermitian or
     anti-Hermitian A, through eigh; any other input raises ValueError."""
     A = np.asarray(A, dtype=complex)
-    scale = max(1.0, float(np.abs(A).max())) if A.size else 1.0
+    if not A.size:   # a congruence on an empty support
+        return 0.0
+    scale = max(1.0, float(np.abs(A).max()))
     if np.abs(A - A.conj().T).max() <= HERM_TOL * scale:
         return float(np.abs(npl.eigvalsh(hermitize(A))).sum())
     if np.abs(A + A.conj().T).max() <= HERM_TOL * scale:

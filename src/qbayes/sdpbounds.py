@@ -8,8 +8,10 @@ block-operator program `nagaoka_hayashi_bound` makes L block-symmetric; the
 estimator-correlation program `holevo_type_bound` relaxes that to real
 correlation caps, one per grid point or, for a constant weight, one on the
 mean state; and for two parameters `nagaoka_bound` is the minimum of the
-commutator objective `nagaoka_objective`. Each returns its value with the
-optimal estimator observables and the solve's diagnostics. The `appendix_f`
+commutator objective `nagaoka_objective`, whose trace-norm terms live on
+the state supports. Each returns a `BoundSolution`: its value, the optimal
+estimator observables read from G, and the solve's diagnostics, whose
+`variable_values[0]` is G itself. The `appendix_f`
 family exposes the chain of comparison functionals between these programs
 on raw operator pairs; `f_family_suite` exercises the chain on random tensor
 instances and is shared by the CLI and the acceptance tests.
@@ -28,12 +30,12 @@ import numpy.linalg as npl
 
 from .conic import (GAP_TOL, ConicProgram, ConicSolution, SolverFailureError,
                     hvec, hvec_basis, solve_or_raise)
-from .matcore import (ExtendedOperator, hermitize, psd_sqrt, sym_split,
-                      trace_abs)
+from .matcore import (PSD_CLAMP, ExtendedOperator, NotPsdError, hermitian_eig,
+                      hermitize, psd_sqrt, sym_split, trace_abs)
 from .model import CapabilityError, ExtendedMoments
 
 __all__ = [
-    "NhSolution", "HolevoSolution", "NagaokaSolution", "SolverFailureError",
+    "BoundSolution", "SolverFailureError",
     "nagaoka_hayashi_bound", "holevo_type_bound",
     "nagaoka_objective", "nagaoka_bound",
     "appendix_f", "f_family_suite", "f_family_pinned_example",
@@ -65,17 +67,15 @@ def _mean_state(em: ExtendedMoments) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class NhSolution:
-    """Optimum of the block-operator program.
+class BoundSolution:
+    """Optimum of one SDP rung on `_estimator_block`'s G = [[L, X], [X^+, I]].
 
-    value    -- the bound itself
-    Lopt     -- block-symmetric operator with Hermitian d x d blocks,
-                Lopt >= Xopt Xopt^T (block outer product) up to solver slack
-    Xopt     -- (n, d, d) Hermitian estimator observables
-    diagnostics -- the underlying ConicSolution
+    value    -- the bound itself: the primal value for NH and nagaoka2, the
+                dual value (the lower side of the gap) for Holevo
+    Xopt     -- (n, d, d) Hermitian estimator observables, read from G
+    diagnostics -- the underlying ConicSolution; G is variable_values[0]
     """
     value: float
-    Lopt: ExtendedOperator
     Xopt: np.ndarray
     diagnostics: ConicSolution
 
@@ -114,14 +114,19 @@ def _estimator_block(prog: ConicProgram, em: ExtendedMoments):
     return g, C
 
 
-def _observables(G: np.ndarray, em: ExtendedMoments) -> np.ndarray:
-    """The Hermitian X_j of `_estimator_block`'s G, stacked (n, d, d)."""
+def _solve_rung(prog: ConicProgram, em: ExtendedMoments, gap_tol: float,
+                what: str, dual: bool = False) -> BoundSolution:
+    """Solve a program built on `_estimator_block` and read the Hermitian X_j
+    from its G; the value is the primal objective, or the dual one."""
+    sol = solve_or_raise(prog, gap_tol, what=what)
     nd = em.n * em.d
-    return hermitize(G[:nd, nd:].reshape(em.n, em.d, em.d))
+    X = hermitize(sol.variable_values[0][:nd, nd:].reshape(em.n, em.d, em.d))
+    return BoundSolution(value=sol.dual_value if dual else sol.primal_value,
+                         Xopt=X, diagnostics=sol)
 
 
 def nagaoka_hayashi_bound(em: ExtendedMoments,
-                          gap_tol: float = GAP_TOL) -> NhSolution:
+                          gap_tol: float = GAP_TOL) -> BoundSolution:
     """Lower-bound the Bayes risk by one PSD program over ([[L, X], [X^T, I]]).
 
     Minimizes Tr(S_bar L) - 2 sum_j Tr(D_bar_j X_j) + w_bar over L
@@ -141,38 +146,15 @@ def nagaoka_hayashi_bound(em: ExtendedMoments,
             _hermitian_offblock_rows(prog, g, nd + d, j * d, k * d,
                                      np.zeros((d, d)))
     prog.set_objective({g: C}, offset=em.w_bar)
-
-    sol = solve_or_raise(prog, gap_tol, what="block-operator bound")
-    G = sol.variable_values[0]
-    Lopt = ExtendedOperator.from_full(G[:nd, :nd], n, d)
-    return NhSolution(value=sol.primal_value, Lopt=Lopt,
-                      Xopt=_observables(G, em), diagnostics=sol)
+    return _solve_rung(prog, em, gap_tol, "block-operator bound")
 
 
 # ---------------------------------------------------------------------------
 # Estimator-correlation bound
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HolevoSolution:
-    """Optimum of the estimator-correlation program.
-
-    value    -- the bound itself: the solver's dual objective, the lower side
-                of its duality gap
-    Xopt     -- (n, d, d) Hermitian observables
-    V_blocks -- real symmetric n x n correlation caps V_m >= Z(S_m, Xopt), up
-                to solver slack: one per grid point in the per-point form, a
-                single one (on the mean state) for constant weight
-    diagnostics -- the underlying ConicSolution
-    """
-    value: float
-    Xopt: np.ndarray
-    V_blocks: tuple
-    diagnostics: ConicSolution
-
-
 def holevo_type_bound(em: ExtendedMoments,
-                      gap_tol: float = GAP_TOL) -> HolevoSolution:
+                      gap_tol: float = GAP_TOL) -> BoundSolution:
     """Lower-bound the Bayes risk through real correlation caps on the
     estimator observables, as a relaxation of the block-operator program.
 
@@ -220,31 +202,34 @@ def holevo_type_bound(em: ExtendedMoments,
             objective[t] = Wobj
         prog.add_eq(coeffs, rhs=np.zeros(len(E_im)))
     prog.set_objective(objective, offset=em.w_bar)
-
-    sol = solve_or_raise(prog, gap_tol, what="estimator-correlation bound")
-    G = sol.variable_values[g]
-    L = G[:nd, :nd].reshape(n, d, n, d)
-    # the T_m blocks follow G; the constant form has none
-    T = sol.variable_values[g + 1:] or (0.0,)
-    V = tuple((np.einsum("ab,jbka->jk", S, L) + Tm).real
-              for (_, S), Tm in zip(points, T))
-    return HolevoSolution(value=sol.dual_value, Xopt=_observables(G, em),
-                          V_blocks=V, diagnostics=sol)
+    return _solve_rung(prog, em, gap_tol, "estimator-correlation bound",
+                       dual=True)
 
 
 # ---------------------------------------------------------------------------
 # Two-parameter commutator bound
 # ---------------------------------------------------------------------------
 
+def _support_factor(S: np.ndarray) -> np.ndarray:
+    """F = U_r diag(sqrt(w_r)), d x r, with S = F F^+ for PSD S: the
+    eigenpairs above 1e-12 w_max. Eigenvalues below -PSD_CLAMP raise
+    NotPsdError, as in `psd_sqrt`."""
+    w, U = hermitian_eig(S)
+    if w[0] < -PSD_CLAMP:
+        raise NotPsdError(f"eigenvalue {w[0]:.3e} below -{PSD_CLAMP:.0e}")
+    keep = w > 1e-12 * w[-1]
+    return U[:, keep] * np.sqrt(w[keep])
+
+
 def _commutator_terms(em: ExtendedMoments) -> list:
-    """(pi_m sqrt(det W_m), sqrt(S_m)) of every grid point whose commutator
-    weight is positive."""
+    """(pi_m sqrt(det W_m), F_m) with S_m = F_m F_m^+ on supp(S_m), for every
+    grid point whose commutator weight is positive."""
     terms = []
     for m, pi_m in enumerate(em.pi):
         detw = max(float(npl.det(em.weight_spec.matrix_at(m))), 0.0)
         coeff = pi_m * np.sqrt(detw)   # PSD determinant; 0 kills the term
         if coeff > 1e-15:
-            terms.append((coeff, psd_sqrt(em.states[m])))
+            terms.append((coeff, _support_factor(em.states[m])))
     return terms
 
 
@@ -252,9 +237,10 @@ def nagaoka_objective(em: ExtendedMoments, X) -> float:
     """Evaluate the two-parameter objective at Hermitian (X_1, X_2).
 
     Tr(S_bar sym_plus(XX^T)) + sum_m pi_m sqrt(det W_m) TrAbs(S_m [X_1, X_2])
-    - 2 sum_j Tr(D_bar_j X_j) + w_bar. The commutator term uses the PSD
-    square-root congruence, which shares the nonzero spectrum with
-    S_m [X_1, X_2] and keeps the eigenproblem normal.
+    - 2 sum_j Tr(D_bar_j X_j) + w_bar. The commutator term is taken as
+    TrAbs(F_m^+ [X_1, X_2] F_m) with S_m = F_m F_m^+ on supp(S_m): the
+    congruence shares the nonzero spectrum with S_m [X_1, X_2] and keeps the
+    eigenproblem normal.
     """
     if em.n != 2:
         raise CapabilityError("the commutator objective needs exactly two parameters")
@@ -271,40 +257,29 @@ def nagaoka_objective(em: ExtendedMoments, X) -> float:
                     - 2.0 * np.einsum("ab,ba->", em.D_bar[1], X1))
     comm = P01 - P10
     if np.abs(comm).max() > 0.0:
-        value += sum(coeff * trace_abs(sq @ comm @ sq)
-                     for coeff, sq in _commutator_terms(em))
+        value += sum(coeff * trace_abs(F.conj().T @ comm @ F)
+                     for coeff, F in _commutator_terms(em))
     return float(value + em.w_bar)
 
 
-@dataclass(frozen=True)
-class NagaokaSolution:
-    """Optimum of the two-parameter commutator program.
-
-    value    -- the bound itself
-    Xopt     -- (2, d, d) Hermitian estimator observables; nagaoka_objective
-                at Xopt agrees with value up to the solver gap
-    diagnostics -- the underlying ConicSolution
-    """
-    value: float
-    Xopt: np.ndarray
-    diagnostics: ConicSolution
-
-
 def nagaoka_bound(em: ExtendedMoments,
-                  gap_tol: float = GAP_TOL) -> NagaokaSolution:
+                  gap_tol: float = GAP_TOL) -> BoundSolution:
     """Lower-bound the Bayes risk of a two-parameter model by the minimum of
     `nagaoka_objective` over Hermitian (X_1, X_2), as one PSD program.
 
     The main block is G = [[L, X], [X^+, I]] >= 0 with Hermitian X_j and the
     identity corner pinned, as in `nagaoka_hayashi_bound`, but L carries no
     block-symmetry rows. Each grid point m with c_m = pi_m sqrt(det W_m) > 0
-    adds P_m, N_m >= 0 with P_m - N_m = i sqrt(S_m) (L_12 - L_12^+) sqrt(S_m),
-    one stack of d^2 rows, so that Tr(P_m + N_m) >= TrAbs(S_m (L_12 - L_21)).
-    The objective is Tr(S_bar L) - 2 sum_j Tr(D_bar_j X_j) + w_bar
+    and S_m = F_m F_m^+ (F_m d x r_m, on supp(S_m)) adds r_m x r_m blocks
+    P_m, N_m >= 0 with P_m - N_m = i F_m^+ (L_12 - L_12^+) F_m, one stack of
+    r_m^2 rows, so that Tr(P_m + N_m) >= TrAbs(S_m (L_12 - L_21)). The
+    objective is Tr(S_bar L) - 2 sum_j Tr(D_bar_j X_j) + w_bar
     + sum_m c_m Tr(P_m + N_m). At L = XX^T it is the commutator objective,
     and every L >= XX^T costs at least as much (Nagaoka's inequality
     Tr((W (x) S) K) >= sqrt(det W) TrAbs(S (K_12 - K_21)) for K >= 0), so
-    the relaxation is exact. Rows: (3 + M) d^2 for M commutator terms.
+    the relaxation is exact. Rows: 3 d^2 + sum_m r_m^2. On supp(S_m) alone
+    P_m and N_m carry no kernel block that only the objective drives to 0,
+    which keeps low-rank and pure states strictly complementary.
     """
     if em.n != 2:
         raise CapabilityError("the commutator bound needs exactly two parameters")
@@ -314,23 +289,20 @@ def nagaoka_bound(em: ExtendedMoments,
     g, C = _estimator_block(prog, em)
     objective = {g: C}
 
-    # row beta: hvec(P_m - N_m)[beta] - Tr(sqrt(S_m) E_beta sqrt(S_m)
-    # i(L_12 - L_12^+)) = 0; the coefficients on G are those of
-    # `_hermitian_offblock_rows` with sqrt(S_m) E_beta sqrt(S_m) for E_beta
-    E = hvec_basis(d)
-    for coeff, sq in _commutator_terms(em):
-        p, q = prog.add_psd_block(d), prog.add_psd_block(d)
-        F = np.zeros((d * d, dim, dim), dtype=complex)
-        F[:, :d, d:nd] = 1j * (sq @ E @ sq)
-        F[:, d:nd, :d] = F[:, :d, d:nd].conj().swapaxes(-1, -2)
-        prog.add_eq({p: E, q: -E, g: F}, rhs=np.zeros(d * d))
-        objective[p] = objective[q] = coeff * np.eye(d)
+    # row beta: hvec(P_m - N_m)[beta] - Tr(E_beta F_m^+ i(L_12 - L_12^+) F_m)
+    # = 0; the coefficients on G are those of `_hermitian_offblock_rows` with
+    # F_m E_beta F_m^+ for E_beta
+    for coeff, F in _commutator_terms(em):
+        r = F.shape[1]
+        E = hvec_basis(r)
+        p, q = prog.add_psd_block(r), prog.add_psd_block(r)
+        A = np.zeros((r * r, dim, dim), dtype=complex)
+        A[:, :d, d:nd] = 1j * (F @ E @ F.conj().T)
+        A[:, d:nd, :d] = A[:, :d, d:nd].conj().swapaxes(-1, -2)
+        prog.add_eq({p: E, q: -E, g: A}, rhs=np.zeros(r * r))
+        objective[p] = objective[q] = coeff * np.eye(r)
     prog.set_objective(objective, offset=em.w_bar)
-
-    sol = solve_or_raise(prog, gap_tol, what="two-parameter commutator bound")
-    return NagaokaSolution(value=sol.primal_value,
-                           Xopt=_observables(sol.variable_values[0], em),
-                           diagnostics=sol)
+    return _solve_rung(prog, em, gap_tol, "two-parameter commutator bound")
 
 
 def nagaoka_bound_search(em: ExtendedMoments, *, restarts: int = 4,
@@ -378,9 +350,10 @@ def _z_matrix(sq_full: np.ndarray, X_full: np.ndarray, n: int, d: int) -> np.nda
 
 
 def _anti_commutator_trabs(S: np.ndarray, diff: np.ndarray) -> float:
-    """TrAbs(S diff) for PSD S and anti-Hermitian diff via the congruence."""
-    sq = psd_sqrt(S)
-    return trace_abs(sq @ diff @ sq)
+    """TrAbs(S diff) for PSD S and anti-Hermitian diff via the congruence
+    F^+ diff F, S = F F^+ on supp(S)."""
+    F = _support_factor(S)
+    return trace_abs(F.conj().T @ diff @ F)
 
 
 def appendix_f(kind: str, S_terms, X: ExtendedOperator,

@@ -66,6 +66,31 @@ def audit_ensemble():
         yield random_grid_model(rng, n, d, g, W=random_spd(rng, n))
 
 
+def pure_model(n, d, K, r, seed):
+    """K grid points of weight 1/K with rank-r states: per point, V =
+    normal(d, r) + 1j normal(d, r) and then theta = normal(n), the state
+    V V^+ / Tr; then A = normal(n, n) and the weight A A^T + 0.3 I."""
+    rng = np.random.default_rng(seed)
+    pts = []
+    for _ in range(K):
+        V = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+        theta = rng.standard_normal(n)
+        rho = V @ V.conj().T
+        pts.append(GridPoint(theta=theta, weight=1.0 / K,
+                             state=rho / np.trace(rho).real))
+    A = rng.standard_normal((n, n))
+    return StatisticalModel(n=n, d=d, points=tuple(pts),
+                            weight_spec=WeightSpec(constant=A @ A.T + 0.3 * np.eye(n)))
+
+
+def pure_panel():
+    """Two-parameter models on four pure or rank-2 states, whose mean state
+    is singular: `pure_model(2, d, 4, r, seed=d)` at (d, r) = (6, 1), (6, 2)
+    and (8, 1)."""
+    for d, r in ((6, 1), (6, 2), (8, 1)):
+        yield pure_model(2, d, 4, r, seed=d)
+
+
 def per_point_panel():
     """20 seeded models with a random SPD weight per grid point: n, d and
     grid size each 2..3."""

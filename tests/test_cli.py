@@ -12,6 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from helpers import pure_model
 import qbayes
 from qbayes import conic
 from qbayes.cli import main
@@ -110,27 +111,47 @@ def test_per_point_model_file_reaches_the_sdp_bounds_only(tmp_path, capsys):
     assert err.startswith("error: ") and "constant weight" in err
 
 
-def test_bounds_notes_a_regularized_state(tmp_path):
+@pytest.mark.parametrize("n", [1, 2])
+def test_bounds_notes_a_regularized_state(tmp_path, n):
     """States on C^3 that share a 2-dimensional support leave S_B singular:
-    the SLD and RLD bounds regularize it, and the report lists both notes."""
+    the SLD and RLD bounds regularize it once each, whatever the number of
+    parameters, and the report lists both notes."""
     rng = np.random.default_rng(7)
     points = []
-    for theta in (-0.5, 0.5):
+    for theta in ((-0.5, 0.2), (0.5, -0.4)):
         A = rng.standard_normal((3, 2))
         A[2] = 0.0   # support in span(e_0, e_1)
         rho = A @ A.T
-        points.append(GridPoint(theta=[theta], weight=0.5,
+        points.append(GridPoint(theta=theta[:n], weight=0.5,
                                 state=rho / np.trace(rho)))
-    model = StatisticalModel(n=1, d=3, points=tuple(points),
-                             weight_spec=WeightSpec(constant=[[1.0]]))
+    model = StatisticalModel(n=n, d=3, points=tuple(points),
+                             weight_spec=WeightSpec(constant=np.eye(n)))
     path = tmp_path / "shared.json"
     save_model(model, str(path))
     out = tmp_path / "r.json"
     assert main(["bounds", "--model", str(path), "--bounds", "sld,rld",
                  "--out", str(out)]) == 0
     notes = json.loads(out.read_text())["warnings"]
-    assert [n.split(": ")[:2] for n in notes] == [["sld", "state regularized"],
-                                                  ["rld", "state regularized"]]
+    assert [note.split(": ")[:2] for note in notes] == [
+        ["sld", "state regularized"], ["rld", "state regularized"]]
+
+
+def test_bounds_ladder_on_a_pure_state_model(tmp_path, monkeypatch):
+    """Four pure states in C^6 at gap 1e-10: nagaoka2 solves on the state
+    supports and stays in the sandwich, and the singular mean state draws
+    one regularization note per closed form."""
+    path = tmp_path / "pure.json"
+    save_model(pure_model(2, 6, 4, 1, seed=6), str(path))
+    out = tmp_path / "r.json"
+    monkeypatch.setenv("QBAYES_GAP_TOL", "1e-10")
+    assert main(["bounds", "--model", str(path), "--bounds",
+                 "nh,holevo,nagaoka2,sld,rld", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["gap_tol"] == 1e-10
+    assert report["audit"]["nagaoka2_minus_holevo"] >= -1e-7
+    assert report["audit"]["nh_minus_nagaoka2"] >= -1e-7
+    assert [note.split(": ")[:2] for note in report["warnings"]] == [
+        ["sld", "state regularized"], ["rld", "state regularized"]]
 
 
 def test_bounds_selector_subset_and_csv(tmp_path):

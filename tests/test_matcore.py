@@ -89,6 +89,8 @@ def test_trace_abs_sums_eigenvalue_magnitudes():
     assert abs(trace_abs(H) - np.abs(np.linalg.eigvalsh(H)).sum()) < 1e-10
     # anti-Hermitian path: eigenvalues are purely imaginary
     assert abs(trace_abs(1j * H) - np.abs(np.linalg.eigvalsh(H)).sum()) < 1e-10
+    # a congruence on the empty support of a zero state
+    assert trace_abs(np.zeros((0, 0))) == 0.0
     # any other input is rejected
     P = np.array([[1.0, 0.3], [0.0, 1.0]])
     A = P @ np.diag([2.0, -3.0]) @ np.linalg.inv(P)

@@ -9,6 +9,7 @@ from helpers import (
     audit_ensemble,
     per_point,
     point_mass_model,
+    pure_panel,
     random_density,
     random_grid_model,
     random_hermitian,
@@ -122,16 +123,18 @@ def test_correlated_pair_value():
 
 
 def test_block_solution_certificates():
-    """The returned (L, X) satisfy the declared feasibility and value ties."""
+    """The (L, X) of the optimal G satisfy the declared feasibility and
+    value ties."""
     rng = np.random.default_rng(42)
     model = random_grid_model(rng, 2, 2, 3, W=random_spd(rng, 2))
     em = build_extended_moments(model)
     sol = nagaoka_hayashi_bound(em)
-    L = sol.Lopt.full()
+    nd = em.n * em.d
+    L = sol.diagnostics.variable_values[0][:nd, :nd]
     Xcol = np.concatenate([np.asarray(X) for X in sol.Xopt], axis=0)
     gram = Xcol @ Xcol.conj().T
     assert np.linalg.eigvalsh((L + L.conj().T) / 2 - gram)[0] > -1e-7
-    assert sol.Lopt.is_block_symmetric(tol=1e-7)
+    assert ExtendedOperator.from_full(L, em.n, em.d).is_block_symmetric(tol=1e-7)
     direct = float(np.real(np.trace(em.S_bar.full() @ L)))
     for j in range(em.n):
         direct -= 2.0 * float(np.real(np.trace(em.D_bar[j] @ sol.Xopt[j])))
@@ -142,6 +145,18 @@ def test_block_solution_certificates():
 # ---------------------------------------------------------------------------
 # trace-norm relaxation
 # ---------------------------------------------------------------------------
+
+def holevo_caps(sol, states):
+    """The real caps V_m = Re(Phi_m(L) + T_m), Phi_m(L)_jk = Tr(S_m L_jk), of
+    a Holevo solution: L from G = variable_values[0], the T_m blocks after
+    it, one per state (none in the constant form, whose one state is the
+    mean state)."""
+    G, *T = sol.diagnostics.variable_values
+    n, d = sol.Xopt.shape[:2]
+    L = G[:n * d, :n * d].reshape(n, d, n, d)
+    return tuple((np.einsum("ab,jbka->jk", S, L) + Tm).real
+                 for S, Tm in zip(states, T or (0.0,), strict=True))
+
 
 def test_holevo_point_mass_and_fixtures():
     rng = np.random.default_rng(43)
@@ -166,10 +181,11 @@ def test_holevo_dominating_blocks_certify():
     for em_form, caps in ((per_point(em), list(zip(em.pi, em.states))),
                           (em, [(1.0, mean_state)])):
         sol = holevo_type_bound(em_form)
-        assert len(sol.V_blocks) == len(caps)
+        Vs = holevo_caps(sol, [S for _, S in caps])
+        assert len(Vs) == len(caps)
         objective = em.w_bar - 2.0 * sum(np.trace(D @ X).real
                                          for D, X in zip(em.D_bar, sol.Xopt))
-        for (p, S), V in zip(caps, sol.V_blocks):
+        for (p, S), V in zip(caps, Vs):
             Z = np.array([[np.trace(S @ Xj @ Xk) for Xk in sol.Xopt]
                           for Xj in sol.Xopt])
             assert np.linalg.eigvalsh((V - Z + (V - Z).conj().T) / 2)[0] > -1e-7
@@ -186,10 +202,12 @@ def test_holevo_program_row_counts(monkeypatch):
     counts = record_row_counts(monkeypatch)
     em = build_extended_moments(random_model(3, 2, seed=2, grid=3))
     n, d, M = em.n, em.d, len(em.pi)
-    for em_form, caps in ((em, 1), (per_point(em), M)):
+    mean_state = np.einsum("m,mab->ab", em.pi, em.states)
+    for em_form, states in ((em, [mean_state]), (per_point(em), em.states)):
         sol = holevo_type_bound(em_form)
-        assert len(sol.V_blocks) == caps
-        assert all(np.array_equal(V, V.T) for V in sol.V_blocks)
+        Vs = holevo_caps(sol, states)
+        assert len(Vs) == len(states)
+        assert all(np.array_equal(V, V.T) for V in Vs)
         assert all(np.array_equal(X, X.conj().T) for X in sol.Xopt)
     assert counts == [(n + 1) * d * d + n * (n - 1) // 2,
                       (n + 1) * d * d + M * n * (n - 1) // 2]
@@ -330,6 +348,28 @@ def test_nagaoka_bound_sits_between_holevo_and_nh_on_the_audit_ensemble():
                        holevo_type_bound(per_point(em))):
             assert sol.value >= holevo.value - 1e-7
         assert sol.value <= nagaoka_hayashi_bound(em).value + 1e-7
+        assert abs(nagaoka_objective(em, sol.Xopt) - sol.value) \
+            <= 1e-7 * max(1.0, abs(sol.value))
+
+
+@pytest.mark.parametrize("gap_tol", [1e-8, 1e-10])
+def test_nagaoka_bound_on_the_pure_panel(monkeypatch, gap_tol):
+    """Low-rank states: nagaoka2 pins its commutator pairs on the state
+    supports, 3d^2 + sum_m r_m^2 rows, ends optimal at both gaps, lies in
+    the sandwich and reproduces its value through the objective at Xopt.
+    The per-point Holevo form runs at the default gap only: it ends
+    numerical-failure on some models at 1e-10 (CHANGES.md)."""
+    counts = record_row_counts(monkeypatch)
+    for model in pure_panel():
+        em = build_extended_moments(model)
+        sol = nagaoka_bound(em, gap_tol)
+        assert sol.diagnostics.status == "optimal"
+        ranks = [np.linalg.matrix_rank(S) for S in em.states]
+        assert counts[-1] == 3 * em.d ** 2 + sum(r * r for r in ranks)
+        holevo_forms = [em] + ([per_point(em)] if gap_tol == 1e-8 else [])
+        for em_form in holevo_forms:
+            assert sol.value >= holevo_type_bound(em_form, gap_tol).value - 1e-7
+        assert sol.value <= nagaoka_hayashi_bound(em, gap_tol).value + 1e-7
         assert abs(nagaoka_objective(em, sol.Xopt) - sol.value) \
             <= 1e-7 * max(1.0, abs(sol.value))
 
