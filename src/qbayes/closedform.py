@@ -14,13 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.linalg as npl
 
-from .matcore import (ConditioningWarning, STRICT_POS_MIN, hermitian_eig,
-                      hermitize, lyapunov_solve, regularize_state,
-                      weighted_trace_abs)
-from .model import BayesMoments, CapabilityError, StatisticalModel
+from .matcore import (ConditioningWarning, STRICT_POS_MIN, hermitize,
+                      lyapunov_solve, support_eig, weighted_trace_abs)
+from .model import (DERIV_TRACE_TOL, BayesMoments, CapabilityError,
+                    StatisticalModel)
 
 INFO_SINGULAR_TOL = 1e-12
-DERIV_TRACE_TOL = 1e-9
 
 
 class SingularInformationError(ValueError):
@@ -58,8 +57,8 @@ def sld_bound(moments: BayesMoments, W: np.ndarray) -> tuple[float, SldPackage]:
     """Bayesian SLD bound Tr(W (M - K)).
 
     L_j solves the averaged-state Lyapunov equation D_B[j] = (S_B L_j +
-    L_j S_B)/2, all j in one solve; near-singular S_B is regularized once
-    (see matcore).
+    L_j S_B)/2, all j in one solve; a singular S_B is handled exactly on
+    its support (see `lyapunov_solve`).
     """
     W = np.asarray(W, dtype=float)
     L = lyapunov_solve(moments.S_B, moments.D_B)
@@ -71,18 +70,19 @@ def sld_bound(moments: BayesMoments, W: np.ndarray) -> tuple[float, SldPackage]:
 def rld_bound(moments: BayesMoments, W: np.ndarray) -> tuple[float, RldPackage]:
     """Bayesian RLD bound Tr(W (M - Re Kt)) + TrAbs(W Im Kt).
 
-    Lt_j = S_B^{-1} D_B[j]; Kt_jk = Tr(S_B Lt_k Lt_j^dag). The trace-norm
-    term always uses the PSD-congruence path: sqrt(W) Im(Kt) sqrt(W) is
-    antisymmetric, hence normal, and shares its nonzero spectrum with
-    W Im(Kt), so the congruence stays exact even for singular W, where the
-    raw product can be a defective nilpotent the eigensolver cannot handle.
-    Singular W still draws a warning because the bound's derivation wants
-    W > 0.
+    Lt_j = S_B^+ D_B[j], with S_B^+ the inverse of S_B on its support
+    (`support_eig`): exact for a singular S_B too, since D_B lives on
+    supp(S_B). Kt_jk = Tr(S_B Lt_k Lt_j^dag). The trace-norm term always
+    uses the PSD-congruence path: sqrt(W) Im(Kt) sqrt(W) is antisymmetric,
+    hence normal, and shares its nonzero spectrum with W Im(Kt), so the
+    congruence stays exact even for singular W, where the raw product can
+    be a defective nilpotent the eigensolver cannot handle. Singular W
+    still draws a warning because the bound's derivation wants W > 0.
     """
     W = np.asarray(W, dtype=float)
-    S = regularize_state(moments.S_B)
-    w, U = hermitian_eig(S)
-    Sinv = (U / w) @ U.conj().T
+    S = moments.S_B
+    w, U, keep = support_eig(S)
+    Sinv = (U / np.where(keep, w, np.inf)) @ U.conj().T
     Lt = np.stack([Sinv @ Dj for Dj in moments.D_B])
     n = Lt.shape[0]
     Kt = np.zeros((n, n), dtype=complex)
@@ -103,9 +103,9 @@ def rld_bound(moments: BayesMoments, W: np.ndarray) -> tuple[float, RldPackage]:
 def sld_fisher_point(state: np.ndarray, derivatives: np.ndarray) -> np.ndarray:
     """Pointwise SLD quantum Fisher information matrix.
 
-    Solves (S L_j + L_j S)/2 = dS/dtheta_j per parameter and returns the
-    symmetrized Gram matrix. Derivatives must be traceless (trace-preserving
-    family).
+    Solves (S L_j + L_j S)/2 = dS/dtheta_j per parameter, exactly for a
+    singular S too (`lyapunov_solve`), and returns the symmetrized Gram
+    matrix. Derivatives must be traceless (trace-preserving family).
     """
     derivatives = np.asarray(derivatives, dtype=complex)
     for j, Dj in enumerate(derivatives):

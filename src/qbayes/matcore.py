@@ -2,13 +2,13 @@
 
 Everything routes through the Hermitian eigendecomposition: square roots,
 Lyapunov solves and trace norms are eigenbasis computations, so their
-numerical behaviour is consistent and easy to audit. All functions are pure;
-inputs are never mutated.
+numerical behaviour is consistent and easy to audit. A singular PSD state is
+handled exactly on its support by one rule, `support_eig`; no state is ever
+perturbed. All functions are pure; inputs are never mutated.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +18,7 @@ import numpy.linalg as npl
 HERM_TOL = 1e-12        # max |A - A^dag| accepted before symmetrization
 PSD_CLAMP = 1e-10       # eigenvalues above -PSD_CLAMP are clamped to zero
 STRICT_POS_MIN = 1e-10  # minimum eigenvalue for "strictly positive" states
-REG_EPS = 1e-10         # mixing weight of the regularization fallback
+SUPPORT_TOL = 1e-12     # support eigenvalues exceed SUPPORT_TOL * w_max
 
 SQRT2 = np.sqrt(2.0)
 
@@ -27,16 +27,8 @@ class NotPsdError(ValueError):
     """A matrix required to be positive semidefinite is not."""
 
 
-class SingularStateError(ValueError):
-    """A state is singular beyond what regularization absorbs."""
-
-
 class NumericalFailureError(RuntimeError):
     """An iterative kernel failed to converge."""
-
-
-class RegularizationWarning(UserWarning):
-    """A near-singular state was replaced by (1-eps) S + eps I/d."""
 
 
 class ConditioningWarning(UserWarning):
@@ -91,40 +83,35 @@ def psd_sqrt(A: np.ndarray) -> np.ndarray:
     return hermitize((U * np.sqrt(w)) @ U.conj().T)
 
 
-def regularize_state(S: np.ndarray) -> np.ndarray:
-    """Return S, or (1 - REG_EPS) S + REG_EPS I/d when its minimum eigenvalue
-    is <= STRICT_POS_MIN.
+def support_eig(S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigendecomposition S = U diag(w) U^dag of a PSD matrix on its support.
 
-    Emits RegularizationWarning when the fallback fires so reports can record
-    it; raises SingularStateError if the state is still not strictly positive
-    afterwards (only possible for badly malformed input).
+    Returns (w, U, keep): keep marks the support, the eigenvalues above
+    SUPPORT_TOL * w_max, and w is 0 on the kernel. Eigenvalues below
+    -PSD_CLAMP raise NotPsdError, as in `psd_sqrt`.
     """
-    S = np.asarray(S, dtype=complex)
-    d = S.shape[0]
-    w = npl.eigvalsh(hermitize(S))
-    if w[0] > STRICT_POS_MIN:
-        return S
-    warnings.warn(
-        f"state regularized: min eigenvalue {w[0]:.3e} <= {STRICT_POS_MIN:.0e}",
-        RegularizationWarning, stacklevel=2)
-    Sreg = (1.0 - REG_EPS) * S + REG_EPS * np.eye(d) / d
-    if npl.eigvalsh(hermitize(Sreg))[0] <= 0.0:
-        raise SingularStateError("state singular beyond regularization")
-    return Sreg
+    w, U = hermitian_eig(S)
+    if w[0] < -PSD_CLAMP:
+        raise NotPsdError(f"eigenvalue {w[0]:.3e} below -{PSD_CLAMP:.0e}")
+    keep = w > SUPPORT_TOL * w[-1]
+    return np.where(keep, w, 0.0), U, keep
 
 
 def lyapunov_solve(S: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """Solve D = (S L + L S) / 2 for Hermitian L, S a strictly positive state;
-    a stack of D is solved at once, through one eigendecomposition of S.
+    """Solve D = (S L + L S) / 2 for Hermitian L, S a PSD state; a stack of
+    D is solved at once, through one eigendecomposition of S.
 
-    Computed in the eigenbasis of S: Lt_ab = 2 Dt_ab / (w_a + w_b). States
-    with min eigenvalue <= STRICT_POS_MIN are regularized first (with a
-    RegularizationWarning).
+    Computed in the eigenbasis of S (`support_eig`): Lt_ab = 2 Dt_ab /
+    (w_a + w_b) on every pair that touches supp(S), and Lt_ab = 0 on
+    ker S x ker S, where (S L + L S)/2 vanishes whatever L is. Every D_B =
+    sum pi_m theta_m S_m and every derivative of a PSD family is zero on
+    that block, so L solves the equation exactly for both.
     """
-    S = regularize_state(S)
-    w, U = hermitian_eig(S)
+    w, U, keep = support_eig(S)
+    pairs = np.where(keep[:, None] | keep[None, :], w[:, None] + w[None, :],
+                     np.inf)
     Dt = U.conj().T @ np.asarray(D, dtype=complex) @ U
-    L = U @ (2.0 * Dt / (w[:, None] + w[None, :])) @ U.conj().T
+    L = U @ (2.0 * Dt / pairs) @ U.conj().T
     return hermitize(L)
 
 

@@ -22,6 +22,7 @@ WEIGHT_SUM_TOL = 1e-12
 DENSITY_EIG_TOL = 1e-12
 WEIGHT_PSD_TOL = 1e-10
 MOMENT_PSD_TOL = 1e-10
+DERIV_TRACE_TOL = 1e-9
 
 
 class ModelError(ValueError):
@@ -47,6 +48,20 @@ def _check_density(rho: np.ndarray, d: int, where: str) -> np.ndarray:
     if abs(tr - 1.0) > 1e-12:
         raise ModelError(f"{where}: trace {tr!r} not within 1e-12 of 1")
     return rho
+
+
+def _check_derivatives(D: np.ndarray, where: str) -> np.ndarray:
+    """The Hermitian part of each dS/dtheta_j, raising unless each is
+    Hermitian (`check_hermitian`) and traceless (DERIV_TRACE_TOL)."""
+    for j, Dj in enumerate(D):
+        try:
+            check_hermitian(Dj)
+        except ValueError as exc:
+            raise ModelError(f"{where}: derivative {j}: {exc}") from exc
+        tr = abs(complex(np.trace(Dj)))
+        if tr > DERIV_TRACE_TOL:
+            raise ModelError(f"{where}: derivative {j} has trace {tr:.3e}, expected 0")
+    return hermitize(D)
 
 
 def _check_finite(a: np.ndarray, what: str) -> None:
@@ -143,9 +158,12 @@ class StatisticalModel:
             if p.theta.shape != (self.n,):
                 raise ModelError(f"point {m}: theta length {p.theta.shape[0]}, expected {self.n}")
             state = _check_density(p.state, self.d, f"point {m}")
-            if p.state_derivatives is not None and p.state_derivatives.shape != (self.n, self.d, self.d):
-                raise ModelError(f"point {m}: derivative shape {p.state_derivatives.shape}")
-            checked.append(replace(p, state=state))
+            derivs = p.state_derivatives
+            if derivs is not None:
+                if derivs.shape != (self.n, self.d, self.d):
+                    raise ModelError(f"point {m}: derivative shape {derivs.shape}")
+                derivs = _check_derivatives(derivs, f"point {m}")
+            checked.append(replace(p, state=state, state_derivatives=derivs))
         object.__setattr__(self, "points", tuple(checked))
         if self.weight_spec.is_constant:
             _check_weight_matrix(self.weight_spec.constant, self.n, "weight")

@@ -30,8 +30,8 @@ import numpy.linalg as npl
 
 from .conic import (GAP_TOL, ConicProgram, ConicSolution, SolverFailureError,
                     hvec, hvec_basis, solve_or_raise)
-from .matcore import (PSD_CLAMP, ExtendedOperator, NotPsdError, hermitian_eig,
-                      hermitize, psd_sqrt, sym_split, trace_abs)
+from .matcore import (ExtendedOperator, hermitize, psd_sqrt, support_eig,
+                      sym_split, trace_abs)
 from .model import CapabilityError, ExtendedMoments
 
 __all__ = [
@@ -212,12 +212,8 @@ def holevo_type_bound(em: ExtendedMoments,
 
 def _support_factor(S: np.ndarray) -> np.ndarray:
     """F = U_r diag(sqrt(w_r)), d x r, with S = F F^+ for PSD S: the
-    eigenpairs above 1e-12 w_max. Eigenvalues below -PSD_CLAMP raise
-    NotPsdError, as in `psd_sqrt`."""
-    w, U = hermitian_eig(S)
-    if w[0] < -PSD_CLAMP:
-        raise NotPsdError(f"eigenvalue {w[0]:.3e} below -{PSD_CLAMP:.0e}")
-    keep = w > 1e-12 * w[-1]
+    eigenpairs of supp(S) (`support_eig`)."""
+    w, U, keep = support_eig(S)
     return U[:, keep] * np.sqrt(w[keep])
 
 

@@ -8,8 +8,8 @@ import dataclasses
 import numpy as np
 
 from qbayes.conic import ConicProgram
-from qbayes.model import GridPoint, StatisticalModel, WeightSpec, \
-    classical_binary
+from qbayes.model import BayesMoments, GridPoint, StatisticalModel, \
+    WeightSpec, classical_binary
 
 
 def random_hermitian(rng, d, scale=1.0):
@@ -84,11 +84,22 @@ def pure_model(n, d, K, r, seed):
 
 
 def pure_panel():
-    """Two-parameter models on four pure or rank-2 states, whose mean state
-    is singular: `pure_model(2, d, 4, r, seed=d)` at (d, r) = (6, 1), (6, 2)
-    and (8, 1)."""
+    """Two-parameter models on four pure or rank-2 states:
+    `pure_model(2, d, 4, r, seed=d)` at (d, r) = (6, 1), (6, 2) and (8, 1).
+    The mean state has rank 4 at r = 1 and is full at (6, 2)."""
     for d, r in ((6, 1), (6, 2), (8, 1)):
         yield pure_model(2, d, 4, r, seed=d)
+
+
+def compressed_moments(moments):
+    """The same moments with S_B and D_B written in an orthonormal basis of
+    supp(S_B), the eigenvectors of S_B above 1e-9 of its largest eigenvalue:
+    the reference for bounds on a singular mean state."""
+    w, U = np.linalg.eigh(moments.S_B)
+    V = U[:, w > 1e-9 * w[-1]]
+    return BayesMoments(S_B=V.conj().T @ moments.S_B @ V,
+                        D_B=V.conj().T @ moments.D_B @ V, M=moments.M,
+                        theta_bar=moments.theta_bar, w_bar=moments.w_bar)
 
 
 def per_point_panel():

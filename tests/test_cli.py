@@ -111,47 +111,50 @@ def test_per_point_model_file_reaches_the_sdp_bounds_only(tmp_path, capsys):
     assert err.startswith("error: ") and "constant weight" in err
 
 
+def _bounds_report(tmp_path, model, selector):
+    path = tmp_path / "model.json"
+    save_model(model, str(path))
+    out = tmp_path / "r.json"
+    assert main(["bounds", "--model", str(path), "--bounds", selector,
+                 "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
 @pytest.mark.parametrize("n", [1, 2])
-def test_bounds_notes_a_regularized_state(tmp_path, n):
-    """States on C^3 that share a 2-dimensional support leave S_B singular:
-    the SLD and RLD bounds regularize it once each, whatever the number of
-    parameters, and the report lists both notes."""
+def test_bounds_on_a_shared_support_match_the_compressed_model(tmp_path, n):
+    """States on C^3 that share the support span(e_0, e_1) leave S_B
+    singular: the SLD and RLD bounds equal those of the same model on C^2,
+    whatever the number of parameters, and the report has no note."""
     rng = np.random.default_rng(7)
-    points = []
+    points, compressed = [], []
     for theta in ((-0.5, 0.2), (0.5, -0.4)):
         A = rng.standard_normal((3, 2))
         A[2] = 0.0   # support in span(e_0, e_1)
-        rho = A @ A.T
-        points.append(GridPoint(theta=theta[:n], weight=0.5,
-                                state=rho / np.trace(rho)))
-    model = StatisticalModel(n=n, d=3, points=tuple(points),
-                             weight_spec=WeightSpec(constant=np.eye(n)))
-    path = tmp_path / "shared.json"
-    save_model(model, str(path))
-    out = tmp_path / "r.json"
-    assert main(["bounds", "--model", str(path), "--bounds", "sld,rld",
-                 "--out", str(out)]) == 0
-    notes = json.loads(out.read_text())["warnings"]
-    assert [note.split(": ")[:2] for note in notes] == [
-        ["sld", "state regularized"], ["rld", "state regularized"]]
+        rho = A @ A.T / np.trace(A @ A.T)
+        points.append(GridPoint(theta=theta[:n], weight=0.5, state=rho))
+        compressed.append(GridPoint(theta=theta[:n], weight=0.5, state=rho[:2, :2]))
+    spec = WeightSpec(constant=np.eye(n))
+    report = _bounds_report(tmp_path, StatisticalModel(
+        n=n, d=3, points=tuple(points), weight_spec=spec), "sld,rld")
+    reference = _bounds_report(tmp_path, StatisticalModel(
+        n=n, d=2, points=tuple(compressed), weight_spec=spec), "sld,rld")
+    assert report["warnings"] == []
+    for name in ("sld", "rld"):
+        v, ref = report["bounds"][name]["value"], reference["bounds"][name]["value"]
+        assert abs(v - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 def test_bounds_ladder_on_a_pure_state_model(tmp_path, monkeypatch):
     """Four pure states in C^6 at gap 1e-10: nagaoka2 solves on the state
-    supports and stays in the sandwich, and the singular mean state draws
-    one regularization note per closed form."""
-    path = tmp_path / "pure.json"
-    save_model(pure_model(2, 6, 4, 1, seed=6), str(path))
-    out = tmp_path / "r.json"
+    supports and stays in the sandwich, and the closed forms handle the
+    singular mean state on its support without a note."""
     monkeypatch.setenv("QBAYES_GAP_TOL", "1e-10")
-    assert main(["bounds", "--model", str(path), "--bounds",
-                 "nh,holevo,nagaoka2,sld,rld", "--out", str(out)]) == 0
-    report = json.loads(out.read_text())
+    report = _bounds_report(tmp_path, pure_model(2, 6, 4, 1, seed=6),
+                            "nh,holevo,nagaoka2,sld,rld")
     assert report["gap_tol"] == 1e-10
     assert report["audit"]["nagaoka2_minus_holevo"] >= -1e-7
     assert report["audit"]["nh_minus_nagaoka2"] >= -1e-7
-    assert [note.split(": ")[:2] for note in report["warnings"]] == [
-        ["sld", "state regularized"], ["rld", "state regularized"]]
+    assert report["warnings"] == []
 
 
 def test_bounds_selector_subset_and_csv(tmp_path):
@@ -219,6 +222,27 @@ def test_bounds_rejects_non_finite_or_mistyped_model_fields(tmp_path, capsys, ed
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(data))
     assert main(["bounds", "--model", str(path), "--bounds", bound]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: model file rejected: ")
+    assert message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set(("points", 0, "drho", 0, 0, 1), [0.3, 0.0]),
+     "point 0: derivative 0: matrix deviates from Hermitian by 3.000e-01"),
+    (_set(("points", 0, "drho", 0, 0, 0), [1.0, 0.0]),
+     "point 0: derivative 0 has trace 5.000e-01, expected 0"),
+], ids=["non-hermitian", "traced"])
+def test_bounds_rejects_bad_state_derivatives(tmp_path, capsys, edit, message):
+    """An edited `qbayes zoo qubit_z_line 3` file whose first derivative is
+    not Hermitian or not traceless exits 2 with `error: ...`: no van Tree
+    value and no traceback."""
+    data = model_to_dict(model_zoo("qubit_z_line", (3,)))
+    edit(data)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    assert main(["bounds", "--model", str(path), "--bounds", "vantree"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: model file rejected: ")
     assert message in captured.err

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from helpers import random_grid_model
+from helpers import compressed_moments, pure_model, pure_panel, \
+    random_grid_model, random_hermitian
 from qbayes.closedform import (
     SingularInformationError,
     rld_bound,
@@ -94,6 +95,37 @@ def test_sld_fisher_point_identity():
     assert J.shape == (1, 1)
     assert abs(J[0, 0] - direct) < 1e-10
     assert J[0, 0] > 0
+
+
+@pytest.mark.parametrize("model", [
+    *pure_panel(), pure_model(2, 10, 4, 1, seed=10),
+    pure_model(3, 12, 3, 2, seed=12), pure_model(2, 12, 4, 2, seed=12)],
+    ids=["panel-6-1", "panel-6-2", "panel-8-1", "2-10-4-1", "3-12-3-2",
+         "2-12-4-2"])
+def test_closed_forms_are_exact_on_a_singular_mean_state(model):
+    """Pure or rank-2 states leave S_B singular (all but panel-6-2, whose
+    eight state vectors span C^6): the SLD and RLD bounds equal the same
+    bounds on the moments compressed to supp(S_B)."""
+    moments, W = build_moments(model), model.weight_spec.constant
+    reference = compressed_moments(moments)
+    for bound in (sld_bound, rld_bound):
+        v, ref = bound(moments, W)[0], bound(reference, W)[0]
+        assert abs(v - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_sld_fisher_point_of_a_pure_state_is_four_covariances():
+    """For psi(theta) = exp(-i theta.H) psi the QFI is 4 Re Cov_psi(H_j, H_k):
+    the singular state is solved exactly on its support."""
+    rng = np.random.default_rng(11)
+    psi = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    psi /= np.linalg.norm(psi)
+    rho = np.outer(psi, psi.conj())
+    H = np.stack([random_hermitian(rng, 5) for _ in range(2)])
+    J = sld_fisher_point(rho, np.stack([-1j * (Hj @ rho - rho @ Hj) for Hj in H]))
+    mean = np.einsum("a,jab,b->j", psi.conj(), H, psi)
+    second = np.einsum("a,jab,kbc,c->jk", psi.conj(), H, H, psi)
+    expected = 4.0 * (second - np.outer(mean, mean)).real
+    assert np.abs(J - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_sld_fisher_point_requires_traceless_derivatives():

@@ -9,13 +9,12 @@ from helpers import random_density, random_hermitian, random_spd, random_unitary
 from qbayes.matcore import (
     ExtendedOperator,
     NotPsdError,
-    RegularizationWarning,
     check_hermitian,
     hermitian_eig,
     hermitize,
     lyapunov_solve,
     psd_sqrt,
-    regularize_state,
+    support_eig,
     sym_split,
     trace_abs,
     weighted_trace_abs,
@@ -62,15 +61,29 @@ def test_psd_sqrt_clamps_roundoff_but_rejects_negatives():
         psd_sqrt(np.diag([1.0, -0.5]))
 
 
-def test_regularize_state_passthrough_and_floor():
+def test_support_eig_keeps_the_support_and_rejects_negatives():
+    w, U, keep = support_eig(np.diag([0.0, 1.0, -1e-14, 1e-13]))
+    assert keep.tolist() == [False, False, False, True]
+    assert w.tolist() == [0.0, 0.0, 0.0, 1.0]
+    assert np.allclose(np.abs(U[:, keep].ravel()), [0.0, 1.0, 0.0, 0.0])
+    with pytest.raises(NotPsdError):
+        support_eig(np.diag([1.0, -0.5]))
+
+
+def test_lyapunov_solve_on_a_rank_deficient_state():
+    """S of rank 2 in C^4 and D = (S L0 + L0 S)/2 for a random Hermitian L0,
+    so D lies in the range of the map: L solves the equation exactly and is
+    zero on ker S x ker S."""
     rng = np.random.default_rng(2)
-    S = random_density(rng, 3)
-    assert regularize_state(S) is S or np.allclose(regularize_state(S), S)
-    singular = np.diag([1.0, 0.0, 0.0]).astype(complex)
-    with pytest.warns(RegularizationWarning):
-        Sreg = regularize_state(singular)
-    assert np.linalg.eigvalsh(Sreg)[0] > 0
-    assert abs(np.trace(Sreg) - 1.0) < 1e-12
+    V = random_unitary(rng, 4)
+    S = V @ np.diag([0.7, 0.3, 0.0, 0.0]) @ V.conj().T
+    L0 = random_hermitian(rng, 4)
+    D = (S @ L0 + L0 @ S) / 2
+    L = lyapunov_solve(S, D)
+    assert np.allclose((S @ L + L @ S) / 2, D, atol=1e-12)
+    assert np.allclose(L, L.conj().T)
+    kernel = V[:, 2:]
+    assert np.abs(kernel.conj().T @ L @ kernel).max() < 1e-12
 
 
 def test_lyapunov_solve_inverts_the_anticommutator():

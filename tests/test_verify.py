@@ -1,11 +1,13 @@
 """Unit tests for measurements, exact grid risk, and the seesaw harness."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 from helpers import (
+    pure_panel,
     random_grid_model,
     random_spd,
     record_row_counts,
@@ -319,6 +321,16 @@ def test_ordering_audit_summary():
     assert set(audit) == {"values", "margins", "min_margin", "ok",
                           "rounded_risk"}
     assert audit["rounded_risk"] >= audit["values"]["seesaw_risk"]
+
+
+def test_ordering_audit_on_pure_states():
+    """A singular mean state needs no fallback: on every pure-panel model the
+    audit's chain holds and no warning is drawn."""
+    for model in pure_panel():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            audit = ordering_audit(model, iters=8, seed=0)
+        assert audit["ok"], audit["margins"]
 
 
 def test_single_outcome_povm_risks_the_prior_covariance():
