@@ -13,10 +13,9 @@ evaluate bounds:
     print(nagaoka_hayashi_bound(em).value)
 """
 
-from .matcore import (ExtendedOperator, NotPsdError, NumericalFailureError,
-                      check_hermitian, hermitize, hermitian_eig,
-                      lyapunov_solve, psd_sqrt, sym_split, trace_abs,
-                      weighted_trace_abs)
+from .matcore import (ExtendedOperator, NotPsdError, check_hermitian,
+                      hermitize, lyapunov_solve, psd_sqrt, sym_split,
+                      trace_abs, weighted_trace_abs)
 from .model import (BayesMoments, CapabilityError, ExtendedMoments, GridPoint,
                     ModelError, StatisticalModel, WeightSpec, build_moments,
                     build_extended_moments, load_model, model_from_dict,
@@ -38,9 +37,9 @@ from .verify import (DecisionRisk, Povm, bayes_risk, optimal_povm_step,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ExtendedOperator", "NotPsdError", "NumericalFailureError",
-    "check_hermitian", "hermitize", "hermitian_eig", "lyapunov_solve",
-    "psd_sqrt", "sym_split", "trace_abs", "weighted_trace_abs",
+    "ExtendedOperator", "NotPsdError", "check_hermitian", "hermitize",
+    "lyapunov_solve", "psd_sqrt", "sym_split", "trace_abs",
+    "weighted_trace_abs",
     "BayesMoments", "CapabilityError", "ExtendedMoments", "GridPoint",
     "ModelError", "StatisticalModel", "WeightSpec", "build_moments",
     "build_extended_moments", "load_model", "model_from_dict",

@@ -10,12 +10,12 @@ read or is rejected, an output path that cannot be written, bad selector,
 bad zoo name, count or seed, bad seed list, negative seed, outcome count
 below the model's d, trial or iteration count below one, or a `verify`
 model whose weight is not constant); 3 solver failure or an ordering
-margin below -1e-6. Output paths are checked before any solve. Per-bound
-capability errors are reported inside the `bounds` output without failing
-the run. QBAYES_GAP_TOL, a finite positive number, sets the relative gap of
-every SDP a command solves (default GAP_TOL, and 1e-10 for the `lemmas`
-identity suite); each command reads it once and reports an invalid value on
-stderr. The library never reads it.
+margin below -MARGIN_TOL = -1e-6 (`verify.LADDER`). Output paths are checked
+before any solve. Per-bound capability errors are reported inside the
+`bounds` output without failing the run. QBAYES_GAP_TOL, a finite positive
+number, sets the relative gap of every SDP a command solves (default
+GAP_TOL, and 1e-10 for the `lemmas` identity suite); each command reads it
+once and reports an invalid value on stderr. The library never reads it.
 """
 
 from __future__ import annotations
@@ -40,10 +40,9 @@ from .model import CapabilityError, ModelError, build_extended_moments, \
     build_moments, load_model, model_to_dict, model_zoo
 from .sdpbounds import f_family_pinned_example, f_family_suite, \
     holevo_type_bound, nagaoka_bound, nagaoka_hayashi_bound
-from .verify import ordering_audit, seesaw
+from .verify import MARGIN_TOL, ladder_margins, ordering_audit, seesaw
 
 BOUND_NAMES = ("nh", "holevo", "nagaoka2", "sld", "rld", "vantree")
-MARGIN_ALARM = -1e-6
 GAP_TOL_ENV = "QBAYES_GAP_TOL"
 
 EXIT_OK = 0
@@ -199,12 +198,8 @@ def cmd_bounds(args) -> int:
             notes.append(f"{name}: {w.message}")
         bounds[name] = entry
 
-    values = {n: e["value"] for n, e in bounds.items() if "value" in e}
-    audit = {f"{hi}_minus_{lo}": values[hi] - values[lo]
-             for hi, lo in (("nh", "holevo"), ("holevo", "sld"),
-                            ("holevo", "rld"), ("nagaoka2", "holevo"),
-                            ("nh", "nagaoka2"))
-             if hi in values and lo in values}
+    audit = ladder_margins({n: e["value"] for n, e in bounds.items()
+                            if "value" in e})
 
     report = {
         "model_digest": _model_digest(model),
@@ -264,9 +259,8 @@ def cmd_verify(args) -> int:
         return EXIT_SOLVER
 
     best = min(r["risk"] for r in runs)
-    margins = dict(audit["margins"])
-    margins["seesaw_minus_nh"] = best - audit["values"]["nh"]
-    ok = all(v >= MARGIN_ALARM for v in margins.values())
+    margins = ladder_margins({**audit["values"], "seesaw": best})
+    ok = all(v >= -MARGIN_TOL for v in margins.values())
     report = {
         "model_digest": _model_digest(model),
         "gap_tol": gap_tol,

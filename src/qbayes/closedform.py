@@ -8,14 +8,13 @@ Tree baseline combines prior and averaged quantum Fisher information.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import numpy.linalg as npl
 
-from .matcore import (ConditioningWarning, STRICT_POS_MIN, hermitize,
-                      lyapunov_solve, support_eig, weighted_trace_abs)
+from .matcore import (hermitize, lyapunov_solve, support_eig,
+                      weighted_trace_abs)
 from .model import (DERIV_TRACE_TOL, BayesMoments, CapabilityError,
                     StatisticalModel)
 
@@ -72,12 +71,12 @@ def rld_bound(moments: BayesMoments, W: np.ndarray) -> tuple[float, RldPackage]:
 
     Lt_j = S_B^+ D_B[j], with S_B^+ the inverse of S_B on its support
     (`support_eig`): exact for a singular S_B too, since D_B lives on
-    supp(S_B). Kt_jk = Tr(S_B Lt_k Lt_j^dag). The trace-norm term always
-    uses the PSD-congruence path: sqrt(W) Im(Kt) sqrt(W) is antisymmetric,
-    hence normal, and shares its nonzero spectrum with W Im(Kt), so the
-    congruence stays exact even for singular W, where the raw product can
-    be a defective nilpotent the eigensolver cannot handle. Singular W
-    still draws a warning because the bound's derivation wants W > 0.
+    supp(S_B). Kt_jk = Tr(S_B Lt_k Lt_j^dag). The trace-norm term is
+    `weighted_trace_abs(W, Im Kt)`, exact for singular W too, where the raw
+    product W Im(Kt) can be a defective nilpotent. The bound holds for every
+    PSD W: for real V >= Kt, sqrt(W)(V - Re Kt)sqrt(W) >= +-i sqrt(W) Im(Kt)
+    sqrt(W), so Tr W(V - Re Kt) >= TrAbs(sqrt(W) Im(Kt) sqrt(W)). A singular
+    W, such as diag(1, 0) for a nuisance parameter, needs no special case.
     """
     W = np.asarray(W, dtype=float)
     S = moments.S_B
@@ -92,10 +91,6 @@ def rld_bound(moments: BayesMoments, W: np.ndarray) -> tuple[float, RldPackage]:
     Kt = (Kt + Kt.conj().T) / 2
     imK = Kt.imag    # real antisymmetric
     value = float(np.trace(W @ (moments.M - Kt.real)))
-    if npl.eigvalsh(W)[0] <= STRICT_POS_MIN:
-        warnings.warn("singular weight matrix: the identity behind the "
-                      "trace-norm term assumes W > 0", ConditioningWarning,
-                      stacklevel=2)
     value += weighted_trace_abs(W, imK)
     return value, RldPackage(Ltilde=Lt, Ktilde=Kt)
 

@@ -545,8 +545,11 @@ def holevo_lemma_value(W: np.ndarray, A: np.ndarray, B: np.ndarray) -> float:
 
     Equals min{Tr(W V) : V real symmetric, V >= A + iB}; the agreement is a
     property test against holevo_lemma_sdp_value. The trace-norm term is
-    evaluated through the PSD congruence (singular values of sqrt(W) B
-    sqrt(W)), which never forms a non-normal eigenproblem.
+    `weighted_trace_abs(W, B)`, the eigenvalues of the antisymmetric
+    congruence F^dag B F with W = F F^dag, which never forms a non-normal
+    eigenproblem. W > 0 is required, as the lemma is stated: for a singular
+    W the minimum is an infimum that no V attains (W = diag(1, 0), B != 0),
+    while Tr(W V) >= the closed form still holds for every PSD W.
     """
     W = np.asarray(W, dtype=float)
     A = np.asarray(A, dtype=float)

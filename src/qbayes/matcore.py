@@ -2,8 +2,10 @@
 
 Everything routes through the Hermitian eigendecomposition: square roots,
 Lyapunov solves and trace norms are eigenbasis computations, so their
-numerical behaviour is consistent and easy to audit. A singular PSD state is
-handled exactly on its support by one rule, `support_eig`; no state is ever
+numerical behaviour is consistent and easy to audit. A singular PSD state or
+weight is handled exactly on its support by one rule, `support_eig`, and
+every trace norm TrAbs(S B) of a PSD S against an anti-Hermitian or
+antisymmetric B by one rule, `weighted_trace_abs`; no state or weight is ever
 perturbed. All functions are pure; inputs are never mutated.
 """
 
@@ -17,7 +19,6 @@ import numpy.linalg as npl
 # Module-wide tolerances; `is_block_symmetric` alone takes an override.
 HERM_TOL = 1e-12        # max |A - A^dag| accepted before symmetrization
 PSD_CLAMP = 1e-10       # eigenvalues above -PSD_CLAMP are clamped to zero
-STRICT_POS_MIN = 1e-10  # minimum eigenvalue for "strictly positive" states
 SUPPORT_TOL = 1e-12     # support eigenvalues exceed SUPPORT_TOL * w_max
 
 SQRT2 = np.sqrt(2.0)
@@ -25,14 +26,6 @@ SQRT2 = np.sqrt(2.0)
 
 class NotPsdError(ValueError):
     """A matrix required to be positive semidefinite is not."""
-
-
-class NumericalFailureError(RuntimeError):
-    """An iterative kernel failed to converge."""
-
-
-class ConditioningWarning(UserWarning):
-    """A computation fell back to a less stable path."""
 
 
 def hermitize(A: np.ndarray) -> np.ndarray:
@@ -56,27 +49,13 @@ def check_hermitian(A: np.ndarray) -> np.ndarray:
     return hermitize(A)
 
 
-def hermitian_eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues ascending, unitary eigenvector matrix U) with
-    A = U diag(w) U^dag.
-    """
-    A = np.asarray(A, dtype=complex)
-    try:
-        w, U = npl.eigh(A)
-    except npl.LinAlgError as exc:
-        raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
-    return w, U
-
-
 def psd_sqrt(A: np.ndarray) -> np.ndarray:
     """Square root of a PSD Hermitian matrix.
 
     Eigenvalues in [-PSD_CLAMP, 0) are rounding noise and are clamped to
     zero; anything below -PSD_CLAMP raises NotPsdError.
     """
-    w, U = hermitian_eig(A)
+    w, U = npl.eigh(np.asarray(A, dtype=complex))
     if w.size and w[0] < -PSD_CLAMP:
         raise NotPsdError(f"eigenvalue {w[0]:.3e} below -{PSD_CLAMP:.0e}")
     w = np.maximum(w, 0.0)
@@ -90,11 +69,18 @@ def support_eig(S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     SUPPORT_TOL * w_max, and w is 0 on the kernel. Eigenvalues below
     -PSD_CLAMP raise NotPsdError, as in `psd_sqrt`.
     """
-    w, U = hermitian_eig(S)
+    w, U = npl.eigh(np.asarray(S, dtype=complex))
     if w[0] < -PSD_CLAMP:
         raise NotPsdError(f"eigenvalue {w[0]:.3e} below -{PSD_CLAMP:.0e}")
     keep = w > SUPPORT_TOL * w[-1]
     return np.where(keep, w, 0.0), U, keep
+
+
+def support_factor(S: np.ndarray) -> np.ndarray:
+    """F = U_r diag(sqrt(w_r)), d x r, with S = F F^dag for PSD S: the
+    eigenpairs of supp(S) (`support_eig`)."""
+    w, U, keep = support_eig(S)
+    return U[:, keep] * np.sqrt(w[keep])
 
 
 def lyapunov_solve(S: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -130,17 +116,16 @@ def trace_abs(A: np.ndarray) -> float:
     raise ValueError("trace_abs needs a Hermitian or anti-Hermitian matrix")
 
 
-def weighted_trace_abs(W: np.ndarray, B: np.ndarray) -> float:
-    """TrAbs(W B) for PSD Hermitian W via the congruence sqrt(W) B sqrt(W).
+def weighted_trace_abs(S: np.ndarray, B: np.ndarray) -> float:
+    """TrAbs(S B) for PSD S and anti-Hermitian or real antisymmetric B.
 
-    The congruence has the same nonzero spectrum as W B and is normal for the
-    inputs arising here (B antisymmetric real or anti-Hermitian), so its
-    singular values are the absolute eigenvalues. Exact for W > 0 and stable:
-    no non-normal eigenproblem is ever formed.
+    Computed as TrAbs(F^dag B F) with S = F F^dag on supp(S)
+    (`support_factor`): the congruence shares its nonzero spectrum with
+    S B and is anti-Hermitian, so the eigenproblem stays normal even where
+    S is singular and S B a defective nilpotent. Exact for every PSD S.
     """
-    R = psd_sqrt(W)
-    M = R @ np.asarray(B, dtype=complex) @ R
-    return float(npl.svd(M, compute_uv=False).sum())
+    F = support_factor(S)
+    return trace_abs(F.conj().T @ np.asarray(B, dtype=complex) @ F)
 
 
 @dataclass(frozen=True)

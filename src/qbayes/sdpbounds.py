@@ -30,8 +30,8 @@ import numpy.linalg as npl
 
 from .conic import (GAP_TOL, ConicProgram, ConicSolution, SolverFailureError,
                     hvec, hvec_basis, solve_or_raise)
-from .matcore import (ExtendedOperator, hermitize, psd_sqrt, support_eig,
-                      sym_split, trace_abs)
+from .matcore import (ExtendedOperator, hermitize, psd_sqrt, support_factor,
+                      sym_split, trace_abs, weighted_trace_abs)
 from .model import CapabilityError, ExtendedMoments
 
 __all__ = [
@@ -210,22 +210,15 @@ def holevo_type_bound(em: ExtendedMoments,
 # Two-parameter commutator bound
 # ---------------------------------------------------------------------------
 
-def _support_factor(S: np.ndarray) -> np.ndarray:
-    """F = U_r diag(sqrt(w_r)), d x r, with S = F F^+ for PSD S: the
-    eigenpairs of supp(S) (`support_eig`)."""
-    w, U, keep = support_eig(S)
-    return U[:, keep] * np.sqrt(w[keep])
-
-
 def _commutator_terms(em: ExtendedMoments) -> list:
-    """(pi_m sqrt(det W_m), F_m) with S_m = F_m F_m^+ on supp(S_m), for every
-    grid point whose commutator weight is positive."""
+    """(pi_m sqrt(det W_m), S_m) for every grid point whose commutator
+    weight is positive."""
     terms = []
     for m, pi_m in enumerate(em.pi):
         detw = max(float(npl.det(em.weight_spec.matrix_at(m))), 0.0)
         coeff = pi_m * np.sqrt(detw)   # PSD determinant; 0 kills the term
         if coeff > 1e-15:
-            terms.append((coeff, _support_factor(em.states[m])))
+            terms.append((coeff, em.states[m]))
     return terms
 
 
@@ -233,10 +226,8 @@ def nagaoka_objective(em: ExtendedMoments, X) -> float:
     """Evaluate the two-parameter objective at Hermitian (X_1, X_2).
 
     Tr(S_bar sym_plus(XX^T)) + sum_m pi_m sqrt(det W_m) TrAbs(S_m [X_1, X_2])
-    - 2 sum_j Tr(D_bar_j X_j) + w_bar. The commutator term is taken as
-    TrAbs(F_m^+ [X_1, X_2] F_m) with S_m = F_m F_m^+ on supp(S_m): the
-    congruence shares the nonzero spectrum with S_m [X_1, X_2] and keeps the
-    eigenproblem normal.
+    - 2 sum_j Tr(D_bar_j X_j) + w_bar. The commutator term is
+    `weighted_trace_abs(S_m, [X_1, X_2])`, exact on supp(S_m).
     """
     if em.n != 2:
         raise CapabilityError("the commutator objective needs exactly two parameters")
@@ -253,8 +244,8 @@ def nagaoka_objective(em: ExtendedMoments, X) -> float:
                     - 2.0 * np.einsum("ab,ba->", em.D_bar[1], X1))
     comm = P01 - P10
     if np.abs(comm).max() > 0.0:
-        value += sum(coeff * trace_abs(F.conj().T @ comm @ F)
-                     for coeff, F in _commutator_terms(em))
+        value += sum(coeff * weighted_trace_abs(S_m, comm)
+                     for coeff, S_m in _commutator_terms(em))
     return float(value + em.w_bar)
 
 
@@ -288,7 +279,8 @@ def nagaoka_bound(em: ExtendedMoments,
     # row beta: hvec(P_m - N_m)[beta] - Tr(E_beta F_m^+ i(L_12 - L_12^+) F_m)
     # = 0; the coefficients on G are those of `_hermitian_offblock_rows` with
     # F_m E_beta F_m^+ for E_beta
-    for coeff, F in _commutator_terms(em):
+    for coeff, S_m in _commutator_terms(em):
+        F = support_factor(S_m)
         r = F.shape[1]
         E = hvec_basis(r)
         p, q = prog.add_psd_block(r), prog.add_psd_block(r)
@@ -343,13 +335,6 @@ def _z_matrix(sq_full: np.ndarray, X_full: np.ndarray, n: int, d: int) -> np.nda
     Y = sq_full @ X_full @ sq_full
     Z = np.trace(Y.reshape(n, d, n, d), axis1=1, axis2=3)
     return (Z + Z.conj().T) / 2
-
-
-def _anti_commutator_trabs(S: np.ndarray, diff: np.ndarray) -> float:
-    """TrAbs(S diff) for PSD S and anti-Hermitian diff via the congruence
-    F^+ diff F, S = F F^+ on supp(S)."""
-    F = _support_factor(S)
-    return trace_abs(F.conj().T @ diff @ F)
 
 
 def appendix_f(kind: str, S_terms, X: ExtendedOperator,
@@ -429,7 +414,7 @@ def appendix_f(kind: str, S_terms, X: ExtendedOperator,
         total = sym_plus_term
         for pi_j, W, S in terms:
             detw = max(float(npl.det(W)), 0.0)
-            total += pi_j * np.sqrt(detw) * _anti_commutator_trabs(S, diff)
+            total += pi_j * np.sqrt(detw) * weighted_trace_abs(S, diff)
         return total
 
     # f2, f5

@@ -26,7 +26,7 @@ import numpy.linalg as npl
 
 from .closedform import rld_bound, sld_bound
 from .conic import GAP_TOL, ConicProgram, hvec, hvec_basis, solve_or_raise
-from .matcore import hermitian_eig, hermitize
+from .matcore import hermitize
 from .model import StatisticalModel, build_extended_moments, \
     build_moments
 from .sdpbounds import holevo_type_bound, nagaoka_hayashi_bound
@@ -34,6 +34,19 @@ from .sdpbounds import holevo_type_bound, nagaoka_hayashi_bound
 POVM_ELEMENT_TOL = 1e-10     # allowed eigenvalue undershoot per element
 POVM_SUM_TOL = 1e-9          # allowed deviation of the identity resolution
 DEAD_OUTCOME_PROB = 1e-12    # below this an outcome's estimate uses the prior
+MARGIN_TOL = 1e-6            # an ordering margin below -MARGIN_TOL is a violation
+
+# The sandwich as (upper, lower) pairs: seesaw >= NH >= nagaoka2 >= Holevo
+# >= max(SLD, RLD), plus NH >= Holevo for models without nagaoka2.
+LADDER = (("seesaw", "nh"), ("nh", "nagaoka2"), ("nagaoka2", "holevo"),
+          ("nh", "holevo"), ("holevo", "sld"), ("holevo", "rld"))
+
+
+def ladder_margins(values: dict) -> dict:
+    """upper - lower, keyed "<upper>_minus_<lower>", for every `LADDER` pair
+    whose two rungs are both in `values`."""
+    return {f"{hi}_minus_{lo}": values[hi] - values[lo]
+            for hi, lo in LADDER if hi in values and lo in values}
 
 
 @dataclass(frozen=True)
@@ -154,7 +167,7 @@ def optimal_povm_step(model: StatisticalModel, estimates,
 def _renormalize(elements) -> Povm:
     """Exact identity resolution via the inverse square root of the sum."""
     total = hermitize(sum(elements))
-    w, U = hermitian_eig(total)
+    w, U = npl.eigh(total)
     if w[0] <= 0:
         raise ValueError("degenerate measurement: element sum is singular")
     inv_sqrt = (U * w ** -0.5) @ U.conj().T
@@ -247,7 +260,7 @@ def rounded_measurement(model: StatisticalModel, X) -> DecisionRisk:
     # irrational weight ratios, so that symmetric eigenvalue patterns of
     # distinct X_j do not merge into one degenerate eigenspace
     c = np.sqrt(np.arange(2.0, model.n + 2))
-    _, U = hermitian_eig(hermitize(np.tensordot(c, X, axes=1)))
+    _, U = npl.eigh(hermitize(np.tensordot(c, X, axes=1)))
     povm = Povm(tuple(np.outer(U[:, i], U[:, i].conj())
                       for i in range(model.d)))
     return posterior_mean_estimator(model, povm)
@@ -260,8 +273,8 @@ def ordering_audit(model: StatisticalModel,
     """Compute the full bound chain plus an achieved risk and their margins.
 
     Returns {"values": {...}, "margins": {...}, "min_margin": float,
-    "ok": bool, "rounded_risk": float}; `ok` means every ordering margin
-    clears -1e-6.
+    "ok": bool, "rounded_risk": float}; the margins are `ladder_margins` of
+    the values, and `ok` means every one clears -MARGIN_TOL.
 
     The achieved decision is `rounded_measurement` at NH's optimal
     observables (risk `rounded_risk`) where that risk is within
@@ -304,16 +317,11 @@ def ordering_audit(model: StatisticalModel,
         "nh": c_nh,
         "seesaw_risk": achieved.risk,
     }
-    margins = {
-        "seesaw_minus_nh": achieved.risk - c_nh,
-        "nh_minus_holevo": c_nh - c_h,
-        "holevo_minus_sld": c_h - c_sld,
-        "holevo_minus_rld": c_h - c_rld,
-    }
+    margins = ladder_margins({**values, "seesaw": achieved.risk})
     return {
         "values": values,
         "margins": margins,
         "min_margin": min(margins.values()),
-        "ok": all(v >= -1e-6 for v in margins.values()),
+        "ok": all(v >= -MARGIN_TOL for v in margins.values()),
         "rounded_risk": rounded.risk,
     }

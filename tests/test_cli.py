@@ -8,14 +8,17 @@ import sys
 from pathlib import Path
 
 import dataclasses
+import types
+import warnings
 
 import numpy as np
 import pytest
 
 from helpers import pure_model
 import qbayes
-from qbayes import conic
+from qbayes import cli, conic
 from qbayes.cli import main
+from qbayes.conic import SolverFailureError
 from qbayes.model import GridPoint, StatisticalModel, WeightSpec, \
     load_model, model_to_dict, model_zoo, save_model
 
@@ -175,6 +178,51 @@ def test_bounds_rejects_unknown_selector(tmp_path, capsys):
     model_path = write_cb(tmp_path)
     assert main(["bounds", "--model", model_path, "--bounds", "qfi"]) == 2
     assert "unknown bound selector" in capsys.readouterr().err
+
+
+def test_bounds_reports_a_solver_failure_and_exits_3(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise SolverFailureError("block-operator bound ended with status "
+                                 "numerical-failure")
+
+    monkeypatch.setattr(cli, "nagaoka_hayashi_bound", fail)
+    out, csv = tmp_path / "r.json", tmp_path / "r.csv"
+    code = main(["bounds", "--model", write_cb(tmp_path), "--bounds", "nh,sld",
+                 "--out", str(out), "--csv", str(csv)])
+    assert code == 3
+    report = json.loads(out.read_text())
+    assert report["bounds"]["nh"]["error_kind"] == "solver"
+    assert "numerical-failure" in report["bounds"]["nh"]["error"]
+    assert abs(report["bounds"]["sld"]["value"] - 0.64) < 1e-5
+    assert report["audit"] == {}
+    assert csv.read_text().splitlines()[1].startswith("nh,,error:solver,,")
+
+
+def test_bounds_notes_a_warning_raised_by_a_bound(tmp_path, monkeypatch):
+    """No bound of the package warns today; the channel stays for one that
+    does, one "<name>: <message>" note per warning."""
+    sld_bound = cli.sld_bound
+
+    def warning_sld(*args):
+        warnings.warn("slow path taken", UserWarning)
+        return sld_bound(*args)
+
+    monkeypatch.setattr(cli, "sld_bound", warning_sld)
+    out = tmp_path / "r.json"
+    assert main(["bounds", "--model", write_cb(tmp_path), "--bounds", "sld,rld",
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["warnings"] == ["sld: slow path taken"]
+    assert abs(report["bounds"]["sld"]["value"] - 0.64) < 1e-5
+
+
+@pytest.mark.parametrize("args, message", [
+    (["bounds", "--bounds", " , "], "error: empty bounds selector"),
+    (["verify", "--seeds", ","], "error: empty seed list"),
+], ids=["bounds", "seeds"])
+def test_empty_selector_lists_exit_2(tmp_path, capsys, args, message):
+    assert main([args[0], "--model", write_cb(tmp_path), *args[1:]]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_bounds_rejects_missing_or_corrupt_files(tmp_path, capsys):
@@ -346,6 +394,40 @@ def test_verify_certifies_the_binary_model(tmp_path):
     assert [r["seed"] for r in runs[1:]] == [0, 1]
     assert report["best_seesaw_risk"] == min(r["risk"] for r in runs)
     assert abs(report["best_seesaw_risk"] - 0.64) < 1e-4
+
+
+def test_verify_exits_3_on_a_solver_failure(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise SolverFailureError("measurement update ended with status "
+                                 "max-iterations")
+
+    monkeypatch.setattr(cli, "seesaw", fail)
+    out = tmp_path / "v.json"
+    assert main(["verify", "--model", write_cb(tmp_path), "--iters", "2",
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure during verification: measurement "
+                          "update ended with status max-iterations")
+    assert not out.exists()
+
+
+def test_verify_exits_3_on_an_ordering_violation(tmp_path, monkeypatch, capsys):
+    """A seeded run whose risk is below NH (0.64) by more than MARGIN_TOL is
+    reported, then flagged on stderr."""
+    monkeypatch.setattr(cli, "seesaw",
+                        lambda *args, **kwargs: types.SimpleNamespace(risk=0.5))
+    out = tmp_path / "v.json"
+    assert main(["verify", "--model", write_cb(tmp_path), "--iters", "2",
+                 "--out", str(out)]) == 3
+    report = json.loads(out.read_text())
+    assert report["ok"] is False and report["best_seesaw_risk"] == 0.5
+    margins = report["margins"]
+    assert set(margins) == {"seesaw_minus_nh", "nh_minus_holevo",
+                            "holevo_minus_sld", "holevo_minus_rld"}
+    assert margins["seesaw_minus_nh"] == 0.5 - report["values"]["nh"]
+    assert report["min_margin"] == margins["seesaw_minus_nh"] < -cli.MARGIN_TOL
+    assert capsys.readouterr().err == (
+        f"ordering violation: min margin {report['min_margin']:.3e}\n")
 
 
 @pytest.mark.parametrize("bad, message", [

@@ -1,5 +1,7 @@
 """Unit tests for the closed-form quadratic bounds."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -166,14 +168,14 @@ def test_van_tree_flags_singular_information():
         van_tree_bound(model, np.eye(1))
 
 
-def test_rld_singular_weight_warns_and_stays_exact():
+def test_rld_singular_weight_stays_exact():
     """PSD-singular W: W Im(Kt) is a defective nilpotent here, but the
-    congruence value is still exact (the nonzero spectrum is empty)."""
-    from qbayes.matcore import ConditioningWarning
-
+    congruence value is still exact (the nonzero spectrum is empty), and no
+    warning of any class is raised."""
     mom = two_parameter_fixture()
     W = np.diag([1.0, 0.0])
-    with pytest.warns(ConditioningWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         value, pkg = rld_bound(mom, W)
     assert np.abs(W @ pkg.Ktilde.imag).max() > 1e-3   # nonzero nilpotent
     assert abs(value - (0.1 - 0.2 / 3.75)) < 1e-12    # trace-norm term is 0

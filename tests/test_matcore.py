@@ -10,11 +10,11 @@ from qbayes.matcore import (
     ExtendedOperator,
     NotPsdError,
     check_hermitian,
-    hermitian_eig,
     hermitize,
     lyapunov_solve,
     psd_sqrt,
     support_eig,
+    support_factor,
     sym_split,
     trace_abs,
     weighted_trace_abs,
@@ -33,17 +33,6 @@ def test_check_hermitian_accepts_and_rejects():
     assert np.allclose(check_hermitian(H), H)
     with pytest.raises(ValueError):
         check_hermitian(H + 1e-3 * np.array([[0, 1j, 0], [0, 0, 0], [0, 0, 0]]))
-
-
-@given(st.integers(0, 10**6))
-@settings(max_examples=25, deadline=None)
-def test_hermitian_eig_reconstructs(seed):
-    """w, U satisfy A = U diag(w) U^dagger with orthonormal U."""
-    rng = np.random.default_rng(seed)
-    A = random_hermitian(rng, 4)
-    w, U = hermitian_eig(A)
-    assert np.allclose(U @ np.diag(w) @ U.conj().T, A, atol=1e-12)
-    assert np.allclose(U.conj().T @ U, np.eye(4), atol=1e-12)
 
 
 def test_psd_sqrt_squares_back():
@@ -112,7 +101,9 @@ def test_trace_abs_sums_eigenvalue_magnitudes():
 
 
 def test_weighted_trace_abs_is_a_similarity_invariant():
-    """TrAbs(sqrt(W) B sqrt(W)) equals the sum of |eigenvalues| of W B."""
+    """TrAbs(sqrt(W) B sqrt(W)) equals the sum of |eigenvalues| of W B, for
+    W > 0 against a real antisymmetric B and for a rank-2 S in C^4 against
+    an anti-Hermitian B, where S = F F^dag on its support."""
     rng = np.random.default_rng(5)
     W = random_spd(rng, 4)
     B = rng.standard_normal((4, 4))
@@ -122,6 +113,15 @@ def test_weighted_trace_abs_is_a_similarity_invariant():
     assert abs(weighted_trace_abs(W, B) - direct) < 1e-10
     eig_sum = np.abs(np.linalg.eigvals(W @ B)).sum()
     assert abs(weighted_trace_abs(W, B) - eig_sum) < 1e-9
+
+    V = random_unitary(rng, 4)
+    S = V @ np.diag([0.0, 0.6, 0.0, 0.4]) @ V.conj().T
+    F = support_factor(S)
+    assert F.shape == (4, 2) and np.allclose(F @ F.conj().T, S, atol=1e-12)
+    A = 1j * random_hermitian(rng, 4)
+    eig_sum = np.abs(np.linalg.eigvals(S @ A)).sum()
+    assert eig_sum > 0.1
+    assert abs(weighted_trace_abs(S, A) - eig_sum) < 1e-9
 
 
 @given(st.integers(0, 10**6), st.integers(1, 3), st.integers(2, 4))

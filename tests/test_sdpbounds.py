@@ -9,6 +9,7 @@ from helpers import (
     audit_ensemble,
     per_point,
     point_mass_model,
+    pure_model,
     pure_panel,
     random_density,
     random_grid_model,
@@ -17,7 +18,7 @@ from helpers import (
     random_unitary,
     record_row_counts,
 )
-from qbayes.conic import ConicProgram, solve_or_raise
+from qbayes.conic import ConicProgram, SolverFailureError, solve_or_raise
 from qbayes.matcore import ExtendedOperator, hermitize
 from qbayes.model import (
     CapabilityError,
@@ -372,6 +373,22 @@ def test_nagaoka_bound_on_the_pure_panel(monkeypatch, gap_tol):
         assert sol.value <= nagaoka_hayashi_bound(em, gap_tol).value + 1e-7
         assert abs(nagaoka_objective(em, sol.Xopt) - sol.value) \
             <= 1e-7 * max(1.0, abs(sol.value))
+
+
+@pytest.mark.xfail(
+    strict=True, raises=SolverFailureError,
+    reason="ROADMAP 2b: NH's L and X carry a kernel block of S_B (rank 8 of "
+           "12), and the solve ends numerical-failure after 19 iterations at "
+           "gap ~2e-10 with one or two BLAS threads; compressing the model to "
+           "supp(S_B) should cure it and must remove this mark")
+def test_nh_on_a_rank_deficient_mean_state_at_a_deep_gap():
+    """pure_model(2, 12, 4, 2, seed=12) at gap 1e-10, where Holevo and
+    nagaoka2 end optimal: NH should too, and stay in the sandwich."""
+    em = build_extended_moments(pure_model(2, 12, 4, 2, seed=12))
+    nh = nagaoka_hayashi_bound(em, 1e-10)
+    assert nh.diagnostics.status == "optimal"
+    n2 = nagaoka_bound(em, 1e-10).value
+    assert holevo_type_bound(em, 1e-10).value - 1e-7 <= n2 <= nh.value + 1e-7
 
 
 @pytest.mark.parametrize("make, expected", [
