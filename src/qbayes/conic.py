@@ -8,8 +8,10 @@ program whose objective is F0 and whose row i has coefficients F_i and rhs
 g_i: the solver's dual vector is y = -z, read from `sol.y`, and
 `sol.dual_value` is -g . z plus the offset. The solver is Mehrotra's
 predictor-corrector method on the homogeneous self-dual embedding with
-Nesterov-Todd scaling and a dense LAPACK LU of the Schur system, so
-infeasibility is certified rather than diverged on. `assemble` lays the
+Nesterov-Todd scaling, so infeasibility is certified rather than diverged
+on. The Schur system is factored with NumPy alone: a Cholesky factor of the
+row-scaled Schur block, inverted by block recursion, with the tau row and
+column eliminated through a scalar Schur complement. `assemble` lays the
 columns out by block size, so the blocks of one size fill one contiguous run
 and are read as one (K, k, k) stack, and every per-block step is one batched
 call per distinct size.
@@ -54,7 +56,6 @@ from functools import lru_cache
 
 import numpy as np
 import numpy.linalg as npl
-from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .matcore import SQRT2, check_hermitian, hermitize, weighted_trace_abs
 
@@ -66,6 +67,9 @@ DRES_GUARD = 1e-6    # sanity ceiling on the scaled dual residual; typical
 MAX_ITERS = 200
 STEP_FRAC = 0.98     # fraction of the step to the cone boundary
 SIGMA_MIN = 0.05     # keeps every step at least mildly centering
+REFINE_TOL = 1e-12   # reduced residual, relative to its right-hand side, at
+                     # which a Newton solve stops refining
+TRI_LEAF = 64        # largest triangle `_tril_inv` hands to npl.inv
 
 
 class ProgramError(ValueError):
@@ -327,6 +331,46 @@ def _corrector(groups, lams, dx: np.ndarray, ds: np.ndarray) -> np.ndarray:
     return np.concatenate([v.reshape(-1) for v in out])
 
 
+def _tril_inv(L: np.ndarray) -> np.ndarray:
+    """Inverse of a nonsingular lower-triangular L by 2 x 2 block recursion:
+    inv([[L11, 0], [L21, L22]]) = [[X11, 0], [-X22 L21 X11, X22]] with
+    Xii = inv(Lii), down to leaves of at most TRI_LEAF rows for npl.inv."""
+    p = len(L)
+    if p <= TRI_LEAF:
+        return npl.inv(L)
+    h = p // 2
+    X = np.zeros_like(L)
+    X[:h, :h] = _tril_inv(L[:h, :h])
+    X[h:, h:] = _tril_inv(L[h:, h:])
+    X[h:, :h] = -X[h:, h:] @ (L[h:, :h] @ X[:h, :h])
+    return X
+
+
+def _schur_factor(A: np.ndarray):
+    """The factor (dinv, Linv) of the Schur block M = A A^T, with
+    M^-1 = D Linv^T Linv D for D = diag(dinv), or None when it is not finite
+    or not numerically positive definite.
+
+    D scales the rows of A to unit norm, so D M D has unit diagonal; near a
+    degenerate optimum the rows span many orders of magnitude, which would
+    starve the small pivots. Linv = L^-1 for the Cholesky factor of
+    D M D + 1e-14 I; the tiny shift, which lets dependent rows factor, is
+    corrected by the refinement in the Newton solve.
+    """
+    M = A @ A.T
+    dinv = 1.0 / np.sqrt(np.maximum(M.diagonal(), 1e-300))
+    M *= dinv[:, None]
+    M *= dinv
+    M[np.diag_indices(len(M))] += 1e-14
+    if not np.isfinite(M).all():
+        return None
+    try:
+        L = npl.cholesky(M)
+    except npl.LinAlgError:
+        return None
+    return dinv, _tril_inv(L)
+
+
 def solve(program: ConicProgram, gap_tol: float = GAP_TOL) -> ConicSolution:
     """Run the homogeneous self-dual interior-point method on the program.
 
@@ -397,7 +441,8 @@ def solve(program: ConicProgram, gap_tol: float = GAP_TOL) -> ConicSolution:
         meas = pres, dres, gap, pobj, dobj
         score = max(pres, dres, gap)
         if best is None or score < best[0]:
-            best = (score, x.copy(), y.copy(), s.copy(), tau, meas)
+            # x, y and s are rebound by each step, never written in place
+            best = (score, x, y, s, tau, meas)
         if pres <= FEAS_TOL and dres <= DRES_GUARD and gap <= gap_tol:
             return final("optimal", it, x, y, s, tau, meas)
 
@@ -428,37 +473,30 @@ def solve(program: ConicProgram, gap_tol: float = GAP_TOL) -> ConicSolution:
 
         r_g = cx - by + kappa
 
-        # eliminate the cone step: LU lives on the (p + 1) system in (dy, dtau)
+        # eliminate the cone step: the (p + 1) system in (dy, dtau) is the
+        # Schur block M = A~ A~^T bordered by the tau row and column
         A_sc = _scaled_rows(groups, R, supports)
         c_sc = _congruence(groups, R, c)
         rd_sc = A_sc.T @ y + lam - c_sc * tau
-        q = p + 1
-        M2 = np.zeros((q, q))
-        M2[:p, :p] = A_sc @ A_sc.T
         v1 = A_sc @ c_sc
-        M2[:p, p] = -(v1 + b)
-        M2[p, :p] = b - v1
-        M2[p, p] = float(c_sc @ c_sc) + kappa / tau
-        # equilibrate before factoring: near a degenerate optimum the rows
-        # span many orders of magnitude, which starves the small pivots; the
-        # tiny shift on the balanced matrix is corrected by refinement below
-        rscale = 1.0 / np.maximum(np.abs(M2).max(axis=1), 1e-300)
-        M2s = M2 * rscale[:, None]
-        cscale = 1.0 / np.maximum(np.abs(M2s).max(axis=0), 1e-300)
-        M2s = M2s * cscale[None, :]
-        M2s[np.diag_indices(q)] += 1e-14
-        if not np.isfinite(M2s).all():
+        factor = _schur_factor(A_sc)
+        if factor is None:
             return failure(it)
-        lu, piv, info = dgetrf(M2s)
-        if info != 0:
-            return failure(it)
+        dinv, Linv = factor
 
-        def reduced_solve(r1, r2, r3):
-            rhs2 = np.concatenate([r2 + A_sc @ r1, [r3 - float(c_sc @ r1)]])
-            sol2 = cscale * dgetrs(lu, piv, rscale * rhs2)[0]
-            dy = sol2[:p]
-            dtau = float(sol2[p])
-            return A_sc.T @ dy - c_sc * dtau - r1, dy, dtau
+        def schur_solve(v):
+            return dinv * (Linv.T @ (Linv @ (dinv * v)))
+
+        # the tau row and column by a scalar Schur complement: with
+        # u = M^-1 (v1 + b), dtau is one division and dy = M^-1 g + u dtau
+        row = b - v1
+        u = schur_solve(v1 + b)
+        den = float(c_sc @ c_sc) + kappa / tau + float(row @ u)
+
+        def reduced_solve(g, h):
+            z = schur_solve(g)
+            dtau = (h - float(row @ z)) / den
+            return z + u * dtau, dtau
 
         def newton(sigma: float, eta: float, soc=0.0, soc_tk: float = 0.0):
             """The scaled step (dx~, dy, dtau, ds~, dkappa), with the
@@ -467,17 +505,25 @@ def solve(program: ConicProgram, gap_tol: float = GAP_TOL) -> ConicSolution:
             r1 = -eta * rd_sc - Rc
             r2 = -eta * r_p
             r3 = eta * r_g + (sigma * mu - tau * kappa - soc_tk) / tau
-            # the solve, then two rounds of iterative refinement: near the
-            # optimum the Schur complement is so ill-conditioned that after one
-            # round the primal equation can be off by more than the residual
-            # the step targets, which stalls solves short of a 1e-10 gap
-            dx, dy, dtau = np.zeros(N), np.zeros(p), 0.0
-            for _ in range(3):
-                fx, fy, ftau = reduced_solve(
-                    r1 - (A_sc.T @ dy - c_sc * dtau - dx),
-                    r2 - (A_sc @ dx - b * dtau),
-                    r3 - (-float(c_sc @ dx) + float(b @ dy) + (kappa / tau) * dtau))
-                dx, dy, dtau = dx + fx, dy + fy, dtau + ftau
+            # dx = A~^T dy - c~ dtau - r1 leaves the reduced system in
+            # (dy, dtau) with right-hand side (g0, h0). It is solved once and
+            # refined at most twice while its residual is above REFINE_TOL of
+            # (g0, h0): near the optimum the Schur complement is so
+            # ill-conditioned that one solve can leave the primal equation
+            # off by more than the residual the step targets
+            g0, h0 = r2 + A_sc @ r1, r3 - float(c_sc @ r1)
+            tol = REFINE_TOL * max(np.abs(g0).max(initial=0.0), abs(h0))
+            dy, dtau = reduced_solve(g0, h0)
+            t = A_sc.T @ dy - c_sc * dtau
+            for _ in range(2):
+                g = g0 - (A_sc @ t - b * dtau)
+                h = h0 - (-float(c_sc @ t) + float(b @ dy) + (kappa / tau) * dtau)
+                if max(np.abs(g).max(initial=0.0), abs(h)) <= tol:
+                    break
+                fy, ftau = reduced_solve(g, h)
+                dy, dtau = dy + fy, dtau + ftau
+                t = A_sc.T @ dy - c_sc * dtau
+            dx = t - r1
             ds = Rc - dx
             dkappa = (sigma * mu - tau * kappa - soc_tk - kappa * dtau) / tau
             return dx, dy, dtau, ds, dkappa

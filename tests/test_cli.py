@@ -544,3 +544,32 @@ def test_installed_console_script(tmp_path):
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert abs(report["bounds"]["sld"]["value"] - 0.64) < 1e-9
+
+
+NO_SCIPY = """
+import sys
+import qbayes
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+assert not loaded, f"import qbayes loaded {loaded}"
+sys.modules["scipy"] = None   # from here on any scipy import raises
+from qbayes.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_bounds_run_without_scipy(tmp_path):
+    """In a fresh process, `import qbayes` loads no scipy module, and with
+    scipy made unimportable the SDP rungs and the closed forms still run."""
+    path = tmp_path / "xy.json"
+    save_model(model_zoo("qubit_xy", (0.6,)), str(path))
+    package_root = str(Path(qbayes.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    names = ["nh", "holevo", "nagaoka2", "sld", "rld"]
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY, "bounds", "--model", str(path),
+         "--bounds", ",".join(names)],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(json.loads(proc.stdout)["bounds"]) == sorted(names)

@@ -13,6 +13,7 @@ from qbayes.conic import (
     SolverFailureError,
     _alpha_boundary,
     _factor_psd,
+    _tril_inv,
     hmat,
     holevo_lemma_sdp_value,
     holevo_lemma_value,
@@ -315,6 +316,69 @@ def test_iteration_cap_returns_the_best_iterate(monkeypatch):
         solve_or_raise(prog)
     assert err.value.solution is not None
     assert err.value.solution.status == "numerical-failure"
+
+
+@pytest.mark.parametrize("p", [1, 63, 64, 65, 130, 401])
+def test_triangular_inverse_matches_the_dense_inverse(p):
+    """The block recursion, on both sides of its TRI_LEAF = 64 leaf, on the
+    Cholesky factor of a unit-diagonal SPD matrix like the Schur block's."""
+    rng = np.random.default_rng(p)
+    G = rng.standard_normal((p, 2 * p))
+    M = G @ G.T
+    d = 1 / np.sqrt(M.diagonal())
+    L = np.linalg.cholesky(M * d[:, None] * d)
+    X = _tril_inv(L)
+    assert np.allclose(X, np.linalg.inv(L), rtol=0, atol=1e-10 * np.abs(X).max())
+    assert np.abs(X @ L - np.eye(p)).max() <= 1e-11
+
+
+def test_failed_schur_factor_returns_the_best_iterate(monkeypatch):
+    """A Cholesky failure of the Schur block, forced in the third iteration,
+    ends the solve in numerical-failure with the best of the three iterates
+    seen: the one a run cut off at MAX_ITERS = 3 reports."""
+    prog, _ = smallest_eigenvalue_program()
+    monkeypatch.setattr(conic, "MAX_ITERS", 3)
+    capped = solve(prog)
+    monkeypatch.undo()
+    cholesky = np.linalg.cholesky
+    calls = []
+
+    def failing(a):
+        if a.ndim == 2:     # the Schur block; the NT scaling factors a stack
+            calls.append(len(a))
+            if len(calls) == 3:
+                raise np.linalg.LinAlgError("forced")
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing)
+    sol = solve(prog)
+    assert sol.status == "numerical-failure"
+    assert sol.iterations == 2
+    assert (sol.primal_value, sol.dual_value) == (capped.primal_value,
+                                                  capped.dual_value)
+    assert np.array_equal(sol.y, capped.y)
+    assert all(np.array_equal(X, Z) for X, Z in
+               zip(sol.variable_values, capped.variable_values))
+
+
+@pytest.mark.parametrize("k", [3, 4, 6])
+def test_duplicated_rows_solve_optimal(k):
+    """Every row given twice makes the Schur block singular; its factor
+    carries a 1e-14 shift and the refinement corrects it, so the program
+    solves to the optimum of its rows given once."""
+    H = random_hermitian(np.random.default_rng(k), k)
+    E = hvec_basis(k)
+    values = []
+    for copies in (1, 2):
+        prog = ConicProgram()
+        blk = prog.add_psd_block(k)
+        prog.add_eq({blk: np.stack([np.eye(k), E[k]] * copies)},
+                    rhs=[1.0, 0.1] * copies)
+        prog.set_objective({blk: -H})
+        sol = solve(prog, 1e-10)
+        assert sol.status == "optimal"
+        values.append(sol.primal_value)
+    assert abs(values[1] - values[0]) <= 1e-9 * abs(values[0])
 
 
 @pytest.mark.parametrize("bad", [0.0, -1e-8, float("nan"), float("inf")])
