@@ -50,15 +50,6 @@ EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 
 
-def _json_default(obj):
-    """NumPy scalars and arrays, which json.dumps does not encode itself."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.generic):
-        return obj.item()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
 def _write_text(path: str, text: str, mode: str = "w") -> None:
     try:
         with open(path, mode, encoding="utf-8") as fh:
@@ -78,7 +69,7 @@ def _check_writable(*paths) -> None:
 
 
 def _write_report(report: dict, out_path: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True, default=_json_default)
+    text = json.dumps(report, indent=2, sort_keys=True)
     if out_path:
         _write_text(out_path, text + "\n")
     else:

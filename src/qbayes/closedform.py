@@ -15,8 +15,8 @@ import numpy.linalg as npl
 
 from .matcore import (hermitize, lyapunov_solve, support_eig,
                       weighted_trace_abs)
-from .model import (DERIV_TRACE_TOL, BayesMoments, CapabilityError,
-                    StatisticalModel)
+from .model import (BayesMoments, CapabilityError, StatisticalModel,
+                    _check_derivatives)
 
 INFO_SINGULAR_TOL = 1e-12
 
@@ -43,13 +43,8 @@ class RldPackage:
 
 def _symmetrized_gram(S: np.ndarray, L: np.ndarray) -> np.ndarray:
     """K_jk = Tr(S (L_j L_k + L_k L_j)) / 2, returned exactly symmetric."""
-    n = L.shape[0]
-    K = np.zeros((n, n))
-    for j in range(n):
-        for k in range(j, n):
-            val = 0.5 * np.trace(S @ (L[j] @ L[k] + L[k] @ L[j])).real
-            K[j, k] = K[k, j] = float(val)
-    return K
+    P = np.einsum("jab,kba->jk", S @ L, L).real   # Tr(S L_j L_k)
+    return (P + P.T) / 2
 
 
 def sld_bound(moments: BayesMoments, W: np.ndarray) -> tuple[float, SldPackage]:
@@ -82,12 +77,8 @@ def rld_bound(moments: BayesMoments, W: np.ndarray) -> tuple[float, RldPackage]:
     S = moments.S_B
     w, U, keep = support_eig(S)
     Sinv = (U / np.where(keep, w, np.inf)) @ U.conj().T
-    Lt = np.stack([Sinv @ Dj for Dj in moments.D_B])
-    n = Lt.shape[0]
-    Kt = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            Kt[j, k] = np.trace(S @ Lt[k] @ Lt[j].conj().T)
+    Lt = Sinv @ moments.D_B
+    Kt = np.einsum("kab,jab->jk", S @ Lt, Lt.conj())   # Tr(S Lt_k Lt_j^dag)
     Kt = (Kt + Kt.conj().T) / 2
     imK = Kt.imag    # real antisymmetric
     value = float(np.trace(W @ (moments.M - Kt.real)))
@@ -100,13 +91,11 @@ def sld_fisher_point(state: np.ndarray, derivatives: np.ndarray) -> np.ndarray:
 
     Solves (S L_j + L_j S)/2 = dS/dtheta_j per parameter, exactly for a
     singular S too (`lyapunov_solve`), and returns the symmetrized Gram
-    matrix. Derivatives must be traceless (trace-preserving family).
+    matrix. Derivatives must be Hermitian and traceless, the model's rule
+    (`model._check_derivatives`); anything else raises ModelError.
     """
-    derivatives = np.asarray(derivatives, dtype=complex)
-    for j, Dj in enumerate(derivatives):
-        tr = abs(complex(np.trace(Dj)))
-        if tr > DERIV_TRACE_TOL:
-            raise ValueError(f"derivative {j} has trace {tr:.3e}, expected 0")
+    derivatives = _check_derivatives(np.asarray(derivatives, dtype=complex),
+                                     "Fisher information")
     L = lyapunov_solve(state, derivatives)
     return _symmetrized_gram(np.asarray(state, dtype=complex), L)
 

@@ -69,17 +69,23 @@ def _check_finite(a: np.ndarray, what: str) -> None:
         raise ModelError(f"{what} has non-finite entries")
 
 
-def _check_weight_matrix(W: np.ndarray, n: int, where: str) -> np.ndarray:
-    W = np.asarray(W, dtype=float)
-    if W.shape != (n, n):
-        raise ModelError(f"{where}: weight shape {W.shape}, expected {(n, n)}")
-    _check_finite(W, f"{where}: weight matrix")
-    if np.abs(W - W.T).max() > 1e-12 * max(1.0, np.abs(W).max()):
-        raise ModelError(f"{where}: weight matrix not symmetric")
-    W = (W + W.T) / 2
-    if npl.eigvalsh(W)[0] < -WEIGHT_PSD_TOL:
-        raise ModelError(f"{where}: weight matrix not PSD")
-    return W
+def _check_weights(spec: WeightSpec, n: int, grid: int) -> None:
+    """Raise unless the weight, one (n, n) matrix or one per grid point, is
+    finite, symmetric and PSD; a bad per-point matrix is named by its index."""
+    W = spec.constant if spec.is_constant else spec.per_point
+    shape = (n, n) if spec.is_constant else (grid, n, n)
+    if W.shape != shape:
+        raise ModelError(f"weight shape {W.shape}, expected {shape}")
+    _check_finite(W, "weight matrix")
+    Ws = W.reshape(-1, n, n)
+    asym = np.abs(Ws - Ws.swapaxes(1, 2)).max(axis=(1, 2))
+    scale = np.maximum(1.0, np.abs(Ws).max(axis=(1, 2)))
+    low = npl.eigvalsh((Ws + Ws.swapaxes(1, 2)) / 2)[:, 0]
+    for what, bad in (("not symmetric", asym > 1e-12 * scale),
+                      ("not PSD", low < -WEIGHT_PSD_TOL)):
+        if bad.any():
+            where = "" if spec.is_constant else f" {int(np.argmax(bad))}"
+            raise ModelError(f"weight{where}: weight matrix {what}")
 
 
 @dataclass(frozen=True)
@@ -123,7 +129,17 @@ class WeightSpec:
     def is_constant(self) -> bool:
         return self.constant is not None
 
+    def stack(self, m: int) -> np.ndarray:
+        """The (m, n, n) weights of an m-point grid: a read-only broadcast
+        view of the constant matrix, or `per_point`. Every grid sum of the
+        package reads its weights here."""
+        if self.constant is None:
+            return self.per_point
+        return np.broadcast_to(self.constant, (m, *self.constant.shape))
+
     def matrix_at(self, m: int) -> np.ndarray:
+        """The weight at grid point m; kept for bench/checks.py and the
+        tests, as the package reads `stack`."""
         return self.constant if self.constant is not None else self.per_point[m]
 
     def require_constant(self) -> np.ndarray:
@@ -165,13 +181,7 @@ class StatisticalModel:
                 derivs = _check_derivatives(derivs, f"point {m}")
             checked.append(replace(p, state=state, state_derivatives=derivs))
         object.__setattr__(self, "points", tuple(checked))
-        if self.weight_spec.is_constant:
-            _check_weight_matrix(self.weight_spec.constant, self.n, "weight")
-        else:
-            if self.weight_spec.per_point.shape[0] != len(points):
-                raise ModelError("per-point weight count does not match grid size")
-            for m in range(len(points)):
-                _check_weight_matrix(self.weight_spec.per_point[m], self.n, f"weight {m}")
+        _check_weights(self.weight_spec, self.n, len(points))
         if self.prior_score is not None:
             score = np.asarray(self.prior_score, dtype=float)
             if score.shape != (len(points), self.n):
@@ -261,6 +271,13 @@ class ExtendedMoments:
         return self.weight_spec.constant
 
 
+def _fold(model: StatisticalModel) -> tuple[np.ndarray, float]:
+    """The pi-scaled weight stack pi_m W_m, (m, n, n), and w_bar = sum_m
+    pi_m theta_m^T W_m theta_m."""
+    piW = model.pi[:, None, None] * model.weight_spec.stack(len(model.points))
+    return piW, float(np.einsum("mjk,mj,mk->", piW, model.thetas, model.thetas))
+
+
 def build_moments(model: StatisticalModel) -> BayesMoments:
     """Average the grid: S_B, D_B, second moment M, prior mean, w_bar."""
     pi = model.pi
@@ -270,33 +287,26 @@ def build_moments(model: StatisticalModel) -> BayesMoments:
     D_B = np.einsum("m,mj,mab->jab", pi, thetas, states)
     M = np.einsum("m,mj,mk->jk", pi, thetas, thetas)
     theta_bar = pi @ thetas
-    w_bar = 0.0
-    for m in range(len(model.points)):
-        W = model.weight_spec.matrix_at(m)
-        w_bar += pi[m] * float(thetas[m] @ W @ thetas[m])
-    return BayesMoments(S_B=S_B, D_B=D_B, M=M, theta_bar=theta_bar, w_bar=w_bar)
+    return BayesMoments(S_B=S_B, D_B=D_B, M=M, theta_bar=theta_bar,
+                        w_bar=_fold(model)[1])
 
 
 def build_extended_moments(model: StatisticalModel) -> ExtendedMoments:
-    """Fold the weight into the grid: the average of the per-point W (x) S blocks.
+    """Fold the weight into the grid, one einsum per moment over the pi-scaled
+    weight stack: S_bar = sum_m pi_m W_m (x) S_m, D_bar[j] = sum_m pi_m
+    sum_k (W_m)_jk theta_mk S_m and w_bar = sum_m pi_m theta_m^T W_m theta_m.
 
     For a constant weight this reduces to S_bar = W (x) S_B and
-    D_bar[j] = sum_k W_jk D_B[k], which the tests pin entrywise.
+    D_bar[j] = sum_k W_jk D_B[k], which the tests pin entrywise. The same
+    fold without the sum over m gives the per-point moments.
     """
-    pi = model.pi
-    thetas = model.thetas
+    piW, w_bar = _fold(model)
     states = model.states
-    n, d = model.n, model.d
-    S_bar = np.zeros((n, n, d, d), dtype=complex)
-    D_bar = np.zeros((n, d, d), dtype=complex)
-    for m in range(len(model.points)):
-        W = model.weight_spec.matrix_at(m)
-        S_bar = S_bar + pi[m] * W[:, :, None, None] * states[m][None, None, :, :]
-        D_bar = D_bar + pi[m] * np.einsum("jk,k,ab->jab", W, thetas[m], states[m])
-    w_bar = build_moments(model).w_bar
+    S_bar = np.einsum("mjk,mab->jkab", piW, states)
+    D_bar = np.einsum("mjk,mk,mab->jab", piW, model.thetas, states)
     return ExtendedMoments(
-        S_bar=ExtendedOperator(S_bar), D_bar=D_bar, w_bar=w_bar, pi=pi,
-        states=states, weight_spec=model.weight_spec)
+        S_bar=ExtendedOperator(S_bar), D_bar=D_bar, w_bar=w_bar,
+        pi=model.pi, states=states, weight_spec=model.weight_spec)
 
 
 # ---------------------------------------------------------------------------

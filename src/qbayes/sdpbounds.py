@@ -51,11 +51,15 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _require_strictly_positive(W: np.ndarray, what: str) -> None:
-    w = npl.eigvalsh((W + W.T.conj()) / 2)
-    if w[0] <= 1e-10 * max(1.0, abs(w[-1])):
-        raise CapabilityError(f"{what} must be strictly positive "
-                              f"(min eigenvalue {w[0]:.3e})")
+def _require_strictly_positive(em: ExtendedMoments) -> None:
+    """CapabilityError unless every weight matrix of `em` is strictly positive."""
+    w = npl.eigvalsh(em.weight_spec.stack(len(em.pi)))
+    bad = w[:, 0] <= 1e-10 * np.maximum(1.0, np.abs(w[:, -1]))
+    if bad.any():
+        m = int(np.argmax(bad))
+        where = "" if em.constant_W is not None else f" at grid point {m}"
+        raise CapabilityError(f"the weight matrix{where} must be strictly "
+                              f"positive (min eigenvalue {w[m, 0]:.3e})")
 
 
 def _mean_state(em: ExtendedMoments) -> np.ndarray:
@@ -92,10 +96,20 @@ def _hermitian_offblock_rows(prog, blk, dim, row0, col0, G):
     prog.add_eq({blk: C}, rhs=hvec(-1j * G))
 
 
+def _objective(em: ExtendedMoments) -> np.ndarray:
+    """C = [[S_bar, -D], [-D^+, 0]], D the column stack of the D_bar_j, so
+    that Tr(C G) = Tr(S_bar L) - 2 sum_j Tr(D_bar_j X_j) at G = [[L, X],
+    [X^+, I]] with Hermitian X_j: the objective of every rung on
+    `_estimator_block`, w_bar apart."""
+    D = np.asarray(em.D_bar).reshape(em.n * em.d, em.d)
+    return np.block([[em.S_bar.full(), -D],
+                     [-D.conj().T, np.zeros((em.d, em.d))]])
+
+
 def _estimator_block(prog: ConicProgram, em: ExtendedMoments):
     """Add G = [[L, X], [X^+, I]] >= 0 of dimension (n+1)d with the identity
-    corner pinned and Hermitian X_j; return G's block id and the objective
-    coefficient of Tr(S_bar L) - 2 sum_j Tr(D_bar_j X_j) on it."""
+    corner pinned and Hermitian X_j; return G's block id and its objective
+    coefficient `_objective(em)`."""
     n, d = em.n, em.d
     nd = n * d
     dim = nd + d
@@ -105,13 +119,7 @@ def _estimator_block(prog: ConicProgram, em: ExtendedMoments):
     prog.add_eq({g: corner}, rhs=hvec(np.eye(d)))
     for j in range(n):
         _hermitian_offblock_rows(prog, g, dim, j * d, nd, np.zeros((d, d)))
-
-    Dstack = np.asarray(em.D_bar).reshape(nd, d)
-    C = np.zeros((dim, dim), dtype=complex)
-    C[:nd, :nd] = em.S_bar.full()
-    C[:nd, nd:] = -Dstack
-    C[nd:, :nd] = -Dstack.conj().T
-    return g, C
+    return g, _objective(em)
 
 
 def _solve_rung(prog: ConicProgram, em: ExtendedMoments, gap_tol: float,
@@ -176,15 +184,12 @@ def holevo_type_bound(em: ExtendedMoments,
     """
     n, d = em.n, em.d
     nd = n * d
+    _require_strictly_positive(em)
     if em.constant_W is not None:
-        _require_strictly_positive(em.constant_W, "the weight matrix")
         points = [(None, _mean_state(em))]
     else:
-        points = []
-        for m, pi_m in enumerate(em.pi):
-            Wm = em.weight_spec.matrix_at(m)
-            _require_strictly_positive(Wm, f"the weight matrix at grid point {m}")
-            points.append((pi_m * Wm, em.states[m]))
+        piW = em.pi[:, None, None] * em.weight_spec.stack(len(em.pi))
+        points = list(zip(piW, em.states))
 
     prog = ConicProgram()
     g, C = _estimator_block(prog, em)
@@ -213,36 +218,31 @@ def holevo_type_bound(em: ExtendedMoments,
 def _commutator_terms(em: ExtendedMoments) -> list:
     """(pi_m sqrt(det W_m), S_m) for every grid point whose commutator
     weight is positive."""
-    terms = []
-    for m, pi_m in enumerate(em.pi):
-        detw = max(float(npl.det(em.weight_spec.matrix_at(m))), 0.0)
-        coeff = pi_m * np.sqrt(detw)   # PSD determinant; 0 kills the term
-        if coeff > 1e-15:
-            terms.append((coeff, em.states[m]))
-    return terms
+    # PSD determinants; a zero one kills the term
+    detw = np.maximum(npl.det(em.weight_spec.stack(len(em.pi))), 0.0)
+    return [(c, S_m) for c, S_m in zip(em.pi * np.sqrt(detw), em.states)
+            if c > 1e-15]
 
 
 def nagaoka_objective(em: ExtendedMoments, X) -> float:
     """Evaluate the two-parameter objective at Hermitian (X_1, X_2).
 
     Tr(S_bar sym_plus(XX^T)) + sum_m pi_m sqrt(det W_m) TrAbs(S_m [X_1, X_2])
-    - 2 sum_j Tr(D_bar_j X_j) + w_bar. The commutator term is
-    `weighted_trace_abs(S_m, [X_1, X_2])`, exact on supp(S_m).
+    - 2 sum_j Tr(D_bar_j X_j) + w_bar. All but the commutator term is
+    Re Tr(C G(X)) + w_bar with C = `_objective(em)` at G(X) = [[XX^T, X],
+    [X^+, I]] = V V^+, V = [X_1; X_2; I], the point at which
+    `nagaoka_bound`'s program attains this objective. The commutator term
+    is `weighted_trace_abs(S_m, [X_1, X_2])`, exact on supp(S_m).
     """
     if em.n != 2:
         raise CapabilityError("the commutator objective needs exactly two parameters")
     X = np.asarray(X, dtype=complex)
     if X.shape != (2, em.d, em.d):
         raise CapabilityError(f"expected two {em.d}x{em.d} observables, got {X.shape}")
-    X0, X1 = hermitize(X[0]), hermitize(X[1])
-    S = em.S_bar.blocks
-    P01, P10 = X0 @ X1, X1 @ X0
-    value = np.real(np.einsum("ab,ba->", S[0, 0], X0 @ X0)
-                    + np.einsum("ab,ba->", S[1, 1], X1 @ X1)
-                    + np.einsum("ab,ba->", S[0, 1] + S[1, 0], (P01 + P10) / 2)
-                    - 2.0 * np.einsum("ab,ba->", em.D_bar[0], X0)
-                    - 2.0 * np.einsum("ab,ba->", em.D_bar[1], X1))
-    comm = P01 - P10
+    X = hermitize(X)
+    V = np.concatenate([X[0], X[1], np.eye(em.d)])
+    value = np.trace(V.conj().T @ _objective(em) @ V).real
+    comm = X[0] @ X[1] - X[1] @ X[0]
     if np.abs(comm).max() > 0.0:
         value += sum(coeff * weighted_trace_abs(S_m, comm)
                      for coeff, S_m in _commutator_terms(em))

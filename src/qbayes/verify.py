@@ -96,13 +96,13 @@ def bayes_risk(model: StatisticalModel, povm: Povm, estimates) -> float:
     if est.shape != (len(povm), model.n):
         raise ValueError(f"estimates shape {est.shape}, expected "
                          f"({len(povm)}, {model.n})")
+    Ws = model.weight_spec.stack(len(model.points))
     total = 0.0
     for m, point in enumerate(model.points):
-        Wm = model.weight_spec.matrix_at(m)
         for x, E in enumerate(povm.elements):
             prob = float(np.real(np.trace(point.state @ E)))
             diff = est[x] - point.theta
-            total += point.weight * prob * float(diff @ Wm @ diff)
+            total += point.weight * prob * float(diff @ Ws[m] @ diff)
     return total
 
 
@@ -117,8 +117,7 @@ def posterior_mean_estimator(model: StatisticalModel, povm: Povm) -> DecisionRis
     place of w (their risk weight vanishes).
     """
     pi, thetas = model.pi, model.thetas
-    Ws = np.stack([model.weight_spec.matrix_at(m)
-                   for m in range(len(model.points))])
+    Ws = model.weight_spec.stack(len(model.points))
     # w[x, m] = pi_m Tr(S_m E_x)
     w = pi * np.einsum("mab,xba->xm", model.states, np.stack(povm.elements)).real
     w[w.sum(axis=1) <= DEAD_OUTCOME_PROB] = pi
@@ -150,15 +149,12 @@ def optimal_povm_step(model: StatisticalModel, estimates,
     prog = ConicProgram()
     blocks = [prog.add_psd_block(d) for _ in range(K)]
     prog.add_eq({blk: hvec_basis(d) for blk in blocks}, rhs=hvec(np.eye(d)))
-    coeffs = {}
-    for x, blk in enumerate(blocks):
-        F = np.zeros((d, d), dtype=complex)
-        for m, point in enumerate(model.points):
-            diff = est[x] - point.theta
-            Wm = model.weight_spec.matrix_at(m)
-            F += point.weight * float(diff @ Wm @ diff) * point.state
-        coeffs[blk] = hermitize(F)
-    prog.set_objective(coeffs)
+    # loss[x, m] = (est_x - theta_m)^T W_m (est_x - theta_m)
+    diff = est[:, None, :] - model.thetas
+    loss = np.einsum("xmj,mjk,xmk->xm", diff,
+                     model.weight_spec.stack(len(model.points)), diff)
+    F = np.einsum("m,xm,mab->xab", model.pi, loss, model.states)
+    prog.set_objective(dict(zip(blocks, hermitize(F))))
 
     sol = solve_or_raise(prog, gap_tol, what="measurement update")
     return _renormalize(sol.variable_values)

@@ -220,6 +220,7 @@ def test_tensor_equivalence_and_functional_chain():
         assert r["margin_sdp_f3"] >= -1e-7
         assert r["margin_f3_f4"] >= -1e-7
         assert r["margin_sdp_f5"] >= -1e-7
+        assert r["margin_sdp_f2"] >= -1e-7
     pinned = f_family_pinned_example()
     assert abs(pinned["f_sdp"] - 2.0) < 1e-6
     assert abs(pinned["f1"] - 2.0) < 1e-12

@@ -130,9 +130,14 @@ def test_sld_fisher_point_of_a_pure_state_is_four_covariances():
     assert np.abs(J - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
-def test_sld_fisher_point_requires_traceless_derivatives():
+@pytest.mark.parametrize("state, derivative", [
+    (np.eye(2) / 2, np.eye(2)),
+    # traceless, but not Hermitian: its Hermitian part must not be used instead
+    (np.diag([0.7, 0.3]), np.array([[0.1, 0.2], [0.0, -0.1]])),
+], ids=["traced", "non-hermitian"])
+def test_sld_fisher_point_requires_traceless_derivatives(state, derivative):
     with pytest.raises(ValueError):
-        sld_fisher_point(np.eye(2) / 2, np.stack([np.eye(2)]))
+        sld_fisher_point(state, np.stack([derivative]))
 
 
 def test_van_tree_needs_derivatives_and_score():

@@ -128,6 +128,13 @@ def test_extended_moments_mix_weights_per_point():
     expected = sum(pt.weight * np.kron(Ws[m], pt.state)
                    for m, pt in enumerate(model.points))
     assert np.allclose(em.S_bar.full(), expected, atol=1e-12)
+    D_expected = sum(pt.weight * (Ws[m] @ pt.theta)[:, None, None] * pt.state
+                     for m, pt in enumerate(model.points))
+    assert np.allclose(em.D_bar, D_expected, atol=1e-12)
+    w_expected = sum(pt.weight * pt.theta @ Ws[m] @ pt.theta
+                     for m, pt in enumerate(model.points))
+    assert abs(em.w_bar - w_expected) < 1e-12
+    assert abs(build_moments(model).w_bar - w_expected) < 1e-12
 
 
 def test_with_weight_replaces_the_constant_block():

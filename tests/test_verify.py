@@ -128,6 +128,29 @@ def test_optimal_povm_step_improves_a_random_start():
     assert bayes_risk(model, stepped, start.estimates) <= start.risk + 1e-9
 
 
+def test_optimal_povm_step_charges_each_outcome_its_grid_loss(monkeypatch):
+    """The objective on element x is F_x = sum_m pi_m l(x, m) S_m, with l
+    the quadratic loss under the grid point's own weight W_m."""
+    rng = np.random.default_rng(54)
+    model = _per_point_model(rng, 2, 3, 3, [random_spd(rng, 2) for _ in range(3)])
+    est = rng.uniform(-1.0, 1.0, (4, 2))
+    seen = []
+    set_objective = conic.ConicProgram.set_objective
+
+    def recording(self, coeffs=None, offset=0.0):
+        seen.append(coeffs)
+        set_objective(self, coeffs, offset)
+
+    monkeypatch.setattr(conic.ConicProgram, "set_objective", recording)
+    optimal_povm_step(model, est)
+    assert len(seen) == 1 and len(seen[0]) == len(est)
+    for x, F in enumerate(seen[0].values()):
+        expected = sum(p.weight * (est[x] - p.theta)
+                       @ model.weight_spec.per_point[m] @ (est[x] - p.theta)
+                       * p.state for m, p in enumerate(model.points))
+        assert np.allclose(F, expected, atol=1e-14)
+
+
 def test_optimal_povm_step_pins_the_identity_resolution(monkeypatch):
     """One program with d^2 rows for sum_x E_x = I, however many outcomes."""
     counts = record_row_counts(monkeypatch)
