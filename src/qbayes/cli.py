@@ -10,12 +10,15 @@ read or is rejected, an output path that cannot be written, bad selector,
 bad zoo name, count or seed, bad seed list, negative seed, outcome count
 below the model's d, trial or iteration count below one, or a `verify`
 model whose weight is not constant); 3 solver failure or an ordering
-margin below -MARGIN_TOL = -1e-6 (`verify.LADDER`). Output paths are checked
-before any solve. Per-bound capability errors are reported inside the
-`bounds` output without failing the run. QBAYES_GAP_TOL, a finite positive
-number, sets the relative gap of every SDP a command solves (default
-GAP_TOL, and 1e-10 for the `lemmas` identity suite); each command reads it
-once and reports an invalid value on stderr. The library never reads it.
+margin below -MARGIN_TOL = -1e-6 (`verify.LADDER`); 141 (128 + SIGPIPE, as a
+shell reports a writer whose reader left) when standard output is closed
+before all of the output is written: the command stops writing, without a
+traceback. Output paths are checked before any solve. Per-bound capability
+errors are reported inside the `bounds` output without failing the run.
+QBAYES_GAP_TOL, a finite positive number, sets the relative gap of every SDP
+a command solves (default GAP_TOL, and 1e-10 for the `lemmas` identity
+suite); each command reads it once and reports an invalid value on stderr.
+The library never reads it.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ GAP_TOL_ENV = "QBAYES_GAP_TOL"
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
+EXIT_PIPE = 141
 
 
 def _write_text(path: str, text: str, mode: str = "w") -> None:
@@ -410,7 +414,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()      # a reader that left shows here, not at exit
+        return code
     except (_Validation, ModelError, CapabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except BrokenPipeError:
+        # the reader of standard output is gone: write nothing more, and
+        # point the descriptor at devnull so the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE

@@ -10,8 +10,9 @@ g_i: the solver's dual vector is y = -z, read from `sol.y`, and
 predictor-corrector method on the homogeneous self-dual embedding with
 Nesterov-Todd scaling, so infeasibility is certified rather than diverged
 on. The Schur system is factored with NumPy alone: a Cholesky factor of the
-row-scaled Schur block, inverted by block recursion, with the tau row and
-column eliminated through a scalar Schur complement. `assemble` lays the
+row-scaled Schur block, applied by blocked forward and backward substitution
+through the inverses of its diagonal leaves, with the tau row and column
+eliminated through a scalar Schur complement. `assemble` lays the
 columns out by block size, so the blocks of one size fill one contiguous run
 and are read as one (K, k, k) stack, and every per-block step is one batched
 call per distinct size.
@@ -19,7 +20,8 @@ call per distinct size.
 Each iteration works in the NT-scaled frame. Per block, with X = L L^dag and
 L^dag S L = U diag(w) U^dag, the factor R = L U diag(w)^-1/4 gives the NT
 scaling W = R R^dag, and R^-1 X R^-dag = R^dag S R = diag(lam), lam = w^1/2.
-The rows of A and c are scaled once per iteration (A~_i = R^dag A_i R).
+The rows of A and c are scaled once per iteration (A~_i = R^dag A_i R),
+the rows TRI_LEAF at a time into one (p, N) buffer allocated once per solve.
 A row's coefficient on a block touches only the indices S of its nonzero
 rows, found once per solve, so A~_i = R[S]^dag A_i[S, S] R[S] with s rows
 of R in place of k (s = 4 of k = 30 for NH at d = 10); c keeps the k x k
@@ -34,7 +36,8 @@ the original coordinates.
 A k x k Hermitian block lives in isometric real coordinates (`hvec`): the
 diagonal, then sqrt2 Re and sqrt2 Im of the strict upper triangle, k^2 numbers
 whose dot product is the trace inner product. Constraint rows and the
-objective are validated when added and stored in these coordinates.
+objective are validated when added and stored in these coordinates, the rows
+as their nonzero coordinates and values only.
 `hvec_basis(k)` is the (k^2, k, k) stack E with Tr(E[i] H) = hvec(H)[i], and
 `add_eq` takes an (r, k, k) coefficient stack with an rhs of length r as r
 rows, so pinning a sub-block to the hvec coordinates of a target is one call.
@@ -69,7 +72,8 @@ STEP_FRAC = 0.98     # fraction of the step to the cone boundary
 SIGMA_MIN = 0.05     # keeps every step at least mildly centering
 REFINE_TOL = 1e-12   # reduced residual, relative to its right-hand side, at
                      # which a Newton solve stops refining
-TRI_LEAF = 64        # largest triangle `_tril_inv` hands to npl.inv
+TRI_LEAF = 64        # rows per block of the row scaling, and per diagonal
+                     # leaf of the Schur factor that npl.inv inverts
 
 
 class ProgramError(ValueError):
@@ -145,12 +149,15 @@ class ConicProgram:
 
     Constraints and the objective are real linear functionals given by one
     Hermitian coefficient matrix per referenced block (contributing <C, X>).
-    Coefficients are validated when added and kept as hvec rows.
+    Coefficients are validated when added and kept as hvec rows, the
+    constraint rows as their nonzeros only.
     """
 
     def __init__(self):
         self.blocks: list[int] = []     # block dimensions
-        self.rows: list[tuple] = []     # ({block: (r, dim^2) hvec rows}, rhs (r,))
+        # ({block: (flat indices, values) of the nonzeros of its (r, dim^2)
+        # hvec rows}, rhs (r,))
+        self.rows: list[tuple] = []
         self.obj: dict = {}             # {block: (1, dim^2) hvec row}
         self.offset = 0.0
 
@@ -185,7 +192,11 @@ class ConicProgram:
         rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
         if rhs.ndim != 1 or not np.isfinite(rhs).all():
             raise ProgramError(f"rhs {rhs!r} is not a finite vector")
-        self.rows.append((self._hvec_rows(coeffs, len(rhs)), rhs))
+        nonzeros = {}
+        for bid, v in self._hvec_rows(coeffs, len(rhs)).items():
+            flat = np.flatnonzero(v)
+            nonzeros[bid] = flat, v.reshape(-1)[flat]
+        self.rows.append((nonzeros, rhs))
 
     def set_objective(self, coeffs: dict | None = None,
                       offset: float = 0.0) -> None:
@@ -215,9 +226,10 @@ class ConicProgram:
         b = np.concatenate([rhs for _, rhs in self.rows] + [np.zeros(0)])
         A = np.zeros((len(b), N))
         i = 0
-        for rows, rhs in self.rows:
-            for bid, v in rows.items():
-                A[i:i + len(rhs), starts[bid]:starts[bid] + v.shape[1]] = v
+        for nonzeros, rhs in self.rows:
+            for bid, (flat, v) in nonzeros.items():
+                st = starts[bid]
+                A[i:i + len(rhs), st:st + self.blocks[bid] ** 2].flat[flat] = v
             i += len(rhs)
         c = np.zeros(N)
         for bid, v in self.obj.items():
@@ -294,30 +306,45 @@ def _row_supports(groups, A: np.ndarray) -> list:
     each block (its nonzero rows, which are its nonzero columns), padded with
     untouched indices to the group's widest support s >= 1: S as flat rows of
     the group's (K k, k) stack of R, and the (p, K, s, s) coefficients C[S, S].
+    S is read off the nonzero hvec coordinates of TRI_LEAF rows of A at a
+    time, and C[S, S] off A through hmat's maps, so no (p, K, k, k) stack of
+    the coefficients is formed.
     """
     out = []
     p = len(A)
     for k, cols in groups:
         K = (cols.stop - cols.start) // (k * k)   # from cols: p may be 0
-        C = hmat(A[:, cols].reshape(p, K, k * k), k)
-        touched = (C != 0).any(axis=-1)
+        vec_idx, _, mat_idx, mat_scale = _gather_maps(k)
+        ends = np.divmod(vec_idx // 2, k)   # the entry (a, b) each coordinate sets
+        touched = np.zeros((p, K, k), dtype=bool)
+        for i in range(0, p, TRI_LEAF):
+            row, col = np.nonzero(A[i:i + TRI_LEAF, cols] != 0)
+            blk, coord = np.divmod(col, k * k)
+            for end in ends:
+                touched[i + row, blk, end[coord]] = True
         s = max(1, touched.sum(axis=-1).max(initial=0))
         S = np.argsort(~touched, axis=-1, kind="stable")[..., :s]
-        CS = C.reshape(-1)[k * k * np.arange(p * K).reshape(p, K, 1, 1)
-                           + k * S[..., :, None] + S[..., None, :]]
-        out.append((S + k * np.arange(K)[:, None], CS))
+        # re and im of each C[S_a, S_b], from where hmat reads them
+        at = 2 * (k * S[..., :, None] + S[..., None, :])[..., None] + np.arange(2)
+        CS = A[np.arange(p)[:, None, None, None, None],
+               cols.start + k * k * np.arange(K)[:, None, None, None] + mat_idx[at]]
+        CS *= mat_scale[at]
+        out.append((S + k * np.arange(K)[:, None], CS.view(complex)[..., 0]))
     return out
 
 
-def _scaled_rows(groups, R, supports) -> np.ndarray:
-    """hvec(R_b^dag A_ib R_b) for every row i and block b, each formed as
-    R[S]^dag C[S, S] R[S] over the row's support S: exact, since the entries
-    of A_ib outside S are zero."""
-    out = []
+def _scaled_rows(groups, R, supports, out: np.ndarray) -> np.ndarray:
+    """hvec(R_b^dag A_ib R_b) for every row i and block b, written into the
+    (p, N) buffer `out` TRI_LEAF rows at a time and returned. Each is formed
+    as R[S]^dag C[S, S] R[S] over the row's support S: exact, since the
+    entries of A_ib outside S are zero."""
     for (k, cols), Rk, (flat, CS) in zip(groups, R, supports):
-        RS = Rk.reshape(-1, k)[flat]        # (p, K, s, k): the rows S of R
-        out.append(hvec(_ct(RS) @ CS @ RS).reshape(len(CS), cols.stop - cols.start))
-    return np.concatenate(out, axis=-1)
+        Rrows = Rk.reshape(-1, k)
+        for i in range(0, len(out), TRI_LEAF):
+            rows = slice(i, i + TRI_LEAF)
+            RS = Rrows[flat[rows]]          # (r, K, s, k): the rows S of R
+            out[rows, cols] = hvec(_ct(RS) @ CS[rows] @ RS).reshape(len(RS), -1)
+    return out
 
 
 def _corrector(groups, lams, dx: np.ndarray, ds: np.ndarray) -> np.ndarray:
@@ -331,31 +358,17 @@ def _corrector(groups, lams, dx: np.ndarray, ds: np.ndarray) -> np.ndarray:
     return np.concatenate([v.reshape(-1) for v in out])
 
 
-def _tril_inv(L: np.ndarray) -> np.ndarray:
-    """Inverse of a nonsingular lower-triangular L by 2 x 2 block recursion:
-    inv([[L11, 0], [L21, L22]]) = [[X11, 0], [-X22 L21 X11, X22]] with
-    Xii = inv(Lii), down to leaves of at most TRI_LEAF rows for npl.inv."""
-    p = len(L)
-    if p <= TRI_LEAF:
-        return npl.inv(L)
-    h = p // 2
-    X = np.zeros_like(L)
-    X[:h, :h] = _tril_inv(L[:h, :h])
-    X[h:, h:] = _tril_inv(L[h:, h:])
-    X[h:, :h] = -X[h:, h:] @ (L[h:, :h] @ X[:h, :h])
-    return X
-
-
 def _schur_factor(A: np.ndarray):
-    """The factor (dinv, Linv) of the Schur block M = A A^T, with
-    M^-1 = D Linv^T Linv D for D = diag(dinv), or None when it is not finite
-    or not numerically positive definite.
+    """The factor (dinv, L, Linv) of the Schur block M = A A^T, with
+    D M D + 1e-14 I = L L^T for D = diag(dinv) and Linv the inverses of the
+    diagonal leaves of L, of at most TRI_LEAF rows each, or None when M is
+    not finite or not numerically positive definite.
 
     D scales the rows of A to unit norm, so D M D has unit diagonal; near a
     degenerate optimum the rows span many orders of magnitude, which would
-    starve the small pivots. Linv = L^-1 for the Cholesky factor of
-    D M D + 1e-14 I; the tiny shift, which lets dependent rows factor, is
-    corrected by the refinement in the Newton solve.
+    starve the small pivots. The tiny shift, which lets dependent rows
+    factor, is corrected by the refinement in the Newton solve. M is dropped
+    once it is factored; `_schur_solve` applies its inverse.
     """
     M = A @ A.T
     dinv = 1.0 / np.sqrt(np.maximum(M.diagonal(), 1e-300))
@@ -368,7 +381,28 @@ def _schur_factor(A: np.ndarray):
         L = npl.cholesky(M)
     except npl.LinAlgError:
         return None
-    return dinv, _tril_inv(L)
+    del M
+    # one leaf at least: a program without rows has one of size 0
+    return dinv, L, [npl.inv(L[i:i + TRI_LEAF, i:i + TRI_LEAF])
+                     for i in range(0, max(len(L), 1), TRI_LEAF)]
+
+
+def _schur_solve(factor, v: np.ndarray) -> np.ndarray:
+    """M^-1 v = D L^-T L^-1 D v for the factor of `_schur_factor`, by
+    forward and backward substitution one leaf of L at a time. The first
+    leaf of each sweep takes no off-diagonal product, so a Schur block of at
+    most TRI_LEAF rows costs two products with its leaf's inverse."""
+    dinv, L, Linv = factor
+    r = dinv * v
+    y = Linv[0] @ r[:TRI_LEAF]          # L y = r, leaf by leaf
+    for j in range(1, len(Linv)):
+        lo, hi = j * TRI_LEAF, (j + 1) * TRI_LEAF
+        y = np.concatenate([y, Linv[j] @ (r[lo:hi] - L[lo:hi, :lo] @ y)])
+    z = Linv[-1].T @ y[(len(Linv) - 1) * TRI_LEAF:]     # L^T z = y
+    for j in range(len(Linv) - 2, -1, -1):
+        lo, hi = j * TRI_LEAF, (j + 1) * TRI_LEAF
+        z = np.concatenate([Linv[j].T @ (y[lo:hi] - L[hi:, lo:hi].T @ z), z])
+    return dinv * z
 
 
 def solve(program: ConicProgram, gap_tol: float = GAP_TOL) -> ConicSolution:
@@ -399,6 +433,7 @@ def solve(program: ConicProgram, gap_tol: float = GAP_TOL) -> ConicSolution:
         st = starts[program.blocks.index(k)]
         groups.append((k, slice(st, st + program.blocks.count(k) * k * k)))
     supports = _row_supports(groups, A)
+    A_sc = np.empty((p, N))     # every iteration's scaled rows
 
     # interior start: identity in every block, tau = kappa = 1
     x = np.zeros(N)
@@ -475,26 +510,23 @@ def solve(program: ConicProgram, gap_tol: float = GAP_TOL) -> ConicSolution:
 
         # eliminate the cone step: the (p + 1) system in (dy, dtau) is the
         # Schur block M = A~ A~^T bordered by the tau row and column
-        A_sc = _scaled_rows(groups, R, supports)
+        _scaled_rows(groups, R, supports, A_sc)
         c_sc = _congruence(groups, R, c)
         rd_sc = A_sc.T @ y + lam - c_sc * tau
         v1 = A_sc @ c_sc
+        factor = None       # the last iteration's L goes before this one forms
         factor = _schur_factor(A_sc)
         if factor is None:
             return failure(it)
-        dinv, Linv = factor
-
-        def schur_solve(v):
-            return dinv * (Linv.T @ (Linv @ (dinv * v)))
 
         # the tau row and column by a scalar Schur complement: with
         # u = M^-1 (v1 + b), dtau is one division and dy = M^-1 g + u dtau
         row = b - v1
-        u = schur_solve(v1 + b)
+        u = _schur_solve(factor, v1 + b)
         den = float(c_sc @ c_sc) + kappa / tau + float(row @ u)
 
         def reduced_solve(g, h):
-            z = schur_solve(g)
+            z = _schur_solve(factor, g)
             dtau = (h - float(row @ z)) / den
             return z + u * dtau, dtau
 

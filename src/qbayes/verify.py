@@ -175,9 +175,7 @@ def random_povm(d: int, outcomes: int, rng: np.random.Generator) -> Povm:
 
     Needs at least d outcomes: fewer rank-one elements leave their sum
     singular up to the ridge, too close to renormalize."""
-    if outcomes < d:
-        raise ValueError(f"a random measurement on C^{d} needs at least {d} "
-                         f"outcomes, got {outcomes}")
+    _require_outcomes(d, outcomes)
     elems = []
     for _ in range(outcomes):
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
@@ -185,15 +183,23 @@ def random_povm(d: int, outcomes: int, rng: np.random.Generator) -> Povm:
     return _renormalize(elems)
 
 
-def _seeded_povm(model: StatisticalModel, outcome_count: int | None,
-                 seed: int) -> Povm:
-    """The seesaw's random start: `random_povm` from default_rng(seed). The
-    default max(n + 2, d) outcomes keeps at least d rank-one elements, as
-    the identity on C^d needs."""
+def _require_outcomes(d: int, outcomes: int) -> None:
+    if outcomes < d:
+        raise ValueError(f"a random measurement on C^{d} needs at least {d} "
+                         f"outcomes, got {outcomes}")
+
+
+def _start_outcomes(model: StatisticalModel, outcome_count: int | None,
+                    seed: int) -> int:
+    """The outcome count of the seesaw's seeded start, `random_povm` from a
+    fresh default_rng(seed), checked with the seed before anything is drawn.
+    The default max(n + 2, d) keeps at least d rank-one elements, as the
+    identity on C^d needs."""
     K = outcome_count if outcome_count is not None else max(model.n + 2, model.d)
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    return random_povm(model.d, K, np.random.default_rng(seed))
+    _require_outcomes(model.d, K)
+    return K
 
 
 def seesaw(model: StatisticalModel, outcome_count: int | None = None,
@@ -221,8 +227,9 @@ def seesaw(model: StatisticalModel, outcome_count: int | None = None,
                              f"the model on C^{model.d}")
         current = start
     else:
+        K = _start_outcomes(model, outcome_count, seed)
         current = posterior_mean_estimator(
-            model, _seeded_povm(model, outcome_count, seed))
+            model, random_povm(model.d, K, np.random.default_rng(seed)))
     for _ in range(iters):
         povm = optimal_povm_step(model, current.estimates, gap_tol)
         risk_povm = bayes_risk(model, povm, current.estimates)
@@ -286,8 +293,9 @@ def ordering_audit(model: StatisticalModel,
     W = model.weight_spec.require_constant()
     if iters < 1:
         raise ValueError(f"iters must be positive, got {iters}")
-    # drawn up front, so bad arguments fail before any solve
-    seeded = _seeded_povm(model, outcome_count, seed)
+    # checked up front, so bad arguments fail before any solve; drawn only
+    # where the seesaw runs
+    K = _start_outcomes(model, outcome_count, seed)
     moments = build_moments(model)
     em = build_extended_moments(model)
     c_sld, _ = sld_bound(moments, W)
@@ -301,6 +309,7 @@ def ordering_audit(model: StatisticalModel,
     if rounded.risk - c_nh > gap_tol * max(1.0, abs(c_nh)):
         # the 1/2 weights cancel in each outcome's posterior mean, so the
         # first measurement update chooses among both starts' estimates
+        seeded = random_povm(model.d, K, np.random.default_rng(seed))
         blend = Povm(tuple(0.5 * E for E in
                            rounded.povm.elements + seeded.elements))
         run = seesaw(model, iters=iters, gap_tol=gap_tol,

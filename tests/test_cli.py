@@ -522,17 +522,47 @@ def run_sld_report(command, model_path, env=None):
         capture_output=True, text=True, timeout=120, env=env)
 
 
-def test_console_script_entry_point(tmp_path):
-    """``python -m qbayes`` in a fresh process, installed or not."""
-    model_path = write_cb(tmp_path)
+def package_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
     package_root = str(Path(qbayes.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_console_script_entry_point(tmp_path):
+    """``python -m qbayes`` in a fresh process, installed or not."""
+    model_path = write_cb(tmp_path)
+    env = package_env()
     proc = run_sld_report([sys.executable, "-m", "qbayes"], model_path, env)
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert abs(report["bounds"]["sld"]["value"] - 0.64) < 1e-9
+
+
+def test_bounds_into_a_closed_pipe_end_quietly(tmp_path):
+    """A report piped into a reader that leaves ends the command without a
+    traceback: with the read end closed before anything is written the exit
+    code is EXIT_PIPE = 141; a reader that takes one line and leaves may
+    also be gone only after the whole report is in the pipe (exit 0)."""
+    model_path = write_cb(tmp_path)
+    command = [sys.executable, "-m", "qbayes", "bounds", "--model", model_path]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(command, stdout=write, stderr=subprocess.PIPE,
+                              text=True, timeout=120, env=package_env())
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_PIPE, "")
+    assert cli.EXIT_PIPE == 141
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, env=package_env()) as head:
+        assert head.stdout.readline() == "{\n"
+        head.stdout.close()
+        assert head.wait(timeout=120) in (0, cli.EXIT_PIPE)
+        assert head.stderr.read() == ""
 
 
 @pytest.mark.skipif(shutil.which("qbayes") is None,
@@ -562,10 +592,7 @@ def test_bounds_run_without_scipy(tmp_path):
     scipy made unimportable the SDP rungs and the closed forms still run."""
     path = tmp_path / "xy.json"
     save_model(model_zoo("qubit_xy", (0.6,)), str(path))
-    package_root = str(Path(qbayes.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    env = package_env()
     names = ["nh", "holevo", "nagaoka2", "sld", "rld"]
     proc = subprocess.run(
         [sys.executable, "-c", NO_SCIPY, "bounds", "--model", str(path),

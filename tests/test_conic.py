@@ -13,7 +13,8 @@ from qbayes.conic import (
     SolverFailureError,
     _alpha_boundary,
     _factor_psd,
-    _tril_inv,
+    _schur_factor,
+    _schur_solve,
     hmat,
     holevo_lemma_sdp_value,
     holevo_lemma_value,
@@ -167,25 +168,33 @@ def test_support_scaled_rows_match_the_dense_congruence():
     """Each row scaled through the indices its coefficient touches equals
     the dense congruence hvec(R^dag A_i R), on blocks of sizes 3, 4, 3, 4
     with a row on one block of a size group, a block most rows skip, and a
-    dense row that makes its group's support the whole block."""
+    dense row that makes its group's support the whole block. A block of
+    size 5 adds 151 rows, so the 157 rows span three row blocks of TRI_LEAF
+    = 64; only a row of the last one touches three of its indices, so the
+    earlier blocks are padded to that group's width."""
     rng = np.random.default_rng(13)
     prog = ConicProgram()
-    blks = [prog.add_psd_block(k) for k in (3, 4, 3, 4)]
+    blks = [prog.add_psd_block(k) for k in (3, 4, 3, 4, 5)]
     pin = np.zeros((3, 3))
     pin[0, 2] = pin[2, 0] = 1.0
     prog.add_eq({blks[0]: pin}, rhs=1.0)
     prog.add_eq({blks[2]: np.diag([0.0, 2.0, 0.0]), blks[1]: np.diag([1.0, 0, 0, 0])})
     prog.add_eq({blks[1]: conic.hvec_basis(4)[[0, 5, 11]]}, rhs=np.ones(3))
     prog.add_eq({blks[3]: random_hermitian(rng, 4)}, rhs=1.0)
+    prog.add_eq({blks[4]: np.concatenate([conic.hvec_basis(5)] * 6)},
+                rhs=np.ones(150))
+    prog.add_eq({blks[4]: np.diag([0.0, 1.0, 0.0, 2.0, 3.0])}, rhs=1.0)
     A = prog.assemble()[0]
-    groups = [(3, slice(0, 18)), (4, slice(18, 50))]
-    R = [rng.standard_normal((2, k, k)) + 1j * rng.standard_normal((2, k, k))
-         + k * np.eye(k) for k, _ in groups]
+    assert len(A) == 157 > 2 * conic.TRI_LEAF
+    groups = [(3, slice(0, 18)), (4, slice(18, 50)), (5, slice(50, 75))]
+    R = [rng.standard_normal((K, k, k)) + 1j * rng.standard_normal((K, k, k))
+         + k * np.eye(k) for (k, _), K in zip(groups, (2, 2, 1))]
     supports = conic._row_supports(groups, A)
-    assert [CS.shape[-1] for _, CS in supports] == [2, 4]
+    assert [CS.shape[-1] for _, CS in supports] == [2, 4, 3]
     dense = conic._congruence(groups, R, A)
-    assert np.abs(conic._scaled_rows(groups, R, supports) - dense).max() \
-        <= 1e-12 * np.abs(dense).max()
+    out = np.full(A.shape, np.nan)
+    assert conic._scaled_rows(groups, R, supports, out) is out
+    assert np.abs(out - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
 def test_program_without_rows_is_solved():
@@ -319,17 +328,20 @@ def test_iteration_cap_returns_the_best_iterate(monkeypatch):
 
 
 @pytest.mark.parametrize("p", [1, 63, 64, 65, 130, 401])
-def test_triangular_inverse_matches_the_dense_inverse(p):
-    """The block recursion, on both sides of its TRI_LEAF = 64 leaf, on the
-    Cholesky factor of a unit-diagonal SPD matrix like the Schur block's."""
+def test_schur_substitution_matches_the_dense_solve(p):
+    """The leaf-by-leaf substitution, on both sides of its TRI_LEAF = 64
+    leaf, solves M y = v for the Schur block M = G G^T of rows G that span
+    four orders of magnitude, as the row scaling sees near an optimum."""
     rng = np.random.default_rng(p)
-    G = rng.standard_normal((p, 2 * p))
+    G = rng.standard_normal((p, 2 * p)) * np.logspace(-2, 2, p)[:, None]
     M = G @ G.T
-    d = 1 / np.sqrt(M.diagonal())
-    L = np.linalg.cholesky(M * d[:, None] * d)
-    X = _tril_inv(L)
-    assert np.allclose(X, np.linalg.inv(L), rtol=0, atol=1e-10 * np.abs(X).max())
-    assert np.abs(X @ L - np.eye(p)).max() <= 1e-11
+    v = rng.standard_normal(p)
+    factor = _schur_factor(G)
+    assert all(len(X) <= conic.TRI_LEAF for X in factor[2])
+    y = _schur_solve(factor, v)
+    ref = np.linalg.solve(M, v)
+    assert np.abs(y - ref).max() <= 1e-9 * np.abs(ref).max()
+    assert np.abs(M @ y - v).max() <= 1e-9 * np.abs(v).max()
 
 
 def test_failed_schur_factor_returns_the_best_iterate(monkeypatch):

@@ -272,6 +272,21 @@ def test_holevo_scaling_memory_stays_small():
     assert peak < 25 * 2**20
 
 
+def test_nh_solve_memory_stays_small():
+    """NH on a d = 10 model: 400 rows on one 30 x 30 block G. The solve
+    keeps A, one reused buffer of its scaled rows and the Schur block's
+    factor, never a (p, k, k) stack of scaled rows or an explicit p x p
+    inverse; about 9 MiB traced, where those copies took 19 MiB."""
+    em = build_extended_moments(random_model(2, 10, seed=1, grid=4))
+    tracemalloc.start()
+    try:
+        nagaoka_hayashi_bound(em)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+
+
 def test_holevo_pinned_value_at_d8():
     """One 24 x 24 block G and (n + 1)d^2 + 1 = 193 rows, each scaled
     through 16 of the 24 rows of the scaling factor (the cap row touches all
