@@ -443,7 +443,7 @@ def solve(program: ConicProgram, gap_tol: float = GAP_TOL) -> ConicSolution:
     y = np.zeros(p)
     tau, kappa = 1.0, 1.0
 
-    def final(status, iters, xv, yv, sv, tv, meas):
+    def final(status, iters, xv, yv, tv, meas):
         pres, dres, gap, pobj, dobj = meas
         xh = xv / tv
         return ConicSolution(
@@ -455,7 +455,7 @@ def solve(program: ConicProgram, gap_tol: float = GAP_TOL) -> ConicSolution:
                                   for k, st in zip(program.blocks, starts)),
             y=yv / tv, iterations=iters)
 
-    best = None   # (score, x, y, s, tau, measures) of the best iterate so far
+    best = None   # (score, x, y, tau, measures) of the best iterate so far
 
     def failure(iters):
         return final("numerical-failure", iters, *best[1:])
@@ -476,16 +476,16 @@ def solve(program: ConicProgram, gap_tol: float = GAP_TOL) -> ConicSolution:
         meas = pres, dres, gap, pobj, dobj
         score = max(pres, dres, gap)
         if best is None or score < best[0]:
-            # x, y and s are rebound by each step, never written in place
-            best = (score, x, y, s, tau, meas)
+            # x and y are rebound by each step, never written in place
+            best = (score, x, y, tau, meas)
         if pres <= FEAS_TOL and dres <= DRES_GUARD and gap <= gap_tol:
-            return final("optimal", it, x, y, s, tau, meas)
+            return final("optimal", it, x, y, tau, meas)
 
         # certificates from the embedding
         if by > 0 and np.abs(ATy + s).max() <= FEAS_TOL * by:
-            return final("infeasible", it, x, y, s, tau, meas)
+            return final("infeasible", it, x, y, tau, meas)
         if cx < 0 and (np.abs(Ax).max() if p else 0.0) <= FEAS_TOL * (-cx):
-            return final("unbounded", it, x, y, s, tau, meas)
+            return final("unbounded", it, x, y, tau, meas)
 
         mu = (float(x @ s) + tau * kappa) / (nu + 1)
 

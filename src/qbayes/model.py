@@ -16,12 +16,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 import numpy.linalg as npl
 
-from .matcore import ExtendedOperator, check_hermitian, hermitize
+from .matcore import (HERM_TOL, PSD_CLAMP, ExtendedOperator, check_hermitian,
+                      hermitize)
 
 WEIGHT_SUM_TOL = 1e-12
 DENSITY_EIG_TOL = 1e-12
-WEIGHT_PSD_TOL = 1e-10
-MOMENT_PSD_TOL = 1e-10
 DERIV_TRACE_TOL = 1e-9
 
 
@@ -81,8 +80,8 @@ def _check_weights(spec: WeightSpec, n: int, grid: int) -> None:
     asym = np.abs(Ws - Ws.swapaxes(1, 2)).max(axis=(1, 2))
     scale = np.maximum(1.0, np.abs(Ws).max(axis=(1, 2)))
     low = npl.eigvalsh((Ws + Ws.swapaxes(1, 2)) / 2)[:, 0]
-    for what, bad in (("not symmetric", asym > 1e-12 * scale),
-                      ("not PSD", low < -WEIGHT_PSD_TOL)):
+    for what, bad in (("not symmetric", asym > HERM_TOL * scale),
+                      ("not PSD", low < -PSD_CLAMP)):
         if bad.any():
             where = "" if spec.is_constant else f" {int(np.argmax(bad))}"
             raise ModelError(f"weight{where}: weight matrix {what}")
@@ -232,7 +231,7 @@ class BayesMoments:
         object.__setattr__(self, "theta_bar", np.asarray(self.theta_bar, dtype=float).reshape(-1))
         object.__setattr__(self, "w_bar", float(self.w_bar))
         cov = self.M - np.outer(self.theta_bar, self.theta_bar)
-        if npl.eigvalsh((cov + cov.T) / 2)[0] < -MOMENT_PSD_TOL:
+        if npl.eigvalsh((cov + cov.T) / 2)[0] < -PSD_CLAMP:
             raise ModelError("second moment minus mean outer product is not PSD")
 
     @property

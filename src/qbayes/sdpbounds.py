@@ -30,8 +30,8 @@ import numpy.linalg as npl
 
 from .conic import (GAP_TOL, ConicProgram, ConicSolution, SolverFailureError,
                     hvec, hvec_basis, solve_or_raise)
-from .matcore import (ExtendedOperator, hermitize, psd_sqrt, support_factor,
-                      sym_split, trace_abs, weighted_trace_abs)
+from .matcore import (ExtendedOperator, check_hermitian, hermitize, psd_sqrt,
+                      support_factor, sym_split, trace_abs, weighted_trace_abs)
 from .model import CapabilityError, ExtendedMoments
 
 __all__ = [
@@ -342,8 +342,10 @@ def appendix_f(kind: str, S_terms, X: ExtendedOperator,
     """Evaluate one member of the comparison-functional family.
 
     S_terms is a list of (pi_j, W_j, S_j) with aggregate operator
-    S = sum_j pi_j W_j (x) S_j, which must be strictly positive; X is a
-    Hermitian block operator on the same space.
+    S = sum_j pi_j W_j (x) S_j, which must be strictly positive; each pi_j
+    must be finite and non-negative and each W_j and S_j Hermitian
+    (`check_hermitian`), else a ValueError names the term. X is a Hermitian
+    block operator on the same space.
 
       f_sdp -- min Tr(S L), L block-symmetric Hermitian blocks, L >= X (SDP)
       f1    -- n = 2, single term: Tr(S sym_plus X)
@@ -370,13 +372,20 @@ def appendix_f(kind: str, S_terms, X: ExtendedOperator,
     n, d = X.nblocks, X.blockdim
 
     terms = []
-    for pi_j, W_j, S_j in S_terms:
+    for j, (pi_j, W_j, S_j) in enumerate(S_terms):
         W = np.asarray(W_j, dtype=float)
         S = np.asarray(S_j, dtype=complex)
         if W.shape != (n, n) or S.shape != (d, d):
-            raise ValueError(f"dimension mismatch: weight {W.shape} / state "
-                             f"{S.shape} against {n} blocks of dim {d}")
-        terms.append((float(pi_j), (W + W.T) / 2, hermitize(S)))
+            raise ValueError(f"term {j}: dimension mismatch: weight {W.shape} "
+                             f"/ state {S.shape} against {n} blocks of dim {d}")
+        pi = float(pi_j)
+        if not (np.isfinite(pi) and pi >= 0):
+            raise ValueError(f"term {j}: prior mass {pi_j!r} is not a finite "
+                             "non-negative number")
+        try:
+            terms.append((pi, check_hermitian(W).real, check_hermitian(S)))
+        except ValueError as exc:
+            raise ValueError(f"term {j}: {exc}") from None
     if not terms:
         raise ValueError("S_terms is empty")
 

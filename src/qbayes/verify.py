@@ -26,12 +26,11 @@ import numpy.linalg as npl
 
 from .closedform import rld_bound, sld_bound
 from .conic import GAP_TOL, ConicProgram, hvec, hvec_basis, solve_or_raise
-from .matcore import hermitize
+from .matcore import PSD_CLAMP, check_hermitian, hermitize
 from .model import StatisticalModel, build_extended_moments, \
     build_moments
 from .sdpbounds import holevo_type_bound, nagaoka_hayashi_bound
 
-POVM_ELEMENT_TOL = 1e-10     # allowed eigenvalue undershoot per element
 POVM_SUM_TOL = 1e-9          # allowed deviation of the identity resolution
 DEAD_OUTCOME_PROB = 1e-12    # below this an outcome's estimate uses the prior
 MARGIN_TOL = 1e-6            # an ordering margin below -MARGIN_TOL is a violation
@@ -51,29 +50,31 @@ def ladder_margins(values: dict) -> dict:
 
 @dataclass(frozen=True)
 class Povm:
-    """Positive operator-valued measure: PSD elements resolving the identity."""
+    """Positive operator-valued measure: any sequence of d x d matrices, kept
+    as one (outcomes, d, d) complex stack and checked once as one: Hermitian
+    (`check_hermitian`), PSD to -PSD_CLAMP and summing to the identity."""
 
-    elements: tuple
+    elements: np.ndarray         # (outcomes, d, d)
 
     def __post_init__(self):
-        elems = tuple(np.asarray(E, dtype=complex) for E in self.elements)
-        if not elems:
+        if not len(self.elements):
             raise ValueError("a measurement needs at least one element")
-        d = elems[0].shape[0]
-        total = np.zeros((d, d), dtype=complex)
-        for E in elems:
-            if E.shape != (d, d):
-                raise ValueError("measurement elements must share one dimension")
-            if npl.eigvalsh(hermitize(E))[0] < -POVM_ELEMENT_TOL:
-                raise ValueError("measurement element has a negative eigenvalue")
-            total += E
-        if np.abs(total - np.eye(d)).max() > POVM_SUM_TOL:
+        try:   # elements of two dimensions do not stack
+            E = np.array(self.elements, dtype=complex)
+        except ValueError:
+            E = np.zeros(0)
+        if E.ndim != 3 or E.shape[1] != E.shape[2]:
+            raise ValueError("measurement elements must share one dimension")
+        E = check_hermitian(E)
+        if npl.eigvalsh(E)[:, 0].min() < -PSD_CLAMP:
+            raise ValueError("measurement element has a negative eigenvalue")
+        if np.abs(E.sum(axis=0) - np.eye(E.shape[1])).max() > POVM_SUM_TOL:
             raise ValueError("measurement elements do not resolve the identity")
-        object.__setattr__(self, "elements", elems)
+        object.__setattr__(self, "elements", E)
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.elements.shape[1]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -118,8 +119,7 @@ def posterior_mean_estimator(model: StatisticalModel, povm: Povm) -> DecisionRis
     """
     pi, thetas = model.pi, model.thetas
     Ws = model.weight_spec.stack(len(model.points))
-    # w[x, m] = pi_m Tr(S_m E_x)
-    w = pi * np.einsum("mab,xba->xm", model.states, np.stack(povm.elements)).real
+    w = pi * np.einsum("mab,xba->xm", model.states, povm.elements).real
     w[w.sum(axis=1) <= DEAD_OUTCOME_PROB] = pi
     mu = (w @ thetas) / w.sum(axis=1)[:, None]
     P = np.einsum("xm,mjk->xjk", w, Ws)
@@ -161,13 +161,12 @@ def optimal_povm_step(model: StatisticalModel, estimates,
 
 
 def _renormalize(elements) -> Povm:
-    """Exact identity resolution via the inverse square root of the sum."""
-    total = hermitize(sum(elements))
-    w, U = npl.eigh(total)
+    """Exact identity resolution: one congruence by the sum's inverse root."""
+    w, U = npl.eigh(hermitize(np.sum(elements, axis=0)))
     if w[0] <= 0:
         raise ValueError("degenerate measurement: element sum is singular")
     inv_sqrt = (U * w ** -0.5) @ U.conj().T
-    return Povm(tuple(hermitize(inv_sqrt @ E @ inv_sqrt) for E in elements))
+    return Povm(hermitize(inv_sqrt @ elements @ inv_sqrt))
 
 
 def random_povm(d: int, outcomes: int, rng: np.random.Generator) -> Povm:
@@ -176,11 +175,9 @@ def random_povm(d: int, outcomes: int, rng: np.random.Generator) -> Povm:
     Needs at least d outcomes: fewer rank-one elements leave their sum
     singular up to the ridge, too close to renormalize."""
     _require_outcomes(d, outcomes)
-    elems = []
-    for _ in range(outcomes):
-        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        elems.append(np.outer(v, v.conj()) + 1e-8 * np.eye(d))
-    return _renormalize(elems)
+    g = rng.standard_normal((outcomes, 2, d))   # per element: real, then imag
+    v = g[:, 0] + 1j * g[:, 1]
+    return _renormalize(v[:, :, None] * v[:, None, :].conj() + 1e-8 * np.eye(d))
 
 
 def _require_outcomes(d: int, outcomes: int) -> None:
@@ -264,9 +261,8 @@ def rounded_measurement(model: StatisticalModel, X) -> DecisionRisk:
     # distinct X_j do not merge into one degenerate eigenspace
     c = np.sqrt(np.arange(2.0, model.n + 2))
     _, U = npl.eigh(hermitize(np.tensordot(c, X, axes=1)))
-    povm = Povm(tuple(np.outer(U[:, i], U[:, i].conj())
-                      for i in range(model.d)))
-    return posterior_mean_estimator(model, povm)
+    return posterior_mean_estimator(
+        model, Povm(U.T[:, :, None] * U.T[:, None, :].conj()))
 
 
 def ordering_audit(model: StatisticalModel,
@@ -309,9 +305,8 @@ def ordering_audit(model: StatisticalModel,
     if rounded.risk - c_nh > gap_tol * max(1.0, abs(c_nh)):
         # the 1/2 weights cancel in each outcome's posterior mean, so the
         # first measurement update chooses among both starts' estimates
-        seeded = random_povm(model.d, K, np.random.default_rng(seed))
-        blend = Povm(tuple(0.5 * E for E in
-                           rounded.povm.elements + seeded.elements))
+        seeded = random_povm(model.d, K, np.random.default_rng(seed)).elements
+        blend = Povm(0.5 * np.concatenate((rounded.povm.elements, seeded)))
         run = seesaw(model, iters=iters, gap_tol=gap_tol,
                      start=posterior_mean_estimator(model, blend))
         achieved = min(rounded, run, key=lambda r: r.risk)

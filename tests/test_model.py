@@ -1,6 +1,7 @@
 """Unit tests for grid models, moments, the zoo, and the JSON format."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import random_grid_model, random_spd
 from qbayes.model import (
+    BayesMoments,
     GridPoint,
     ModelError,
     StatisticalModel,
@@ -269,3 +271,89 @@ def test_per_point_weight_json_round_trip():
     back = model_from_dict(model_to_dict(model))
     assert back.weight_spec.constant is None
     assert np.allclose(back.weight_spec.per_point, Ws, atol=1e-15)
+
+
+HALF = np.eye(2) / 2
+
+
+def _two_points(n=1, weight=None, score=None):
+    """A model on C^2 with two maximally mixed points at theta = 0 and 1."""
+    pts = (GridPoint(theta=np.zeros(n), weight=0.5, state=HALF),
+           GridPoint(theta=np.ones(n), weight=0.5, state=HALF))
+    return StatisticalModel(n=n, d=2, points=pts, prior_score=score,
+                            weight_spec=weight or WeightSpec(constant=np.eye(n)))
+
+
+def _one_point(n=1, **point):
+    """A one-point model on C^2 built from the GridPoint fields `point`."""
+    fields = {"theta": np.zeros(n), "weight": 1.0, "state": HALF, **point}
+    return StatisticalModel(n=n, d=2, points=(GridPoint(**fields),),
+                            weight_spec=WeightSpec(constant=np.eye(n)))
+
+
+def _edited_file(edit):
+    """The dict form of qubit_z_line(2), which carries drho and score on
+    every point, after edit(data)."""
+    data = model_to_dict(qubit_z_line(2))
+    edit(data)
+    return model_from_dict(data)
+
+
+def _set(path, value):
+    """An edit that sets data[path[0]][path[1]]... to value."""
+    def edit(data):
+        for key in path[:-1]:
+            data = data[key]
+        data[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("build, fragment", [
+    (lambda: _one_point(state=np.eye(3) / 3),
+     "point 0: state shape (3, 3), expected (2, 2)"),
+    (lambda: _two_points(weight=WeightSpec(constant=np.eye(2))),
+     "weight shape (2, 2), expected (1, 1)"),
+    (lambda: _two_points(2, WeightSpec(per_point=[np.eye(2), [[1, 0.5], [0, 1]]])),
+     "weight 1: weight matrix not symmetric"),
+    (lambda: _two_points(2, WeightSpec(per_point=[np.eye(2), np.diag([1.0, -1.0])])),
+     "weight 1: weight matrix not PSD"),
+    (lambda: WeightSpec(constant=np.eye(1), per_point=np.ones((2, 1, 1))),
+     "exactly one of constant/per_point"),
+    (lambda: WeightSpec(), "exactly one of constant/per_point"),
+    (lambda: _one_point(2, theta=[0.0]), "point 0: theta length 1, expected 2"),
+    (lambda: _one_point(state_derivatives=np.zeros((2, 2, 2))),
+     "point 0: derivative shape (2, 2, 2)"),
+    (lambda: _two_points(score=np.zeros((2, 2))),
+     "prior_score shape (2, 2), expected (2, 1)"),
+    (lambda: BayesMoments(S_B=HALF, D_B=np.zeros((1, 2, 2)), M=[[0.0]],
+                          theta_bar=[1.0], w_bar=0.0),
+     "second moment minus mean outer product is not PSD"),
+    (lambda: model_zoo("classical_binary", (1.0,)),
+     "classical_binary takes parameters (a, r)"),
+    (lambda: model_zoo("qubit_xy"), "qubit_xy takes parameters (b[, grid])"),
+    (lambda: model_zoo("random_model", (2, 2)),
+     "random_model takes parameters (n, d, seed)"),
+    (lambda: _edited_file(_set(["points", 0, "rho"], [[0.5, 0.0], [0.0, 0.5]])),
+     "point 0: entries must be [re, im] pairs"),
+    (lambda: _edited_file(_set(["points", 0, "rho"], [[[1.0, 0.0]]])),
+     "point 0: shape (1, 1), expected (2, 2)"),
+    (lambda: _edited_file(_set(["weight"], {})),
+     "'weight' must contain 'constant' or 'per_point'"),
+    (lambda: model_from_dict([]), "model file must contain a JSON object"),
+    (lambda: _edited_file(_set(["points"], [])),
+     "'points' must be a non-empty list"),
+    (lambda: _edited_file(lambda data: data["points"][0]["drho"].append(
+        data["points"][0]["drho"][0])),
+     "point 0: expected 1 derivative matrices"),
+    (lambda: _edited_file(lambda data: data["points"][1].pop("score")),
+     "'score' must be attached to every point or none"),
+], ids=["state-shape", "weight-shape", "weight-not-symmetric",
+        "weight-not-psd", "weight-spec-both-forms", "weight-spec-neither-form",
+        "theta-length", "derivative-shape", "prior-score-shape",
+        "moment-covariance", "zoo-binary-arity", "zoo-qubit-xy-arity",
+        "zoo-random-arity", "json-entries-not-pairs", "json-matrix-shape",
+        "json-weight-form", "json-not-an-object", "json-empty-points",
+        "json-drho-count", "json-partial-scores"])
+def test_model_checks_name_what_is_wrong(build, fragment):
+    with pytest.raises(ModelError, match=re.escape(fragment)):
+        build()

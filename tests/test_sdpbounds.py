@@ -1,5 +1,6 @@
 """Unit tests for the conic Bayes-risk bounds and the comparison functionals."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -501,6 +502,30 @@ def test_f_family_validation():
         appendix_f("f1", ok_terms, X)          # f1 needs a single term
     with pytest.raises(ValueError):
         appendix_f("f9", good, X)
+
+
+NONHERM = [[0.5, 0.4], [0.0, 0.5]]
+
+
+@pytest.mark.parametrize("terms, fragment", [
+    ([(1.0, [[1.0, 0.5], [0.0, 1.0]], NONHERM)],
+     "term 0: matrix deviates from Hermitian by 5.000e-01"),
+    ([(1.0, np.eye(2), NONHERM)],
+     "term 0: matrix deviates from Hermitian by 4.000e-01"),
+    ([(-0.5, np.eye(2), np.eye(2) / 2), (1.5, np.eye(2), np.eye(2) / 2)],
+     "term 0: prior mass -0.5 is not a finite non-negative number"),
+    ([(1.0, np.eye(2), np.eye(2) / 2), (np.inf, np.eye(2), np.eye(2) / 2)],
+     "term 1: prior mass inf is not a finite non-negative number"),
+], ids=["weight-not-symmetric", "state-not-hermitian", "negative-mass",
+        "infinite-mass"])
+def test_appendix_f_rejects_malformed_terms(terms, fragment):
+    """Every functional checks each term before anything else: once each W_j
+    and S_j was replaced by its Hermitian part and a negative pi_j accepted,
+    which at X = 0 gave 0.0 for both malformed sums above."""
+    X = ExtendedOperator(np.zeros((2, 2, 2, 2), dtype=complex))
+    for kind in ("f_sdp", "f1", "f2", "f3", "f4", "f5"):
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            appendix_f(kind, terms, X)
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,18 @@ def test_povm_validation():
     assert povm.dim == 2 and len(povm) == 2
 
 
+def test_povm_is_one_checked_stack():
+    """The elements are kept as one (outcomes, d, d) complex array, checked
+    Hermitian as a stack: the pair below sums to I and its Hermitian parts
+    are PSD, yet E is not Hermitian, so it is no measurement."""
+    E = np.array([[0.5, 0.3], [0.0, 0.5]])
+    with pytest.raises(ValueError, match="deviates from Hermitian"):
+        Povm((E, np.eye(2) - E))
+    povm = Povm([np.eye(2) / 2, np.eye(2) / 2])
+    assert isinstance(povm.elements, np.ndarray)
+    assert povm.elements.shape == (2, 2, 2) and povm.elements.dtype == complex
+
+
 def test_random_povm_is_valid_and_seeded():
     a = random_povm(3, 4, np.random.default_rng(5))
     b = random_povm(3, 4, np.random.default_rng(5))
