@@ -9,9 +9,9 @@ cheaper relaxations.
 """
 import numpy as np
 
-from qbayes.conic import holevo_lemma_sdp_value, holevo_lemma_value, random_lemma_triple
-from qbayes.matcore import ExtendedOperator
-from qbayes.sdpbounds import appendix_f, f_family_pinned_example
+from qbayes.sdpbounds import (appendix_f, f_family_pinned_example,
+                              holevo_lemma_sdp_value, holevo_lemma_value,
+                              random_lemma_triple)
 
 rng = np.random.default_rng(7)
 
@@ -35,14 +35,15 @@ S = G @ G.conj().T
 S = S / np.trace(S).real
 terms = [(1.0, Wt, S)]
 
-blocks = np.empty((n, n, d, d), dtype=complex)
+# X on C^2 (x) C^3 as a (6, 6) array in np.kron order: block (j, k) is
+# X[3j:3j+3, 3k:3k+3]
+X = np.empty((n * d, n * d), dtype=complex)
 for a in range(n):
     H = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    blocks[a, a] = (H + H.conj().T) / 2
+    X[a * d:(a + 1) * d, a * d:(a + 1) * d] = (H + H.conj().T) / 2
 off = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-blocks[0, 1] = off
-blocks[1, 0] = off.conj().T
-X = ExtendedOperator(blocks)
+X[:d, d:] = off
+X[d:, :d] = off.conj().T
 
 for kind in ("f1", "f2", "f3", "f4", "f5", "f_sdp"):
     print(f"  {kind:6s} {appendix_f(kind, terms, X):.8f}")

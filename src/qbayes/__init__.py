@@ -13,9 +13,8 @@ evaluate bounds:
     print(nagaoka_hayashi_bound(em).value)
 """
 
-from .matcore import (ExtendedOperator, NotPsdError, check_hermitian,
-                      hermitize, lyapunov_solve, psd_sqrt, sym_split,
-                      trace_abs, weighted_trace_abs)
+from .matcore import (NotPsdError, check_hermitian, hermitize,
+                      lyapunov_solve, psd_sqrt, trace_abs, weighted_trace_abs)
 from .model import (BayesMoments, CapabilityError, ExtendedMoments, GridPoint,
                     ModelError, StatisticalModel, WeightSpec, build_moments,
                     build_extended_moments, load_model, model_from_dict,
@@ -24,12 +23,13 @@ from .closedform import (RldPackage, SingularInformationError, SldPackage,
                          rld_bound, sld_bound, sld_fisher_point,
                          van_tree_bound)
 from .conic import (ConicProgram, ConicSolution, ProgramError,
-                    SolverFailureError, holevo_lemma_sdp_value,
-                    holevo_lemma_suite, holevo_lemma_value, solve,
-                    solve_or_raise)
+                    SolverFailureError, solve, solve_or_raise)
 from .sdpbounds import (BoundSolution, appendix_f, f_family_pinned_example,
-                        f_family_suite, holevo_type_bound, nagaoka_bound,
-                        nagaoka_hayashi_bound, nagaoka_objective)
+                        f_family_suite, holevo_lemma_sdp_value,
+                        holevo_lemma_suite, holevo_lemma_value,
+                        holevo_type_bound, nagaoka_bound,
+                        nagaoka_hayashi_bound, nagaoka_objective,
+                        random_lemma_triple)
 from .verify import (DecisionRisk, Povm, bayes_risk, optimal_povm_step,
                      ordering_audit, posterior_mean_estimator, random_povm,
                      rounded_measurement, seesaw)
@@ -37,9 +37,8 @@ from .verify import (DecisionRisk, Povm, bayes_risk, optimal_povm_step,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ExtendedOperator", "NotPsdError", "check_hermitian", "hermitize",
-    "lyapunov_solve", "psd_sqrt", "sym_split", "trace_abs",
-    "weighted_trace_abs",
+    "NotPsdError", "check_hermitian", "hermitize", "lyapunov_solve",
+    "psd_sqrt", "trace_abs", "weighted_trace_abs",
     "BayesMoments", "CapabilityError", "ExtendedMoments", "GridPoint",
     "ModelError", "StatisticalModel", "WeightSpec", "build_moments",
     "build_extended_moments", "load_model", "model_from_dict",
@@ -47,11 +46,12 @@ __all__ = [
     "RldPackage", "SingularInformationError", "SldPackage",
     "rld_bound", "sld_bound", "sld_fisher_point", "van_tree_bound",
     "ConicProgram", "ConicSolution", "ProgramError",
-    "SolverFailureError", "holevo_lemma_sdp_value",
-    "holevo_lemma_suite", "holevo_lemma_value", "solve", "solve_or_raise",
+    "SolverFailureError", "solve", "solve_or_raise",
     "BoundSolution", "appendix_f",
-    "f_family_pinned_example", "f_family_suite", "holevo_type_bound",
+    "f_family_pinned_example", "f_family_suite", "holevo_lemma_sdp_value",
+    "holevo_lemma_suite", "holevo_lemma_value", "holevo_type_bound",
     "nagaoka_bound", "nagaoka_hayashi_bound", "nagaoka_objective",
+    "random_lemma_triple",
     "DecisionRisk", "Povm", "bayes_risk", "optimal_povm_step",
     "ordering_audit", "posterior_mean_estimator", "random_povm",
     "rounded_measurement", "seesaw",

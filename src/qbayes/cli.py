@@ -37,11 +37,11 @@ import numpy as np
 
 from .closedform import SingularInformationError, rld_bound, sld_bound, \
     van_tree_bound
-from .conic import GAP_TOL, SolverFailureError, holevo_lemma_sdp_value, \
-    holevo_lemma_suite, holevo_lemma_value
+from .conic import GAP_TOL, SolverFailureError
 from .model import CapabilityError, ModelError, build_extended_moments, \
     build_moments, load_model, model_to_dict, model_zoo
 from .sdpbounds import f_family_pinned_example, f_family_suite, \
+    holevo_lemma_sdp_value, holevo_lemma_suite, holevo_lemma_value, \
     holevo_type_bound, nagaoka_bound, nagaoka_hayashi_bound
 from .verify import MARGIN_TOL, ladder_margins, ordering_audit, seesaw
 

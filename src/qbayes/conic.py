@@ -33,6 +33,13 @@ diag(lam) o M = V, and reuses the affine step's factorization. The accepted
 step goes back as dX = R dX~ R^dag, and dS is read from the dual equation in
 the original coordinates.
 
+The tau pivot c~.c~ + kappa/tau + (b - v1)^T M^-1 (v1 + b), v1 = A~ c~,
+M = A~ A~^T + SCHUR_SHIFT D^-2 as factored, has first and last terms that
+near the optimum are huge, opposite, and can cancel to 0.0. It is summed as
+r.r + SCHUR_SHIFT |w1 / dinv|^2 + b.wb + kappa/tau, with w1 = M^-1 v1 and
+wb = M^-1 b from one two-column substitution and r = c~ - A~^T w1: the same
+value in exact arithmetic, every term >= 0.
+
 A k x k Hermitian block lives in isometric real coordinates (`hvec`): the
 diagonal, then sqrt2 Re and sqrt2 Im of the strict upper triangle, k^2 numbers
 whose dot product is the trace inner product. Constraint rows and the
@@ -60,7 +67,7 @@ from functools import lru_cache
 import numpy as np
 import numpy.linalg as npl
 
-from .matcore import SQRT2, check_hermitian, hermitize, weighted_trace_abs
+from .matcore import SQRT2, check_hermitian, hermitize
 
 GAP_TOL = 1e-8       # relative duality gap at optimality
 FEAS_TOL = 1e-8      # scaled primal residual at optimality
@@ -74,6 +81,7 @@ REFINE_TOL = 1e-12   # reduced residual, relative to its right-hand side, at
                      # which a Newton solve stops refining
 TRI_LEAF = 64        # rows per block of the row scaling, and per diagonal
                      # leaf of the Schur factor that npl.inv inverts
+SCHUR_SHIFT = 1e-14  # added to the unit diagonal of the row-scaled Schur block
 
 
 class ProgramError(ValueError):
@@ -360,9 +368,9 @@ def _corrector(groups, lams, dx: np.ndarray, ds: np.ndarray) -> np.ndarray:
 
 def _schur_factor(A: np.ndarray):
     """The factor (dinv, L, Linv) of the Schur block M = A A^T, with
-    D M D + 1e-14 I = L L^T for D = diag(dinv) and Linv the inverses of the
-    diagonal leaves of L, of at most TRI_LEAF rows each, or None when M is
-    not finite or not numerically positive definite.
+    D M D + SCHUR_SHIFT I = L L^T for D = diag(dinv) and Linv the inverses
+    of the diagonal leaves of L, of at most TRI_LEAF rows each, or None when
+    M is not finite or not numerically positive definite.
 
     D scales the rows of A to unit norm, so D M D has unit diagonal; near a
     degenerate optimum the rows span many orders of magnitude, which would
@@ -374,7 +382,7 @@ def _schur_factor(A: np.ndarray):
     dinv = 1.0 / np.sqrt(np.maximum(M.diagonal(), 1e-300))
     M *= dinv[:, None]
     M *= dinv
-    M[np.diag_indices(len(M))] += 1e-14
+    M[np.diag_indices(len(M))] += SCHUR_SHIFT
     if not np.isfinite(M).all():
         return None
     try:
@@ -389,11 +397,12 @@ def _schur_factor(A: np.ndarray):
 
 def _schur_solve(factor, v: np.ndarray) -> np.ndarray:
     """M^-1 v = D L^-T L^-1 D v for the factor of `_schur_factor`, by
-    forward and backward substitution one leaf of L at a time. The first
-    leaf of each sweep takes no off-diagonal product, so a Schur block of at
-    most TRI_LEAF rows costs two products with its leaf's inverse."""
+    forward and backward substitution one leaf of L at a time, for a vector
+    v or the columns of a (p, m) matrix. The first leaf of each sweep takes
+    no off-diagonal product, so a Schur block of at most TRI_LEAF rows costs
+    two products with its leaf's inverse."""
     dinv, L, Linv = factor
-    r = dinv * v
+    r = (dinv * v.T).T
     y = Linv[0] @ r[:TRI_LEAF]          # L y = r, leaf by leaf
     for j in range(1, len(Linv)):
         lo, hi = j * TRI_LEAF, (j + 1) * TRI_LEAF
@@ -402,7 +411,7 @@ def _schur_solve(factor, v: np.ndarray) -> np.ndarray:
     for j in range(len(Linv) - 2, -1, -1):
         lo, hi = j * TRI_LEAF, (j + 1) * TRI_LEAF
         z = np.concatenate([Linv[j].T @ (y[lo:hi] - L[hi:, lo:hi].T @ z), z])
-    return dinv * z
+    return (dinv * z.T).T
 
 
 def solve(program: ConicProgram, gap_tol: float = GAP_TOL) -> ConicSolution:
@@ -520,10 +529,14 @@ def solve(program: ConicProgram, gap_tol: float = GAP_TOL) -> ConicSolution:
             return failure(it)
 
         # the tau row and column by a scalar Schur complement: with
-        # u = M^-1 (v1 + b), dtau is one division and dy = M^-1 g + u dtau
+        # u = M^-1 (v1 + b), dtau is one division and dy = M^-1 g + u dtau;
+        # the pivot is summed from terms >= 0 (module docstring)
         row = b - v1
-        u = _schur_solve(factor, v1 + b)
-        den = float(c_sc @ c_sc) + kappa / tau + float(row @ u)
+        w1, wb = _schur_solve(factor, np.stack([v1, b], axis=1)).T
+        u = w1 + wb
+        r = c_sc - A_sc.T @ w1
+        den = (float(r @ r) + SCHUR_SHIFT * float(np.sum((w1 / factor[0]) ** 2))
+               + float(b @ wb) + kappa / tau)
 
         def reduced_solve(g, h):
             z = _schur_solve(factor, g)
@@ -613,81 +626,3 @@ def solve_or_raise(program: ConicProgram, gap_tol: float = GAP_TOL,
         raise SolverFailureError(f"{what} ended with status {sol.status}", sol)
     return sol
 
-
-# ---------------------------------------------------------------------------
-# The weighted trace-norm identity and its SDP twin
-# ---------------------------------------------------------------------------
-
-def holevo_lemma_value(W: np.ndarray, A: np.ndarray, B: np.ndarray) -> float:
-    """Closed form Tr(W A) + TrAbs(W B), W symmetric > 0, A symmetric, B antisymmetric.
-
-    Equals min{Tr(W V) : V real symmetric, V >= A + iB}; the agreement is a
-    property test against holevo_lemma_sdp_value. The trace-norm term is
-    `weighted_trace_abs(W, B)`, the eigenvalues of the antisymmetric
-    congruence F^dag B F with W = F F^dag, which never forms a non-normal
-    eigenproblem. W > 0 is required, as the lemma is stated: for a singular
-    W the minimum is an infimum that no V attains (W = diag(1, 0), B != 0),
-    while Tr(W V) >= the closed form still holds for every PSD W.
-    """
-    W = np.asarray(W, dtype=float)
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if npl.eigvalsh((W + W.T) / 2)[0] <= 0:
-        raise ValueError("weight matrix must be strictly positive")
-    return float(np.trace(W @ A)) + weighted_trace_abs(W, B)
-
-
-def holevo_lemma_sdp_value(W: np.ndarray, A: np.ndarray, B: np.ndarray,
-                           gap_tol: float = GAP_TOL) -> ConicSolution:
-    """min Tr(W V) over real symmetric V >= A + iB, as one Hermitian-block SDP.
-
-    The variable is Z = V - A - iB >= 0; realness of V pins the imaginary
-    hvec coordinates of Z to those of -iB, and the objective is
-    <W, Z> + Tr(W A).
-    """
-    W = np.asarray(W, dtype=float)
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    k = W.shape[0]
-    prog = ConicProgram()
-    z = prog.add_psd_block(k)
-    im = slice(k * (k + 1) // 2, k * k)
-    prog.add_eq({z: hvec_basis(k)[im]}, rhs=hvec(-1j * B)[im])
-    prog.set_objective({z: W}, offset=float(np.trace(W @ A)))
-    return solve(prog, gap_tol)
-
-
-def random_lemma_triple(rng: np.random.Generator, k: int):
-    """Random (W, A, B): W symmetric > 0, A symmetric, B antisymmetric."""
-    G = rng.standard_normal((k, k))
-    W = G @ G.T + k * np.eye(k) * 0.1
-    A0 = rng.standard_normal((k, k))
-    A = (A0 + A0.T) / 2
-    B0 = rng.standard_normal((k, k))
-    B = (B0 - B0.T) / 2
-    return W, A, B
-
-
-def holevo_lemma_suite(trials: int = 50, seed: int = 0,
-                       gap_tol: float = GAP_TOL) -> list[dict]:
-    """Closed form vs SDP on random triples of sizes 2, 3, 4 in turn; one
-    result dict per trial.
-
-    Each dict carries both values, their absolute difference, and the solve
-    status; CLI `lemmas` and the acceptance run both consume this.
-    """
-    rng = np.random.default_rng(seed)
-    out = []
-    for t in range(trials):
-        k = 2 + t % 3
-        W, A, B = random_lemma_triple(rng, k)
-        closed = holevo_lemma_value(W, A, B)
-        sol = holevo_lemma_sdp_value(W, A, B, gap_tol)
-        out.append({
-            "trial": t, "dim": k,
-            "closed_form": closed,
-            "sdp_value": sol.primal_value,
-            "abs_diff": abs(closed - sol.primal_value),
-            "status": sol.status,
-        })
-    return out

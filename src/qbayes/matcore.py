@@ -1,5 +1,8 @@
 """Dense complex linear algebra for block operators on C^n (x) H.
 
+An operator on C^n (x) H is a plain (nd, nd) complex array in np.kron
+order: block (j, k) is X[j*d:(j+1)*d, k*d:(k+1)*d].
+
 Everything routes through the Hermitian eigendecomposition: square roots,
 Lyapunov solves and trace norms are eigenbasis computations, so their
 numerical behaviour is consistent and easy to audit. A singular PSD state or
@@ -10,8 +13,6 @@ perturbed. All functions are pure; inputs are never mutated.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import numpy.linalg as npl
@@ -37,7 +38,7 @@ def hermitize(A: np.ndarray) -> np.ndarray:
 def check_hermitian(A: np.ndarray) -> np.ndarray:
     """Symmetrize A, raising if it has a non-finite entry or deviates from
     Hermitian by more than HERM_TOL (relative to max(1, |A|)); a stack is
-    checked matrix by matrix."""
+    checked matrix by matrix, and the message names the first bad one."""
     A = np.asarray(A, dtype=complex)
     if not np.isfinite(A).all():
         raise ValueError("matrix has non-finite entries")
@@ -45,7 +46,10 @@ def check_hermitian(A: np.ndarray) -> np.ndarray:
         dev = np.abs(A - A.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
         bad = dev > HERM_TOL * np.maximum(1.0, np.abs(A).max(axis=(-2, -1)))
         if np.any(bad):
-            raise ValueError(f"matrix deviates from Hermitian by {np.max(dev):.3e}")
+            i = int(np.argmax(bad))
+            where = f"stack element {i}: " if A.ndim > 2 else ""
+            raise ValueError(f"{where}matrix deviates from Hermitian by "
+                             f"{dev.flat[i]:.3e}")
     return hermitize(A)
 
 
@@ -127,61 +131,3 @@ def weighted_trace_abs(S: np.ndarray, B: np.ndarray) -> float:
     F = support_factor(S)
     return trace_abs(F.conj().T @ np.asarray(B, dtype=complex) @ F)
 
-
-@dataclass(frozen=True)
-class ExtendedOperator:
-    """Operator on C^n (x) H stored as an (n, n) grid of (d, d) blocks."""
-
-    blocks: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.blocks, dtype=complex)
-        if b.ndim != 4 or b.shape[0] != b.shape[1] or b.shape[2] != b.shape[3]:
-            raise ValueError(f"expected an (n, n, d, d) block grid, got {b.shape}")
-        if not np.all(np.isfinite(b)):
-            raise ValueError("non-finite entries in block grid")
-        object.__setattr__(self, "blocks", b)
-
-    @property
-    def nblocks(self) -> int:
-        return self.blocks.shape[0]
-
-    @property
-    def blockdim(self) -> int:
-        return self.blocks.shape[2]
-
-    def full(self) -> np.ndarray:
-        """The (n d, n d) matrix with blocks[j, k] at block position (j, k)."""
-        n, d = self.nblocks, self.blockdim
-        return self.blocks.transpose(0, 2, 1, 3).reshape(n * d, n * d)
-
-    @classmethod
-    def from_full(cls, M: np.ndarray, n: int, d: int) -> "ExtendedOperator":
-        M = np.asarray(M, dtype=complex)
-        if M.shape != (n * d, n * d):
-            raise ValueError(f"expected shape {(n * d, n * d)}, got {M.shape}")
-        return cls(M.reshape(n, d, n, d).transpose(0, 2, 1, 3))
-
-    def is_hermitian(self) -> bool:
-        M = self.full()
-        scale = max(1.0, float(np.abs(M).max()))
-        return bool(np.abs(M - M.conj().T).max() <= HERM_TOL * scale)
-
-    def is_block_symmetric(self, tol: float = HERM_TOL) -> bool:
-        dev = np.abs(self.blocks - self.blocks.transpose(1, 0, 2, 3)).max()
-        scale = max(1.0, float(np.abs(self.blocks).max()))
-        return bool(dev <= tol * scale)
-
-
-def sym_split(A: ExtendedOperator) -> tuple[ExtendedOperator, ExtendedOperator]:
-    """Split A into its block-symmetric and block-antisymmetric parts.
-
-    minus = (A - A^T1) / 2 is exactly block-antisymmetric (floating-point
-    subtraction is sign-symmetric); plus = A - minus, so plus + minus
-    reproduces A exactly whenever the subtraction incurs no rounding
-    (always on dyadic inputs, and to machine precision otherwise).
-    """
-    t1 = A.blocks.transpose(1, 0, 2, 3)
-    minus = (A.blocks - t1) * 0.5
-    plus = A.blocks - minus
-    return ExtendedOperator(plus), ExtendedOperator(minus)

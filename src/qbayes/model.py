@@ -16,8 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import numpy.linalg as npl
 
-from .matcore import (HERM_TOL, PSD_CLAMP, ExtendedOperator, check_hermitian,
-                      hermitize)
+from .matcore import HERM_TOL, PSD_CLAMP, check_hermitian, hermitize
 
 WEIGHT_SUM_TOL = 1e-12
 DENSITY_EIG_TOL = 1e-12
@@ -243,14 +242,14 @@ class BayesMoments:
 class ExtendedMoments:
     """Weight-folded moments on C^n (x) H.
 
-    S_bar = sum pi_m W(theta_m) (x) S_m, D_bar[j] = sum pi_m sum_k
-    W_jk(theta_m) theta_mk S_m. Beyond those, the per-point data (pi, states,
-    weight_spec) is kept: the two-parameter commutator bound and the
-    per-point Holevo program need it and it cannot be recovered from the
-    averaged operators.
+    S_bar = sum pi_m W(theta_m) (x) S_m, an (nd, nd) array in np.kron
+    order, D_bar[j] = sum pi_m sum_k W_jk(theta_m) theta_mk S_m. Beyond
+    those, the per-point data (pi, states, weight_spec) is kept: the
+    two-parameter commutator bound and the per-point Holevo program need it
+    and it cannot be recovered from the averaged operators.
     """
 
-    S_bar: ExtendedOperator
+    S_bar: np.ndarray                       # (nd, nd)
     D_bar: np.ndarray                       # (n, d, d)
     w_bar: float
     pi: np.ndarray                          # (m,)
@@ -259,11 +258,11 @@ class ExtendedMoments:
 
     @property
     def n(self) -> int:
-        return self.S_bar.nblocks
+        return self.D_bar.shape[0]
 
     @property
     def d(self) -> int:
-        return self.S_bar.blockdim
+        return self.D_bar.shape[1]
 
     @property
     def constant_W(self) -> np.ndarray | None:
@@ -301,10 +300,10 @@ def build_extended_moments(model: StatisticalModel) -> ExtendedMoments:
     """
     piW, w_bar = _fold(model)
     states = model.states
-    S_bar = np.einsum("mjk,mab->jkab", piW, states)
+    S_bar = np.einsum("mjk,mab->jkab", piW, states).transpose(0, 2, 1, 3)
     D_bar = np.einsum("mjk,mk,mab->jab", piW, model.thetas, states)
     return ExtendedMoments(
-        S_bar=ExtendedOperator(S_bar), D_bar=D_bar, w_bar=w_bar,
+        S_bar=S_bar.reshape(model.n * model.d, -1), D_bar=D_bar, w_bar=w_bar,
         pi=model.pi, states=states, weight_spec=model.weight_spec)
 
 

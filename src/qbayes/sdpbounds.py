@@ -13,8 +13,9 @@ the state supports. Each returns a `BoundSolution`: its value, the optimal
 estimator observables read from G, and the solve's diagnostics, whose
 `variable_values[0]` is G itself. The `appendix_f`
 family exposes the chain of comparison functionals between these programs
-on raw operator pairs; `f_family_suite` exercises the chain on random tensor
-instances and is shared by the CLI and the acceptance tests.
+on raw operator pairs, (nd, nd) arrays in np.kron order; `f_family_suite`
+exercises the chain on random tensor instances and is shared by the CLI and
+the acceptance tests. Holevo's lemma is that family at d = 1.
 
 All programs are assembled for the conic layer; bound computations are pure
 and independent, so distinct grid points and distinct bounds may be evaluated
@@ -29,16 +30,16 @@ import numpy as np
 import numpy.linalg as npl
 
 from .conic import (GAP_TOL, ConicProgram, ConicSolution, SolverFailureError,
-                    hvec, hvec_basis, solve_or_raise)
-from .matcore import (ExtendedOperator, check_hermitian, hermitize, psd_sqrt,
-                      support_factor, sym_split, trace_abs, weighted_trace_abs)
+                    hvec, hvec_basis, solve, solve_or_raise)
+from .matcore import (check_hermitian, hermitize, psd_sqrt, support_factor,
+                      trace_abs, weighted_trace_abs)
 from .model import CapabilityError, ExtendedMoments
 
 __all__ = [
-    "BoundSolution", "SolverFailureError",
-    "nagaoka_hayashi_bound", "holevo_type_bound",
-    "nagaoka_objective", "nagaoka_bound",
-    "appendix_f", "f_family_suite", "f_family_pinned_example",
+    "BoundSolution", "SolverFailureError", "nagaoka_hayashi_bound",
+    "holevo_type_bound", "nagaoka_objective", "nagaoka_bound", "appendix_f",
+    "f_family_suite", "f_family_pinned_example", "holevo_lemma_value",
+    "holevo_lemma_sdp_value", "random_lemma_triple", "holevo_lemma_suite",
 ]
 
 
@@ -102,7 +103,7 @@ def _objective(em: ExtendedMoments) -> np.ndarray:
     [X^+, I]] with Hermitian X_j: the objective of every rung on
     `_estimator_block`, w_bar apart."""
     D = np.asarray(em.D_bar).reshape(em.n * em.d, em.d)
-    return np.block([[em.S_bar.full(), -D],
+    return np.block([[em.S_bar, -D],
                      [-D.conj().T, np.zeros((em.d, em.d))]])
 
 
@@ -309,43 +310,80 @@ def nagaoka_bound_search(em: ExtendedMoments, *, restarts: int = 4,
 _F_KINDS = ("f_sdp", "f1", "f2", "f3", "f4", "f5")
 
 
-def _dominating_value(Sfull: np.ndarray, X: ExtendedOperator,
-                      gap_tol: float) -> float:
-    """min Tr(S L) over block-symmetric Hermitian-block L >= X.
+def _dominating_program(Sfull: np.ndarray, X: np.ndarray,
+                        n: int) -> ConicProgram:
+    """The program min Tr(S L) over block-symmetric Hermitian-block L >= X,
+    for Hermitian (nd, nd) S and X of n blocks.
 
     The variable is the slack T = L - X >= 0; block symmetry of L becomes
     T_jk - T_jk^+ = X_kj - X_jk on every upper block pair.
     """
-    n, d = X.nblocks, X.blockdim
-    nd = n * d
-    Xb = X.blocks
+    nd = len(X)
+    d = nd // n
+    Xb = X.reshape(n, d, n, d)
     prog = ConicProgram()
     t = prog.add_psd_block(nd)
     for j in range(n):
         for k in range(j + 1, n):
-            _hermitian_offblock_rows(prog, t, nd, j * d, k * d, Xb[k, j] - Xb[j, k])
-    offset = float(np.real(np.trace(Sfull @ X.full())))
+            _hermitian_offblock_rows(prog, t, nd, j * d, k * d,
+                                     Xb[k, :, j] - Xb[j, :, k])
+    offset = float(np.real(np.trace(Sfull @ X)))
     prog.set_objective({t: hermitize(Sfull)}, offset=offset)
-    sol = solve_or_raise(prog, gap_tol, what="block-symmetric dominating program")
-    return sol.primal_value
+    return prog
 
 
-def _z_matrix(sq_full: np.ndarray, X_full: np.ndarray, n: int, d: int) -> np.ndarray:
-    """Z = Tr_H(sqrt(S) X sqrt(S)) as an n x n Hermitian matrix."""
-    Y = sq_full @ X_full @ sq_full
-    Z = np.trace(Y.reshape(n, d, n, d), axis1=1, axis2=3)
-    return (Z + Z.conj().T) / 2
+def _hermitian(name: str, M) -> np.ndarray:
+    """check_hermitian(M), its ValueError prefixed with the name of M."""
+    try:
+        return check_hermitian(M)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
-def appendix_f(kind: str, S_terms, X: ExtendedOperator,
-               gap_tol: float = GAP_TOL) -> float:
+def _checked(S_terms, X) -> tuple:
+    """(terms, S, X, n, d): the terms (pi_j, W_j, S_j) and X checked as
+    `appendix_f` states, and the aggregate S = sum_j pi_j W_j (x) S_j."""
+    S_terms = list(S_terms)
+    if not S_terms:
+        raise ValueError("S_terms is empty")
+    n, d = (np.atleast_1d(M).shape[0] for M in S_terms[0][1:])
+    terms = []
+    for j, (pi_j, W_j, S_j) in enumerate(S_terms):
+        W, S = np.asarray(W_j, dtype=float), np.asarray(S_j, dtype=complex)
+        if W.shape != (n, n) or S.shape != (d, d):
+            raise ValueError(f"term {j}: W_{j} is {W.shape} and S_{j} {S.shape}, "
+                             f"not ({n}, {n}) and ({d}, {d}) as in term 0")
+        pi = float(pi_j)
+        if not (np.isfinite(pi) and pi >= 0):
+            raise ValueError(f"term {j}: prior mass {pi_j!r} is not a finite "
+                             "non-negative number")
+        terms.append((pi, _hermitian(f"W_{j}", W).real,
+                      _hermitian(f"S_{j}", S)))
+    X = np.asarray(X, dtype=complex)
+    if X.shape != (n * d, n * d):
+        raise ValueError(f"X is {X.shape}, not {(n * d, n * d)} for {n} "
+                         f"blocks of dimension {d}")
+    X = _hermitian("X", X)
+
+    Sfull = np.zeros((n * d, n * d), dtype=complex)
+    for pi_j, W, S in terms:
+        Sfull += pi_j * np.kron(W, S)
+    ww = npl.eigvalsh(hermitize(Sfull))
+    if ww[0] <= 1e-10 * max(1.0, abs(ww[-1])):
+        raise ValueError(f"aggregate operator not strictly positive "
+                         f"(min eigenvalue {ww[0]:.3e})")
+    return terms, Sfull, X, n, d
+
+
+def appendix_f(kind: str, S_terms, X, gap_tol: float = GAP_TOL) -> float:
     """Evaluate one member of the comparison-functional family.
 
-    S_terms is a list of (pi_j, W_j, S_j) with aggregate operator
-    S = sum_j pi_j W_j (x) S_j, which must be strictly positive; each pi_j
-    must be finite and non-negative and each W_j and S_j Hermitian
-    (`check_hermitian`), else a ValueError names the term. X is a Hermitian
-    block operator on the same space.
+    S_terms is a list of (pi_j, W_j, S_j), W_j n x n and S_j d x d, with
+    aggregate operator S = sum_j pi_j W_j (x) S_j, which must be strictly
+    positive; each pi_j must be finite and non-negative and each W_j and S_j
+    Hermitian (`check_hermitian`). X is a Hermitian (nd, nd) array in
+    np.kron order, its block (j, k) X[j*d:(j+1)*d, k*d:(k+1)*d]. Anything
+    else is a ValueError that names the term, W_j, S_j or X.
 
       f_sdp -- min Tr(S L), L block-symmetric Hermitian blocks, L >= X (SDP)
       f1    -- n = 2, single term: Tr(S sym_plus X)
@@ -358,81 +396,41 @@ def appendix_f(kind: str, S_terms, X: ExtendedOperator,
                + sum_j pi_j sqrt(det W_j) TrAbs(S_j(X_12 - X_21))
       f5    -- Tr(S sym_plus X) + sum_j pi_j TrAbs(Im Z(W_j (x) S_j, X))
 
-    f1 and f2 are f4 and f5 restricted to a single tensor term, and are
-    computed as such: for block-symmetric S, Tr(S sym_plus X) = Tr Re Z(S, X),
-    and Z is linear in S. On valid inputs f_sdp >= f3 >= f4 (n = 2), f_sdp >= f5, and for a
+    sym_minus X = (X - X^T1)/2 is the block-antisymmetric part, X^T1 the
+    block transpose, and sym_plus X = X - sym_minus X. f1 and f2 are f4 and
+    f5 restricted to a single tensor term, and are computed as such: for
+    block-symmetric S, Tr(S sym_plus X) = Tr Re Z(S, X), and Z is linear in
+    S. On valid inputs f_sdp >= f3 >= f4 (n = 2), f_sdp >= f5, and for a
     single tensor term f_sdp >= f2 and f_sdp = f1.
     """
     if kind not in _F_KINDS:
         raise ValueError(f"unknown functional {kind!r}; choose from {_F_KINDS}")
-    if not isinstance(X, ExtendedOperator):
-        raise ValueError("X must be an ExtendedOperator")
-    if not X.is_hermitian():
-        raise ValueError("X must be Hermitian as a full block matrix")
-    n, d = X.nblocks, X.blockdim
-
-    terms = []
-    for j, (pi_j, W_j, S_j) in enumerate(S_terms):
-        W = np.asarray(W_j, dtype=float)
-        S = np.asarray(S_j, dtype=complex)
-        if W.shape != (n, n) or S.shape != (d, d):
-            raise ValueError(f"term {j}: dimension mismatch: weight {W.shape} "
-                             f"/ state {S.shape} against {n} blocks of dim {d}")
-        pi = float(pi_j)
-        if not (np.isfinite(pi) and pi >= 0):
-            raise ValueError(f"term {j}: prior mass {pi_j!r} is not a finite "
-                             "non-negative number")
-        try:
-            terms.append((pi, check_hermitian(W).real, check_hermitian(S)))
-        except ValueError as exc:
-            raise ValueError(f"term {j}: {exc}") from None
-    if not terms:
-        raise ValueError("S_terms is empty")
-
-    Sfull = np.zeros((n * d, n * d), dtype=complex)
-    for pi_j, W, S in terms:
-        Sfull += pi_j * np.kron(W, S)
-    ww = npl.eigvalsh(hermitize(Sfull))
-    if ww[0] <= 1e-10 * max(1.0, abs(ww[-1])):
-        raise ValueError(f"aggregate operator not strictly positive "
-                         f"(min eigenvalue {ww[0]:.3e})")
-
+    terms, Sfull, X, n, d = _checked(S_terms, X)
     if kind == "f_sdp":
-        return _dominating_value(Sfull, X, gap_tol)
-
-    plus_op, minus_op = sym_split(X)
-    sym_plus_term = float(np.real(np.trace(Sfull @ plus_op.full())))
-
+        return solve_or_raise(_dominating_program(Sfull, X, n), gap_tol,
+                              what="block-symmetric dominating program").primal_value
     if kind in ("f1", "f2") and len(terms) != 1:
         raise ValueError(f"{kind} needs a single tensor term")
     if kind in ("f1", "f4") and n != 2:
         raise ValueError(f"{kind} needs exactly two blocks")
 
-    if kind == "f3":
-        minus_full = minus_op.full()
-        total = sym_plus_term
-        for pi_j, W, S in terms:
-            sq = psd_sqrt(hermitize(np.kron(W, S)))
-            K = ExtendedOperator.from_full(hermitize(sq @ minus_full @ sq), n, d)
-            total += pi_j * _dominating_value(np.eye(n * d, dtype=complex), K,
-                                              gap_tol)
-        return total
-
-    if kind in ("f1", "f4"):
-        diff = X.blocks[0, 1] - X.blocks[1, 0]
-        total = sym_plus_term
-        for pi_j, W, S in terms:
-            detw = max(float(npl.det(W)), 0.0)
-            total += pi_j * np.sqrt(detw) * weighted_trace_abs(S, diff)
-        return total
-
-    # f2, f5
-    Xfull = X.full()
-    total = sym_plus_term
+    Xb = X.reshape(n, d, n, d)
+    minus = (X - Xb.transpose(2, 1, 0, 3).reshape(n * d, n * d)) * 0.5
+    total = float(np.real(np.trace(Sfull @ (X - minus))))
     for pi_j, W, S in terms:
-        sq = psd_sqrt(hermitize(np.kron(W, S)))
-        Z = _z_matrix(sq, Xfull, n, d)
-        total += pi_j * trace_abs(Z.imag)
+        if kind in ("f1", "f4"):
+            detw = max(float(npl.det(W)), 0.0)
+            total += pi_j * np.sqrt(detw) * weighted_trace_abs(
+                S, Xb[0, :, 1] - Xb[1, :, 0])
+        else:
+            sq = psd_sqrt(hermitize(np.kron(W, S)))
+            if kind == "f3":   # f_sdp of K on the identity I_n (x) I_d
+                K = hermitize(sq @ minus @ sq)
+                total += pi_j * appendix_f("f_sdp", [(1.0, np.eye(n), np.eye(d))],
+                                           K, gap_tol)
+            else:   # f2, f5: Z = Tr_H(sqrt(S) X sqrt(S)), n x n Hermitian
+                Z = np.trace((sq @ X @ sq).reshape(n, d, n, d), axis1=1, axis2=3)
+                total += pi_j * trace_abs(hermitize(Z).imag)
     return total
 
 
@@ -442,11 +440,7 @@ def f_family_pinned_example(gap_tol: float = GAP_TOL) -> dict:
     S = I_2 (x) I_2/2 and X with off-diagonal blocks +-i sigma_z; the
     sym_plus term vanishes and the trace-norm term gives 2.
     """
-    sz = np.diag([1.0, -1.0]).astype(complex)
-    blocks = np.zeros((2, 2, 2, 2), dtype=complex)
-    blocks[0, 1] = 1j * sz
-    blocks[1, 0] = -1j * sz
-    X = ExtendedOperator(blocks=blocks)
+    X = np.kron([[0, 1j], [-1j, 0]], np.diag([1.0, -1.0]))
     terms = [(1.0, np.eye(2), np.eye(2, dtype=complex) / 2)]
     fs = appendix_f("f_sdp", terms, X, gap_tol)
     f1 = appendix_f("f1", terms, X, gap_tol)
@@ -469,7 +463,7 @@ def f_family_suite(trials: int = 100, seed: int = 0,
         S = H @ H.conj().T + 0.2 * np.eye(d)
         S = S / np.trace(S).real
         M = rng.standard_normal((2 * d, 2 * d)) + 1j * rng.standard_normal((2 * d, 2 * d))
-        X = ExtendedOperator.from_full(hermitize(M), 2, d)
+        X = hermitize(M)
         terms = [(1.0, W, S)]
         vals = {kind: appendix_f(kind, terms, X, gap_tol) for kind in _F_KINDS}
         results.append({
@@ -481,3 +475,68 @@ def f_family_suite(trials: int = 100, seed: int = 0,
             "margin_sdp_f2": vals["f_sdp"] - vals["f2"],
         })
     return results
+
+
+# ---------------------------------------------------------------------------
+# Holevo's lemma: appendix F at d = 1
+# ---------------------------------------------------------------------------
+
+def _lemma_instance(W, A, B) -> tuple:
+    """The single term (1, W, [[1]]) and X = A + iB, an n x n matrix."""
+    X = np.asarray(A, dtype=float) + 1j * np.asarray(B, dtype=float)
+    return [(1.0, W, [[1.0]])], X
+
+
+def holevo_lemma_value(W: np.ndarray, A: np.ndarray, B: np.ndarray) -> float:
+    """Closed form Tr(W A) + TrAbs(W B), W symmetric > 0, A symmetric, B antisymmetric.
+
+    Holevo's lemma: it equals min{Tr(W V) : V real symmetric, V >= A + iB},
+    f_sdp of `appendix_f` at d = 1, and is f2 there. Any other triple is a
+    ValueError; for a singular W the minimum is an infimum that no V
+    attains (W = diag(1, 0), B != 0).
+    """
+    return appendix_f("f2", *_lemma_instance(W, A, B))
+
+
+def holevo_lemma_sdp_value(W: np.ndarray, A: np.ndarray, B: np.ndarray,
+                           gap_tol: float = GAP_TOL) -> ConicSolution:
+    """min Tr(W V) over real symmetric V >= A + iB: the solve, whatever its
+    status, of the program f_sdp solves on `holevo_lemma_value`'s instance."""
+    _, Sfull, X, n, _ = _checked(*_lemma_instance(W, A, B))
+    return solve(_dominating_program(Sfull, X, n), gap_tol)
+
+
+def random_lemma_triple(rng: np.random.Generator, k: int):
+    """Random (W, A, B): W symmetric > 0, A symmetric, B antisymmetric."""
+    G = rng.standard_normal((k, k))
+    W = G @ G.T + k * np.eye(k) * 0.1
+    A0 = rng.standard_normal((k, k))
+    A = (A0 + A0.T) / 2
+    B0 = rng.standard_normal((k, k))
+    B = (B0 - B0.T) / 2
+    return W, A, B
+
+
+def holevo_lemma_suite(trials: int = 50, seed: int = 0,
+                       gap_tol: float = GAP_TOL) -> list[dict]:
+    """Closed form vs SDP on random triples of sizes 2, 3, 4 in turn; one
+    result dict per trial.
+
+    Each dict carries both values, their absolute difference, and the solve
+    status; CLI `lemmas` and the acceptance run both consume this.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for t in range(trials):
+        k = 2 + t % 3
+        W, A, B = random_lemma_triple(rng, k)
+        closed = holevo_lemma_value(W, A, B)
+        sol = holevo_lemma_sdp_value(W, A, B, gap_tol)
+        out.append({
+            "trial": t, "dim": k,
+            "closed_form": closed,
+            "sdp_value": sol.primal_value,
+            "abs_diff": abs(closed - sol.primal_value),
+            "status": sol.status,
+        })
+    return out

@@ -20,15 +20,7 @@ from helpers import (
 )
 from qbayes import verify
 from qbayes.closedform import rld_bound, sld_bound
-from qbayes.conic import (
-    GAP_TOL,
-    ConicProgram,
-    holevo_lemma_sdp_value,
-    holevo_lemma_value,
-    holevo_lemma_suite,
-    solve,
-)
-from qbayes.matcore import ExtendedOperator
+from qbayes.conic import GAP_TOL, ConicProgram, solve
 from qbayes.model import (
     BayesMoments,
     ExtendedMoments,
@@ -45,6 +37,9 @@ from qbayes.model import (
 from qbayes.sdpbounds import (
     f_family_pinned_example,
     f_family_suite,
+    holevo_lemma_sdp_value,
+    holevo_lemma_suite,
+    holevo_lemma_value,
     holevo_type_bound,
     nagaoka_bound,
     nagaoka_hayashi_bound,
@@ -249,8 +244,7 @@ def test_right_derivative_fixture_is_strictly_tighter():
     assert abs(c_sld - 0.12) <= 1e-6
     assert abs(c_rld - 11.0 / 75.0) <= 1e-6
     W = np.eye(2)
-    blocks = W[:, :, None, None] * mom.S_B[None, None, :, :]
-    em = ExtendedMoments(S_bar=ExtendedOperator(blocks), D_bar=mom.D_B,
+    em = ExtendedMoments(S_bar=np.kron(W, mom.S_B), D_bar=mom.D_B,
                          w_bar=0.2, pi=np.array([1.0]), states=mom.S_B[None],
                          weight_spec=WeightSpec(constant=W))
     assert holevo_type_bound(em).value >= 11.0 / 75.0 - 1e-6

@@ -1,11 +1,13 @@
 """Unit tests for the dense interior-point conic solver."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_hermitian
+from helpers import random_hermitian, random_unitary
 from qbayes import conic
 from qbayes.conic import (
     ConicProgram,
@@ -16,14 +18,19 @@ from qbayes.conic import (
     _schur_factor,
     _schur_solve,
     hmat,
-    holevo_lemma_sdp_value,
-    holevo_lemma_value,
     hvec,
     hvec_basis,
-    random_lemma_triple,
     solve,
     solve_or_raise,
 )
+from qbayes.matcore import hermitize
+from qbayes.model import GridPoint, StatisticalModel, random_model
+from qbayes.sdpbounds import (
+    holevo_lemma_sdp_value,
+    holevo_lemma_value,
+    random_lemma_triple,
+)
+from qbayes.verify import seesaw
 
 
 @given(st.integers(0, 10**6), st.integers(1, 6))
@@ -331,7 +338,8 @@ def test_iteration_cap_returns_the_best_iterate(monkeypatch):
 def test_schur_substitution_matches_the_dense_solve(p):
     """The leaf-by-leaf substitution, on both sides of its TRI_LEAF = 64
     leaf, solves M y = v for the Schur block M = G G^T of rows G that span
-    four orders of magnitude, as the row scaling sees near an optimum."""
+    four orders of magnitude, as the row scaling sees near an optimum; a
+    (p, 2) right-hand side is solved column by column."""
     rng = np.random.default_rng(p)
     G = rng.standard_normal((p, 2 * p)) * np.logspace(-2, 2, p)[:, None]
     M = G @ G.T
@@ -342,6 +350,10 @@ def test_schur_substitution_matches_the_dense_solve(p):
     ref = np.linalg.solve(M, v)
     assert np.abs(y - ref).max() <= 1e-9 * np.abs(ref).max()
     assert np.abs(M @ y - v).max() <= 1e-9 * np.abs(v).max()
+    both = _schur_solve(factor, np.stack([v, -3.0 * v], axis=1))
+    assert both.shape == (p, 2)
+    assert np.allclose(both, np.stack([y, -3.0 * y], axis=1), rtol=1e-12,
+                       atol=1e-12 * np.abs(y).max())
 
 
 def test_failed_schur_factor_returns_the_best_iterate(monkeypatch):
@@ -452,3 +464,45 @@ def test_lemma_identity_on_random_triples():
 def test_lemma_value_requires_a_positive_weight():
     with pytest.raises(ValueError):
         holevo_lemma_value(np.diag([1.0, 0.0]), np.eye(2), np.zeros((2, 2)))
+
+
+SKEW = np.array([[1.0, 0.5], [0.0, 2.0]])   # neither symmetric nor antisymmetric
+
+
+@pytest.mark.parametrize("W, A, B, fragment", [
+    (np.eye(2), SKEW, np.zeros((2, 2)), "X: matrix deviates from Hermitian by 5.000e-01"),
+    (SKEW, np.eye(2), np.zeros((2, 2)), "W_0: matrix deviates from Hermitian by 5.000e-01"),
+    (np.eye(2), np.eye(2), np.triu(SKEW, 1), "X: matrix deviates from Hermitian by 5.000e-01"),
+    (np.eye(2), np.eye(3), np.zeros((3, 3)), "X is (3, 3), not (2, 2)"),
+], ids=["A-not-symmetric", "W-not-symmetric", "B-not-antisymmetric", "size-mismatch"])
+def test_lemma_rejects_malformed_triples(W, A, B, fragment):
+    """Both sides of the lemma check their triple: once a non-symmetric A
+    was read as its trace alone, so A = [[1, .5], [0, 2]] gave 3.0."""
+    for lemma in (holevo_lemma_value, holevo_lemma_sdp_value):
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            lemma(W, A, B)
+
+
+def bench_frame_model(seed: int, d: int) -> StatisticalModel:
+    """random_model(2, d, seed=1, grid=4) in the Haar frame the bounds-ladder
+    benchmark draws for seed: unitaries of sizes 4, 5, 6, 8, 10 from one
+    default_rng(seed) in turn, each state mapped to hermitize(U S U^+)."""
+    rng = np.random.default_rng(seed)
+    U = {k: random_unitary(rng, k) for k in (4, 5, 6, 8, 10)}[d]
+    base = random_model(2, d, seed=1, grid=4)
+    points = tuple(GridPoint(theta=p.theta, weight=p.weight,
+                             state=hermitize(U @ p.state @ U.conj().T))
+                   for p in base.points)
+    return StatisticalModel(n=2, d=d, points=points,
+                            weight_spec=base.weight_spec)
+
+
+@pytest.mark.parametrize("seed, d", [(88, 8), (121, 10), (254, 8), (498, 6)])
+def test_tau_pivot_survives_the_last_step(seed, d):
+    """In these frames a seesaw measurement update reached a step where the
+    tau pivot's two large terms cancelled to 0.0 (1.297e8 against -1.297e8
+    at seed 88), so the step was NaN and the solve failed one step from
+    optimal. Summed from non-negative terms, the pivot keeps every update
+    alive."""
+    run = seesaw(bench_frame_model(seed, d), outcome_count=d, iters=5, seed=0)
+    assert np.isfinite(run.risk)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from helpers import random_density, random_hermitian, random_spd, random_unitary
 from qbayes.matcore import (
-    ExtendedOperator,
     NotPsdError,
     check_hermitian,
     hermitize,
@@ -15,7 +14,6 @@ from qbayes.matcore import (
     psd_sqrt,
     support_eig,
     support_factor,
-    sym_split,
     trace_abs,
     weighted_trace_abs,
 )
@@ -33,6 +31,19 @@ def test_check_hermitian_accepts_and_rejects():
     assert np.allclose(check_hermitian(H), H)
     with pytest.raises(ValueError):
         check_hermitian(H + 1e-3 * np.array([[0, 1j, 0], [0, 0, 0], [0, 0, 0]]))
+
+
+def test_check_hermitian_names_the_bad_stack_element():
+    """A stack is reported by the index of its first non-Hermitian matrix,
+    with that matrix's own deviation; one matrix is reported as before."""
+    E = np.array([[0.5, 0.3], [0.0, 0.5]])
+    stack = np.stack([np.eye(2), E, E + 0.1j * np.eye(2)])
+    with pytest.raises(ValueError, match=r"^stack element 1: matrix deviates "
+                       r"from Hermitian by 3\.000e-01$"):
+        check_hermitian(stack)
+    with pytest.raises(ValueError, match=r"^matrix deviates from Hermitian by "
+                       r"3\.000e-01$"):
+        check_hermitian(E)
 
 
 def test_psd_sqrt_squares_back():
@@ -122,39 +133,6 @@ def test_weighted_trace_abs_is_a_similarity_invariant():
     eig_sum = np.abs(np.linalg.eigvals(S @ A)).sum()
     assert eig_sum > 0.1
     assert abs(weighted_trace_abs(S, A) - eig_sum) < 1e-9
-
-
-@given(st.integers(0, 10**6), st.integers(1, 3), st.integers(2, 4))
-@settings(max_examples=25, deadline=None)
-def test_extended_operator_full_round_trip(seed, n, d):
-    """Block array -> flat matrix -> block array is exact."""
-    rng = np.random.default_rng(seed)
-    blocks = rng.standard_normal((n, n, d, d)) + 1j * rng.standard_normal((n, n, d, d))
-    op = ExtendedOperator(blocks)
-    assert op.nblocks == n and op.blockdim == d
-    back = ExtendedOperator.from_full(op.full(), n, d)
-    assert np.array_equal(back.blocks, blocks)
-
-
-def test_extended_operator_hermitian_and_block_symmetric_flags():
-    rng = np.random.default_rng(6)
-    H = random_hermitian(rng, 6)
-    op = ExtendedOperator.from_full(H, 2, 3)
-    assert op.is_hermitian()
-    # Hermitian as a 6x6 matrix does not imply block symmetry
-    sym, antisym = sym_split(op)
-    assert sym.is_block_symmetric()
-    assert np.allclose(sym.blocks + antisym.blocks, op.blocks)
-    assert np.allclose(antisym.blocks, -antisym.blocks.transpose(1, 0, 2, 3))
-
-
-def test_tensor_product_round_trip_through_full():
-    """W (x) S laid out blockwise matches np.kron."""
-    rng = np.random.default_rng(8)
-    W = random_spd(rng, 2)
-    S = random_density(rng, 3)
-    blocks = W[:, :, None, None] * S[None, None, :, :]
-    assert np.allclose(ExtendedOperator(blocks).full(), np.kron(W, S))
 
 
 @given(st.integers(0, 10**6), st.integers(2, 5))

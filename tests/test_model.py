@@ -113,8 +113,9 @@ def test_extended_moments_tensor_structure_under_identity_weight():
     em = build_extended_moments(model)
     assert em.constant_W is not None
     # with W = I the extended blocks are diag(S_B, S_B) and D_bar = D_B
-    assert np.allclose(em.S_bar.blocks[0, 0], mom.S_B)
-    assert np.allclose(em.S_bar.blocks[0, 1], 0.0)
+    assert em.S_bar.shape == (4, 4)
+    assert np.allclose(em.S_bar[:2, :2], mom.S_B)
+    assert np.allclose(em.S_bar[:2, 2:], 0.0)
     assert np.allclose(em.D_bar, mom.D_B)
     assert abs(em.w_bar - np.trace(mom.M)) < 1e-12
 
@@ -129,7 +130,7 @@ def test_extended_moments_mix_weights_per_point():
     assert em.constant_W is None
     expected = sum(pt.weight * np.kron(Ws[m], pt.state)
                    for m, pt in enumerate(model.points))
-    assert np.allclose(em.S_bar.full(), expected, atol=1e-12)
+    assert np.allclose(em.S_bar, expected, atol=1e-12)
     D_expected = sum(pt.weight * (Ws[m] @ pt.theta)[:, None, None] * pt.state
                      for m, pt in enumerate(model.points))
     assert np.allclose(em.D_bar, D_expected, atol=1e-12)

@@ -20,7 +20,7 @@ from helpers import (
     record_row_counts,
 )
 from qbayes.conic import ConicProgram, solve_or_raise
-from qbayes.matcore import ExtendedOperator, hermitize
+from qbayes.matcore import hermitize
 from qbayes.model import (
     CapabilityError,
     ExtendedMoments,
@@ -53,8 +53,7 @@ SZ = np.diag([1.0, -1.0]).astype(complex)
 
 def tensor_moments(W, S_B, D_bar, M):
     """ExtendedMoments for one grid point at theta = 0 with given averages."""
-    blocks = W[:, :, None, None] * S_B[None, None, :, :]
-    return ExtendedMoments(S_bar=ExtendedOperator(blocks),
+    return ExtendedMoments(S_bar=np.kron(W, S_B),
                            D_bar=np.asarray(D_bar, dtype=complex),
                            w_bar=float(np.trace(W @ M)),
                            pi=np.array([1.0]),
@@ -89,8 +88,8 @@ def test_programs_keep_their_row_counts(monkeypatch):
     nagaoka_hayashi_bound(em)
     rng = np.random.default_rng(46)
     M = rng.standard_normal((n * d, n * d)) + 1j * rng.standard_normal((n * d, n * d))
-    X = ExtendedOperator.from_full(hermitize(M), n, d)
-    appendix_f("f_sdp", [(1.0, random_spd(rng, n), random_density(rng, d))], X)
+    appendix_f("f_sdp", [(1.0, random_spd(rng, n), random_density(rng, d))],
+               hermitize(M))
     assert counts == [(1 + n * (n + 1) // 2) * d * d, n * (n - 1) // 2 * d * d]
 
 
@@ -137,8 +136,9 @@ def test_block_solution_certificates():
     Xcol = np.concatenate([np.asarray(X) for X in sol.Xopt], axis=0)
     gram = Xcol @ Xcol.conj().T
     assert np.linalg.eigvalsh((L + L.conj().T) / 2 - gram)[0] > -1e-7
-    assert ExtendedOperator.from_full(L, em.n, em.d).is_block_symmetric(tol=1e-7)
-    direct = float(np.real(np.trace(em.S_bar.full() @ L)))
+    Lb = L.reshape(em.n, em.d, em.n, em.d)
+    assert np.abs(Lb - Lb.transpose(2, 1, 0, 3)).max() <= 1e-7 * max(1.0, np.abs(L).max())
+    direct = float(np.real(np.trace(em.S_bar @ L)))
     for j in range(em.n):
         direct -= 2.0 * float(np.real(np.trace(em.D_bar[j] @ sol.Xopt[j])))
     direct += em.w_bar
@@ -458,10 +458,7 @@ def test_f_family_pinned_example():
 def test_f_sdp_attains_a_block_symmetric_witness():
     """For block-symmetric X the trivial L = X is optimal: value Tr(S X)."""
     S_terms = [(1.0, np.eye(2), np.eye(2, dtype=complex) / 2)]
-    blocks = np.zeros((2, 2, 2, 2), dtype=complex)
-    blocks[0, 0] = np.eye(2)
-    blocks[1, 1] = 3.0 * np.eye(2)
-    X = ExtendedOperator(blocks)
+    X = np.kron(np.diag([1.0, 3.0]), np.eye(2))
     assert abs(appendix_f("f_sdp", S_terms, X) - 4.0) < 1e-6
 
 
@@ -472,12 +469,11 @@ def test_f_family_chain_on_random_tensors():
         W = random_spd(rng, 2)
         S = random_density(rng, d)
         S_terms = [(1.0, W, S)]
-        blocks = np.empty((2, 2, d, d), dtype=complex)
-        blocks[0, 0] = random_hermitian(rng, d)
-        blocks[1, 1] = random_hermitian(rng, d)
-        blocks[0, 1] = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        blocks[1, 0] = blocks[0, 1].conj().T
-        X = ExtendedOperator(blocks)
+        X = np.empty((2 * d, 2 * d), dtype=complex)
+        X[:d, :d] = random_hermitian(rng, d)
+        X[d:, d:] = random_hermitian(rng, d)
+        X[:d, d:] = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        X[d:, :d] = X[:d, d:].conj().T
         fs = {k: appendix_f(k, S_terms, X) for k in
               ("f_sdp", "f1", "f2", "f3", "f4", "f5")}
         assert abs(fs["f_sdp"] - fs["f1"]) <= 1e-6 * max(1.0, abs(fs["f1"]))
@@ -489,8 +485,7 @@ def test_f_family_chain_on_random_tensors():
 
 def test_f_family_validation():
     S_terms = [(1.0, np.eye(2), np.diag([1.0, 0.0]).astype(complex))]
-    blocks = np.zeros((2, 2, 2, 2), dtype=complex)
-    X = ExtendedOperator(blocks)
+    X = np.zeros((4, 4), dtype=complex)
     with pytest.raises(ValueError):
         appendix_f("f_sdp", S_terms, X)        # singular aggregate
     good = [(1.0, np.eye(3), np.eye(2, dtype=complex) / 2)]
@@ -509,9 +504,9 @@ NONHERM = [[0.5, 0.4], [0.0, 0.5]]
 
 @pytest.mark.parametrize("terms, fragment", [
     ([(1.0, [[1.0, 0.5], [0.0, 1.0]], NONHERM)],
-     "term 0: matrix deviates from Hermitian by 5.000e-01"),
+     "W_0: matrix deviates from Hermitian by 5.000e-01"),
     ([(1.0, np.eye(2), NONHERM)],
-     "term 0: matrix deviates from Hermitian by 4.000e-01"),
+     "S_0: matrix deviates from Hermitian by 4.000e-01"),
     ([(-0.5, np.eye(2), np.eye(2) / 2), (1.5, np.eye(2), np.eye(2) / 2)],
      "term 0: prior mass -0.5 is not a finite non-negative number"),
     ([(1.0, np.eye(2), np.eye(2) / 2), (np.inf, np.eye(2), np.eye(2) / 2)],
@@ -522,10 +517,36 @@ def test_appendix_f_rejects_malformed_terms(terms, fragment):
     """Every functional checks each term before anything else: once each W_j
     and S_j was replaced by its Hermitian part and a negative pi_j accepted,
     which at X = 0 gave 0.0 for both malformed sums above."""
-    X = ExtendedOperator(np.zeros((2, 2, 2, 2), dtype=complex))
+    X = np.zeros((4, 4), dtype=complex)
     for kind in ("f_sdp", "f1", "f2", "f3", "f4", "f5"):
         with pytest.raises(ValueError, match=re.escape(fragment)):
             appendix_f(kind, terms, X)
+
+
+@pytest.mark.parametrize("X, fragment", [
+    (np.zeros((2, 2, 2, 2)), "X is (2, 2, 2, 2), not (4, 4) for 2 blocks of dimension 2"),
+    (np.zeros((6, 6)), "X is (6, 6), not (4, 4) for 2 blocks of dimension 2"),
+    (np.kron([[0.0, 1.0], [0.0, 0.0]], np.eye(2)),
+     "X: matrix deviates from Hermitian by 1.000e+00"),
+    (np.full((4, 4), np.nan), "X: matrix has non-finite entries"),
+], ids=["block-grid", "wrong-size", "not-hermitian", "not-finite"])
+def test_appendix_f_rejects_a_malformed_operator(X, fragment):
+    """X is one Hermitian (nd, nd) array, n and d read from the terms; the
+    old (n, n, d, d) block grid and a non-Hermitian X are refused by name."""
+    terms = [(1.0, np.eye(2), np.eye(2) / 2)]
+    for kind in ("f_sdp", "f1", "f2", "f3", "f4", "f5"):
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            appendix_f(kind, terms, X)
+
+
+def test_appendix_f_reads_blocks_in_kron_order():
+    """Block (j, k) of X is X[j*d:(j+1)*d, k*d:(k+1)*d]: with S = I_2 (x)
+    I_3/3 and X = E_01 (x) K + E_10 (x) K^+, f4 is TrAbs(I/3 (K - K^+))."""
+    K = np.array([[0, 1, 0], [0, 0, 2j], [0, 0, 0]], dtype=complex)
+    X = np.kron([[0, 1], [0, 0]], K) + np.kron([[0, 0], [1, 0]], K.conj().T)
+    expected = np.abs(np.linalg.eigvals(K - K.conj().T)).sum() / 3
+    value = appendix_f("f4", [(1.0, np.eye(2), np.eye(3) / 3)], X)
+    assert abs(value - expected) < 1e-12
 
 
 # ---------------------------------------------------------------------------
