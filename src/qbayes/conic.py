@@ -10,7 +10,8 @@ g_i: the solver's dual vector is y = -z, read from `sol.y`, and
 predictor-corrector method on the homogeneous self-dual embedding with
 Nesterov-Todd scaling, so infeasibility is certified rather than diverged
 on. The Schur system is factored with NumPy alone: a Cholesky factor of the
-row-scaled Schur block, applied by blocked forward and backward substitution
+row-scaled Schur block, formed in place in its own buffer one leaf column of
+TRI_LEAF at a time, applied by blocked forward and backward substitution
 through the inverses of its diagonal leaves, with the tau row and column
 eliminated through a scalar Schur complement. `assemble` lays the
 columns out by block size, so the blocks of one size fill one contiguous run
@@ -20,15 +21,19 @@ call per distinct size.
 Each iteration works in the NT-scaled frame. Per block, with X = L L^dag and
 L^dag S L = U diag(w) U^dag, the factor R = L U diag(w)^-1/4 gives the NT
 scaling W = R R^dag, and R^-1 X R^-dag = R^dag S R = diag(lam), lam = w^1/2.
-The rows of A and c are scaled once per iteration (A~_i = R^dag A_i R),
-the rows TRI_LEAF at a time into one (p, N) buffer allocated once per solve.
+`solve` holds A only as its nonzeros, read once from `assemble`'s dense
+form, which is then dropped: A x, A^T y and A^T dy are sums over them. The
+rows of A and c are scaled once per iteration (A~_i = R^dag A_i R), the
+rows TRI_LEAF at a time into one (p, N) buffer allocated once per solve, and
+the last iteration's Schur factor is released before they are, so A~ and
+one p x p factor are the only arrays of the program's size held at once.
 A row's coefficient on a block touches only the indices S of its nonzero
-rows, found once per solve, so A~_i = R[S]^dag A_i[S, S] R[S] with s rows
-of R in place of k (s = 4 of k = 30 for NH at d = 10); c keeps the k x k
-congruence hvec(R^dag hmat(c) R). The Newton system and the step to the
-cone boundary then see only the diagonal lam. So the corrector, the affine
-step's V = dX~ o dS~ (A o B = (AB + BA)/2), enters the right-hand side
-as M_ij = 2 V_ij / (lam_i + lam_j), the closed-form solution of
+rows, read once per solve from the nonzeros of A, so A~_i = R[S]^dag
+A_i[S, S] R[S] with s rows of R in place of k (s = 4 of k = 30 for NH at
+d = 10); c keeps the k x k congruence hvec(R^dag hmat(c) R). The Newton
+system and the step to the cone boundary then see only the diagonal lam. So
+the corrector, the affine step's V = dX~ o dS~ (A o B = (AB + BA)/2),
+enters the right-hand side as M_ij = 2 V_ij / (lam_i + lam_j), the closed-form solution of
 diag(lam) o M = V, and reuses the affine step's factorization. The accepted
 step goes back as dX = R dX~ R^dag, and dS is read from the dual equation in
 the original coordinates.
@@ -309,34 +314,43 @@ def _congruence(groups, P, v: np.ndarray) -> np.ndarray:
         for (k, cols), Pk in zip(groups, P)], axis=-1)
 
 
-def _row_supports(groups, A: np.ndarray) -> list:
+def _times(nz, v: np.ndarray, size: int) -> np.ndarray:
+    """A v from the nonzeros nz = (i, j, a) of A, or A^T v from (j, i, a):
+    the sum of a v[j] into entry i of a vector of the given size."""
+    i, j, a = nz
+    return np.bincount(i, weights=a * v[j], minlength=size)
+
+
+def _row_supports(groups, nz, p: int) -> list:
     """Per size group, the indices S that each row's coefficient touches on
     each block (its nonzero rows, which are its nonzero columns), padded with
     untouched indices to the group's widest support s >= 1: S as flat rows of
     the group's (K k, k) stack of R, and the (p, K, s, s) coefficients C[S, S].
-    S is read off the nonzero hvec coordinates of TRI_LEAF rows of A at a
-    time, and C[S, S] off A through hmat's maps, so no (p, K, k, k) stack of
-    the coefficients is formed.
+    Both are read off the nonzeros nz = (rows, cols, values) of the p rows of
+    A: a nonzero hvec coordinate sets the entry (a, b) of C and its mirror
+    (b, a), at the places of a and b in S, with hmat's scales.
     """
+    rows, cols, vals = nz
     out = []
-    p = len(A)
-    for k, cols in groups:
-        K = (cols.stop - cols.start) // (k * k)   # from cols: p may be 0
-        vec_idx, _, mat_idx, mat_scale = _gather_maps(k)
+    for k, span in groups:
+        K = (span.stop - span.start) // (k * k)   # from span: p may be 0
+        vec_idx, _, _, mat_scale = _gather_maps(k)
         ends = np.divmod(vec_idx // 2, k)   # the entry (a, b) each coordinate sets
+        inside = (cols >= span.start) & (cols < span.stop)
+        i = rows[inside]
+        blk, coord = np.divmod(cols[inside] - span.start, k * k)
+        a, b = (end[coord] for end in ends)
+        im = vec_idx[coord] % 2             # the real (0) or imaginary (1) part
         touched = np.zeros((p, K, k), dtype=bool)
-        for i in range(0, p, TRI_LEAF):
-            row, col = np.nonzero(A[i:i + TRI_LEAF, cols] != 0)
-            blk, coord = np.divmod(col, k * k)
-            for end in ends:
-                touched[i + row, blk, end[coord]] = True
+        touched[i, blk, a] = touched[i, blk, b] = True
         s = max(1, touched.sum(axis=-1).max(initial=0))
         S = np.argsort(~touched, axis=-1, kind="stable")[..., :s]
-        # re and im of each C[S_a, S_b], from where hmat reads them
-        at = 2 * (k * S[..., :, None] + S[..., None, :])[..., None] + np.arange(2)
-        CS = A[np.arange(p)[:, None, None, None, None],
-               cols.start + k * k * np.arange(K)[:, None, None, None] + mat_idx[at]]
-        CS *= mat_scale[at]
+        place = np.cumsum(touched, axis=-1) - 1     # of each touched index in S
+        pa, pb = place[i, blk, a], place[i, blk, b]
+        v = vals[inside] * mat_scale[vec_idx[coord]]
+        CS = np.zeros((p, K, s, s, 2))      # re and im of each C[S_a, S_b]
+        CS[i, blk, pa, pb, im] = v
+        CS[i, blk, pb, pa, im] = np.where(im, -v, v)
         out.append((S + k * np.arange(K)[:, None], CS.view(complex)[..., 0]))
     return out
 
@@ -370,29 +384,48 @@ def _schur_factor(A: np.ndarray):
     """The factor (dinv, L, Linv) of the Schur block M = A A^T, with
     D M D + SCHUR_SHIFT I = L L^T for D = diag(dinv) and Linv the inverses
     of the diagonal leaves of L, of at most TRI_LEAF rows each, or None when
-    M is not finite or not numerically positive definite.
+    a row of A is not finite (its squared norm included) or M is not
+    numerically positive definite.
 
     D scales the rows of A to unit norm, so D M D has unit diagonal; near a
     degenerate optimum the rows span many orders of magnitude, which would
     starve the small pivots. The tiny shift, which lets dependent rows
-    factor, is corrected by the refinement in the Newton solve. M is dropped
-    once it is factored; `_schur_solve` applies its inverse.
+    factor, is corrected by the refinement in the Newton solve.
+
+    L is formed in place: D M D + SCHUR_SHIFT I is written into L's own
+    buffer by one product and factored there one leaf column at a time,
+    left-looking, so no second p x p array is held. Leaf j's column lo:hi,
+    from row lo down, less L[lo:, :lo] L[lo:hi, :lo]^T from the columns
+    already factored, has its top leaf factored by cholesky and inverted,
+    and through that inverse the rest becomes L[hi:, lo:hi]; the rest of
+    the leaf's rows, M's upper triangle, is zeroed. `_schur_solve` applies
+    M^-1.
     """
-    M = A @ A.T
-    dinv = 1.0 / np.sqrt(np.maximum(M.diagonal(), 1e-300))
-    M *= dinv[:, None]
-    M *= dinv
-    M[np.diag_indices(len(M))] += SCHUR_SHIFT
-    if not np.isfinite(M).all():
+    L = A @ A.T
+    # a finite diagonal bounds every entry: |M_ij| <= sqrt(M_ii M_jj)
+    if not np.isfinite(L.diagonal()).all():
         return None
-    try:
-        L = npl.cholesky(M)
-    except npl.LinAlgError:
-        return None
-    del M
+    p = len(A)
+    dinv = 1.0 / np.sqrt(np.maximum(L.diagonal(), 1e-300))
+    L *= dinv[:, None]
+    L *= dinv
+    L[np.diag_indices(p)] += SCHUR_SHIFT
+    Linv = []
     # one leaf at least: a program without rows has one of size 0
-    return dinv, L, [npl.inv(L[i:i + TRI_LEAF, i:i + TRI_LEAF])
-                     for i in range(0, max(len(L), 1), TRI_LEAF)]
+    for lo in range(0, max(p, 1), TRI_LEAF):
+        hi = min(lo + TRI_LEAF, p)
+        col = L[lo:, lo:hi]
+        if lo:
+            col -= L[lo:, :lo] @ L[lo:hi, :lo].T
+        try:
+            col[:hi - lo] = npl.cholesky(col[:hi - lo])
+        except npl.LinAlgError:
+            return None
+        Linv.append(npl.inv(col[:hi - lo]))
+        L[lo:hi, hi:] = 0.0
+        if hi < p:
+            col[hi - lo:] = col[hi - lo:] @ Linv[-1].T
+    return dinv, L, Linv
 
 
 def _schur_solve(factor, v: np.ndarray) -> np.ndarray:
@@ -425,12 +458,24 @@ def solve(program: ConicProgram, gap_tol: float = GAP_TOL) -> ConicSolution:
     embedding's certificates. Every step follows the module's step rule; one
     blocked below 1e-10, or MAX_ITERS, returns `numerical-failure` carrying
     the best iterate seen. `iterations` counts every iteration taken.
+
+    Memory: A is held as its nonzeros after the one `assemble` call, and an
+    iteration holds the (p, N) scaled rows A~ and the p x p Schur factor,
+    formed in place; the last iteration's factor goes before A~ is
+    rewritten.
     """
     if not (np.isfinite(gap_tol) and gap_tol > 0):
         raise ValueError(f"gap_tol must be finite and positive, got {gap_tol!r}")
 
     A, b, c, starts, N = program.assemble()
-    p = A.shape[0]
+    p = len(b)
+    # A is read once, as its nonzeros, and dropped: every product with A or
+    # A^T below is a sum over them, and the row supports come from them
+    flat = np.flatnonzero(A)
+    rows, cols = np.divmod(flat, N)
+    nz = rows, cols, A.ravel()[flat]
+    nzT = cols, rows, nz[2]
+    del A
     nu = sum(program.blocks)
     bnorm = 1.0 + (np.abs(b).max() if p else 0.0)
     cnorm = 1.0 + np.abs(c).max()
@@ -441,7 +486,7 @@ def solve(program: ConicProgram, gap_tol: float = GAP_TOL) -> ConicSolution:
     for k in dict.fromkeys(program.blocks):
         st = starts[program.blocks.index(k)]
         groups.append((k, slice(st, st + program.blocks.count(k) * k * k)))
-    supports = _row_supports(groups, A)
+    supports = _row_supports(groups, nz, p)
     A_sc = np.empty((p, N))     # every iteration's scaled rows
 
     # interior start: identity in every block, tau = kappa = 1
@@ -472,7 +517,7 @@ def solve(program: ConicProgram, gap_tol: float = GAP_TOL) -> ConicSolution:
     for it in range(MAX_ITERS):
         # the one product with A and the one with A^T of this iterate: the
         # residuals, the measures of x/tau, y/tau and the certificates use them
-        Ax, ATy = A @ x, A.T @ y
+        Ax, ATy = _times(nz, x, p), _times(nzT, y, N)
         cx = float(c @ x)
         by = float(b @ y) if p else 0.0
         r_p = Ax - b * tau
@@ -518,12 +563,14 @@ def solve(program: ConicProgram, gap_tol: float = GAP_TOL) -> ConicSolution:
         r_g = cx - by + kappa
 
         # eliminate the cone step: the (p + 1) system in (dy, dtau) is the
-        # Schur block M = A~ A~^T bordered by the tau row and column
+        # Schur block M = A~ A~^T bordered by the tau row and column. The
+        # last iteration's L goes before the rows are scaled, so A~ and one
+        # factor are the only p-sized arrays held at once
+        factor = None
         _scaled_rows(groups, R, supports, A_sc)
         c_sc = _congruence(groups, R, c)
         rd_sc = A_sc.T @ y + lam - c_sc * tau
         v1 = A_sc @ c_sc
-        factor = None       # the last iteration's L goes before this one forms
         factor = _schur_factor(A_sc)
         if factor is None:
             return failure(it)
@@ -608,7 +655,7 @@ def solve(program: ConicProgram, gap_tol: float = GAP_TOL) -> ConicSolution:
         # so r_d shrinks by (1 - alpha eta); R^-dag dS~ R^-1 drifts from that
         # equation once R is ill-conditioned near the optimum
         x = x + alpha * _congruence(groups, [_ct(Rk) for Rk in R], dx)
-        s = s + alpha * (-(1.0 - sigma) * r_d - A.T @ dy + c * dtau)
+        s = s + alpha * (-(1.0 - sigma) * r_d - _times(nzT, dy, N) + c * dtau)
         y = y + alpha * dy
         tau = tau + alpha * dtau
         kappa = kappa + alpha * dkappa

@@ -276,8 +276,16 @@ def _fold(model: StatisticalModel) -> tuple[np.ndarray, float]:
     return piW, float(np.einsum("mjk,mj,mk->", piW, model.thetas, model.thetas))
 
 
+def _check_moments(**moments) -> None:
+    """ModelError naming the first moment that is not finite: finite grid
+    data can overflow, theta = 1e200 squaring to inf in M and w_bar."""
+    for name, value in moments.items():
+        _check_finite(np.asarray(value), f"moment {name}")
+
+
 def build_moments(model: StatisticalModel) -> BayesMoments:
-    """Average the grid: S_B, D_B, second moment M, prior mean, w_bar."""
+    """Average the grid: S_B, D_B, second moment M, prior mean, w_bar.
+    A moment that overflows is a ModelError that names it."""
     pi = model.pi
     thetas = model.thetas
     states = model.states
@@ -285,8 +293,10 @@ def build_moments(model: StatisticalModel) -> BayesMoments:
     D_B = np.einsum("m,mj,mab->jab", pi, thetas, states)
     M = np.einsum("m,mj,mk->jk", pi, thetas, thetas)
     theta_bar = pi @ thetas
+    w_bar = _fold(model)[1]
+    _check_moments(S_B=S_B, D_B=D_B, M=M, theta_bar=theta_bar, w_bar=w_bar)
     return BayesMoments(S_B=S_B, D_B=D_B, M=M, theta_bar=theta_bar,
-                        w_bar=_fold(model)[1])
+                        w_bar=w_bar)
 
 
 def build_extended_moments(model: StatisticalModel) -> ExtendedMoments:
@@ -296,12 +306,14 @@ def build_extended_moments(model: StatisticalModel) -> ExtendedMoments:
 
     For a constant weight this reduces to S_bar = W (x) S_B and
     D_bar[j] = sum_k W_jk D_B[k], which the tests pin entrywise. The same
-    fold without the sum over m gives the per-point moments.
+    fold without the sum over m gives the per-point moments. A moment that
+    overflows is a ModelError that names it.
     """
     piW, w_bar = _fold(model)
     states = model.states
     S_bar = np.einsum("mjk,mab->jkab", piW, states).transpose(0, 2, 1, 3)
     D_bar = np.einsum("mjk,mk,mab->jab", piW, model.thetas, states)
+    _check_moments(S_bar=S_bar, D_bar=D_bar, w_bar=w_bar)
     return ExtendedMoments(
         S_bar=S_bar.reshape(model.n * model.d, -1), D_bar=D_bar, w_bar=w_bar,
         pi=model.pi, states=states, weight_spec=model.weight_spec)

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.linalg as npl
 
-from .conic import (GAP_TOL, ConicProgram, ConicSolution, SolverFailureError,
-                    hvec, hvec_basis, solve, solve_or_raise)
+from .conic import (GAP_TOL, TRI_LEAF, ConicProgram, ConicSolution,
+                    SolverFailureError, hvec, hvec_basis, solve, solve_or_raise)
 from .matcore import (check_hermitian, hermitize, psd_sqrt, support_factor,
                       trace_abs, weighted_trace_abs)
 from .model import CapabilityError, ExtendedMoments
@@ -85,16 +85,26 @@ class BoundSolution:
     diagnostics: ConicSolution
 
 
+def _pin_rows(prog, blk, dim, d, places, rhs):
+    """Add the d^2 rows i whose coefficient on the dim x dim block blk is
+    f E[i] at (row0, col0) for each (row0, col0, f) in places, E =
+    hvec_basis(d), zero elsewhere, with right-hand side rhs (d^2,). They are
+    added TRI_LEAF rows at a time, so no (d^2, dim, dim) stack is formed."""
+    E = hvec_basis(d)
+    for i in range(0, d * d, TRI_LEAF):
+        leaf = E[i:i + TRI_LEAF]
+        C = np.zeros((len(leaf), dim, dim), dtype=complex)
+        for row0, col0, f in places:
+            C[:, row0:row0 + d, col0:col0 + d] = f * leaf
+        prog.add_eq({blk: C}, rhs=rhs[i:i + TRI_LEAF])
+
+
 def _hermitian_offblock_rows(prog, blk, dim, row0, col0, G):
     """Pin the d x d block T at (row0, col0) of a Hermitian variable to
     T - T^+ = G, for anti-Hermitian d x d G (zero: T is Hermitian): d^2 rows
     equating the hvec coordinates of -i(T - T^+) and -iG."""
-    d = G.shape[0]
-    E = hvec_basis(d)
-    C = np.zeros((d * d, dim, dim), dtype=complex)
-    C[:, row0:row0 + d, col0:col0 + d] = 1j * E
-    C[:, col0:col0 + d, row0:row0 + d] = -1j * E
-    prog.add_eq({blk: C}, rhs=hvec(-1j * G))
+    _pin_rows(prog, blk, dim, len(G), [(row0, col0, 1j), (col0, row0, -1j)],
+              hvec(-1j * G))
 
 
 def _objective(em: ExtendedMoments) -> np.ndarray:
@@ -115,9 +125,7 @@ def _estimator_block(prog: ConicProgram, em: ExtendedMoments):
     nd = n * d
     dim = nd + d
     g = prog.add_psd_block(dim)
-    corner = np.zeros((d * d, dim, dim), dtype=complex)
-    corner[:, nd:, nd:] = hvec_basis(d)
-    prog.add_eq({g: corner}, rhs=hvec(np.eye(d)))
+    _pin_rows(prog, g, dim, d, [(nd, nd, 1.0)], hvec(np.eye(d)))
     for j in range(n):
         _hermitian_offblock_rows(prog, g, dim, j * d, nd, np.zeros((d, d)))
     return g, _objective(em)
@@ -234,12 +242,16 @@ def nagaoka_objective(em: ExtendedMoments, X) -> float:
     [X^+, I]] = V V^+, V = [X_1; X_2; I], the point at which
     `nagaoka_bound`'s program attains this objective. The commutator term
     is `weighted_trace_abs(S_m, [X_1, X_2])`, exact on supp(S_m).
+    Observables of another shape or with a non-finite entry are a
+    CapabilityError.
     """
     if em.n != 2:
         raise CapabilityError("the commutator objective needs exactly two parameters")
     X = np.asarray(X, dtype=complex)
     if X.shape != (2, em.d, em.d):
         raise CapabilityError(f"expected two {em.d}x{em.d} observables, got {X.shape}")
+    if not np.isfinite(X).all():
+        raise CapabilityError("the observables have non-finite entries")
     X = hermitize(X)
     V = np.concatenate([X[0], X[1], np.eye(em.d)])
     value = np.trace(V.conj().T @ _objective(em) @ V).real

@@ -92,11 +92,14 @@ class DecisionRisk:
 def bayes_risk(model: StatisticalModel, povm: Povm, estimates) -> float:
     """Exact grid risk of a decision: the prior-weighted quadratic loss
     summed over grid points and outcomes. This is the yardstick every other
-    routine is compared against, so it is a plain loop over the definition."""
+    routine is compared against, so it is a plain loop over the definition.
+    Estimates of another shape or with a non-finite entry are a ValueError."""
     est = np.atleast_2d(np.asarray(estimates, dtype=float))
     if est.shape != (len(povm), model.n):
         raise ValueError(f"estimates shape {est.shape}, expected "
                          f"({len(povm)}, {model.n})")
+    if not np.isfinite(est).all():
+        raise ValueError("estimates have non-finite entries")
     Ws = model.weight_spec.stack(len(model.points))
     total = 0.0
     for m, point in enumerate(model.points):

@@ -297,6 +297,19 @@ def test_bounds_rejects_bad_state_derivatives(tmp_path, capsys, edit, message):
     assert captured.out == ""
 
 
+def test_bounds_rejects_overflowing_moments(tmp_path, capsys):
+    """`qbayes zoo correlated_pair 1e200 0.6` writes a valid model whose
+    second moments overflow; `qbayes bounds --bounds nh` on it exits 2 with
+    one `error:` line naming the moment, not a solver traceback."""
+    path = str(tmp_path / "huge.json")
+    assert main(["zoo", "correlated_pair", "1e200", "0.6", "--out", path]) == 0
+    capsys.readouterr()
+    assert main(["bounds", "--model", path, "--bounds", "nh"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: moment w_bar has non-finite entries\n"
+    assert captured.out == ""
+
+
 def test_gap_tolerance_env_is_reported(tmp_path, monkeypatch):
     monkeypatch.setenv("QBAYES_GAP_TOL", "1e-6")
     model_path = write_cb(tmp_path)

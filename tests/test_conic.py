@@ -196,7 +196,8 @@ def test_support_scaled_rows_match_the_dense_congruence():
     groups = [(3, slice(0, 18)), (4, slice(18, 50)), (5, slice(50, 75))]
     R = [rng.standard_normal((K, k, k)) + 1j * rng.standard_normal((K, k, k))
          + k * np.eye(k) for (k, _), K in zip(groups, (2, 2, 1))]
-    supports = conic._row_supports(groups, A)
+    rows, cols = np.nonzero(A)
+    supports = conic._row_supports(groups, (rows, cols, A[rows, cols]), len(A))
     assert [CS.shape[-1] for _, CS in supports] == [2, 4, 3]
     dense = conic._congruence(groups, R, A)
     out = np.full(A.shape, np.nan)
@@ -336,16 +337,27 @@ def test_iteration_cap_returns_the_best_iterate(monkeypatch):
 
 @pytest.mark.parametrize("p", [1, 63, 64, 65, 130, 401])
 def test_schur_substitution_matches_the_dense_solve(p):
-    """The leaf-by-leaf substitution, on both sides of its TRI_LEAF = 64
-    leaf, solves M y = v for the Schur block M = G G^T of rows G that span
-    four orders of magnitude, as the row scaling sees near an optimum; a
-    (p, 2) right-hand side is solved column by column."""
+    """The factor formed in place one leaf at a time is the Cholesky factor
+    of D M D + SCHUR_SHIFT I, D the unit-diagonal scaling, with its leaves'
+    inverses, and the leaf-by-leaf substitution through it solves M y = v,
+    on both sides of the TRI_LEAF = 64 leaf and over several leaves, for
+    the Schur block M = G G^T of rows G that span four orders of magnitude,
+    as the row scaling sees near an optimum; a (p, 2) right-hand side is
+    solved column by column."""
     rng = np.random.default_rng(p)
     G = rng.standard_normal((p, 2 * p)) * np.logspace(-2, 2, p)[:, None]
     M = G @ G.T
     v = rng.standard_normal(p)
     factor = _schur_factor(G)
-    assert all(len(X) <= conic.TRI_LEAF for X in factor[2])
+    dinv, L, Linv = factor
+    D = 1.0 / np.sqrt(M.diagonal())
+    dense = np.linalg.cholesky(D[:, None] * M * D + conic.SCHUR_SHIFT * np.eye(p))
+    assert np.allclose(dinv, D, rtol=1e-14, atol=0)
+    assert np.abs(L - dense).max() <= 1e-12
+    assert len(Linv) == -(-p // conic.TRI_LEAF)
+    for j, X in enumerate(Linv):
+        leaf = slice(j * conic.TRI_LEAF, (j + 1) * conic.TRI_LEAF)
+        assert np.allclose(X @ L[leaf, leaf], np.eye(len(X)), atol=1e-12)
     y = _schur_solve(factor, v)
     ref = np.linalg.solve(M, v)
     assert np.abs(y - ref).max() <= 1e-9 * np.abs(ref).max()
@@ -354,6 +366,52 @@ def test_schur_substitution_matches_the_dense_solve(p):
     assert both.shape == (p, 2)
     assert np.allclose(both, np.stack([y, -3.0 * y], axis=1), rtol=1e-12,
                        atol=1e-12 * np.abs(y).max())
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_schur_factor_rejects_a_non_finite_row(bad):
+    """A row with a non-finite entry, in the third leaf of 130 rows, makes
+    the factor None."""
+    G = np.random.default_rng(5).standard_normal((130, 200))
+    G[129, 3] = bad
+    assert _schur_factor(G) is None
+
+
+def test_schur_factor_fails_in_a_later_leaf(monkeypatch):
+    """A LinAlgError from the cholesky of the second leaf, after the first
+    leaf factored, makes the factor None."""
+    G = np.random.default_rng(6).standard_normal((130, 200))
+    cholesky = np.linalg.cholesky
+    calls = []
+
+    def failing(a):
+        calls.append(len(a))
+        if len(calls) == 2:
+            raise np.linalg.LinAlgError("forced")
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing)
+    assert _schur_factor(G) is None
+    assert calls == [conic.TRI_LEAF, conic.TRI_LEAF]
+
+
+def test_nonzero_products_match_the_dense_ones():
+    """A x and A^T y summed over the nonzeros of A, as the solver forms
+    them, equal the dense products, with empty rows and columns in A."""
+    rng = np.random.default_rng(8)
+    A = rng.standard_normal((40, 70)) * (rng.random((40, 70)) < 0.1)
+    A[[3, 17]] = 0.0
+    A[:, [0, 69]] = 0.0
+    rows, cols = np.nonzero(A)
+    vals = A[rows, cols]
+    x, y = rng.standard_normal(70), rng.standard_normal(40)
+    Ax = conic._times((rows, cols, vals), x, 40)
+    ATy = conic._times((cols, rows, vals), y, 70)
+    assert Ax.shape == (40,) and ATy.shape == (70,)
+    assert np.allclose(Ax, A @ x, rtol=1e-14, atol=1e-14)
+    assert np.allclose(ATy, A.T @ y, rtol=1e-14, atol=1e-14)
+    empty = np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
+    assert np.array_equal(conic._times(empty, x, 3), np.zeros(3))
 
 
 def test_failed_schur_factor_returns_the_best_iterate(monkeypatch):

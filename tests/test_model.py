@@ -82,6 +82,16 @@ def test_correlated_pair_embeds_the_binary_model():
     assert np.allclose(mom.M, mom.M[0, 0] * np.ones((2, 2)))
 
 
+@pytest.mark.parametrize("build, name", [
+    (build_moments, "moment M"), (build_extended_moments, "moment w_bar")],
+    ids=["moments", "extended"])
+def test_overflowing_moments_are_rejected(build, name):
+    """theta = +-1e200 is finite, but its square is not: the second moment
+    M and w_bar overflow to inf, a ModelError that names the moment."""
+    with pytest.raises(ModelError, match=f"^{name} has non-finite entries$"):
+        build(correlated_pair(1e200, 0.6))
+
+
 def test_qubit_z_line_has_derivatives_and_score():
     model = qubit_z_line(3)
     assert model.has_derivatives()

@@ -19,7 +19,7 @@ from helpers import (
     random_unitary,
     record_row_counts,
 )
-from qbayes.conic import ConicProgram, solve_or_raise
+from qbayes.conic import ConicProgram, hvec, hvec_basis, solve_or_raise
 from qbayes.matcore import hermitize
 from qbayes.model import (
     CapabilityError,
@@ -37,6 +37,7 @@ from qbayes.model import (
 )
 from qbayes.sdpbounds import (
     _hermitian_offblock_rows,
+    _pin_rows,
     appendix_f,
     f_family_pinned_example,
     holevo_type_bound,
@@ -77,6 +78,32 @@ def test_offblock_pin_returns_the_target():
     assert prog.assemble()[0].shape == (4, 16)
     T = solve_or_raise(prog).variable_values[0][:2, 2:]
     assert np.allclose(T - T.conj().T, G, atol=1e-7)
+
+
+def test_pins_added_a_leaf_at_a_time_assemble_like_one_stack():
+    """The d^2 = 81 pin rows of a 9 x 9 off-block and of the identity
+    corner, added TRI_LEAF = 64 rows at a time, assemble the same A and b
+    as the whole (d^2, dim, dim) stacks added at once."""
+    rng = np.random.default_rng(41)
+    d, dim = 9, 27
+    G = 1j * random_hermitian(rng, d)
+    E = hvec_basis(d)
+    whole, leaves = ConicProgram(), ConicProgram()
+    for prog in (whole, leaves):
+        prog.add_psd_block(dim)
+    C = np.zeros((d * d, dim, dim), dtype=complex)
+    C[:, :d, d:2 * d] = 1j * E
+    C[:, d:2 * d, :d] = -1j * E
+    whole.add_eq({0: C}, rhs=hvec(-1j * G))
+    C = np.zeros((d * d, dim, dim), dtype=complex)
+    C[:, 2 * d:, 2 * d:] = E
+    whole.add_eq({0: C}, rhs=hvec(np.eye(d)))
+    _hermitian_offblock_rows(leaves, 0, dim, 0, d, G)
+    _pin_rows(leaves, 0, dim, d, [(2 * d, 2 * d, 1.0)], hvec(np.eye(d)))
+    assert len(leaves.rows) == 4
+    (A0, b0, *_), (A1, b1, *_) = whole.assemble(), leaves.assemble()
+    assert A0.shape == (2 * d * d, dim * dim)
+    assert np.array_equal(A0, A1) and np.array_equal(b0, b1)
 
 
 def test_programs_keep_their_row_counts(monkeypatch):
@@ -273,19 +300,32 @@ def test_holevo_scaling_memory_stays_small():
     assert peak < 25 * 2**20
 
 
-def test_nh_solve_memory_stays_small():
-    """NH on a d = 10 model: 400 rows on one 30 x 30 block G. The solve
-    keeps A, one reused buffer of its scaled rows and the Schur block's
-    factor, never a (p, k, k) stack of scaled rows or an explicit p x p
-    inverse; about 9 MiB traced, where those copies took 19 MiB."""
-    em = build_extended_moments(random_model(2, 10, seed=1, grid=4))
+def nh_traced_peak(d):
+    """Traced peak of NH on random_model(2, d, seed=1, grid=4), its program
+    build included."""
+    em = build_extended_moments(random_model(2, d, seed=1, grid=4))
     tracemalloc.start()
     try:
         nagaoka_hayashi_bound(em)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12 * 2**20
+
+
+def test_nh_solve_memory_stays_small():
+    """NH on a d = 10 model: 400 rows on one 30 x 30 block G. The solve
+    holds A as its nonzeros, one reused buffer of its scaled rows (2.7 MiB)
+    and the Schur factor, formed in place (1.2 MiB), and the program's pin
+    rows are built TRI_LEAF at a time: about 4.8 MiB traced, program build
+    included, where the dense A and a second 400 x 400 array beside the
+    factor took 8.9 MiB."""
+    assert nh_traced_peak(10) < 6 * 2**20
+
+
+def test_nh_solve_memory_stays_small_at_d14():
+    """The same at d = 14, 784 rows on a 42 x 42 block: about 17.2 MiB
+    traced, where the dense A and the second p x p array took 31.8 MiB."""
+    assert nh_traced_peak(14) < 20 * 2**20
 
 
 def test_holevo_pinned_value_at_d8():
@@ -356,6 +396,14 @@ def test_nagaoka_objective_requires_two_parameters():
     em = build_extended_moments(classical_binary(1.0, 0.6))
     with pytest.raises(ValueError):
         nagaoka_objective(em, (np.eye(2),))
+
+
+def test_nagaoka_objective_rejects_non_finite_observables():
+    """A NaN entry in X_1 is a CapabilityError, as a wrong shape is, not a
+    NaN objective."""
+    em = build_extended_moments(model_zoo("qubit_xy", (0.6,)))
+    with pytest.raises(CapabilityError, match="non-finite"):
+        nagaoka_objective(em, (np.array([[np.nan, 0.0], [0.0, 1.0]]), SY))
 
 
 def test_nagaoka_bound_brackets_known_values():

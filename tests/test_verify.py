@@ -92,11 +92,14 @@ def test_ordering_audit_rejects_fewer_outcomes_than_d_before_solving(monkeypatch
 @pytest.mark.parametrize("call, message", [
     (lambda m: bayes_risk(m, Povm((np.eye(2),)), np.zeros((2, 2))),
      r"estimates shape \(2, 2\), expected \(1, 2\)"),
+    (lambda m: bayes_risk(m, Povm((np.eye(2),)), [[np.nan, 0.0]]),
+     "estimates have non-finite entries"),
     (lambda m: optimal_povm_step(m, np.zeros((3, 1))),
      "estimate dimension 1, expected 2"),
     (lambda m: Povm((np.eye(2) / 2, np.diag([0.5, 0.5, 0.0]))),
      "measurement elements must share one dimension"),
-], ids=["bayes-risk-estimates-shape", "povm-step-estimate-dimension",
+], ids=["bayes-risk-estimates-shape", "bayes-risk-nan-estimates",
+        "povm-step-estimate-dimension",
         "povm-elements-of-two-dimensions"])
 def test_documented_argument_errors(call, message):
     with pytest.raises(ValueError, match=message):
