@@ -9,7 +9,7 @@ achieved Bayes risk lands on the bound.
 import numpy as np
 
 from qbayes.closedform import rld_bound, sld_bound
-from qbayes.model import build_extended_moments, build_moments, classical_binary, random_model
+from qbayes.model import build_extended_moments, classical_binary, random_model
 from qbayes.sdpbounds import holevo_type_bound, nagaoka_hayashi_bound
 from qbayes.verify import rounded_measurement
 
@@ -20,10 +20,9 @@ for seed in (1, 2, 3):
 
 W = np.eye(1)
 for name, model in models:
-    mom = build_moments(model)
     em = build_extended_moments(model)
-    c_sld, sld = sld_bound(mom, W)
-    c_rld = rld_bound(mom, W)[0]
+    c_sld, sld = sld_bound(em, W)
+    c_rld = rld_bound(em, W)[0]
     c_h = holevo_type_bound(em).value
     c_nh = nagaoka_hayashi_bound(em).value
 

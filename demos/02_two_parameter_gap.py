@@ -10,18 +10,17 @@ tightest, and the seesaw confirms the block bound is actually attained.
 import numpy as np
 
 from qbayes.closedform import rld_bound, sld_bound
-from qbayes.model import build_extended_moments, build_moments, model_zoo
+from qbayes.model import build_extended_moments, model_zoo
 from qbayes.sdpbounds import holevo_type_bound, nagaoka_bound, nagaoka_hayashi_bound
 from qbayes.verify import seesaw
 
 model = model_zoo("qubit_xy", (0.6,), grid_size=4)
-mom = build_moments(model)
 em = build_extended_moments(model)
 W = np.eye(2)
 
 ladder = [
-    ("sld", sld_bound(mom, W)[0]),
-    ("rld", rld_bound(mom, W)[0]),
+    ("sld", sld_bound(em, W)[0]),
+    ("rld", rld_bound(em, W)[0]),
     ("holevo", holevo_type_bound(em).value),
     ("nagaoka", nagaoka_bound(em).value),
     ("nagaoka-hayashi", nagaoka_hayashi_bound(em).value),

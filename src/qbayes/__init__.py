@@ -2,23 +2,24 @@
 finite-grid priors, with semidefinite certification and an achievability
 harness.
 
-Typical flow: build or load a StatisticalModel, derive its moment data, then
-evaluate bounds:
+Typical flow: build or load a StatisticalModel, fold its moments once, then
+evaluate every bound on the one moments object:
 
-    from qbayes import model_zoo, build_moments, build_extended_moments
-    from qbayes import sld_bound, nagaoka_hayashi_bound, holevo_type_bound
+    from qbayes import model_zoo, build_extended_moments
+    from qbayes import sld_bound, nagaoka_hayashi_bound
 
     m = model_zoo("correlated_pair", [1.0, 0.6])
     em = build_extended_moments(m)
+    print(sld_bound(em, m.weight_spec.constant)[0])
     print(nagaoka_hayashi_bound(em).value)
 """
 
 from .matcore import (NotPsdError, check_hermitian, hermitize,
                       lyapunov_solve, psd_sqrt, trace_abs, weighted_trace_abs)
-from .model import (BayesMoments, CapabilityError, ExtendedMoments, GridPoint,
-                    ModelError, StatisticalModel, WeightSpec, build_moments,
-                    build_extended_moments, load_model, model_from_dict,
-                    model_to_dict, model_zoo, save_model, with_weight)
+from .model import (CapabilityError, ExtendedMoments, GridPoint, ModelError,
+                    StatisticalModel, WeightSpec, build_extended_moments,
+                    load_model, model_from_dict, model_to_dict, model_zoo,
+                    save_model, with_weight)
 from .closedform import (RldPackage, SingularInformationError, SldPackage,
                          rld_bound, sld_bound, sld_fisher_point,
                          van_tree_bound)
@@ -39,8 +40,8 @@ __version__ = "0.1.0"
 __all__ = [
     "NotPsdError", "check_hermitian", "hermitize", "lyapunov_solve",
     "psd_sqrt", "trace_abs", "weighted_trace_abs",
-    "BayesMoments", "CapabilityError", "ExtendedMoments", "GridPoint",
-    "ModelError", "StatisticalModel", "WeightSpec", "build_moments",
+    "CapabilityError", "ExtendedMoments", "GridPoint",
+    "ModelError", "StatisticalModel", "WeightSpec",
     "build_extended_moments", "load_model", "model_from_dict",
     "model_to_dict", "model_zoo", "save_model", "with_weight",
     "RldPackage", "SingularInformationError", "SldPackage",

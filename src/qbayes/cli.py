@@ -6,15 +6,16 @@ Subcommands: bounds (selected lower bounds as a JSON report), verify
 model to the JSON format), lemmas (the identity/chain property suites).
 
 Exit codes: 0 success; 2 validation error (a model file that cannot be
-read or is rejected, an output path that cannot be written, bad selector,
-bad zoo name, count or seed, bad seed list, negative seed, outcome count
-below the model's d, trial or iteration count below one, or a `verify`
-model whose weight is not constant); 3 solver failure or an ordering
-margin below -MARGIN_TOL = -1e-6 (`verify.LADDER`); 141 (128 + SIGPIPE, as a
-shell reports a writer whose reader left) when standard output is closed
-before all of the output is written: the command stops writing, without a
-traceback. Output paths are checked before any solve. Per-bound capability
-errors are reported inside the `bounds` output without failing the run.
+read or is rejected, an output path that cannot be written or that names the
+model file or the other output, bad selector, bad zoo name, count or seed,
+bad seed list, negative seed, outcome count below the model's d, trial or
+iteration count below one, or a `verify` model whose weight is not
+constant); 3 solver failure or an ordering margin below -MARGIN_TOL = -1e-6
+(`verify.LADDER`); 141 (128 + SIGPIPE, as a shell reports a writer whose
+reader left) when standard output is closed before all of the output is
+written: the command stops writing, without a traceback. Output paths are
+checked before any solve. Per-bound capability errors are reported inside
+the `bounds` output without failing the run.
 QBAYES_GAP_TOL, a finite positive number, sets the relative gap of every SDP
 a command solves (default GAP_TOL, and 1e-10 for the `lemmas` identity
 suite); each command reads it once and reports an invalid value on stderr.
@@ -39,7 +40,7 @@ from .closedform import SingularInformationError, rld_bound, sld_bound, \
     van_tree_bound
 from .conic import GAP_TOL, SolverFailureError
 from .model import CapabilityError, ModelError, build_extended_moments, \
-    build_moments, load_model, model_to_dict, model_zoo
+    load_model, model_to_dict, model_zoo
 from .sdpbounds import f_family_pinned_example, f_family_suite, \
     holevo_lemma_sdp_value, holevo_lemma_suite, holevo_lemma_value, \
     holevo_type_bound, nagaoka_bound, nagaoka_hayashi_bound
@@ -62,10 +63,20 @@ def _write_text(path: str, text: str, mode: str = "w") -> None:
         raise _Validation(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _check_writable(*paths) -> None:
-    """Fail before any work on an output path that cannot be written. The
+def _check_outputs(inputs: dict, outputs: dict) -> None:
+    """Fail before any work on an output path that cannot be written, or
+    that names the same file as an input or another output, which writing it
+    would overwrite. Both map an option to its path, None if not given. The
     probe appends nothing and removes a file it had to create."""
-    for path in filter(None, paths):
+    taken = {os.path.realpath(path): opt for opt, path in inputs.items()}
+    for opt, path in outputs.items():
+        if not path:
+            continue
+        real = os.path.realpath(path)
+        if real in taken:
+            raise _Validation(f"{taken[real]} and {opt} name the same "
+                              f"file: {path}")
+        taken[real] = opt
         existed = os.path.exists(path)
         _write_text(path, "", "a")
         if not existed:
@@ -137,17 +148,16 @@ def _solved(sol) -> dict:
 
 def _bound_runners(model, gap_tol: float) -> dict:
     """Per bound name, a call that returns its report entry."""
-    moments = functools.cache(lambda: build_moments(model))
-    extended = functools.cache(lambda: build_extended_moments(model))
+    moments = functools.cache(lambda: build_extended_moments(model))
     weight = model.weight_spec.require_constant
 
     def closed_form(value):
         return {"value": value, "solver_status": "closed-form", "gap": 0.0}
 
     return {
-        "nh": lambda: _solved(nagaoka_hayashi_bound(extended(), gap_tol)),
-        "holevo": lambda: _solved(holevo_type_bound(extended(), gap_tol)),
-        "nagaoka2": lambda: _solved(nagaoka_bound(extended(), gap_tol)),
+        "nh": lambda: _solved(nagaoka_hayashi_bound(moments(), gap_tol)),
+        "holevo": lambda: _solved(holevo_type_bound(moments(), gap_tol)),
+        "nagaoka2": lambda: _solved(nagaoka_bound(moments(), gap_tol)),
         "sld": lambda: closed_form(sld_bound(moments(), weight())[0]),
         "rld": lambda: closed_form(rld_bound(moments(), weight())[0]),
         "vantree": lambda: closed_form(van_tree_bound(model, weight())),
@@ -170,7 +180,8 @@ def cmd_bounds(args) -> int:
             raise _Validation(
                 f"unknown bound selector {t!r}; valid: "
                 f"{', '.join(BOUND_NAMES + ('all',))}")
-    _check_writable(args.out, args.csv)
+    _check_outputs({"--model": args.model},
+                   {"--out": args.out, "--csv": args.csv})
 
     gap_tol = _env_gap_tol() or GAP_TOL
     runners = _bound_runners(model, gap_tol)
@@ -239,7 +250,7 @@ def cmd_verify(args) -> int:
                           f"model's d = {model.d}, got {args.outcomes}")
     if args.iters < 1:
         raise _Validation(f"--iters must be positive, got {args.iters}")
-    _check_writable(args.out)
+    _check_outputs({"--model": args.model}, {"--out": args.out})
     gap_tol = _env_gap_tol() or GAP_TOL
     try:
         audit = ordering_audit(model, gap_tol, iters=args.iters,
@@ -302,7 +313,7 @@ def cmd_lemmas(args) -> int:
         raise _Validation(f"--trials must be positive, got {args.trials}")
     if args.seed < 0:
         raise _Validation(f"--seed must be non-negative, got {args.seed}")
-    _check_writable(args.out)
+    _check_outputs({}, {"--out": args.out})
     override = _env_gap_tol()
     gap_tol = override or GAP_TOL
     # the 1e-7 identity check is absolute while the solver gap is relative,

@@ -15,7 +15,7 @@ import numpy.linalg as npl
 
 from .matcore import (hermitize, lyapunov_solve, support_eig,
                       weighted_trace_abs)
-from .model import (BayesMoments, CapabilityError, StatisticalModel,
+from .model import (CapabilityError, ExtendedMoments, StatisticalModel,
                     _check_derivatives)
 
 INFO_SINGULAR_TOL = 1e-12
@@ -47,7 +47,7 @@ def _symmetrized_gram(S: np.ndarray, L: np.ndarray) -> np.ndarray:
     return (P + P.T) / 2
 
 
-def sld_bound(moments: BayesMoments, W: np.ndarray) -> tuple[float, SldPackage]:
+def sld_bound(moments: ExtendedMoments, W: np.ndarray) -> tuple[float, SldPackage]:
     """Bayesian SLD bound Tr(W (M - K)).
 
     L_j solves the averaged-state Lyapunov equation D_B[j] = (S_B L_j +
@@ -61,7 +61,7 @@ def sld_bound(moments: BayesMoments, W: np.ndarray) -> tuple[float, SldPackage]:
     return value, SldPackage(L=L, K=K)
 
 
-def rld_bound(moments: BayesMoments, W: np.ndarray) -> tuple[float, RldPackage]:
+def rld_bound(moments: ExtendedMoments, W: np.ndarray) -> tuple[float, RldPackage]:
     """Bayesian RLD bound Tr(W (M - Re Kt)) + TrAbs(W Im Kt).
 
     Lt_j = S_B^+ D_B[j], with S_B^+ the inverse of S_B on its support

@@ -1,7 +1,7 @@
 """Discretized Bayesian estimation problems: grid prior, states, weight matrix.
 
 A StatisticalModel is a finite grid {(theta_m, pi_m, S_m)} with a quadratic
-loss weight (constant or per grid point). The moment builders compute every
+loss weight (constant or per grid point). One moment builder folds every
 prior-averaged quantity the bound modules consume. Models are immutable after
 construction and the grid is treated as exact: continuous priors are the
 caller's responsibility to discretize.
@@ -209,46 +209,20 @@ def with_weight(model: StatisticalModel, W: np.ndarray) -> StatisticalModel:
 
 
 @dataclass(frozen=True)
-class BayesMoments:
-    """Prior-averaged state and first/second moments.
+class ExtendedMoments:
+    """Every prior average of one model, read by every rung.
 
     S_B = sum pi_m S_m, D_B[j] = sum pi_m theta_mj S_m, M_jk = sum pi_m
-    theta_mj theta_mk, theta_bar the prior mean, w_bar = sum pi_m
-    theta_m^T W(theta_m) theta_m.
+    theta_mj theta_mk; S_bar = sum pi_m W(theta_m) (x) S_m, an (nd, nd)
+    array in np.kron order, D_bar[j] = sum pi_m sum_k W_jk(theta_m)
+    theta_mk S_m, w_bar = sum pi_m theta_m^T W(theta_m) theta_m. The
+    per-point data (pi, states, weight_spec) is kept: the two-parameter
+    commutator bound and the per-point Holevo program need it.
     """
 
-    S_B: np.ndarray          # (d, d)
-    D_B: np.ndarray          # (n, d, d)
-    M: np.ndarray            # (n, n)
-    theta_bar: np.ndarray    # (n,)
-    w_bar: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "S_B", _check_density(self.S_B, np.asarray(self.S_B).shape[0], "S_B"))
-        object.__setattr__(self, "D_B", np.asarray(self.D_B, dtype=complex))
-        object.__setattr__(self, "M", np.asarray(self.M, dtype=float))
-        object.__setattr__(self, "theta_bar", np.asarray(self.theta_bar, dtype=float).reshape(-1))
-        object.__setattr__(self, "w_bar", float(self.w_bar))
-        cov = self.M - np.outer(self.theta_bar, self.theta_bar)
-        if npl.eigvalsh((cov + cov.T) / 2)[0] < -PSD_CLAMP:
-            raise ModelError("second moment minus mean outer product is not PSD")
-
-    @property
-    def n(self) -> int:
-        return self.D_B.shape[0]
-
-
-@dataclass(frozen=True)
-class ExtendedMoments:
-    """Weight-folded moments on C^n (x) H.
-
-    S_bar = sum pi_m W(theta_m) (x) S_m, an (nd, nd) array in np.kron
-    order, D_bar[j] = sum pi_m sum_k W_jk(theta_m) theta_mk S_m. Beyond
-    those, the per-point data (pi, states, weight_spec) is kept: the
-    two-parameter commutator bound and the per-point Holevo program need it
-    and it cannot be recovered from the averaged operators.
-    """
-
+    S_B: np.ndarray                         # (d, d)
+    D_B: np.ndarray                         # (n, d, d)
+    M: np.ndarray                           # (n, n)
     S_bar: np.ndarray                       # (nd, nd)
     D_bar: np.ndarray                       # (n, d, d)
     w_bar: float
@@ -264,59 +238,41 @@ class ExtendedMoments:
     def d(self) -> int:
         return self.D_bar.shape[1]
 
-    @property
-    def constant_W(self) -> np.ndarray | None:
-        return self.weight_spec.constant
-
-
-def _fold(model: StatisticalModel) -> tuple[np.ndarray, float]:
-    """The pi-scaled weight stack pi_m W_m, (m, n, n), and w_bar = sum_m
-    pi_m theta_m^T W_m theta_m."""
-    piW = model.pi[:, None, None] * model.weight_spec.stack(len(model.points))
-    return piW, float(np.einsum("mjk,mj,mk->", piW, model.thetas, model.thetas))
-
-
-def _check_moments(**moments) -> None:
-    """ModelError naming the first moment that is not finite: finite grid
-    data can overflow, theta = 1e200 squaring to inf in M and w_bar."""
-    for name, value in moments.items():
-        _check_finite(np.asarray(value), f"moment {name}")
-
-
-def build_moments(model: StatisticalModel) -> BayesMoments:
-    """Average the grid: S_B, D_B, second moment M, prior mean, w_bar.
-    A moment that overflows is a ModelError that names it."""
-    pi = model.pi
-    thetas = model.thetas
-    states = model.states
-    S_B = hermitize(np.einsum("m,mab->ab", pi, states))
-    D_B = np.einsum("m,mj,mab->jab", pi, thetas, states)
-    M = np.einsum("m,mj,mk->jk", pi, thetas, thetas)
-    theta_bar = pi @ thetas
-    w_bar = _fold(model)[1]
-    _check_moments(S_B=S_B, D_B=D_B, M=M, theta_bar=theta_bar, w_bar=w_bar)
-    return BayesMoments(S_B=S_B, D_B=D_B, M=M, theta_bar=theta_bar,
-                        w_bar=w_bar)
-
 
 def build_extended_moments(model: StatisticalModel) -> ExtendedMoments:
-    """Fold the weight into the grid, one einsum per moment over the pi-scaled
-    weight stack: S_bar = sum_m pi_m W_m (x) S_m, D_bar[j] = sum_m pi_m
-    sum_k (W_m)_jk theta_mk S_m and w_bar = sum_m pi_m theta_m^T W_m theta_m.
+    """Fold the grid once, one einsum per moment: S_B, D_B and M over the
+    prior, and S_bar = sum_m pi_m W_m (x) S_m, D_bar[j] = sum_m pi_m
+    sum_k (W_m)_jk theta_mk S_m and w_bar = sum_m pi_m theta_m^T W_m theta_m
+    over the pi-scaled weight stack.
 
     For a constant weight this reduces to S_bar = W (x) S_B and
     D_bar[j] = sum_k W_jk D_B[k], which the tests pin entrywise. The same
-    fold without the sum over m gives the per-point moments. A moment that
-    overflows is a ModelError that names it.
+    fold without the sum over m gives the per-point moments. The fold of a
+    checked grid needs no check of its own (S_B is a convex combination of
+    densities, M minus the outer square of the prior mean a covariance),
+    except that finite data can overflow, theta = 1e200 squaring to inf in
+    M and w_bar: a ModelError names the first moment that is not finite.
     """
-    piW, w_bar = _fold(model)
-    states = model.states
+    pi, thetas, states = model.pi, model.thetas, model.states
+    piW = pi[:, None, None] * model.weight_spec.stack(len(pi))
+    w_bar = float(np.einsum("mjk,mj,mk->", piW, thetas, thetas))
     S_bar = np.einsum("mjk,mab->jkab", piW, states).transpose(0, 2, 1, 3)
-    D_bar = np.einsum("mjk,mk,mab->jab", piW, model.thetas, states)
-    _check_moments(S_bar=S_bar, D_bar=D_bar, w_bar=w_bar)
+    D_bar = np.einsum("mjk,mk,mab->jab", piW, thetas, states)
+    S_B = hermitize(np.einsum("m,mab->ab", pi, states))
+    D_B = np.einsum("m,mj,mab->jab", pi, thetas, states)
+    M = np.einsum("m,mj,mk->jk", pi, thetas, thetas)
+    for name, value in dict(w_bar=w_bar, S_bar=S_bar, D_bar=D_bar, S_B=S_B,
+                            D_B=D_B, M=M).items():
+        _check_finite(np.asarray(value), f"moment {name}")
     return ExtendedMoments(
-        S_bar=S_bar.reshape(model.n * model.d, -1), D_bar=D_bar, w_bar=w_bar,
-        pi=model.pi, states=states, weight_spec=model.weight_spec)
+        S_B=S_B, D_B=D_B, M=M, S_bar=S_bar.reshape(model.n * model.d, -1),
+        D_bar=D_bar, w_bar=w_bar, pi=pi, states=states,
+        weight_spec=model.weight_spec)
+
+
+# the name bench/workloads.py and bench/spans.py call; the package reads
+# `build_extended_moments`
+build_moments = build_extended_moments
 
 
 # ---------------------------------------------------------------------------
@@ -461,14 +417,35 @@ def _matrix_to_json(A: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in A]
 
 
-def _matrix_from_json(rows, d: int, where: str) -> np.ndarray:
+def _numbers(value, depth: int) -> np.ndarray:
+    """value as a float array, if it is a JSON number (depth 0) or lists
+    nested depth deep of JSON numbers. Anything else, a string or a boolean
+    among them, is a TypeError, and ragged lists are a ValueError."""
+    level = [value]
+    for below in range(depth, -1, -1):
+        kind = list if below else (int, float)
+        for v in level:
+            if isinstance(v, bool) or not isinstance(v, kind):
+                raise TypeError(f"expected a {'list' if below else 'number'}, "
+                                f"got {type(v).__name__}")
+        if below:
+            level = [x for v in level for x in v]
+    return np.array(value, dtype=float)
+
+
+def _matrices_from_json(value, depth: int, d: int, where: str) -> np.ndarray:
+    """The complex array given as lists nested depth deep (2 for a matrix)
+    of [re, im] pairs of JSON numbers, whose last two axes are (d, d)."""
     try:
-        A = np.array([[complex(e[0], e[1]) for e in row] for row in rows])
-    except (TypeError, IndexError) as exc:
-        raise ModelError(f"{where}: entries must be [re, im] pairs") from exc
-    if A.shape != (d, d):
-        raise ModelError(f"{where}: shape {A.shape}, expected {(d, d)}")
-    return A
+        A = _numbers(value, depth + 1)
+    except (TypeError, ValueError) as exc:
+        raise ModelError(f"{where}: entries must be [re, im] pairs of "
+                         f"numbers ({exc})") from None
+    if A.shape[-1] != 2:
+        raise ModelError(f"{where}: entries must be [re, im] pairs of numbers")
+    if A.shape[-3:-1] != (d, d):
+        raise ModelError(f"{where}: shape {A.shape[-3:-1]}, expected {(d, d)}")
+    return A.view(complex)[..., 0]   # each C-ordered (re, im) pair, exactly
 
 
 def model_to_dict(model: StatisticalModel) -> dict:
@@ -494,32 +471,37 @@ def model_to_dict(model: StatisticalModel) -> dict:
 
 
 def _field(entry: dict, key: str, parse, where: str = "model"):
-    """parse(entry[key]), with a missing key, or a ValueError or TypeError
-    from parsing it, reported as a ModelError that names the field."""
+    """parse(entry[key]), with a missing key, or a ValueError, TypeError or
+    OverflowError from parsing it, reported as a ModelError that names the
+    field."""
     if key not in entry:
         raise ModelError(f"{where}: missing field '{key}'")
     try:
         return parse(entry[key])
     except ModelError:
         raise
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ModelError(f"{where}: field '{key}': {exc}") from None
 
 
 def _weight_spec(weight) -> WeightSpec:
+    if not isinstance(weight, dict):
+        raise TypeError(f"expected an object, got {type(weight).__name__}")
     if "constant" in weight:
-        return WeightSpec(constant=np.asarray(weight["constant"], dtype=float))
+        return WeightSpec(constant=_numbers(weight["constant"], 2))
     if "per_point" in weight:
-        return WeightSpec(per_point=np.asarray(weight["per_point"], dtype=float))
+        return WeightSpec(per_point=_numbers(weight["per_point"], 3))
     raise ModelError("'weight' must contain 'constant' or 'per_point'")
 
 
 def model_from_dict(data: dict) -> StatisticalModel:
-    """Parse the JSON model format, with field-level diagnostics."""
+    """Parse the JSON model format, with field-level diagnostics. Every
+    number of the format must be a JSON number: a string or a boolean in its
+    place is a ModelError that names the point and the field."""
     if not isinstance(data, dict):
         raise ModelError("model file must contain a JSON object")
-    n = _field(data, "n", lambda v: _whole(v, "n", 1))
-    d = _field(data, "d", lambda v: _whole(v, "d", 1))
+    n = _field(data, "n", lambda v: _whole(_numbers(v, 0), "n", 1))
+    d = _field(data, "d", lambda v: _whole(_numbers(v, 0), "d", 1))
     spec = _field(data, "weight", _weight_spec)
     raw_points = _field(data, "points", lambda v: v)
     if not isinstance(raw_points, list) or not raw_points:
@@ -530,30 +512,32 @@ def model_from_dict(data: dict) -> StatisticalModel:
         where = f"point {m}"
         if not isinstance(entry, dict):
             raise ModelError(f"{where} must be a JSON object")
-        theta = _field(entry, "theta", lambda v: [float(t) for t in v], where)
-        w = _field(entry, "weight", float, where)
-        rho = _field(entry, "rho", lambda v: _matrix_from_json(v, d, where), where)
+        theta = _field(entry, "theta", lambda v: _numbers(v, 1), where)
+        w = _field(entry, "weight", lambda v: _numbers(v, 0), where)
+        rho = _field(entry, "rho",
+                     lambda v: _matrices_from_json(v, 2, d, where), where)
         drho = None
         if "drho" in entry:
-            mats = _field(entry, "drho", lambda v: [
-                _matrix_from_json(Dj, d, f"{where} drho[{j}]")
-                for j, Dj in enumerate(v)], where)
-            if len(mats) != n:
+            drho = _field(entry, "drho", lambda v: _matrices_from_json(
+                v, 3, d, f"{where} drho"), where)
+            if len(drho) != n:
                 raise ModelError(f"{where}: expected {n} derivative matrices")
-            drho = np.stack(mats)
         try:
             points.append(GridPoint(theta=theta, weight=w, state=rho,
                                     state_derivatives=drho))
         except ModelError as exc:
             raise ModelError(f"{where}: {exc}") from None
         if "score" in entry:
-            scores.append(_field(entry, "score",
-                                 lambda v: [float(s) for s in v], where))
+            score = _field(entry, "score", lambda v: _numbers(v, 1), where)
+            if score.shape != (n,):
+                raise ModelError(f"{where}: field 'score': length "
+                                 f"{len(score)}, expected {n}")
+            scores.append(score)
     if scores and len(scores) != len(points):
         raise ModelError("'score' must be attached to every point or none")
     return StatisticalModel(
         n=n, d=d, points=tuple(points), weight_spec=spec,
-        prior_score=np.asarray(scores, dtype=float) if scores else None)
+        prior_score=np.stack(scores) if scores else None)
 
 
 def save_model(model: StatisticalModel, path: str) -> None:

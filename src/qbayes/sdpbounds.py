@@ -58,13 +58,9 @@ def _require_strictly_positive(em: ExtendedMoments) -> None:
     bad = w[:, 0] <= 1e-10 * np.maximum(1.0, np.abs(w[:, -1]))
     if bad.any():
         m = int(np.argmax(bad))
-        where = "" if em.constant_W is not None else f" at grid point {m}"
+        where = "" if em.weight_spec.is_constant else f" at grid point {m}"
         raise CapabilityError(f"the weight matrix{where} must be strictly "
                               f"positive (min eigenvalue {w[m, 0]:.3e})")
-
-
-def _mean_state(em: ExtendedMoments) -> np.ndarray:
-    return np.einsum("m,mab->ab", em.pi, np.asarray(em.states))
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +190,8 @@ def holevo_type_bound(em: ExtendedMoments,
     n, d = em.n, em.d
     nd = n * d
     _require_strictly_positive(em)
-    if em.constant_W is not None:
-        points = [(None, _mean_state(em))]
+    if em.weight_spec.is_constant:
+        points = [(None, em.S_B)]
     else:
         piW = em.pi[:, None, None] * em.weight_spec.stack(len(em.pi))
         points = list(zip(piW, em.states))

@@ -27,8 +27,7 @@ import numpy.linalg as npl
 from .closedform import rld_bound, sld_bound
 from .conic import GAP_TOL, ConicProgram, hvec, hvec_basis, solve_or_raise
 from .matcore import PSD_CLAMP, check_hermitian, hermitize
-from .model import StatisticalModel, build_extended_moments, \
-    build_moments
+from .model import StatisticalModel, build_extended_moments
 from .sdpbounds import holevo_type_bound, nagaoka_hayashi_bound
 
 POVM_SUM_TOL = 1e-9          # allowed deviation of the identity resolution
@@ -295,10 +294,9 @@ def ordering_audit(model: StatisticalModel,
     # checked up front, so bad arguments fail before any solve; drawn only
     # where the seesaw runs
     K = _start_outcomes(model, outcome_count, seed)
-    moments = build_moments(model)
     em = build_extended_moments(model)
-    c_sld, _ = sld_bound(moments, W)
-    c_rld, _ = rld_bound(moments, W)
+    c_sld, _ = sld_bound(em, W)
+    c_rld, _ = rld_bound(em, W)
     c_h = holevo_type_bound(em, gap_tol).value
     nh = nagaoka_hayashi_bound(em, gap_tol)
     c_nh = nh.value

@@ -4,11 +4,13 @@ Everything is seeded through numpy Generators so failures reproduce exactly.
 """
 
 import dataclasses
+import sys
 
 import numpy as np
 
+from qbayes import model as qmodel
 from qbayes.conic import ConicProgram
-from qbayes.model import BayesMoments, GridPoint, StatisticalModel, \
+from qbayes.model import ExtendedMoments, GridPoint, StatisticalModel, \
     WeightSpec, classical_binary
 
 
@@ -94,12 +96,34 @@ def pure_panel():
 def compressed_moments(moments):
     """The same moments with S_B and D_B written in an orthonormal basis of
     supp(S_B), the eigenvectors of S_B above 1e-9 of its largest eigenvalue:
-    the reference for bounds on a singular mean state."""
+    the reference for the closed-form bounds on a singular mean state. Only
+    S_B and D_B are compressed, so only those bounds may read the result."""
     w, U = np.linalg.eigh(moments.S_B)
     V = U[:, w > 1e-9 * w[-1]]
-    return BayesMoments(S_B=V.conj().T @ moments.S_B @ V,
-                        D_B=V.conj().T @ moments.D_B @ V, M=moments.M,
-                        theta_bar=moments.theta_bar, w_bar=moments.w_bar)
+    return dataclasses.replace(moments, S_B=V.conj().T @ moments.S_B @ V,
+                               D_B=V.conj().T @ moments.D_B @ V)
+
+
+def tensor_moments(W, S_B, D_bar, M):
+    """Hand-built moments of one grid point with state S_B under the constant
+    weight W: S_bar = W (x) S_B, the given D_bar with D_B = W^-1 D_bar, the
+    given M and w_bar = Tr(W M). The averages need not come from a model."""
+    W = np.asarray(W, dtype=float)
+    S_B = np.asarray(S_B, dtype=complex)
+    D_bar = np.asarray(D_bar, dtype=complex)
+    return ExtendedMoments(S_B=S_B,
+                           D_B=np.einsum("jk,kab->jab", np.linalg.inv(W), D_bar),
+                           M=np.asarray(M, dtype=float),
+                           S_bar=np.kron(W, S_B), D_bar=D_bar,
+                           w_bar=float(np.trace(W @ M)), pi=np.array([1.0]),
+                           states=S_B[None], weight_spec=WeightSpec(constant=W))
+
+
+def shifted(model, b):
+    """The model with b added to every theta_m; its states, prior and weight
+    are kept, so every bound and every Bayes risk is unchanged."""
+    pts = tuple(dataclasses.replace(p, theta=p.theta + b) for p in model.points)
+    return dataclasses.replace(model, points=pts)
 
 
 def per_point_panel():
@@ -147,3 +171,26 @@ def record_row_counts(monkeypatch):
 
     monkeypatch.setattr(ConicProgram, "assemble", counted)
     return counts
+
+
+def count_moment_builds(monkeypatch):
+    """List that gets the model of every moment fold from now on: each
+    binding, in any loaded qbayes module, of a moment builder's name is
+    wrapped, so a fold is counted once whichever name called it."""
+    builders = [getattr(qmodel, name) for name in
+                ("build_moments", "build_extended_moments")]
+    folds = []
+
+    def counting(build):
+        def counted(model):
+            folds.append(model)
+            return build(model)
+        return counted
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "qbayes":
+            continue
+        for key, value in list(vars(module).items()):
+            if any(value is b for b in builders):
+                monkeypatch.setattr(module, key, counting(value))
+    return folds

@@ -17,18 +17,15 @@ from helpers import (
     random_grid_model,
     random_spd,
     single_parameter_models,
+    tensor_moments,
 )
 from qbayes import verify
 from qbayes.closedform import rld_bound, sld_bound
 from qbayes.conic import GAP_TOL, ConicProgram, solve
 from qbayes.model import (
-    BayesMoments,
-    ExtendedMoments,
     GridPoint,
     StatisticalModel,
-    WeightSpec,
     build_extended_moments,
-    build_moments,
     correlated_pair,
     model_zoo,
     random_model,
@@ -61,10 +58,9 @@ def test_point_mass_collapse():
     worst_risk = 0.0
     for n, d in ((1, 2), (2, 3), (3, 4), (2, 2), (3, 2)):
         model = point_mass_model(rng, n, d)
-        mom = build_moments(model)
         em = build_extended_moments(model)
-        values = (sld_bound(mom, np.eye(n))[0],
-                  rld_bound(mom, np.eye(n))[0],
+        values = (sld_bound(em, np.eye(n))[0],
+                  rld_bound(em, np.eye(n))[0],
                   holevo_type_bound(em).value,
                   nagaoka_hayashi_bound(em).value)
         worst_bound = max(worst_bound, max(abs(v) for v in values))
@@ -77,9 +73,8 @@ def test_single_parameter_tightness():
     """All bounds meet at m - K for one parameter, and the spectral
     measurement of the averaged logarithmic derivative attains it."""
     for i, model in enumerate(single_parameter_models()):
-        mom = build_moments(model)
         em = build_extended_moments(model)
-        target, sld = sld_bound(mom, np.eye(1))
+        target, sld = sld_bound(em, np.eye(1))
         assert abs(nagaoka_hayashi_bound(em).value - target) <= 1e-6
         assert abs(holevo_type_bound(em).value - target) <= 1e-6
         achieved = rounded_measurement(model, sld.L).risk
@@ -91,9 +86,8 @@ def test_single_parameter_tightness():
 def test_correlated_pair_fixture():
     """Perfectly correlated coordinates double the scalar value to 1.28."""
     model = correlated_pair(1.0, 0.6)
-    mom = build_moments(model)
     em = build_extended_moments(model)
-    assert abs(sld_bound(mom, np.eye(2))[0] - 1.28) <= 1e-5
+    assert abs(sld_bound(em, np.eye(2))[0] - 1.28) <= 1e-5
     assert abs(nagaoka_hayashi_bound(em).value - 1.28) <= 1e-5
     assert seesaw(model, iters=25, seed=0).risk <= 1.28 + 1e-5
 
@@ -236,17 +230,12 @@ def test_trace_norm_identity_suite():
 
 def test_right_derivative_fixture_is_strictly_tighter():
     """Moments where the complex quadratic bound beats the symmetric one."""
-    mom = BayesMoments(S_B=np.diag([0.75, 0.25]).astype(complex),
-                       D_B=np.stack([0.1 * SX, 0.1 * SY]),
-                       M=0.1 * np.eye(2), theta_bar=np.zeros(2), w_bar=0.2)
-    c_sld = sld_bound(mom, np.eye(2))[0]
-    c_rld = rld_bound(mom, np.eye(2))[0]
+    em = tensor_moments(np.eye(2), np.diag([0.75, 0.25]),
+                        np.stack([0.1 * SX, 0.1 * SY]), 0.1 * np.eye(2))
+    c_sld = sld_bound(em, np.eye(2))[0]
+    c_rld = rld_bound(em, np.eye(2))[0]
     assert abs(c_sld - 0.12) <= 1e-6
     assert abs(c_rld - 11.0 / 75.0) <= 1e-6
-    W = np.eye(2)
-    em = ExtendedMoments(S_bar=np.kron(W, mom.S_B), D_bar=mom.D_B,
-                         w_bar=0.2, pi=np.array([1.0]), states=mom.S_B[None],
-                         weight_spec=WeightSpec(constant=W))
     assert holevo_type_bound(em).value >= 11.0 / 75.0 - 1e-6
 
 

@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import pure_model
+from helpers import audit_ensemble, count_moment_builds, pure_model, shifted
 import qbayes
 from qbayes import cli, conic
 from qbayes.cli import main
@@ -250,7 +250,7 @@ def _set(path, value):
     (_set(("weight", "constant", 0, 0), NAN), "nh", "weight matrix has non-finite entries"),
     (_set(("points", 0, "theta", 0), NAN), "nh", "point 0: theta has non-finite entries"),
     (_set(("points", 0, "weight"), NAN), "sld", "point 0: grid weight nan is not"),
-    (_set(("n",), "two"), "sld", "field 'n': could not convert"),
+    (_set(("n",), "two"), "sld", "field 'n': expected a number, got str"),
     (_set(("n",), 2.7), "sld", "n must be an integer >= 1, got 2.7"),
     (_set(("d",), 2.5), "sld", "d must be an integer >= 1, got 2.5"),
     (_set(("weight",), 3), "sld", "field 'weight'"),
@@ -277,6 +277,31 @@ def test_bounds_rejects_non_finite_or_mistyped_model_fields(tmp_path, capsys, ed
 
 
 @pytest.mark.parametrize("edit, message", [
+    (_set(("points", 0, "theta"), "12"),
+     "point 0: field 'theta': expected a list, got str"),
+    (_set(("points", 1, "score"), "00"),
+     "point 1: field 'score': expected a list, got str"),
+    (_set(("n",), True), "model: field 'n': expected a number, got bool"),
+    (_set(("points", 2, "weight"), "0.5"),
+     "point 2: field 'weight': expected a number, got str"),
+], ids=["theta-string", "score-string", "n-boolean", "weight-string"])
+def test_bounds_rejects_numbers_that_are_not_json_numbers(tmp_path, capsys,
+                                                          edit, message):
+    """A string or a boolean where the format has a number or a list of
+    numbers is rejected, with the point and the field named, in an edited
+    `qbayes zoo qubit_z_line 3` file: "12" is not theta = (1, 2), nor true
+    n = 1, and no bound is computed."""
+    data = model_to_dict(model_zoo("qubit_z_line", (3,)))
+    edit(data)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    assert main(["bounds", "--model", str(path), "--bounds", "sld,vantree"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: model file rejected: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("edit, message", [
     (_set(("points", 0, "drho", 0, 0, 1), [0.3, 0.0]),
      "point 0: derivative 0: matrix deviates from Hermitian by 3.000e-01"),
     (_set(("points", 0, "drho", 0, 0, 0), [1.0, 0.0]),
@@ -295,6 +320,29 @@ def test_bounds_rejects_bad_state_derivatives(tmp_path, capsys, edit, message):
     assert captured.err.startswith("error: model file rejected: ")
     assert message in captured.err
     assert captured.out == ""
+
+
+def test_bounds_folds_the_model_once_for_every_bound(tmp_path, monkeypatch):
+    """`qbayes bounds --bounds all` reads every rung, closed forms and SDPs
+    alike, from one fold of the model's moments."""
+    path = str(tmp_path / "zline.json")
+    save_model(model_zoo("qubit_z_line", (3,)), path)
+    folds = count_moment_builds(monkeypatch)
+    assert main(["bounds", "--model", path, "--bounds", "all",
+                 "--out", str(tmp_path / "r.json")]) == 0
+    assert len(folds) == 1
+
+
+def test_closed_forms_of_a_shifted_ensemble_model(tmp_path):
+    """Ensemble model 7 shifted by 1e3 is a valid model: its moments fold,
+    and `qbayes bounds --bounds sld,rld` reports both values and exits 0."""
+    path = str(tmp_path / "shifted.json")
+    save_model(shifted(list(audit_ensemble())[7], 1e3), path)
+    out = tmp_path / "r.json"
+    assert main(["bounds", "--model", path, "--bounds", "sld,rld",
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())["bounds"]
+    assert all("value" in report[name] for name in ("sld", "rld"))
 
 
 def test_bounds_rejects_overflowing_moments(tmp_path, capsys):
@@ -375,12 +423,23 @@ def _not_utf8(tmp_path):
                       "--out", str(tmp / "missing" / "m.json")], "cannot write"),
     (lambda tmp, cb: ["lemmas", "--trials", "1",
                       "--out", str(tmp / "missing" / "l.json")], "cannot write"),
+    (lambda tmp, cb: ["bounds", "--model", cb, "--bounds", "sld", "--out", cb],
+     "--model and --out name the same file"),
+    (lambda tmp, cb: ["bounds", "--model", cb, "--bounds", "sld",
+                      "--out", str(tmp / "r.json"), "--csv", str(tmp / "r.json")],
+     "--out and --csv name the same file"),
+    (lambda tmp, cb: ["verify", "--model", cb, "--iters", "2",
+                      "--out", os.path.join(tmp, ".", "cb.json")],
+     "--model and --out name the same file"),
 ], ids=["model-is-a-directory", "model-not-utf8", "bounds-out", "bounds-csv",
-        "verify-out", "verify-model-is-a-directory", "zoo-out", "lemmas-out"])
+        "verify-out", "verify-model-is-a-directory", "zoo-out", "lemmas-out",
+        "bounds-out-is-model", "bounds-csv-is-out", "verify-out-is-model"])
 def test_file_errors_exit_2_without_a_traceback(tmp_path, monkeypatch, capsys,
                                                 args, message):
-    """Each file error is found before any solve runs."""
+    """Each file error is found before any solve runs, and the model file
+    is left as it was."""
     cb = write_cb(tmp_path)
+    model_text = Path(cb).read_text()
     capsys.readouterr()
 
     def no_solve(*args, **kwargs):
@@ -391,6 +450,8 @@ def test_file_errors_exit_2_without_a_traceback(tmp_path, monkeypatch, capsys,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}")
     assert "Traceback" not in err
+    assert Path(cb).read_text() == model_text
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_verify_certifies_the_binary_model(tmp_path):

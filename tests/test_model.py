@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 
 from helpers import random_grid_model, random_spd
 from qbayes.model import (
-    BayesMoments,
     GridPoint,
     ModelError,
     StatisticalModel,
     WeightSpec,
     build_extended_moments,
-    build_moments,
     classical_binary,
     correlated_pair,
     load_model,
@@ -66,9 +64,8 @@ def test_weight_spec_modes():
 def test_classical_binary_moments():
     """Two diagonal states at theta = +-a with equal prior."""
     model = classical_binary(1.0, 0.6)
-    mom = build_moments(model)
+    mom = build_extended_moments(model)
     assert abs(np.trace(mom.S_B) - 1.0) < 1e-12
-    assert np.allclose(mom.theta_bar, 0.0)
     assert np.allclose(mom.M, np.array([[1.0]]))
     # D_B = sum_m pi_m theta_m S_m = (a/2)(S_+ - S_-) has trace a * 0 here
     assert abs(np.trace(mom.D_B[0])) < 1e-12
@@ -77,19 +74,17 @@ def test_classical_binary_moments():
 def test_correlated_pair_embeds_the_binary_model():
     model = correlated_pair(1.0, 0.6)
     assert model.n == 2
-    mom = build_moments(model)
+    mom = build_extended_moments(model)
     # both coordinates carry the same marginal: theta_1 = theta_2 on the grid
     assert np.allclose(mom.M, mom.M[0, 0] * np.ones((2, 2)))
 
 
-@pytest.mark.parametrize("build, name", [
-    (build_moments, "moment M"), (build_extended_moments, "moment w_bar")],
-    ids=["moments", "extended"])
-def test_overflowing_moments_are_rejected(build, name):
+def test_overflowing_moments_are_rejected():
     """theta = +-1e200 is finite, but its square is not: the second moment
-    M and w_bar overflow to inf, a ModelError that names the moment."""
-    with pytest.raises(ModelError, match=f"^{name} has non-finite entries$"):
-        build(correlated_pair(1e200, 0.6))
+    M and w_bar overflow to inf, a ModelError that names the first moment
+    checked, w_bar."""
+    with pytest.raises(ModelError, match="^moment w_bar has non-finite entries$"):
+        build_extended_moments(correlated_pair(1e200, 0.6))
 
 
 def test_qubit_z_line_has_derivatives_and_score():
@@ -111,23 +106,23 @@ def test_qubit_xy_and_random_model_are_valid():
 def test_build_moments_second_moment_dominates_mean():
     rng = np.random.default_rng(11)
     model = random_grid_model(rng, 2, 2, 3)
-    mom = build_moments(model)
-    gram = mom.M - np.outer(mom.theta_bar, mom.theta_bar)
+    mom = build_extended_moments(model)
+    theta_bar = model.pi @ model.thetas
+    gram = mom.M - np.outer(theta_bar, theta_bar)
     assert np.linalg.eigvalsh(gram)[0] > -1e-10
 
 
 def test_extended_moments_tensor_structure_under_identity_weight():
     rng = np.random.default_rng(12)
     model = random_grid_model(rng, 2, 2, 3)
-    mom = build_moments(model)
     em = build_extended_moments(model)
-    assert em.constant_W is not None
+    assert em.weight_spec.is_constant
     # with W = I the extended blocks are diag(S_B, S_B) and D_bar = D_B
     assert em.S_bar.shape == (4, 4)
-    assert np.allclose(em.S_bar[:2, :2], mom.S_B)
+    assert np.allclose(em.S_bar[:2, :2], em.S_B)
     assert np.allclose(em.S_bar[:2, 2:], 0.0)
-    assert np.allclose(em.D_bar, mom.D_B)
-    assert abs(em.w_bar - np.trace(mom.M)) < 1e-12
+    assert np.allclose(em.D_bar, em.D_B)
+    assert abs(em.w_bar - np.trace(em.M)) < 1e-12
 
 
 def test_extended_moments_mix_weights_per_point():
@@ -137,7 +132,7 @@ def test_extended_moments_mix_weights_per_point():
     model = StatisticalModel(n=2, d=2, points=base.points,
                              weight_spec=WeightSpec(per_point=Ws))
     em = build_extended_moments(model)
-    assert em.constant_W is None
+    assert not em.weight_spec.is_constant
     expected = sum(pt.weight * np.kron(Ws[m], pt.state)
                    for m, pt in enumerate(model.points))
     assert np.allclose(em.S_bar, expected, atol=1e-12)
@@ -147,7 +142,6 @@ def test_extended_moments_mix_weights_per_point():
     w_expected = sum(pt.weight * pt.theta @ Ws[m] @ pt.theta
                      for m, pt in enumerate(model.points))
     assert abs(em.w_bar - w_expected) < 1e-12
-    assert abs(build_moments(model).w_bar - w_expected) < 1e-12
 
 
 def test_with_weight_replaces_the_constant_block():
@@ -240,9 +234,9 @@ def test_moments_are_affine_in_the_prior():
                                 weight_spec=base.weight_spec)
 
     mixed = reweighted(t * wts_a + (1 - t) * wts_b)
-    ma = build_moments(reweighted(wts_a))
-    mb = build_moments(reweighted(wts_b))
-    mc = build_moments(mixed)
+    ma = build_extended_moments(reweighted(wts_a))
+    mb = build_extended_moments(reweighted(wts_b))
+    mc = build_extended_moments(mixed)
     assert np.allclose(mc.S_B, t * ma.S_B + (1 - t) * mb.S_B, atol=1e-12)
     assert np.allclose(mc.D_B, t * ma.D_B + (1 - t) * mb.D_B, atol=1e-12)
     assert np.allclose(mc.M, t * ma.M + (1 - t) * mb.M, atol=1e-12)
@@ -261,13 +255,12 @@ def test_moment_unitary_covariance():
                 for p in model.points)
     rotated = StatisticalModel(n=2, d=3, points=pts,
                                weight_spec=model.weight_spec)
-    m0 = build_moments(model)
-    m1 = build_moments(rotated)
+    m0 = build_extended_moments(model)
+    m1 = build_extended_moments(rotated)
     assert np.allclose(m1.S_B, U @ m0.S_B @ U.conj().T, atol=1e-12)
     for j in range(2):
         assert np.allclose(m1.D_B[j], U @ m0.D_B[j] @ U.conj().T, atol=1e-12)
     assert np.allclose(m1.M, m0.M, atol=1e-12)
-    assert np.allclose(m1.theta_bar, m0.theta_bar, atol=1e-12)
     assert abs(m1.w_bar - m0.w_bar) < 1e-12
 
 
@@ -336,9 +329,6 @@ def _set(path, value):
      "point 0: derivative shape (2, 2, 2)"),
     (lambda: _two_points(score=np.zeros((2, 2))),
      "prior_score shape (2, 2), expected (2, 1)"),
-    (lambda: BayesMoments(S_B=HALF, D_B=np.zeros((1, 2, 2)), M=[[0.0]],
-                          theta_bar=[1.0], w_bar=0.0),
-     "second moment minus mean outer product is not PSD"),
     (lambda: model_zoo("classical_binary", (1.0,)),
      "classical_binary takes parameters (a, r)"),
     (lambda: model_zoo("qubit_xy"), "qubit_xy takes parameters (b[, grid])"),
@@ -358,13 +348,41 @@ def _set(path, value):
      "point 0: expected 1 derivative matrices"),
     (lambda: _edited_file(lambda data: data["points"][1].pop("score")),
      "'score' must be attached to every point or none"),
+    (lambda: _edited_file(_set(["points", 0, "theta"], "12")),
+     "point 0: field 'theta': expected a list, got str"),
+    (lambda: _edited_file(_set(["points", 1, "score"], "00")),
+     "point 1: field 'score': expected a list, got str"),
+    (lambda: _edited_file(_set(["points", 1, "score"], [0.0, 0.0])),
+     "point 1: field 'score': length 2, expected 1"),
+    (lambda: _edited_file(_set(["n"], True)),
+     "model: field 'n': expected a number, got bool"),
+    (lambda: _edited_file(_set(["points", 0, "weight"], "0.5")),
+     "point 0: field 'weight': expected a number, got str"),
+    (lambda: _edited_file(_set(["points", 0, "theta"], [False])),
+     "point 0: field 'theta': expected a number, got bool"),
+    (lambda: _edited_file(_set(["points", 0, "weight"], 10 ** 400)),
+     "point 0: field 'weight': int too large to convert to float"),
+    (lambda: _edited_file(_set(["weight", "constant"], [["1"]])),
+     "model: field 'weight': expected a number, got str"),
+    (lambda: _edited_file(_set(["weight"], "constant")),
+     "model: field 'weight': expected an object, got str"),
+    (lambda: _edited_file(_set(["points", 0, "rho", 0, 0], [True, 0.0])),
+     "point 0: entries must be [re, im] pairs of numbers (expected a number, "
+     "got bool)"),
+    (lambda: _edited_file(_set(["points", 0, "drho"], "ab")),
+     "point 0 drho: entries must be [re, im] pairs of numbers (expected a "
+     "list, got str)"),
 ], ids=["state-shape", "weight-shape", "weight-not-symmetric",
         "weight-not-psd", "weight-spec-both-forms", "weight-spec-neither-form",
         "theta-length", "derivative-shape", "prior-score-shape",
-        "moment-covariance", "zoo-binary-arity", "zoo-qubit-xy-arity",
+        "zoo-binary-arity", "zoo-qubit-xy-arity",
         "zoo-random-arity", "json-entries-not-pairs", "json-matrix-shape",
         "json-weight-form", "json-not-an-object", "json-empty-points",
-        "json-drho-count", "json-partial-scores"])
+        "json-drho-count", "json-partial-scores", "json-theta-string",
+        "json-score-string", "json-score-length", "json-n-boolean",
+        "json-weight-string", "json-theta-boolean", "json-weight-overflow",
+        "json-weight-matrix-string", "json-weight-form-string",
+        "json-rho-boolean", "json-drho-string"])
 def test_model_checks_name_what_is_wrong(build, fragment):
     with pytest.raises(ModelError, match=re.escape(fragment)):
         build()

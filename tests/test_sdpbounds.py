@@ -18,17 +18,16 @@ from helpers import (
     random_spd,
     random_unitary,
     record_row_counts,
+    tensor_moments,
 )
 from qbayes.conic import ConicProgram, hvec, hvec_basis, solve_or_raise
 from qbayes.matcore import hermitize
 from qbayes.model import (
     CapabilityError,
-    ExtendedMoments,
     GridPoint,
     StatisticalModel,
     WeightSpec,
     build_extended_moments,
-    build_moments,
     classical_binary,
     correlated_pair,
     model_zoo,
@@ -50,16 +49,6 @@ from qbayes.verify import rounded_measurement
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
-
-
-def tensor_moments(W, S_B, D_bar, M):
-    """ExtendedMoments for one grid point at theta = 0 with given averages."""
-    return ExtendedMoments(S_bar=np.kron(W, S_B),
-                           D_bar=np.asarray(D_bar, dtype=complex),
-                           w_bar=float(np.trace(W @ M)),
-                           pi=np.array([1.0]),
-                           states=np.asarray(S_B, dtype=complex)[None],
-                           weight_spec=WeightSpec(constant=W))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    count_moment_builds,
     pure_panel,
     random_grid_model,
     random_spd,
@@ -20,7 +21,6 @@ from qbayes.model import (
     StatisticalModel,
     WeightSpec,
     build_extended_moments,
-    build_moments,
     classical_binary,
     qubit_xy,
     random_model,
@@ -205,7 +205,7 @@ def test_rounded_nh_measurement_attains_the_single_parameter_bound():
     """For n = 1 the eigenbasis of NH's observable attains m - K."""
     for model in single_parameter_models():
         nh = nagaoka_hayashi_bound(build_extended_moments(model))
-        target = sld_bound(build_moments(model), np.eye(1))[0]
+        target = sld_bound(build_extended_moments(model), np.eye(1))[0]
         dec = rounded_measurement(model, nh.Xopt)
         assert len(dec.povm) == model.d
         assert abs(dec.risk - target) <= 1e-7
@@ -267,7 +267,7 @@ def test_personick_measurement_attains_the_quadratic_bound():
     """The eigenbasis of the SLD L, read by `rounded_measurement`, attains
     m - K; its estimates are the eigenvalues of L."""
     for model in (classical_binary(1.0, 0.6), random_model(1, 3, seed=2)):
-        value, sld = sld_bound(build_moments(model), np.eye(1))
+        value, sld = sld_bound(build_extended_moments(model), np.eye(1))
         dec = rounded_measurement(model, sld.L)
         assert abs(dec.risk - value) < 1e-9
         assert np.allclose(np.sort(dec.estimates[:, 0]),
@@ -359,6 +359,16 @@ def test_ordering_audit_summary():
     assert set(audit) == {"values", "margins", "min_margin", "ok",
                           "rounded_risk"}
     assert audit["rounded_risk"] >= audit["values"]["seesaw_risk"]
+
+
+def test_ordering_audit_folds_each_model_once(monkeypatch):
+    """Every rung of the audit, closed forms and SDPs alike, reads one fold
+    of the model's moments."""
+    folds = count_moment_builds(monkeypatch)
+    models = [classical_binary(1.0, 0.6), qubit_xy(0.6, 3)]
+    for model in models:
+        ordering_audit(model, iters=2, seed=0)
+    assert [id(m) for m in folds] == [id(m) for m in models]
 
 
 def test_ordering_audit_on_pure_states():
