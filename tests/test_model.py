@@ -15,6 +15,7 @@ from qbayes.model import (
     StatisticalModel,
     WeightSpec,
     build_extended_moments,
+    build_moments,
     classical_binary,
     correlated_pair,
     load_model,
@@ -79,12 +80,15 @@ def test_correlated_pair_embeds_the_binary_model():
     assert np.allclose(mom.M, mom.M[0, 0] * np.ones((2, 2)))
 
 
-def test_overflowing_moments_are_rejected():
+@pytest.mark.parametrize("build", [build_moments, build_extended_moments],
+                         ids=["moments", "extended"])
+def test_overflowing_moments_are_rejected(build):
     """theta = +-1e200 is finite, but its square is not: the second moment
     M and w_bar overflow to inf, a ModelError that names the first moment
-    checked, w_bar."""
+    checked, w_bar. `build_moments` is the same builder under the name the
+    benchmark calls."""
     with pytest.raises(ModelError, match="^moment w_bar has non-finite entries$"):
-        build_extended_moments(correlated_pair(1e200, 0.6))
+        build(correlated_pair(1e200, 0.6))
 
 
 def test_qubit_z_line_has_derivatives_and_score():
