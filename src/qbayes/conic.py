@@ -23,14 +23,17 @@ L^dag S L = U diag(w) U^dag, the factor R = L U diag(w)^-1/4 gives the NT
 scaling W = R R^dag, and R^-1 X R^-dag = R^dag S R = diag(lam), lam = w^1/2.
 `solve` holds A only as its nonzeros, read once from `assemble`'s dense
 form, which is then dropped: A x, A^T y and A^T dy are sums over them. The
-rows of A and c are scaled once per iteration (A~_i = R^dag A_i R), the
-rows TRI_LEAF at a time into one (p, N) buffer allocated once per solve, and
-the last iteration's Schur factor is released before they are, so A~ and
-one p x p factor are the only arrays of the program's size held at once.
-A row's coefficient on a block touches only the indices S of its nonzero
-rows, read once per solve from the nonzeros of A, so A~_i = R[S]^dag
-A_i[S, S] R[S] with s rows of R in place of k (s = 4 of k = 30 for NH at
-d = 10); c keeps the k x k congruence hvec(R^dag hmat(c) R). The Newton
+rows of A and c are scaled once per iteration (A~_ib = R_b^dag A_ib R_b on
+block b) into one (p, N) buffer, zeroed once per solve, and the last
+iteration's Schur factor is released before they are, so A~ and one p x p
+factor are the only arrays of the program's size held at once. Only the
+touched (row, block) pairs, those with A_ib nonzero, are scaled; the others
+stay 0. A touched coefficient reaches only the indices S of its nonzero
+rows, read once per solve from the nonzeros of A, so A~_ib = R[S]^dag
+A_ib[S, S] R[S] with s rows of R in place of k. The pairs are scaled
+TRI_LEAF at a time, each chunk padded only to its own widest support: s = 4
+of k = 30 for NH at d = 10, and Holevo's one dense cap row widens only the
+chunk it is in. c keeps the k x k congruence hvec(R^dag hmat(c) R). The Newton
 system and the step to the cone boundary then see only the diagonal lam. So
 the corrector, the affine step's V = dX~ o dS~ (A o B = (AB + BA)/2),
 enters the right-hand side as M_ij = 2 V_ij / (lam_i + lam_j), the closed-form solution of
@@ -84,8 +87,8 @@ STEP_FRAC = 0.98     # fraction of the step to the cone boundary
 SIGMA_MIN = 0.05     # keeps every step at least mildly centering
 REFINE_TOL = 1e-12   # reduced residual, relative to its right-hand side, at
                      # which a Newton solve stops refining
-TRI_LEAF = 64        # rows per block of the row scaling, and per diagonal
-                     # leaf of the Schur factor that npl.inv inverts
+TRI_LEAF = 64        # (row, block) pairs per chunk of the row scaling, and
+                     # rows per diagonal leaf of the Schur factor
 SCHUR_SHIFT = 1e-14  # added to the unit diagonal of the row-scaled Schur block
 
 
@@ -314,6 +317,17 @@ def _congruence(groups, P, v: np.ndarray) -> np.ndarray:
         for (k, cols), Pk in zip(groups, P)], axis=-1)
 
 
+def _size_groups(blocks: list, starts: list) -> list:
+    """(k, cols) per distinct block size k, cols the slice of the columns
+    its blocks fill: by `ConicProgram.assemble`, the blocks of one size fill
+    one run of columns."""
+    groups = []
+    for k in dict.fromkeys(blocks):
+        st = starts[blocks.index(k)]
+        groups.append((k, slice(st, st + blocks.count(k) * k * k)))
+    return groups
+
+
 def _times(nz, v: np.ndarray, size: int) -> np.ndarray:
     """A v from the nonzeros nz = (i, j, a) of A, or A^T v from (j, i, a):
     the sum of a v[j] into entry i of a vector of the given size."""
@@ -322,13 +336,18 @@ def _times(nz, v: np.ndarray, size: int) -> np.ndarray:
 
 
 def _row_supports(groups, nz, p: int) -> list:
-    """Per size group, the indices S that each row's coefficient touches on
-    each block (its nonzero rows, which are its nonzero columns), padded with
-    untouched indices to the group's widest support s >= 1: S as flat rows of
-    the group's (K k, k) stack of R, and the (p, K, s, s) coefficients C[S, S].
-    Both are read off the nonzeros nz = (rows, cols, values) of the p rows of
-    A: a nonzero hvec coordinate sets the entry (a, b) of C and its mirror
-    (b, a), at the places of a and b in S, with hmat's scales.
+    """Per size group, its touched (row, block) pairs, those with A_ib
+    nonzero, in row order and in chunks of TRI_LEAF. A chunk is (at, S,
+    C[S, S]). `at` indexes its P pairs in the (p, K, k^2) view of the
+    group's scaled rows: a slice of rows when the group is one block that
+    every row touches, so those writes stay contiguous. S (P, s) holds the
+    indices each pair's coefficient touches (its nonzero rows, which are its
+    nonzero columns) as flat rows of the group's (K k, k) stack of R, padded
+    with untouched indices to the chunk's widest support s, and C[S, S] is
+    (P, s, s). All is read off the nonzeros nz = (rows, cols, values) of the
+    p rows of A, in row-major order: a nonzero hvec coordinate sets the
+    entry (a, b) of C and its mirror (b, a), at the places of a and b in S,
+    with hmat's scales.
     """
     rows, cols, vals = nz
     out = []
@@ -341,31 +360,52 @@ def _row_supports(groups, nz, p: int) -> list:
         blk, coord = np.divmod(cols[inside] - span.start, k * k)
         a, b = (end[coord] for end in ends)
         im = vec_idx[coord] % 2             # the real (0) or imaginary (1) part
-        touched = np.zeros((p, K, k), dtype=bool)
-        touched[i, blk, a] = touched[i, blk, b] = True
-        s = max(1, touched.sum(axis=-1).max(initial=0))
-        S = np.argsort(~touched, axis=-1, kind="stable")[..., :s]
-        place = np.cumsum(touched, axis=-1) - 1     # of each touched index in S
-        pa, pb = place[i, blk, a], place[i, blk, b]
         v = vals[inside] * mat_scale[vec_idx[coord]]
-        CS = np.zeros((p, K, s, s, 2))      # re and im of each C[S_a, S_b]
-        CS[i, blk, pa, pb, im] = v
-        CS[i, blk, pb, pa, im] = np.where(im, -v, v)
-        out.append((S + k * np.arange(K)[:, None], CS.view(complex)[..., 0]))
+        vt = np.where(im, -v, v)            # the value of the mirror (b, a)
+        # row-major nonzeros come in (row, block) order, so each touched
+        # pair is one run of them, from first[j] on; q numbers their pairs
+        pair = i * K + blk
+        new = np.ones(len(pair), dtype=bool)
+        np.not_equal(pair[1:], pair[:-1], out=new[1:])
+        first = np.flatnonzero(new)
+        q = np.cumsum(new) - 1
+        P = len(first)
+        touched = np.zeros((P, k), dtype=bool)
+        touched[q, a] = touched[q, b] = True
+        width = touched.sum(axis=-1)
+        S = np.argsort(~touched, axis=-1, kind="stable")
+        place = np.cumsum(touched, axis=-1) - 1     # of each touched index in S
+        qa, qb = place[q, a], place[q, b]
+        prow, pblk = i[first], blk[first]
+        whole = K == 1 and P == p
+        chunks = []
+        for lo in range(0, P, TRI_LEAF):
+            hi = min(lo + TRI_LEAF, P)
+            s = width[lo:hi].max()
+            m = slice(first[lo], first[hi] if hi < P else None)  # its nonzeros
+            CS = np.zeros((hi - lo, s, s, 2))   # re and im of each C[S_a, S_b]
+            CS[q[m] - lo, qa[m], qb[m], im[m]] = v[m]
+            CS[q[m] - lo, qb[m], qa[m], im[m]] = vt[m]
+            at = (slice(lo, hi), 0) if whole else (prow[lo:hi], pblk[lo:hi])
+            chunks.append((at, S[lo:hi, :s] + k * pblk[lo:hi, None],
+                           CS.view(complex)[..., 0]))
+        out.append(chunks)
     return out
 
 
 def _scaled_rows(groups, R, supports, out: np.ndarray) -> np.ndarray:
-    """hvec(R_b^dag A_ib R_b) for every row i and block b, written into the
-    (p, N) buffer `out` TRI_LEAF rows at a time and returned. Each is formed
-    as R[S]^dag C[S, S] R[S] over the row's support S: exact, since the
-    entries of A_ib outside S are zero."""
-    for (k, cols), Rk, (flat, CS) in zip(groups, R, supports):
+    """hvec(R_b^dag A_ib R_b) for every touched row i and block b, written
+    into the (p, N) buffer `out` one chunk of `_row_supports` at a time and
+    returned. Each is formed as R[S]^dag C[S, S] R[S] over the pair's
+    support S: exact, since the entries of A_ib outside S are zero. The
+    untouched pairs, whose A_ib is zero, are not written, so `out` must
+    hold zeros there."""
+    for (k, cols), Rk, chunks in zip(groups, R, supports):
         Rrows = Rk.reshape(-1, k)
-        for i in range(0, len(out), TRI_LEAF):
-            rows = slice(i, i + TRI_LEAF)
-            RS = Rrows[flat[rows]]          # (r, K, s, k): the rows S of R
-            out[rows, cols] = hvec(_ct(RS) @ CS[rows] @ RS).reshape(len(RS), -1)
+        pairs = out[:, cols].reshape(len(out), len(Rk), k * k)  # a view of out
+        for at, S, CS in chunks:
+            RS = Rrows[S]                   # (P, s, k): the rows S of R
+            pairs[at] = hvec(_ct(RS) @ CS @ RS)
     return out
 
 
@@ -480,14 +520,11 @@ def solve(program: ConicProgram, gap_tol: float = GAP_TOL) -> ConicSolution:
     bnorm = 1.0 + (np.abs(b).max() if p else 0.0)
     cnorm = 1.0 + np.abs(c).max()
 
-    # the blocks of each size fill one run of columns (see assemble), so
     # every per-block step below is one batched call per distinct size k
-    groups = []
-    for k in dict.fromkeys(program.blocks):
-        st = starts[program.blocks.index(k)]
-        groups.append((k, slice(st, st + program.blocks.count(k) * k * k)))
+    groups = _size_groups(program.blocks, starts)
     supports = _row_supports(groups, nz, p)
-    A_sc = np.empty((p, N))     # every iteration's scaled rows
+    # every iteration's scaled rows; the pairs no row touches stay 0
+    A_sc = np.zeros((p, N))
 
     # interior start: identity in every block, tau = kappa = 1
     x = np.zeros(N)

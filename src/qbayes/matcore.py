@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 import numpy.linalg as npl
 
-# Module-wide tolerances; `is_block_symmetric` alone takes an override.
+# Module-wide tolerances; no function here takes an override.
 HERM_TOL = 1e-12        # max |A - A^dag| accepted before symmetrization
 PSD_CLAMP = 1e-10       # eigenvalues above -PSD_CLAMP are clamped to zero
 SUPPORT_TOL = 1e-12     # support eigenvalues exceed SUPPORT_TOL * w_max

@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 
+from qbayes import conic
 from qbayes import model as qmodel
 from qbayes.conic import ConicProgram
 from qbayes.model import ExtendedMoments, GridPoint, StatisticalModel, \
@@ -171,6 +172,23 @@ def record_row_counts(monkeypatch):
 
     monkeypatch.setattr(ConicProgram, "assemble", counted)
     return counts
+
+
+class ProgramCaptured(Exception):
+    """Raised by the `conic.solve` of `capture_programs` in place of a solve."""
+
+
+def capture_programs(monkeypatch):
+    """List that gets every program handed to `conic.solve` from now on;
+    the solve itself raises ProgramCaptured, so nothing is solved."""
+    programs = []
+
+    def captured(program, gap_tol=conic.GAP_TOL):
+        programs.append(program)
+        raise ProgramCaptured
+
+    monkeypatch.setattr(conic, "solve", captured)
+    return programs
 
 
 def count_moment_builds(monkeypatch):

@@ -171,14 +171,19 @@ def test_interleaved_block_sizes_share_size_stacks():
     assert [X.shape[0] for X in sol.variable_values] == [2, 3, 2, 3]
 
 
+def _nonzeros(A):
+    rows, cols = np.nonzero(A)
+    return rows, cols, A[rows, cols]
+
+
 def test_support_scaled_rows_match_the_dense_congruence():
-    """Each row scaled through the indices its coefficient touches equals
-    the dense congruence hvec(R^dag A_i R), on blocks of sizes 3, 4, 3, 4
-    with a row on one block of a size group, a block most rows skip, and a
-    dense row that makes its group's support the whole block. A block of
-    size 5 adds 151 rows, so the 157 rows span three row blocks of TRI_LEAF
-    = 64; only a row of the last one touches three of its indices, so the
-    earlier blocks are padded to that group's width."""
+    """Each touched (row, block) pair scaled through the indices its
+    coefficient touches equals the dense congruence hvec(R^dag A_i R), on
+    blocks of sizes 3, 4, 3, 4 with a row on one block of a size group, a
+    block most rows skip, and a dense row. A block of size 5 adds 151 rows,
+    so its pairs span three chunks of TRI_LEAF = 64; only the last pair
+    touches three of its indices, so only the last chunk is that wide. The
+    buffer starts at 0, and the pairs no row touches stay 0."""
     rng = np.random.default_rng(13)
     prog = ConicProgram()
     blks = [prog.add_psd_block(k) for k in (3, 4, 3, 4, 5)]
@@ -191,17 +196,53 @@ def test_support_scaled_rows_match_the_dense_congruence():
     prog.add_eq({blks[4]: np.concatenate([conic.hvec_basis(5)] * 6)},
                 rhs=np.ones(150))
     prog.add_eq({blks[4]: np.diag([0.0, 1.0, 0.0, 2.0, 3.0])}, rhs=1.0)
-    A = prog.assemble()[0]
+    A, _, _, starts, _ = prog.assemble()
     assert len(A) == 157 > 2 * conic.TRI_LEAF
-    groups = [(3, slice(0, 18)), (4, slice(18, 50)), (5, slice(50, 75))]
+    groups = conic._size_groups(prog.blocks, starts)
+    assert groups == [(3, slice(0, 18)), (4, slice(18, 50)), (5, slice(50, 75))]
     R = [rng.standard_normal((K, k, k)) + 1j * rng.standard_normal((K, k, k))
          + k * np.eye(k) for (k, _), K in zip(groups, (2, 2, 1))]
-    rows, cols = np.nonzero(A)
-    supports = conic._row_supports(groups, (rows, cols, A[rows, cols]), len(A))
-    assert [CS.shape[-1] for _, CS in supports] == [2, 4, 3]
+    supports = conic._row_supports(groups, _nonzeros(A), len(A))
+    assert [[CS.shape[-1] for _, _, CS in chunks] for chunks in supports] \
+        == [[2], [4], [2, 2, 3]]
     dense = conic._congruence(groups, R, A)
-    out = np.full(A.shape, np.nan)
+    out = np.zeros(A.shape)
     assert conic._scaled_rows(groups, R, supports, out) is out
+    assert np.abs(out - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def test_scaled_rows_touch_only_the_pairs_of_their_blocks():
+    """Rows shaped like `nagaoka_bound`'s, each on one or two of six 3 x 3
+    blocks (one block no row touches), over 70 rows, so two chunks: only
+    the touched (row, block) pairs are scaled, every other entry of the
+    buffer stays exactly 0, and the result is the dense congruence."""
+    rng = np.random.default_rng(29)
+    prog = ConicProgram()
+    blks = [prog.add_psd_block(3) for _ in range(6)]
+    E = conic.hvec_basis(3)
+    touched = np.zeros((70, 6), dtype=bool)
+    for i in range(70):
+        on = rng.choice(5, size=1 + i % 2, replace=False)
+        touched[i, on] = True
+        coeffs = {blks[b]: E[rng.integers(9)] * rng.uniform(1, 2) for b in on}
+        if i % 7 == 0:
+            coeffs[blks[on[0]]] = random_hermitian(rng, 3)
+        prog.add_eq(coeffs, rhs=1.0)
+    A, _, _, starts, _ = prog.assemble()
+    groups = conic._size_groups(prog.blocks, starts)
+    supports = conic._row_supports(groups, _nonzeros(A), len(A))
+    (chunks,) = supports
+    pairs = np.concatenate([np.stack(at, axis=1) for at, _, _ in chunks])
+    assert [len(CS) for _, _, CS in chunks] == [64, touched.sum() - 64]
+    assert np.array_equal(pairs, np.argwhere(touched))
+    assert [CS.shape[-1] for _, _, CS in chunks] == [3, 3]
+    R = [rng.standard_normal((6, 3, 3)) + 1j * rng.standard_normal((6, 3, 3))
+         + 3 * np.eye(3)]
+    out = conic._scaled_rows(groups, R, supports, np.zeros(A.shape))
+    scaled = out.reshape(70, 6, 9)
+    assert (np.abs(scaled[touched]).max(axis=-1) > 0).all()
+    assert (scaled[~touched] == 0.0).all()
+    dense = conic._congruence(groups, R, A)
     assert np.abs(out - dense).max() <= 1e-12 * np.abs(dense).max()
 
 

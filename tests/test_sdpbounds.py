@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from helpers import (
+    ProgramCaptured,
     audit_ensemble,
+    capture_programs,
     per_point,
     point_mass_model,
     pure_model,
@@ -20,6 +22,7 @@ from helpers import (
     record_row_counts,
     tensor_moments,
 )
+from qbayes import conic
 from qbayes.conic import ConicProgram, hvec, hvec_basis, solve_or_raise
 from qbayes.matcore import hermitize
 from qbayes.model import (
@@ -273,11 +276,32 @@ def test_holevo_values_match_the_primal_program(name, params, constant, general)
     assert abs(vg - general) <= 1e-7 * general
 
 
+def test_holevo_cap_row_widens_only_its_chunk(monkeypatch):
+    """Holevo's constant form at d = 8 is 193 rows on G (24 x 24): 192 pin
+    the corner and make X Hermitian, touching at most 4 indices of G each,
+    and the last, the cap row Im Phi_B(L) = 0, touches L's nd = 16. Rows
+    are scaled TRI_LEAF at a time, each chunk padded only to its own widest
+    support, so the cap row is alone at width 16."""
+    programs = capture_programs(monkeypatch)
+    em = build_extended_moments(random_model(2, 8, seed=1, grid=4))
+    with pytest.raises(ProgramCaptured):
+        holevo_type_bound(em)
+    (prog,) = programs
+    A, _, _, starts, _ = prog.assemble()
+    rows, cols = np.nonzero(A)
+    groups = conic._size_groups(prog.blocks, starts)
+    (chunks,) = conic._row_supports(groups, (rows, cols, A[rows, cols]), len(A))
+    assert len(A) == 193
+    assert [len(CS) for _, _, CS in chunks] == [64, 64, 64, 1]
+    widths = [CS.shape[-1] for _, _, CS in chunks]
+    assert max(widths[:-1]) <= 4 and widths[-1] == 16
+
+
 def test_holevo_scaling_memory_stays_small():
     """The solver scales each row through the rows of the scaling factor
-    its coefficient touches, padded to the widest (the cap row's nd = 12 of
-    18 here), so Holevo on a d = 6 model, one block G of size (n + 1)d = 18,
-    allocates well under the two k^2 x k^2 scaling tables per iteration
+    its coefficient touches, padded to the widest in its chunk of rows (the
+    cap row's nd = 12 of 18 here), so Holevo on a d = 6 model, one block G
+    of size (n + 1)d = 18, allocates well under the two k^2 x k^2 scaling tables per iteration
     that a dense operator form of the scaling would need."""
     em = build_extended_moments(random_model(2, 6, seed=1, grid=4))
     tracemalloc.start()
