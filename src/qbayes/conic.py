@@ -335,19 +335,17 @@ def _times(nz, v: np.ndarray, size: int) -> np.ndarray:
     return np.bincount(i, weights=a * v[j], minlength=size)
 
 
-def _row_supports(groups, nz, p: int) -> list:
+def _row_supports(groups, nz) -> list:
     """Per size group, its touched (row, block) pairs, those with A_ib
     nonzero, in row order and in chunks of TRI_LEAF. A chunk is (at, S,
-    C[S, S]). `at` indexes its P pairs in the (p, K, k^2) view of the
-    group's scaled rows: a slice of rows when the group is one block that
-    every row touches, so those writes stay contiguous. S (P, s) holds the
-    indices each pair's coefficient touches (its nonzero rows, which are its
-    nonzero columns) as flat rows of the group's (K k, k) stack of R, padded
-    with untouched indices to the chunk's widest support s, and C[S, S] is
-    (P, s, s). All is read off the nonzeros nz = (rows, cols, values) of the
-    p rows of A, in row-major order: a nonzero hvec coordinate sets the
-    entry (a, b) of C and its mirror (b, a), at the places of a and b in S,
-    with hmat's scales.
+    C[S, S]). `at` = (rows, blocks) indexes its P pairs in the (p, K, k^2)
+    view of the group's scaled rows. S (P, s) holds the indices each pair's
+    coefficient touches (its nonzero rows, which are its nonzero columns) as
+    flat rows of the group's (K k, k) stack of R, padded with untouched
+    indices to the chunk's widest support s, and C[S, S] is (P, s, s). All
+    is read off the nonzeros nz = (rows, cols, values) of the p rows of A,
+    in row-major order: a nonzero hvec coordinate sets the entry (a, b) of C
+    and its mirror (b, a), at the places of a and b in S, with hmat's scales.
     """
     rows, cols, vals = nz
     out = []
@@ -377,7 +375,6 @@ def _row_supports(groups, nz, p: int) -> list:
         place = np.cumsum(touched, axis=-1) - 1     # of each touched index in S
         qa, qb = place[q, a], place[q, b]
         prow, pblk = i[first], blk[first]
-        whole = K == 1 and P == p
         chunks = []
         for lo in range(0, P, TRI_LEAF):
             hi = min(lo + TRI_LEAF, P)
@@ -386,8 +383,8 @@ def _row_supports(groups, nz, p: int) -> list:
             CS = np.zeros((hi - lo, s, s, 2))   # re and im of each C[S_a, S_b]
             CS[q[m] - lo, qa[m], qb[m], im[m]] = v[m]
             CS[q[m] - lo, qb[m], qa[m], im[m]] = vt[m]
-            at = (slice(lo, hi), 0) if whole else (prow[lo:hi], pblk[lo:hi])
-            chunks.append((at, S[lo:hi, :s] + k * pblk[lo:hi, None],
+            chunks.append(((prow[lo:hi], pblk[lo:hi]),
+                           S[lo:hi, :s] + k * pblk[lo:hi, None],
                            CS.view(complex)[..., 0]))
         out.append(chunks)
     return out
@@ -522,7 +519,7 @@ def solve(program: ConicProgram, gap_tol: float = GAP_TOL) -> ConicSolution:
 
     # every per-block step below is one batched call per distinct size k
     groups = _size_groups(program.blocks, starts)
-    supports = _row_supports(groups, nz, p)
+    supports = _row_supports(groups, nz)
     # every iteration's scaled rows; the pairs no row touches stay 0
     A_sc = np.zeros((p, N))
 

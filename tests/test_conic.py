@@ -202,7 +202,7 @@ def test_support_scaled_rows_match_the_dense_congruence():
     assert groups == [(3, slice(0, 18)), (4, slice(18, 50)), (5, slice(50, 75))]
     R = [rng.standard_normal((K, k, k)) + 1j * rng.standard_normal((K, k, k))
          + k * np.eye(k) for (k, _), K in zip(groups, (2, 2, 1))]
-    supports = conic._row_supports(groups, _nonzeros(A), len(A))
+    supports = conic._row_supports(groups, _nonzeros(A))
     assert [[CS.shape[-1] for _, _, CS in chunks] for chunks in supports] \
         == [[2], [4], [2, 2, 3]]
     dense = conic._congruence(groups, R, A)
@@ -230,7 +230,7 @@ def test_scaled_rows_touch_only_the_pairs_of_their_blocks():
         prog.add_eq(coeffs, rhs=1.0)
     A, _, _, starts, _ = prog.assemble()
     groups = conic._size_groups(prog.blocks, starts)
-    supports = conic._row_supports(groups, _nonzeros(A), len(A))
+    supports = conic._row_supports(groups, _nonzeros(A))
     (chunks,) = supports
     pairs = np.concatenate([np.stack(at, axis=1) for at, _, _ in chunks])
     assert [len(CS) for _, _, CS in chunks] == [64, touched.sum() - 64]

@@ -290,7 +290,7 @@ def test_holevo_cap_row_widens_only_its_chunk(monkeypatch):
     A, _, _, starts, _ = prog.assemble()
     rows, cols = np.nonzero(A)
     groups = conic._size_groups(prog.blocks, starts)
-    (chunks,) = conic._row_supports(groups, (rows, cols, A[rows, cols]), len(A))
+    (chunks,) = conic._row_supports(groups, (rows, cols, A[rows, cols]))
     assert len(A) == 193
     assert [len(CS) for _, _, CS in chunks] == [64, 64, 64, 1]
     widths = [CS.shape[-1] for _, _, CS in chunks]
