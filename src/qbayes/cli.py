@@ -408,7 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", help="classical_binary | correlated_pair | "
                                 "qubit_xy | qubit_z_line | random_model")
     p.add_argument("params", nargs="*", type=float, help="model parameters")
-    p.add_argument("--grid", type=int, default=None, help="grid size override")
+    p.add_argument("--grid", type=int, default=None,
+                   help="grid count, unless the params end in one")
     p.add_argument("--out", default=None, help="write model JSON here")
     p.set_defaults(func=cmd_zoo)
 

@@ -16,17 +16,17 @@ through the inverses of its diagonal leaves, with the tau row and column
 eliminated through a scalar Schur complement. `assemble` lays the
 columns out by block size, so the blocks of one size fill one contiguous run
 and are read as one (K, k, k) stack, and every per-block step is one batched
-call per distinct size.
+call per distinct size over the size groups it returns.
 
 Each iteration works in the NT-scaled frame. Per block, with X = L L^dag and
 L^dag S L = U diag(w) U^dag, the factor R = L U diag(w)^-1/4 gives the NT
 scaling W = R R^dag, and R^-1 X R^-dag = R^dag S R = diag(lam), lam = w^1/2.
-`solve` holds A only as its nonzeros, read once from `assemble`'s dense
-form, which is then dropped: A x, A^T y and A^T dy are sums over them. The
-rows of A and c are scaled once per iteration (A~_ib = R_b^dag A_ib R_b on
-block b) into one (p, N) buffer, zeroed once per solve, and the last
-iteration's Schur factor is released before they are, so A~ and one p x p
-factor are the only arrays of the program's size held at once. Only the
+`assemble` gives A as its nonzeros (`Rows`), never as a dense array, and
+A x, A^T y and A^T dy are sums over them. The rows of A and c are scaled
+once per iteration (A~_ib = R_b^dag A_ib R_b on block b) into one (p, N)
+buffer, zeroed once per solve, and the last iteration's Schur factor is
+released before they are, so A~ and one p x p factor are the only arrays
+of the program's size held at once. Only the
 touched (row, block) pairs, those with A_ib nonzero, are scaled; the others
 stay 0. A touched coefficient reaches only the indices S of its nonzero
 rows, read once per solve from the nonzeros of A, so A~_ib = R[S]^dag
@@ -71,6 +71,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import numpy.linalg as npl
@@ -160,6 +161,16 @@ def hvec_basis(k: int) -> np.ndarray:
 # Program assembly
 # ---------------------------------------------------------------------------
 
+class Rows(NamedTuple):
+    """The nonzeros of a (p, N) matrix A, in row-major order: A[rows[t],
+    cols[t]] = vals[t], and every entry not listed is 0."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    shape: tuple
+
+
 class ConicProgram:
     """Equality-form conic program over Hermitian PSD blocks.
 
@@ -171,7 +182,7 @@ class ConicProgram:
 
     def __init__(self):
         self.blocks: list[int] = []     # block dimensions
-        # ({block: (flat indices, values) of the nonzeros of its (r, dim^2)
+        # ({block: (rows, columns, values) of the nonzeros of its (r, dim^2)
         # hvec rows}, rhs (r,))
         self.rows: list[tuple] = []
         self.obj: dict = {}             # {block: (1, dim^2) hvec row}
@@ -210,8 +221,8 @@ class ConicProgram:
             raise ProgramError(f"rhs {rhs!r} is not a finite vector")
         nonzeros = {}
         for bid, v in self._hvec_rows(coeffs, len(rhs)).items():
-            flat = np.flatnonzero(v)
-            nonzeros[bid] = flat, v.reshape(-1)[flat]
+            r, j = np.nonzero(v)
+            nonzeros[bid] = r, j, v[r, j]
         self.rows.append((nonzeros, rhs))
 
     def set_objective(self, coeffs: dict | None = None,
@@ -225,32 +236,40 @@ class ConicProgram:
     # -- numeric form -------------------------------------------------------
 
     def assemble(self):
-        """The dense form (A, b, c, starts, N): row i of A and c are hvec
+        """The numeric form (A, b, c, starts, groups): A is `Rows`, the
+        nonzeros of the (p, N) matrix whose row i, like c, holds hvec
         coefficients over N columns, and block b occupies the columns from
         starts[b] on. Columns are laid out by block size, sizes in order of
         first appearance and blocks of one size in their order, so each size
-        group is one contiguous run of columns."""
-        sizes = list(dict.fromkeys(self.blocks))
+        group is one contiguous run of columns: `groups` lists (k, cols) per
+        distinct size k, cols the slice of the columns its blocks fill."""
         starts = [0] * len(self.blocks)
+        groups = []
         N = 0
-        for bid in sorted(range(len(self.blocks)),
-                          key=lambda i: sizes.index(self.blocks[i])):
-            starts[bid] = N
-            N += self.blocks[bid] ** 2
+        for k in dict.fromkeys(self.blocks):
+            lo = N
+            for bid, dim in enumerate(self.blocks):
+                if dim == k:
+                    starts[bid] = N
+                    N += k * k
+            groups.append((k, slice(lo, N)))
         if N == 0:
             raise ProgramError("program has no variables")
         b = np.concatenate([rhs for _, rhs in self.rows] + [np.zeros(0)])
-        A = np.zeros((len(b), N))
+        parts = [(np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0),)]
         i = 0
         for nonzeros, rhs in self.rows:
-            for bid, (flat, v) in nonzeros.items():
-                st = starts[bid]
-                A[i:i + len(rhs), st:st + self.blocks[bid] ** 2].flat[flat] = v
+            for bid, (r, j, v) in nonzeros.items():
+                parts.append((r + i, j + starts[bid], v))
             i += len(rhs)
+        rows, cols, vals = map(np.concatenate, zip(*parts))
+        # row-major (distinct keys); the default kind cost small runs 0.3 MB RSS
+        order = np.argsort(rows * N + cols, kind="stable")
+        A = Rows(rows[order], cols[order], vals[order], (len(b), N))
         c = np.zeros(N)
         for bid, v in self.obj.items():
             c[starts[bid]:starts[bid] + v.shape[1]] = v[0]
-        return A, b, c, starts, N
+        return A, b, c, starts, groups
 
 
 # ---------------------------------------------------------------------------
@@ -317,25 +336,14 @@ def _congruence(groups, P, v: np.ndarray) -> np.ndarray:
         for (k, cols), Pk in zip(groups, P)], axis=-1)
 
 
-def _size_groups(blocks: list, starts: list) -> list:
-    """(k, cols) per distinct block size k, cols the slice of the columns
-    its blocks fill: by `ConicProgram.assemble`, the blocks of one size fill
-    one run of columns."""
-    groups = []
-    for k in dict.fromkeys(blocks):
-        st = starts[blocks.index(k)]
-        groups.append((k, slice(st, st + blocks.count(k) * k * k)))
-    return groups
+def _times(A: Rows, v: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """A v summed over the nonzeros of A, each a_ij v[j] into entry i, or
+    A^T v with `transpose`, each a_ij v[i] into entry j."""
+    i, j = (A.cols, A.rows) if transpose else (A.rows, A.cols)
+    return np.bincount(i, weights=A.vals * v[j], minlength=A.shape[transpose])
 
 
-def _times(nz, v: np.ndarray, size: int) -> np.ndarray:
-    """A v from the nonzeros nz = (i, j, a) of A, or A^T v from (j, i, a):
-    the sum of a v[j] into entry i of a vector of the given size."""
-    i, j, a = nz
-    return np.bincount(i, weights=a * v[j], minlength=size)
-
-
-def _row_supports(groups, nz) -> list:
+def _row_supports(groups, A: Rows) -> list:
     """Per size group, its touched (row, block) pairs, those with A_ib
     nonzero, in row order and in chunks of TRI_LEAF. A chunk is (at, S,
     C[S, S]). `at` = (rows, blocks) indexes its P pairs in the (p, K, k^2)
@@ -343,11 +351,11 @@ def _row_supports(groups, nz) -> list:
     coefficient touches (its nonzero rows, which are its nonzero columns) as
     flat rows of the group's (K k, k) stack of R, padded with untouched
     indices to the chunk's widest support s, and C[S, S] is (P, s, s). All
-    is read off the nonzeros nz = (rows, cols, values) of the p rows of A,
-    in row-major order: a nonzero hvec coordinate sets the entry (a, b) of C
-    and its mirror (b, a), at the places of a and b in S, with hmat's scales.
+    is read off the nonzeros of the p rows of A, in their row-major order:
+    a nonzero hvec coordinate sets the entry (a, b) of C and its mirror
+    (b, a), at the places of a and b in S, with hmat's scales.
     """
-    rows, cols, vals = nz
+    rows, cols, vals, _ = A
     out = []
     for k, span in groups:
         K = (span.stop - span.start) // (k * k)   # from span: p may be 0
@@ -496,30 +504,20 @@ def solve(program: ConicProgram, gap_tol: float = GAP_TOL) -> ConicSolution:
     blocked below 1e-10, or MAX_ITERS, returns `numerical-failure` carrying
     the best iterate seen. `iterations` counts every iteration taken.
 
-    Memory: A is held as its nonzeros after the one `assemble` call, and an
-    iteration holds the (p, N) scaled rows A~ and the p x p Schur factor,
-    formed in place; the last iteration's factor goes before A~ is
-    rewritten.
+    Memory: A is only ever its nonzeros, and an iteration holds the (p, N)
+    scaled rows A~ and the p x p Schur factor, formed in place; the last
+    iteration's factor goes before A~ is rewritten.
     """
     if not (np.isfinite(gap_tol) and gap_tol > 0):
         raise ValueError(f"gap_tol must be finite and positive, got {gap_tol!r}")
 
-    A, b, c, starts, N = program.assemble()
-    p = len(b)
-    # A is read once, as its nonzeros, and dropped: every product with A or
-    # A^T below is a sum over them, and the row supports come from them
-    flat = np.flatnonzero(A)
-    rows, cols = np.divmod(flat, N)
-    nz = rows, cols, A.ravel()[flat]
-    nzT = cols, rows, nz[2]
-    del A
+    # every per-block step below is one batched call per distinct size k
+    A, b, c, starts, groups = program.assemble()
+    p, N = A.shape
     nu = sum(program.blocks)
     bnorm = 1.0 + (np.abs(b).max() if p else 0.0)
     cnorm = 1.0 + np.abs(c).max()
-
-    # every per-block step below is one batched call per distinct size k
-    groups = _size_groups(program.blocks, starts)
-    supports = _row_supports(groups, nz)
+    supports = _row_supports(groups, A)
     # every iteration's scaled rows; the pairs no row touches stay 0
     A_sc = np.zeros((p, N))
 
@@ -551,7 +549,7 @@ def solve(program: ConicProgram, gap_tol: float = GAP_TOL) -> ConicSolution:
     for it in range(MAX_ITERS):
         # the one product with A and the one with A^T of this iterate: the
         # residuals, the measures of x/tau, y/tau and the certificates use them
-        Ax, ATy = _times(nz, x, p), _times(nzT, y, N)
+        Ax, ATy = _times(A, x), _times(A, y, transpose=True)
         cx = float(c @ x)
         by = float(b @ y) if p else 0.0
         r_p = Ax - b * tau
@@ -689,7 +687,8 @@ def solve(program: ConicProgram, gap_tol: float = GAP_TOL) -> ConicSolution:
         # so r_d shrinks by (1 - alpha eta); R^-dag dS~ R^-1 drifts from that
         # equation once R is ill-conditioned near the optimum
         x = x + alpha * _congruence(groups, [_ct(Rk) for Rk in R], dx)
-        s = s + alpha * (-(1.0 - sigma) * r_d - _times(nzT, dy, N) + c * dtau)
+        s = s + alpha * (-(1.0 - sigma) * r_d - _times(A, dy, transpose=True)
+                         + c * dtau)
         y = y + alpha * dy
         tau = tau + alpha * dtau
         kappa = kappa + alpha * dkappa

@@ -356,12 +356,13 @@ def random_model(n: int, d: int, seed: int, grid: int = 3) -> StatisticalModel:
                             weight_spec=WeightSpec(constant=np.eye(n)))
 
 
+# name: (builder, parameter count, default grid count or None, usage)
 _ZOO = {
-    "classical_binary": classical_binary,
-    "correlated_pair": correlated_pair,
-    "qubit_xy": qubit_xy,
-    "qubit_z_line": qubit_z_line,
-    "random_model": random_model,
+    "classical_binary": (classical_binary, 2, None, "(a, r)"),
+    "correlated_pair": (correlated_pair, 2, None, "(a, r)"),
+    "qubit_xy": (qubit_xy, 1, 4, "(b[, grid])"),
+    "qubit_z_line": (qubit_z_line, 0, 3, "([grid])"),
+    "random_model": (random_model, 3, 3, "(n, d, seed[, grid])"),
 }
 
 
@@ -373,31 +374,29 @@ def model_zoo(
     """Build a named example model.
 
     Known names: classical_binary(a, r), correlated_pair(a, r),
-    qubit_xy(b, grid), qubit_z_line(grid), random_model(n, d, seed). A grid
-    count may come either as the trailing entry of params or via grid_size.
-    Counts and seeds must be whole numbers, n, d and grid counts at least 1.
+    qubit_xy(b[, grid]), qubit_z_line([grid]), random_model(n, d, seed[,
+    grid]). A grid count may come either as the trailing entry of params or
+    via grid_size, not both, and only to a model with a grid; a parameter
+    the model does not take is a ModelError, never dropped. Counts and seeds
+    must be whole numbers, n, d and grid counts at least 1.
     """
     if name not in _ZOO:
         raise ModelError(f"unknown zoo model {name!r}; known: {sorted(_ZOO)}")
+    build, count, grid, usage = _ZOO[name]
     params = [float(p) for p in params]
-    if name == "classical_binary" or name == "correlated_pair":
-        if len(params) != 2:
-            raise ModelError(f"{name} takes parameters (a, r)")
-        return _ZOO[name](params[0], params[1])
-    if name == "qubit_xy":
-        if not params:
-            raise ModelError("qubit_xy takes parameters (b[, grid])")
-        g = grid_size if grid_size is not None else (params[1] if len(params) > 1 else 4)
-        return qubit_xy(params[0], _whole(g, "grid count", 1))
-    if name == "qubit_z_line":
-        g = grid_size if grid_size is not None else (params[0] if params else 3)
-        return qubit_z_line(_whole(g, "grid count", 1))
-    # random_model
-    if len(params) < 3:
-        raise ModelError("random_model takes parameters (n, d, seed)")
-    g = grid_size if grid_size is not None else (params[3] if len(params) > 3 else 3)
-    return random_model(_whole(params[0], "n", 1), _whole(params[1], "d", 1),
-                        _whole(params[2], "seed", 0), _whole(g, "grid count", 1))
+    if grid_size is not None:
+        params.append(grid_size)
+    if not count <= len(params) <= count + (grid is not None):
+        raise ModelError(f"{name} takes parameters {usage}, got {len(params)}"
+                         + (" with the grid size" if grid_size is not None else ""))
+    if len(params) > count:
+        grid = params.pop()
+    if name == "random_model":
+        params = [_whole(params[0], "n", 1), _whole(params[1], "d", 1),
+                  _whole(params[2], "seed", 0)]
+    if grid is not None:
+        params.append(_whole(grid, "grid count", 1))
+    return build(*params)
 
 
 def _whole(value: float, what: str, least: int) -> int:

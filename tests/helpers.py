@@ -174,6 +174,12 @@ def record_row_counts(monkeypatch):
     return counts
 
 
+def same_rows(A, B) -> bool:
+    """Whether two assembled `conic.Rows` have one shape and list the same
+    nonzeros in the same order: the same matrix, as `add_eq` keeps no zeros."""
+    return all(np.array_equal(u, v) for u, v in zip(A, B))
+
+
 class ProgramCaptured(Exception):
     """Raised by the `conic.solve` of `capture_programs` in place of a solve."""
 

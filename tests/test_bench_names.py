@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qbayes import conic
 from qbayes import model as qmodel
 from qbayes.closedform import rld_bound, sld_bound
 
@@ -65,3 +66,26 @@ def test_closed_forms_workload_runs(bench):
     got = workloads.closed_forms(model)
     assert got == {"sld": sld_bound(em, W)[0], "rld": rld_bound(em, W)[0]}
     assert np.isfinite(list(got.values())).all()
+
+
+def test_traced_solve_counts_its_program(bench):
+    """A solve under the tracer records its program's (p, N) as
+    `conic.rows_max` and `conic.vars_max`, and one assembly per solve: a
+    change to what `assemble` returns that breaks the traced runs fails
+    here."""
+    spans = bench("spans")
+    prog = conic.ConicProgram()
+    a, b = prog.add_psd_block(2), prog.add_psd_block(3)
+    prog.add_eq({a: np.eye(2), b: np.eye(3)}, rhs=1.0)
+    prog.add_eq({b: np.diag([1.0, 0.0, 0.0])}, rhs=0.5)
+    prog.set_objective({a: 2 * np.eye(2), b: np.diag([0.0, 1.0, 2.0])})
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        sol = conic.solve(prog)
+    finally:
+        tracer.uninstall()
+    metrics = spans.layer_metrics(tracer, spans.Tracer(), 1)
+    assert sol.status == "optimal" and abs(sol.primal_value - 0.5) < 1e-7
+    assert metrics["conic.rows_max"][0] == 2 and metrics["conic.vars_max"][0] == 13
+    assert metrics["conic.attempts"] == metrics["conic.solves"] == (1, "count")

@@ -546,10 +546,18 @@ def test_zoo_materializes_a_loadable_model(tmp_path, capsys):
     (["random_model", "2", "2", "0", "2.5"], "grid count must be"),
     (["qubit_xy", "0.5", "2.5"], "grid count must be"),
     (["qubit_z_line", "1.5"], "grid count must be"),
+    (["classical_binary", "1", "0.6", "--grid", "5"],
+     "classical_binary takes parameters (a, r), got 3 with the grid size"),
+    (["random_model", "2", "2", "0", "3", "9"],
+     "random_model takes parameters (n, d, seed[, grid]), got 5"),
+    (["qubit_z_line", "3", "7"], "qubit_z_line takes parameters ([grid]), got 2"),
+    (["qubit_xy", "0.5", "3", "--grid", "6"],
+     "qubit_xy takes parameters (b[, grid]), got 3 with the grid size"),
 ])
 def test_zoo_rejects_bad_counts_and_seeds(capsys, args, message):
-    """A count or seed that is not a whole number in range exits 2 with an
-    error: no traceback, and no silent truncation to an integer."""
+    """A count or seed that is not a whole number in range, or a parameter
+    the model does not take, exits 2 with an error: no traceback, and no
+    silent truncation to an integer or dropped parameter."""
     assert main(["zoo", *args]) == 2
     captured = capsys.readouterr()
     assert f"error: {message}" in captured.err

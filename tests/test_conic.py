@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_hermitian, random_unitary
+from helpers import random_hermitian, random_unitary, same_rows
 from qbayes import conic
 from qbayes.conic import (
     ConicProgram,
     ProgramError,
+    Rows,
     SolverFailureError,
     _alpha_boundary,
     _factor_psd,
@@ -119,9 +120,9 @@ def test_stacked_rows_assemble_like_single_rows():
     progs[0].add_eq({0: stack, 1: other}, rhs=rhs)
     for C, D, r in zip(stack, other, rhs):
         progs[1].add_eq({0: C, 1: D}, rhs=r)
-    (A0, b0, _, starts, N), (A1, b1, *_) = (p.assemble() for p in progs)
-    assert A0.shape == (5, 13) and starts == [0, 9] and N == 13
-    assert np.array_equal(A0, A1) and np.array_equal(b0, b1)
+    (A0, b0, _, starts, _), (A1, b1, *_) = (p.assemble() for p in progs)
+    assert A0.shape == (5, 13) and starts == [0, 9]
+    assert same_rows(A0, A1) and np.array_equal(b0, b1)
 
 
 def smallest_eigenvalue_program():
@@ -171,9 +172,11 @@ def test_interleaved_block_sizes_share_size_stacks():
     assert [X.shape[0] for X in sol.variable_values] == [2, 3, 2, 3]
 
 
-def _nonzeros(A):
-    rows, cols = np.nonzero(A)
-    return rows, cols, A[rows, cols]
+def dense(A):
+    """The (p, N) array whose nonzeros the `Rows` A lists."""
+    out = np.zeros(A.shape)
+    out[A.rows, A.cols] = A.vals
+    return out
 
 
 def test_support_scaled_rows_match_the_dense_congruence():
@@ -196,19 +199,18 @@ def test_support_scaled_rows_match_the_dense_congruence():
     prog.add_eq({blks[4]: np.concatenate([conic.hvec_basis(5)] * 6)},
                 rhs=np.ones(150))
     prog.add_eq({blks[4]: np.diag([0.0, 1.0, 0.0, 2.0, 3.0])}, rhs=1.0)
-    A, _, _, starts, _ = prog.assemble()
-    assert len(A) == 157 > 2 * conic.TRI_LEAF
-    groups = conic._size_groups(prog.blocks, starts)
+    A, _, _, _, groups = prog.assemble()
+    assert A.shape[0] == 157 > 2 * conic.TRI_LEAF
     assert groups == [(3, slice(0, 18)), (4, slice(18, 50)), (5, slice(50, 75))]
     R = [rng.standard_normal((K, k, k)) + 1j * rng.standard_normal((K, k, k))
          + k * np.eye(k) for (k, _), K in zip(groups, (2, 2, 1))]
-    supports = conic._row_supports(groups, _nonzeros(A))
+    supports = conic._row_supports(groups, A)
     assert [[CS.shape[-1] for _, _, CS in chunks] for chunks in supports] \
         == [[2], [4], [2, 2, 3]]
-    dense = conic._congruence(groups, R, A)
+    ref = conic._congruence(groups, R, dense(A))
     out = np.zeros(A.shape)
     assert conic._scaled_rows(groups, R, supports, out) is out
-    assert np.abs(out - dense).max() <= 1e-12 * np.abs(dense).max()
+    assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_scaled_rows_touch_only_the_pairs_of_their_blocks():
@@ -228,9 +230,8 @@ def test_scaled_rows_touch_only_the_pairs_of_their_blocks():
         if i % 7 == 0:
             coeffs[blks[on[0]]] = random_hermitian(rng, 3)
         prog.add_eq(coeffs, rhs=1.0)
-    A, _, _, starts, _ = prog.assemble()
-    groups = conic._size_groups(prog.blocks, starts)
-    supports = conic._row_supports(groups, _nonzeros(A))
+    A, _, _, _, groups = prog.assemble()
+    supports = conic._row_supports(groups, A)
     (chunks,) = supports
     pairs = np.concatenate([np.stack(at, axis=1) for at, _, _ in chunks])
     assert [len(CS) for _, _, CS in chunks] == [64, touched.sum() - 64]
@@ -242,8 +243,8 @@ def test_scaled_rows_touch_only_the_pairs_of_their_blocks():
     scaled = out.reshape(70, 6, 9)
     assert (np.abs(scaled[touched]).max(axis=-1) > 0).all()
     assert (scaled[~touched] == 0.0).all()
-    dense = conic._congruence(groups, R, A)
-    assert np.abs(out - dense).max() <= 1e-12 * np.abs(dense).max()
+    ref = conic._congruence(groups, R, dense(A))
+    assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_program_without_rows_is_solved():
@@ -444,15 +445,16 @@ def test_nonzero_products_match_the_dense_ones():
     A[[3, 17]] = 0.0
     A[:, [0, 69]] = 0.0
     rows, cols = np.nonzero(A)
-    vals = A[rows, cols]
+    nz = Rows(rows, cols, A[rows, cols], A.shape)
     x, y = rng.standard_normal(70), rng.standard_normal(40)
-    Ax = conic._times((rows, cols, vals), x, 40)
-    ATy = conic._times((cols, rows, vals), y, 70)
+    Ax = conic._times(nz, x)
+    ATy = conic._times(nz, y, transpose=True)
     assert Ax.shape == (40,) and ATy.shape == (70,)
     assert np.allclose(Ax, A @ x, rtol=1e-14, atol=1e-14)
     assert np.allclose(ATy, A.T @ y, rtol=1e-14, atol=1e-14)
-    empty = np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
-    assert np.array_equal(conic._times(empty, x, 3), np.zeros(3))
+    empty = Rows(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp),
+                 np.zeros(0), (3, 70))
+    assert np.array_equal(conic._times(empty, x), np.zeros(3))
 
 
 def test_failed_schur_factor_returns_the_best_iterate(monkeypatch):

@@ -337,7 +337,7 @@ def _set(path, value):
      "classical_binary takes parameters (a, r)"),
     (lambda: model_zoo("qubit_xy"), "qubit_xy takes parameters (b[, grid])"),
     (lambda: model_zoo("random_model", (2, 2)),
-     "random_model takes parameters (n, d, seed)"),
+     "random_model takes parameters (n, d, seed[, grid])"),
     (lambda: _edited_file(_set(["points", 0, "rho"], [[0.5, 0.0], [0.0, 0.5]])),
      "point 0: entries must be [re, im] pairs"),
     (lambda: _edited_file(_set(["points", 0, "rho"], [[[1.0, 0.0]]])),

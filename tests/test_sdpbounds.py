@@ -20,6 +20,7 @@ from helpers import (
     random_spd,
     random_unitary,
     record_row_counts,
+    same_rows,
     tensor_moments,
 )
 from qbayes import conic
@@ -95,7 +96,7 @@ def test_pins_added_a_leaf_at_a_time_assemble_like_one_stack():
     assert len(leaves.rows) == 4
     (A0, b0, *_), (A1, b1, *_) = whole.assemble(), leaves.assemble()
     assert A0.shape == (2 * d * d, dim * dim)
-    assert np.array_equal(A0, A1) and np.array_equal(b0, b1)
+    assert same_rows(A0, A1) and np.array_equal(b0, b1)
 
 
 def test_programs_keep_their_row_counts(monkeypatch):
@@ -287,11 +288,9 @@ def test_holevo_cap_row_widens_only_its_chunk(monkeypatch):
     with pytest.raises(ProgramCaptured):
         holevo_type_bound(em)
     (prog,) = programs
-    A, _, _, starts, _ = prog.assemble()
-    rows, cols = np.nonzero(A)
-    groups = conic._size_groups(prog.blocks, starts)
-    (chunks,) = conic._row_supports(groups, (rows, cols, A[rows, cols]))
-    assert len(A) == 193
+    A, _, _, _, groups = prog.assemble()
+    (chunks,) = conic._row_supports(groups, A)
+    assert A.shape[0] == 193
     assert [len(CS) for _, _, CS in chunks] == [64, 64, 64, 1]
     widths = [CS.shape[-1] for _, _, CS in chunks]
     assert max(widths[:-1]) <= 4 and widths[-1] == 16
@@ -339,6 +338,25 @@ def test_nh_solve_memory_stays_small_at_d14():
     """The same at d = 14, 784 rows on a 42 x 42 block: about 17.2 MiB
     traced, where the dense A and the second p x p array took 31.8 MiB."""
     assert nh_traced_peak(14) < 20 * 2**20
+
+
+def test_nh_assembly_memory_stays_small_at_d14(monkeypatch):
+    """`assemble` gives NH's d = 14 program, 784 rows on a 42 x 42 block,
+    as its 1 330 nonzeros: about 0.1 MiB traced, where a dense A of
+    784 x 1 764 floats took 10.6 MiB."""
+    programs = capture_programs(monkeypatch)
+    em = build_extended_moments(random_model(2, 14, seed=1, grid=4))
+    with pytest.raises(ProgramCaptured):
+        nagaoka_hayashi_bound(em)
+    (prog,) = programs
+    tracemalloc.start()
+    try:
+        A = prog.assemble()[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert A.shape == (784, 42 * 42)
+    assert peak < 2**20
 
 
 def test_holevo_pinned_value_at_d8():
