@@ -11,9 +11,12 @@ model file or the other output, bad selector, bad zoo name, count or seed,
 bad seed list, negative seed, outcome count below the model's d, trial or
 iteration count below one, or a `verify` model whose weight is not
 constant); 3 solver failure or an ordering margin below -MARGIN_TOL = -1e-6
-(`verify.LADDER`); 141 (128 + SIGPIPE, as a shell reports a writer whose
-reader left) when standard output is closed before all of the output is
-written: the command stops writing, without a traceback. Output paths are
+(`verify.LADDER`): a solve that fails outside `bounds`, whose report carries
+each bound's error, stops the command with the one stderr line
+"solver failure during <command>: <message>", without a traceback or a
+report; 141 (128 + SIGPIPE, as a shell reports a writer whose reader left)
+when standard output is closed before all of the output is written: the
+command stops writing, without a traceback. Output paths are
 checked before any solve. Per-bound capability errors are reported inside
 the `bounds` output without failing the run.
 QBAYES_GAP_TOL, a finite positive number, sets the relative gap of every SDP
@@ -252,17 +255,13 @@ def cmd_verify(args) -> int:
         raise _Validation(f"--iters must be positive, got {args.iters}")
     _check_outputs({"--model": args.model}, {"--out": args.out})
     gap_tol = _env_gap_tol() or GAP_TOL
-    try:
-        audit = ordering_audit(model, gap_tol, iters=args.iters,
-                               seed=seeds[0], outcome_count=args.outcomes)
-        runs = [{"start": "nh", "risk": audit["values"]["seesaw_risk"]}]
-        for s in seeds:
-            dec = seesaw(model, outcome_count=args.outcomes, iters=args.iters,
-                         seed=s, gap_tol=gap_tol)
-            runs.append({"seed": s, "risk": dec.risk})
-    except SolverFailureError as exc:
-        print(f"solver failure during verification: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    audit = ordering_audit(model, gap_tol, iters=args.iters,
+                           seed=seeds[0], outcome_count=args.outcomes)
+    runs = [{"start": "nh", "risk": audit["values"]["seesaw_risk"]}]
+    for s in seeds:
+        dec = seesaw(model, outcome_count=args.outcomes, iters=args.iters,
+                     seed=s, gap_tol=gap_tol)
+        runs.append({"seed": s, "risk": dec.risk})
 
     best = min(r["risk"] for r in runs)
     margins = ladder_margins({**audit["values"], "seesaw": best})
@@ -432,6 +431,9 @@ def main(argv=None) -> int:
     except (_Validation, ModelError, CapabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except SolverFailureError as exc:
+        print(f"solver failure during {args.command}: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     except BrokenPipeError:
         # the reader of standard output is gone: write nothing more, and
         # point the descriptor at devnull so the flush at exit cannot fail

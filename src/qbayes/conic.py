@@ -11,9 +11,10 @@ predictor-corrector method on the homogeneous self-dual embedding with
 Nesterov-Todd scaling, so infeasibility is certified rather than diverged
 on. The Schur system is factored with NumPy alone: a Cholesky factor of the
 row-scaled Schur block, formed in place in its own buffer one leaf column of
-TRI_LEAF at a time, applied by blocked forward and backward substitution
-through the inverses of its diagonal leaves, with the tau row and column
-eliminated through a scalar Schur complement. `assemble` lays the
+TRI_LEAF at a time, each diagonal leaf replaced there by its inverse and the
+upper triangle never read. It is applied by forward and backward
+substitution one leaf at a time, with the tau row and column eliminated
+through a scalar Schur complement. `assemble` lays the
 columns out by block size, so the blocks of one size fill one contiguous run
 and are read as one (K, k, k) stack, and every per-block step is one batched
 call per distinct size over the size groups it returns.
@@ -426,11 +427,12 @@ def _corrector(groups, lams, dx: np.ndarray, ds: np.ndarray) -> np.ndarray:
 
 
 def _schur_factor(A: np.ndarray):
-    """The factor (dinv, L, Linv) of the Schur block M = A A^T, with
-    D M D + SCHUR_SHIFT I = L L^T for D = diag(dinv) and Linv the inverses
-    of the diagonal leaves of L, of at most TRI_LEAF rows each, or None when
-    a row of A is not finite (its squared norm included) or M is not
-    numerically positive definite.
+    """The factor (dinv, L) of the Schur block M = A A^T, with
+    D M D + SCHUR_SHIFT I = C C^T for D = diag(dinv) and C lower triangular,
+    or None when a row of A is not finite (its squared norm included) or M
+    is not numerically positive definite. L holds C's strictly lower blocks
+    and, in place of each diagonal leaf of C, of at most TRI_LEAF rows, that
+    leaf's inverse; the rest of L, M's upper triangle, is never read.
 
     D scales the rows of A to unit norm, so D M D has unit diagonal; near a
     degenerate optimum the rows span many orders of magnitude, which would
@@ -441,10 +443,9 @@ def _schur_factor(A: np.ndarray):
     buffer by one product and factored there one leaf column at a time,
     left-looking, so no second p x p array is held. Leaf j's column lo:hi,
     from row lo down, less L[lo:, :lo] L[lo:hi, :lo]^T from the columns
-    already factored, has its top leaf factored by cholesky and inverted,
-    and through that inverse the rest becomes L[hi:, lo:hi]; the rest of
-    the leaf's rows, M's upper triangle, is zeroed. `_schur_solve` applies
-    M^-1.
+    already factored, has its top leaf factored by cholesky and replaced by
+    its inverse, and through that inverse the rest becomes C[hi:, lo:hi].
+    `_schur_solve` applies M^-1.
     """
     L = A @ A.T
     # a finite diagonal bounds every entry: |M_ij| <= sqrt(M_ii M_jj)
@@ -455,40 +456,32 @@ def _schur_factor(A: np.ndarray):
     L *= dinv[:, None]
     L *= dinv
     L[np.diag_indices(p)] += SCHUR_SHIFT
-    Linv = []
-    # one leaf at least: a program without rows has one of size 0
-    for lo in range(0, max(p, 1), TRI_LEAF):
+    for lo in range(0, p, TRI_LEAF):
         hi = min(lo + TRI_LEAF, p)
         col = L[lo:, lo:hi]
-        if lo:
-            col -= L[lo:, :lo] @ L[lo:hi, :lo].T
+        col -= L[lo:, :lo] @ L[lo:hi, :lo].T
         try:
-            col[:hi - lo] = npl.cholesky(col[:hi - lo])
+            col[:hi - lo] = npl.inv(npl.cholesky(col[:hi - lo]))
         except npl.LinAlgError:
             return None
-        Linv.append(npl.inv(col[:hi - lo]))
-        L[lo:hi, hi:] = 0.0
-        if hi < p:
-            col[hi - lo:] = col[hi - lo:] @ Linv[-1].T
-    return dinv, L, Linv
+        col[hi - lo:] = col[hi - lo:] @ col[:hi - lo].T
+    return dinv, L
 
 
 def _schur_solve(factor, v: np.ndarray) -> np.ndarray:
-    """M^-1 v = D L^-T L^-1 D v for the factor of `_schur_factor`, by
-    forward and backward substitution one leaf of L at a time, for a vector
-    v or the columns of a (p, m) matrix. The first leaf of each sweep takes
-    no off-diagonal product, so a Schur block of at most TRI_LEAF rows costs
-    two products with its leaf's inverse."""
-    dinv, L, Linv = factor
-    r = (dinv * v.T).T
-    y = Linv[0] @ r[:TRI_LEAF]          # L y = r, leaf by leaf
-    for j in range(1, len(Linv)):
-        lo, hi = j * TRI_LEAF, (j + 1) * TRI_LEAF
-        y = np.concatenate([y, Linv[j] @ (r[lo:hi] - L[lo:hi, :lo] @ y)])
-    z = Linv[-1].T @ y[(len(Linv) - 1) * TRI_LEAF:]     # L^T z = y
-    for j in range(len(Linv) - 2, -1, -1):
-        lo, hi = j * TRI_LEAF, (j + 1) * TRI_LEAF
-        z = np.concatenate([Linv[j].T @ (y[lo:hi] - L[hi:, lo:hi].T @ z), z])
+    """M^-1 v = D C^-T C^-1 D v for the factor (dinv, L) of `_schur_factor`,
+    by forward and backward substitution one leaf at a time, each leaf of z
+    written in place through the inverted diagonal leaf L holds, for a
+    vector v or the columns of a (p, m) matrix."""
+    dinv, L = factor
+    z = (dinv * v.T).T
+    p = len(z)
+    for lo in range(0, p, TRI_LEAF):                # C y = D v
+        hi = min(lo + TRI_LEAF, p)
+        z[lo:hi] = L[lo:hi, lo:hi] @ (z[lo:hi] - L[lo:hi, :lo] @ z[:lo])
+    for lo in reversed(range(0, p, TRI_LEAF)):      # C^T z = y
+        hi = min(lo + TRI_LEAF, p)
+        z[lo:hi] = L[lo:hi, lo:hi].T @ (z[lo:hi] - L[hi:, lo:hi].T @ z[hi:])
     return (dinv * z.T).T
 
 
@@ -515,7 +508,7 @@ def solve(program: ConicProgram, gap_tol: float = GAP_TOL) -> ConicSolution:
     A, b, c, starts, groups = program.assemble()
     p, N = A.shape
     nu = sum(program.blocks)
-    bnorm = 1.0 + (np.abs(b).max() if p else 0.0)
+    bnorm = 1.0 + np.abs(b).max(initial=0.0)
     cnorm = 1.0 + np.abs(c).max()
     supports = _row_supports(groups, A)
     # every iteration's scaled rows; the pairs no row touches stay 0
@@ -551,10 +544,10 @@ def solve(program: ConicProgram, gap_tol: float = GAP_TOL) -> ConicSolution:
         # residuals, the measures of x/tau, y/tau and the certificates use them
         Ax, ATy = _times(A, x), _times(A, y, transpose=True)
         cx = float(c @ x)
-        by = float(b @ y) if p else 0.0
+        by = float(b @ y)
         r_p = Ax - b * tau
         r_d = ATy + s - c * tau
-        pres = (np.abs(r_p).max() / (tau * bnorm)) if p else 0.0
+        pres = np.abs(r_p).max(initial=0.0) / (tau * bnorm)
         dres = np.abs(r_d).max() / (tau * cnorm)
         pobj, dobj = cx / tau, by / tau
         # the gap is measured against the reported value, offset included
@@ -570,7 +563,7 @@ def solve(program: ConicProgram, gap_tol: float = GAP_TOL) -> ConicSolution:
         # certificates from the embedding
         if by > 0 and np.abs(ATy + s).max() <= FEAS_TOL * by:
             return final("infeasible", it, x, y, tau, meas)
-        if cx < 0 and (np.abs(Ax).max() if p else 0.0) <= FEAS_TOL * (-cx):
+        if cx < 0 and np.abs(Ax).max(initial=0.0) <= FEAS_TOL * (-cx):
             return final("unbounded", it, x, y, tau, meas)
 
         mu = (float(x @ s) + tau * kappa) / (nu + 1)

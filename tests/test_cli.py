@@ -480,8 +480,24 @@ def test_verify_exits_3_on_a_solver_failure(tmp_path, monkeypatch, capsys):
     assert main(["verify", "--model", write_cb(tmp_path), "--iters", "2",
                  "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("solver failure during verification: measurement "
+    assert err.startswith("solver failure during verify: measurement "
                           "update ended with status max-iterations")
+    assert not out.exists()
+
+
+def test_lemmas_exits_3_on_a_solver_failure(tmp_path, monkeypatch, capsys):
+    """A failed solve in the functional chain ends `lemmas` with exit 3 and
+    one stderr line, not a traceback, and writes no --out file."""
+    def fail(*args, **kwargs):
+        raise SolverFailureError("block-symmetric dominating program ended "
+                                 "with status numerical-failure")
+
+    monkeypatch.setattr(cli, "f_family_suite", fail)
+    out = tmp_path / "lemmas.json"
+    assert main(["lemmas", "--trials", "1", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == ("solver failure during lemmas: block-symmetric dominating "
+                   "program ended with status numerical-failure\n")
     assert not out.exists()
 
 

@@ -379,27 +379,30 @@ def test_iteration_cap_returns_the_best_iterate(monkeypatch):
 
 @pytest.mark.parametrize("p", [1, 63, 64, 65, 130, 401])
 def test_schur_substitution_matches_the_dense_solve(p):
-    """The factor formed in place one leaf at a time is the Cholesky factor
-    of D M D + SCHUR_SHIFT I, D the unit-diagonal scaling, with its leaves'
-    inverses, and the leaf-by-leaf substitution through it solves M y = v,
-    on both sides of the TRI_LEAF = 64 leaf and over several leaves, for
-    the Schur block M = G G^T of rows G that span four orders of magnitude,
-    as the row scaling sees near an optimum; a (p, 2) right-hand side is
-    solved column by column."""
+    """The factor (dinv, L) formed in place one leaf at a time holds the
+    strictly lower blocks of the Cholesky factor C of D M D + SCHUR_SHIFT I,
+    D the unit-diagonal scaling, and in each diagonal leaf the inverse of
+    C's leaf; the leaf-by-leaf substitution through it solves M y = v, on
+    both sides of the TRI_LEAF = 64 leaf and over several leaves, for the
+    Schur block M = G G^T of rows G that span four orders of magnitude, as
+    the row scaling sees near an optimum; a (p, 2) right-hand side is solved
+    column by column."""
     rng = np.random.default_rng(p)
     G = rng.standard_normal((p, 2 * p)) * np.logspace(-2, 2, p)[:, None]
     M = G @ G.T
     v = rng.standard_normal(p)
     factor = _schur_factor(G)
-    dinv, L, Linv = factor
+    dinv, L = factor
     D = 1.0 / np.sqrt(M.diagonal())
     dense = np.linalg.cholesky(D[:, None] * M * D + conic.SCHUR_SHIFT * np.eye(p))
     assert np.allclose(dinv, D, rtol=1e-14, atol=0)
-    assert np.abs(L - dense).max() <= 1e-12
-    assert len(Linv) == -(-p // conic.TRI_LEAF)
-    for j, X in enumerate(Linv):
-        leaf = slice(j * conic.TRI_LEAF, (j + 1) * conic.TRI_LEAF)
-        assert np.allclose(X @ L[leaf, leaf], np.eye(len(X)), atol=1e-12)
+    below = np.tril(np.ones((p, p), dtype=bool))
+    for lo in range(0, p, conic.TRI_LEAF):
+        leaf = slice(lo, lo + conic.TRI_LEAF)
+        below[leaf, leaf] = False
+        X = L[leaf, leaf]
+        assert np.allclose(X @ dense[leaf, leaf], np.eye(len(X)), atol=1e-12)
+    assert np.abs(L[below] - dense[below]).max(initial=0.0) <= 1e-12
     y = _schur_solve(factor, v)
     ref = np.linalg.solve(M, v)
     assert np.abs(y - ref).max() <= 1e-9 * np.abs(ref).max()
@@ -408,6 +411,15 @@ def test_schur_substitution_matches_the_dense_solve(p):
     assert both.shape == (p, 2)
     assert np.allclose(both, np.stack([y, -3.0 * y], axis=1), rtol=1e-12,
                        atol=1e-12 * np.abs(y).max())
+
+
+def test_schur_factor_of_no_rows_is_empty():
+    """A Schur block without rows factors to empty arrays, and its
+    substitution maps an empty vector to an empty vector."""
+    dinv, L = factor = _schur_factor(np.zeros((0, 5)))
+    assert dinv.shape == (0,) and L.shape == (0, 0)
+    z = _schur_solve(factor, np.zeros(0))
+    assert z.shape == (0,)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

@@ -541,6 +541,21 @@ def test_f_sdp_attains_a_block_symmetric_witness():
     assert abs(appendix_f("f_sdp", S_terms, X) - 4.0) < 1e-6
 
 
+def test_f_sdp_without_rows_is_optimal(monkeypatch):
+    """At n = 1 the block-symmetry rows of f_sdp are empty, so its program
+    has no rows at all; it still ends optimal at L = X, value Tr(S X)."""
+    programs = capture_programs(monkeypatch)
+    X = np.diag([1.0, 2.0])
+    S_terms = [(1.0, [[1.0]], np.eye(2) / 2)]
+    with pytest.raises(ProgramCaptured):
+        appendix_f("f_sdp", S_terms, X)
+    (prog,) = programs
+    assert prog.assemble()[0].shape[0] == 0
+    monkeypatch.undo()
+    value = appendix_f("f_sdp", S_terms, X)
+    assert abs(value - 1.5) <= 10 * conic.GAP_TOL * max(1.0, abs(value))
+
+
 def test_f_family_chain_on_random_tensors():
     rng = np.random.default_rng(48)
     for _ in range(3):
