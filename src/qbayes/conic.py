@@ -23,18 +23,34 @@ Each iteration works in the NT-scaled frame. Per block, with X = L L^dag and
 L^dag S L = U diag(w) U^dag, the factor R = L U diag(w)^-1/4 gives the NT
 scaling W = R R^dag, and R^-1 X R^-dag = R^dag S R = diag(lam), lam = w^1/2.
 `assemble` gives A as its nonzeros (`Rows`), never as a dense array, and
-A x, A^T y and A^T dy are sums over them. The rows of A and c are scaled
-once per iteration (A~_ib = R_b^dag A_ib R_b on block b) into one (p, N)
-buffer, zeroed once per solve, and the last iteration's Schur factor is
-released before they are, so A~ and one p x p factor are the only arrays
-of the program's size held at once. Only the
-touched (row, block) pairs, those with A_ib nonzero, are scaled; the others
-stay 0. A touched coefficient reaches only the indices S of its nonzero
-rows, read once per solve from the nonzeros of A, so A~_ib = R[S]^dag
-A_ib[S, S] R[S] with s rows of R in place of k. The pairs are scaled
-TRI_LEAF at a time, each chunk padded only to its own widest support: s = 4
-of k = 30 for NH at d = 10, and Holevo's one dense cap row widens only the
-chunk it is in. c keeps the k x k congruence hvec(R^dag hmat(c) R). The Newton
+A x, A^T y and A^T dy are sums over them. In that frame the Schur block is
+M = A~ A~^T, A~_ib = R_b^dag A_ib R_b, so M_ij = sum_b Tr(A_ib W_b A_jb W_b).
+
+A sub-block pin (`add_pins`) is d^2 rows whose coefficients are the hvec
+basis E_u of a d x d sub-block at fixed places, so the Schur block of two
+pins is read off W alone (Fujisawa, Kojima and Nakata, Math. Program. 79,
+1997): M[F u, F' v] = sum Re f f' Tr(E_u X E_v Y) over their places on one
+block, X and Y d x d sub-blocks of W, an O(d^4) batched product and fixed
+gathers per pair of pins (`_schur_block`). The other rows are scaled, A~_g,
+and give A~_g A~_g^T, and their terms with the pins A_pins hvec(R hmat(a~_g)
+R^dag). Every product with A~ is then a congruence and a product with A:
+A~^T v = hvec(R^dag hmat(A^T v) R), A~ v = A hvec(R hmat(v) R^dag); so A~
+is never formed, and an iteration holds the p x p block, factored in place,
+and the scaled rows of the rows that are not pins. A Schur block of one leaf
+of TRI_LEAF rows is instead A~ A~^T of all the scaled rows, held in one
+(p, N) buffer, as there one product with A~ costs less than one congruence.
+Should a factor read off W fail, near a degenerate optimum where its sums
+of products of W's entries lose the digits a pivot needs, that iteration's
+block is A~ A~^T of every row, a Gram matrix, scaled into a buffer kept
+from then on.
+
+Only the touched (row, block) pairs of scaled rows, those with A_ib
+nonzero, are scaled; the others stay 0. A touched coefficient reaches only
+the indices S of its nonzero rows, read once per solve from the nonzeros of
+A, so A~_ib = R[S]^dag A_ib[S, S] R[S] with s rows of R in place of k. The
+pairs are scaled TRI_LEAF at a time, each chunk padded only to its own
+widest support, so Holevo's one dense cap row widens only the chunk it is
+in. c keeps the k x k congruence hvec(R^dag hmat(c) R). The Newton
 system and the step to the cone boundary then see only the diagonal lam. So
 the corrector, the affine step's V = dX~ o dS~ (A o B = (AB + BA)/2),
 enters the right-hand side as M_ij = 2 V_ij / (lam_i + lam_j), the closed-form solution of
@@ -54,9 +70,10 @@ diagonal, then sqrt2 Re and sqrt2 Im of the strict upper triangle, k^2 numbers
 whose dot product is the trace inner product. Constraint rows and the
 objective are validated when added and stored in these coordinates, the rows
 as their nonzero coordinates and values only.
-`hvec_basis(k)` is the (k^2, k, k) stack E with Tr(E[i] H) = hvec(H)[i], and
+`hvec_basis(k)` is the (k^2, k, k) stack E with Tr(E[i] H) = hvec(H)[i].
 `add_eq` takes an (r, k, k) coefficient stack with an rhs of length r as r
-rows, so pinning a sub-block to the hvec coordinates of a target is one call.
+rows, and `add_pins` the places of a sub-block pin, whose nonzeros it reads
+off index maps with no coefficient stack formed.
 
 Real-symmetric data needs no block kind of its own: a program with real
 coefficients is invariant under complex conjugation, and so is its central
@@ -72,12 +89,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 from typing import NamedTuple
 
 import numpy as np
 import numpy.linalg as npl
 
-from .matcore import SQRT2, check_hermitian, hermitize
+from .matcore import HERM_TOL, SQRT2, check_hermitian, hermitize
 
 GAP_TOL = 1e-8       # relative duality gap at optimality
 FEAS_TOL = 1e-8      # scaled primal residual at optimality
@@ -89,8 +107,10 @@ STEP_FRAC = 0.98     # fraction of the step to the cone boundary
 SIGMA_MIN = 0.05     # keeps every step at least mildly centering
 REFINE_TOL = 1e-12   # reduced residual, relative to its right-hand side, at
                      # which a Newton solve stops refining
-TRI_LEAF = 64        # (row, block) pairs per chunk of the row scaling, and
-                     # rows per diagonal leaf of the Schur factor
+TRI_LEAF = 64        # (row, block) pairs per chunk of the row scaling, rows
+                     # per diagonal leaf of the Schur factor (a Schur block
+                     # of one leaf is built from the scaled rows), and
+                     # TRI_LEAF^2 entries per chunk of pin pairs
 SCHUR_SHIFT = 1e-14  # added to the unit diagonal of the row-scaled Schur block
 
 
@@ -158,6 +178,15 @@ def hvec_basis(k: int) -> np.ndarray:
     return E
 
 
+@lru_cache(maxsize=None)
+def _basis_nonzeros(d: int):
+    """(u, a, b, e): the nonzeros E[u, a, b] = e of hvec_basis(d), one for
+    a diagonal element and two for any other, in order of u."""
+    E = hvec_basis(d)
+    u, a, b = np.nonzero(E)
+    return u, a, b, E[u, a, b]
+
+
 # ---------------------------------------------------------------------------
 # Program assembly
 # ---------------------------------------------------------------------------
@@ -172,6 +201,22 @@ class Rows(NamedTuple):
     shape: tuple
 
 
+class Pins(NamedTuple):
+    """The d^2 rows of one `add_pins` call, from row `row` on, and its
+    places: per place, the first column of its block's hvec coordinates
+    (`start`, which is also where its block starts in any (N,) array laid out
+    like the columns, k^2 entries row-major), the block's size `dim`, the
+    sub-block's offsets `r` and `c` and its factor `f`."""
+
+    row: int
+    d: int
+    start: np.ndarray
+    dim: np.ndarray
+    r: np.ndarray
+    c: np.ndarray
+    f: np.ndarray
+
+
 class ConicProgram:
     """Equality-form conic program over Hermitian PSD blocks.
 
@@ -184,7 +229,8 @@ class ConicProgram:
     def __init__(self):
         self.blocks: list[int] = []     # block dimensions
         # ({block: (rows, columns, values) of the nonzeros of its (r, dim^2)
-        # hvec rows}, rhs (r,))
+        # hvec rows}, rhs (r,), the places (blocks, rows, columns, factors)
+        # of a pin or None)
         self.rows: list[tuple] = []
         self.obj: dict = {}             # {block: (1, dim^2) hvec row}
         self.offset = 0.0
@@ -214,17 +260,77 @@ class ConicProgram:
                 raise ProgramError(f"block {bid}: {exc}") from None
         return rows
 
-    def add_eq(self, coeffs: dict | None = None, rhs=0.0) -> None:
-        """Add the equality  sum_b <C_b, X_b> = rhs, or, with (r, dim, dim)
-        coefficient stacks and an rhs of length r, r such rows at once."""
+    @staticmethod
+    def _rhs(rhs) -> np.ndarray:
         rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
         if rhs.ndim != 1 or not np.isfinite(rhs).all():
             raise ProgramError(f"rhs {rhs!r} is not a finite vector")
+        return rhs
+
+    def add_eq(self, coeffs: dict | None = None, rhs=0.0) -> None:
+        """Add the equality  sum_b <C_b, X_b> = rhs, or, with (r, dim, dim)
+        coefficient stacks and an rhs of length r, r such rows at once."""
+        rhs = self._rhs(rhs)
         nonzeros = {}
         for bid, v in self._hvec_rows(coeffs, len(rhs)).items():
             r, j = np.nonzero(v)
             nonzeros[bid] = r, j, v[r, j]
-        self.rows.append((nonzeros, rhs))
+        self.rows.append((nonzeros, rhs, None))
+
+    def add_pins(self, places, rhs) -> None:
+        """Add the d^2 rows of a sub-block pin, d^2 = len(rhs): row u has
+        the coefficient sum_t f_t E[u] at rows r_t..r_t+d and columns
+        c_t..c_t+d of block b_t, E = hvec_basis(d), over the places
+        (b_t, r_t, c_t, f_t), and zero elsewhere. Each place off the
+        diagonal (r != c) needs its mirror (b, c, r, conj f), and a place on
+        it a real f, so that every row is Hermitian; the sub-blocks of one
+        block may not overlap. The nonzeros are read off index maps, so no
+        coefficient matrix is formed."""
+        rhs = self._rhs(rhs)
+        d = isqrt(len(rhs))
+        if d < 1 or d * d != len(rhs):
+            raise ProgramError(f"a pin needs d^2 > 0 rows, got {len(rhs)}")
+        places = [(int(bid), int(r), int(c), complex(f)) for bid, r, c, f in places]
+        if not places:
+            raise ProgramError("a pin needs at least one place")
+        spans = {}
+        for bid, r, c, f in places:
+            if not 0 <= bid < len(self.blocks):
+                raise ProgramError(f"unknown block {bid}")
+            if not (0 <= min(r, c) and max(r, c) + d <= self.blocks[bid]
+                    and np.isfinite(f)):
+                raise ProgramError(f"place {(bid, r, c, f)} does not fit a "
+                                   f"{d} x {d} pin on a block of dim "
+                                   f"{self.blocks[bid]}")
+            for r0, c0, _ in spans.setdefault(bid, []):
+                if abs(r - r0) < d and abs(c - c0) < d:
+                    raise ProgramError(f"block {bid}: pins at {(r0, c0)} and "
+                                       f"{(r, c)} overlap")
+            spans[bid].append((r, c, f))
+        for bid, r, c, f in places:
+            mirror = [g for r0, c0, g in spans[bid] if (r0, c0) == (c, r)]
+            if not mirror or abs(mirror[0] - np.conj(f)) > HERM_TOL * max(1.0, abs(f)):
+                raise ProgramError(f"block {bid}: the pin at {(r, c)} has no "
+                                   "Hermitian mirror")
+        blocks, r, c, f = (np.array(col) for col in zip(*places))
+        # every place's entries f E[u][a, b] at (i, j) = (r + a, c + b); the
+        # diagonal and the upper triangle hold the row's hvec coordinates
+        u, a, b, e = _basis_nonzeros(d)
+        k = np.array(self.blocks)[blocks][:, None]
+        i, j, v = r[:, None] + a, c[:, None] + b, f[:, None] * e
+        upper = i < j
+        q = np.where(upper, k + i * k - i * (i + 1) // 2 + j - i - 1, i)
+        on, u = np.broadcast_arrays(blocks[:, None], u)
+        kept = [i <= j, upper]
+        rows, at = (np.concatenate([x[m] for m in kept]) for x in (u, on))
+        cols = np.concatenate([q[i <= j], (q + k * (k - 1) // 2)[upper]])
+        vals = np.concatenate([(np.where(upper, SQRT2, 1.0) * v.real)[i <= j],
+                               SQRT2 * v.imag[upper]])
+        nonzeros = {}
+        for bid in spans:
+            m = (at == bid) & (vals != 0)
+            nonzeros[bid] = rows[m], cols[m], vals[m]
+        self.rows.append((nonzeros, rhs, (blocks, r, c, f)))
 
     def set_objective(self, coeffs: dict | None = None,
                       offset: float = 0.0) -> None:
@@ -237,13 +343,14 @@ class ConicProgram:
     # -- numeric form -------------------------------------------------------
 
     def assemble(self):
-        """The numeric form (A, b, c, starts, groups): A is `Rows`, the
-        nonzeros of the (p, N) matrix whose row i, like c, holds hvec
+        """The numeric form (A, b, c, starts, groups, pins): A is `Rows`,
+        the nonzeros of the (p, N) matrix whose row i, like c, holds hvec
         coefficients over N columns, and block b occupies the columns from
         starts[b] on. Columns are laid out by block size, sizes in order of
         first appearance and blocks of one size in their order, so each size
         group is one contiguous run of columns: `groups` lists (k, cols) per
-        distinct size k, cols the slice of the columns its blocks fill."""
+        distinct size k, cols the slice of the columns its blocks fill.
+        `pins` lists a `Pins` per `add_pins` call, in row order."""
         starts = [0] * len(self.blocks)
         groups = []
         N = 0
@@ -256,12 +363,18 @@ class ConicProgram:
             groups.append((k, slice(lo, N)))
         if N == 0:
             raise ProgramError("program has no variables")
-        b = np.concatenate([rhs for _, rhs in self.rows] + [np.zeros(0)])
+        b = np.concatenate([rhs for _, rhs, _ in self.rows] + [np.zeros(0)])
         parts = [(np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0),)]
+        pins = []
         i = 0
-        for nonzeros, rhs in self.rows:
+        for nonzeros, rhs, places in self.rows:
             for bid, (r, j, v) in nonzeros.items():
                 parts.append((r + i, j + starts[bid], v))
+            if places is not None:
+                bids, r, c, f = places
+                dims = np.array(self.blocks, dtype=np.intp)[bids]
+                pins.append(Pins(i, isqrt(len(rhs)),
+                                 np.array(starts, dtype=np.intp)[bids], dims, r, c, f))
             i += len(rhs)
         rows, cols, vals = map(np.concatenate, zip(*parts))
         # row-major (distinct keys); the default kind cost small runs 0.3 MB RSS
@@ -270,7 +383,7 @@ class ConicProgram:
         c = np.zeros(N)
         for bid, v in self.obj.items():
             c[starts[bid]:starts[bid] + v.shape[1]] = v[0]
-        return A, b, c, starts, groups
+        return A, b, c, starts, groups, pins
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +443,12 @@ def _congruence(groups, P, v: np.ndarray) -> np.ndarray:
     """hvec(P_b^dag hmat(v_b) P_b) for every block b along the last axis of v.
 
     `groups` lists (k, cols) per block size, cols the slice of columns its K
-    blocks fill, in column order; P holds the matching (K, k, k) stacks.
+    blocks fill, in column order; P holds the matching (..., K, k, k)
+    stacks, whose leading axes broadcast against those of v.
     """
-    return np.concatenate([
-        hvec(_ct(Pk) @ _blocks(v, k, cols) @ Pk).reshape(v.shape[:-1] + (-1,))
-        for (k, cols), Pk in zip(groups, P)], axis=-1)
+    out = [hvec(_ct(Pk) @ _blocks(v, k, cols) @ Pk) for (k, cols), Pk in zip(groups, P)]
+    out = [o.reshape(o.shape[:-2] + (-1,)) for o in out]
+    return out[0] if len(out) == 1 else np.concatenate(out, axis=-1)
 
 
 def _times(A: Rows, v: np.ndarray, transpose: bool = False) -> np.ndarray:
@@ -426,33 +540,174 @@ def _corrector(groups, lams, dx: np.ndarray, ds: np.ndarray) -> np.ndarray:
     return np.concatenate([v.reshape(-1) for v in out])
 
 
-def _schur_factor(A: np.ndarray):
-    """The factor (dinv, L) of the Schur block M = A A^T, with
+@lru_cache(maxsize=None)
+def _pair_maps(d: int):
+    """(diag, i, j): the flat places i * d + i of the diagonal of a d x d
+    matrix, and i and j over its strict upper triangle, in hvec order."""
+    iu, ju = np.triu_indices(d, 1)
+    return np.arange(d) * (d + 1), iu, ju
+
+
+@lru_cache(maxsize=None)
+def _pin_scale(d: int, d2: int) -> np.ndarray:
+    """(d^2, 1, d2^2): the hvec scales of E_u and E_v, 1 on the diagonal
+    and 1/sqrt2 off it, multiplied."""
+    def scale(n):
+        return np.concatenate([np.ones(n), np.full(n * (n - 1), 1 / SQRT2)])
+    return scale(d)[:, None, None] * scale(d2)
+
+
+def _pin_plan(pins) -> list:
+    """The pin pairs of a program, per chunk (d, d2, X, Y, f, rows, cols).
+
+    For pins F (size d) and F' (size d2, from F on) the Schur block is
+    M[F u, F' v] = sum_tau Re f_tau Tr(E[u] X_tau E[v] Y_tau) over the place
+    pairs tau = (t, t') on one block, f_tau = f_t f'_t', X_tau =
+    W[c_t.., r'_t'..] (d x d2) and Y_tau = W[c'_t'.., r_t..] (d2 x d)
+    sub-blocks of that block's W, E = hvec_basis. X (P, T, d d2) and Y (P,
+    T, d2 d) index those sub-blocks in the (N,) array of every block's W,
+    row-major; f is (P, T, 1), padded to the chunk's widest T with 0; rows
+    (P, d^2) and cols (P, d2^2) are the rows of F and F' in M. Each chunk's
+    K (`_schur_block`) holds at most TRI_LEAF^2 entries, or one pair.
+    """
+    if not pins:
+        return []
+    fam = np.concatenate([np.full(len(F.f), q) for q, F in enumerate(pins)])
+    start, dim, r, c, f = (np.concatenate([getattr(F, n) for F in pins])
+                           for n in ("start", "dim", "r", "c", "f"))
+    size = np.array([F.d for F in pins])[fam]
+    at = np.array([F.row for F in pins])
+    # the place pairs on one block, F before F': their pair (F, F') in order
+    t, t2 = np.nonzero((start[:, None] == start) & (fam[:, None] <= fam))
+    plan = []
+    for d, d2 in sorted(set(zip(size[t], size[t2]))):
+        m = (size[t] == d) & (size[t2] == d2)
+        ta, tb = t[m], t2[m]
+        key, pair = np.unique(fam[ta] * len(pins) + fam[tb], return_inverse=True)
+        order = np.argsort(pair, kind="stable")
+        slot = np.empty(len(pair), dtype=np.intp)
+        slot[order] = np.arange(len(pair)) - np.searchsorted(pair[order], pair[order])
+        T = slot.max() + 1
+        ar, ar2 = np.arange(d), np.arange(d2)
+        k, st = dim[ta, None, None], start[ta, None, None]
+        X = np.zeros((len(key), T, d * d2), dtype=np.intp)
+        Y = np.zeros((len(key), T, d2 * d), dtype=np.intp)
+        w = np.zeros((len(key), T, 1), dtype=complex)
+        X[pair, slot] = (st + (c[ta, None, None] + ar[:, None]) * k
+                         + r[tb, None, None] + ar2).reshape(len(ta), -1)
+        Y[pair, slot] = (st + (c[tb, None, None] + ar2[:, None]) * k
+                         + r[ta, None, None] + ar).reshape(len(ta), -1)
+        w[pair, slot, 0] = f[ta] * f[tb]
+        rows = at[key // len(pins), None] + np.arange(d * d)
+        cols = at[key % len(pins), None] + np.arange(d2 * d2)
+        step = max(1, TRI_LEAF ** 2 // (d * d2) ** 2)
+        for lo in range(0, len(key), step):
+            chunk = slice(lo, lo + step)
+            plan.append((d, d2, X[chunk], Y[chunk], w[chunk], rows[chunk], cols[chunk]))
+    return plan
+
+
+def _schur_plan(A: Rows, groups, pins) -> tuple:
+    """(plan, general) for `_schur_block`: the pin pairs (`_pin_plan`),
+    and (rows, supports, buffer, pin nonzeros) for the rows that are not
+    pins: their indices, the `_row_supports` of their own Rows, the buffer
+    of their scaled rows, zeroed, and the nonzeros (rows, cols, vals) of
+    the pin rows with the first of each row's run."""
+    p, N = A.shape
+    pinned = np.zeros(p, dtype=bool)
+    for F in pins:
+        pinned[F.row:F.row + F.d ** 2] = True
+    on_pin = pinned[A.rows]
+    rows = np.flatnonzero(~pinned)
+    Ag = Rows((np.cumsum(~pinned) - 1)[A.rows[~on_pin]], A.cols[~on_pin],
+              A.vals[~on_pin], (len(rows), N))
+    prow = A.rows[on_pin]
+    first = np.flatnonzero(np.diff(prow, prepend=-1))
+    supports = _row_supports(groups, Ag) if len(rows) else []
+    return _pin_plan(pins), (rows, supports, np.zeros(Ag.shape),
+                             (prow, A.cols[on_pin], A.vals[on_pin], first))
+
+
+def _schur_block(p: int, plan, general, groups, R, W) -> np.ndarray:
+    """The Schur block M = A~ A~^T, M_ij = sum_b Tr(A_ib W_b A_jb W_b), of
+    a program whose pins `_pin_plan` lists and whose other rows `general`
+    holds, for the NT factors R and scalings W = R R^dag of its blocks. Of
+    each pair of pins only the block below the diagonal is written, as
+    `_schur_factor` reads no other.
+
+    A chunk of pin pairs is one batched product K[(a, c), (e, b)] =
+    sum_tau f_tau X_tau[a, c] Y_tau[e, b], and M[u, v] = Re sum E[u][b, a]
+    E[v][c, e] K[(a, c), (e, b)]. The sum over E[v] reads the diagonal of
+    (c, e) and, over its upper triangle, the sum and difference of (c, e)
+    and (e, c): hvec's diagonal, real and imaginary coordinates up to their
+    scales and a factor i for the imaginary ones. The sum over E[u] reads
+    (a, b) the same way, and the factors i turn real parts into imaginary
+    ones. The other rows are scaled (`_scaled_rows`) and give A~_g A~_g^T,
+    and their terms with pin rows are A_pins hvec(W C_g W), W C_g W =
+    R hmat(a~_g) R^dag.
+    """
+    M = np.zeros((p, p))
+    Wf = np.concatenate([Wk.reshape(-1) for Wk in W])
+    for d, d2, X, Y, f, rows, cols in plan:
+        P = len(X)
+        _, i, j = _pair_maps(d)
+        dg2, i2, j2 = _pair_maps(d2)
+        K = ((Wf[X] * f).swapaxes(1, 2) @ Wf[Y]).reshape(P, d, d2 * d2, d)
+        up, lo = K[:, :, i2 * d2 + j2], K[:, :, j2 * d2 + i2]
+        Z = np.concatenate([K[:, :, dg2], up + lo, up - lo], axis=2)
+        # Z[:, a, v, b]; v's imaginary coordinates, from nv on, carry i
+        nv, nu = d2 * (d2 + 1) // 2, d * (d + 1) // 2
+        za, zb = Z[:, j, :, i], Z[:, i, :, j]             # (m, P, d2^2)
+        B = np.empty((d * d, P, d2 * d2))
+        diag = Z[:, np.arange(d), :, np.arange(d)]
+        for out, z, turn in ((B[:d], diag, 0), (B[d:nu], za + zb, 0), (B[nu:], za - zb, 1)):
+            # Re(i^turn z) on v's first nv coordinates, Re(i^(turn + 1) z)
+            # on the others, as i^0 z, i z, i^2 z give Re z, -Im z, -Re z
+            for part, q in ((slice(None, nv), turn), (slice(nv, None), turn + 1)):
+                src = z[..., part].imag if q == 1 else z[..., part].real
+                np.multiply(src, -1.0 if q else 1.0, out=out[..., part])
+        B *= _pin_scale(d, d2)
+        M[cols[None, :, :], rows.T[:, :, None]] = B
+    rows, supports, Ag, (prow, pcol, pval, first) = general
+    if len(rows):
+        _scaled_rows(groups, R, supports, Ag)
+        M[np.ix_(rows, rows)] = Ag @ Ag.T
+        if len(first):
+            H = _congruence(groups, [_ct(Rk) for Rk in R], Ag)
+            cross = np.add.reduceat(H[:, pcol] * pval, first, axis=1)
+            M[np.ix_(prow[first], rows)] = cross.T
+            M[np.ix_(rows, prow[first])] = cross
+    return M
+
+
+def _schur_factor(M: np.ndarray):
+    """The factor (dinv, L) of the Schur block M, with
     D M D + SCHUR_SHIFT I = C C^T for D = diag(dinv) and C lower triangular,
-    or None when a row of A is not finite (its squared norm included) or M
-    is not numerically positive definite. L holds C's strictly lower blocks
+    or None when M has a non-finite diagonal or is not numerically positive
+    definite. L is M itself, overwritten: it holds C's strictly lower blocks
     and, in place of each diagonal leaf of C, of at most TRI_LEAF rows, that
     leaf's inverse; the rest of L, M's upper triangle, is never read.
 
-    D scales the rows of A to unit norm, so D M D has unit diagonal; near a
+    D scales the rows of A~ to unit norm, so D M D has unit diagonal; near a
     degenerate optimum the rows span many orders of magnitude, which would
-    starve the small pivots. The tiny shift, which lets dependent rows
-    factor, is corrected by the refinement in the Newton solve.
+    starve the small pivots. A row of zeros keeps the scale 1, so its pivot
+    is the shift alone. The tiny shift, which lets dependent rows factor,
+    is corrected by the refinement in the Newton solve.
 
-    L is formed in place: D M D + SCHUR_SHIFT I is written into L's own
-    buffer by one product and factored there one leaf column at a time,
-    left-looking, so no second p x p array is held. Leaf j's column lo:hi,
-    from row lo down, less L[lo:, :lo] L[lo:hi, :lo]^T from the columns
-    already factored, has its top leaf factored by cholesky and replaced by
-    its inverse, and through that inverse the rest becomes C[hi:, lo:hi].
-    `_schur_solve` applies M^-1.
+    M is factored in place one leaf column at a time, left-looking, so no
+    second p x p array is held. Leaf j's column lo:hi, from row lo down,
+    less L[lo:, :lo] L[lo:hi, :lo]^T from the columns already factored, has
+    its top leaf factored by cholesky and replaced by its inverse, and
+    through that inverse the rest becomes C[hi:, lo:hi]. `_schur_solve`
+    applies M^-1.
     """
-    L = A @ A.T
+    L = M
     # a finite diagonal bounds every entry: |M_ij| <= sqrt(M_ii M_jj)
     if not np.isfinite(L.diagonal()).all():
         return None
-    p = len(A)
-    dinv = 1.0 / np.sqrt(np.maximum(L.diagonal(), 1e-300))
+    p = len(L)
+    norm = np.sqrt(np.maximum(L.diagonal(), 0.0))
+    dinv = np.divide(1.0, norm, out=np.ones(p), where=norm > 0)
     L *= dinv[:, None]
     L *= dinv
     L[np.diag_indices(p)] += SCHUR_SHIFT
@@ -478,10 +733,13 @@ def _schur_solve(factor, v: np.ndarray) -> np.ndarray:
     p = len(z)
     for lo in range(0, p, TRI_LEAF):                # C y = D v
         hi = min(lo + TRI_LEAF, p)
-        z[lo:hi] = L[lo:hi, lo:hi] @ (z[lo:hi] - L[lo:hi, :lo] @ z[:lo])
+        # the first leaf has no columns before it, the last no rows below
+        zl = z[lo:hi] - L[lo:hi, :lo] @ z[:lo] if lo else z[lo:hi]
+        z[lo:hi] = L[lo:hi, lo:hi] @ zl
     for lo in reversed(range(0, p, TRI_LEAF)):      # C^T z = y
         hi = min(lo + TRI_LEAF, p)
-        z[lo:hi] = L[lo:hi, lo:hi].T @ (z[lo:hi] - L[hi:, lo:hi].T @ z[hi:])
+        zl = z[lo:hi] - L[hi:, lo:hi].T @ z[hi:] if hi < p else z[lo:hi]
+        z[lo:hi] = L[lo:hi, lo:hi].T @ zl
     return (dinv * z.T).T
 
 
@@ -497,22 +755,31 @@ def solve(program: ConicProgram, gap_tol: float = GAP_TOL) -> ConicSolution:
     blocked below 1e-10, or MAX_ITERS, returns `numerical-failure` carrying
     the best iterate seen. `iterations` counts every iteration taken.
 
-    Memory: A is only ever its nonzeros, and an iteration holds the (p, N)
-    scaled rows A~ and the p x p Schur factor, formed in place; the last
-    iteration's factor goes before A~ is rewritten.
+    Memory: A is only ever its nonzeros, and an iteration holds the p x p
+    Schur block, factored in place, and the (p_g, N) scaled rows of the
+    p_g rows that are not pins, or of all p rows for a block of one leaf or
+    once a factor read off W failed; the last iteration's factor goes
+    before the next block is built.
     """
     if not (np.isfinite(gap_tol) and gap_tol > 0):
         raise ValueError(f"gap_tol must be finite and positive, got {gap_tol!r}")
 
     # every per-block step below is one batched call per distinct size k
-    A, b, c, starts, groups = program.assemble()
+    A, b, c, starts, groups, pins = program.assemble()
     p, N = A.shape
     nu = sum(program.blocks)
     bnorm = 1.0 + np.abs(b).max(initial=0.0)
     cnorm = 1.0 + np.abs(c).max()
-    supports = _row_supports(groups, A)
-    # every iteration's scaled rows; the pairs no row touches stay 0
-    A_sc = np.zeros((p, N))
+    # a Schur block of one leaf is built from the scaled rows A~, whose
+    # buffer is then small and whose products are single calls; a larger
+    # one is read off W (`_schur_block`), with no such buffer, and every
+    # product with A~ is a congruence and a product with A
+    if p <= TRI_LEAF:
+        supports, A_sc = _row_supports(groups, A), np.zeros((p, N))
+    else:
+        A_sc = None
+        plan, general = _schur_plan(A, groups, pins)
+        every = None    # every row to scale, once a factor read off W fails
 
     # interior start: identity in every block, tau = kappa = 1
     x = np.zeros(N)
@@ -584,21 +851,63 @@ def solve(program: ConicProgram, gap_tol: float = GAP_TOL) -> ConicSolution:
             lams.append(np.sqrt(w))
             lam[cols].reshape(-1, k * k)[:, :k] = lams[-1]
         laminv = np.divide(1.0, lam, out=np.zeros(N), where=lam > 0)
+        Rh = [_ct(Rk) for Rk in R]
 
         r_g = cx - by + kappa
 
         # eliminate the cone step: the (p + 1) system in (dy, dtau) is the
         # Schur block M = A~ A~^T bordered by the tau row and column. The
-        # last iteration's L goes before the rows are scaled, so A~ and one
-        # factor are the only p-sized arrays held at once
+        # last iteration's factor goes before the next block is built
         factor = None
-        _scaled_rows(groups, R, supports, A_sc)
-        c_sc = _congruence(groups, R, c)
-        rd_sc = A_sc.T @ y + lam - c_sc * tau
-        v1 = A_sc @ c_sc
-        factor = _schur_factor(A_sc)
+        if A_sc is not None:
+            _scaled_rows(groups, R, supports, A_sc)
+            c_sc = _congruence(groups, R, c)
+            ATy_sc, v1 = A_sc.T @ y, A_sc @ c_sc
+            factor = _schur_factor(A_sc @ A_sc.T)
+
+            def scaled(v):                  # A~ v
+                return A_sc @ v
+
+            def scaled_T(v):                # A~^T v
+                return A_sc.T @ v
+
+            def frames(dy, dtau):
+                t = A_sc.T @ dy - c_sc * dtau
+                return t, A_sc @ t
+        else:
+            # A~^T v = hvec(R^dag hmat(A^T v) R), and A~ v = A hvec(R hmat(v)
+            # R^dag); one call gives both frames, R and W, of one vector, or
+            # of a stack of them
+            W = [Rk @ _ct(Rk) for Rk in R]
+            RW = [np.stack([Rk, Wk]) for Rk, Wk in zip(R, W)]
+            (c_sc, ATy_sc), (Wc, _) = _congruence(groups, [P[:, None] for P in RW],
+                                                  np.stack([c, ATy]))
+            v1 = _times(A, Wc)              # A~ c~ = A hvec(W C W)
+            factor = _schur_factor(_schur_block(p, plan, general, groups, R, W))
+            if factor is None and plan:
+                # read off W, a pin's terms are summed from products of W's
+                # entries and can lose the digits a pivot needs near a
+                # degenerate optimum; A~ A~^T, a Gram matrix, cannot, so
+                # every row is scaled instead, into a buffer kept from then on
+                if every is None:
+                    every = (np.arange(p), _row_supports(groups, A), np.zeros((p, N)),
+                             (np.zeros(0, dtype=np.intp),) * 4)
+                factor = _schur_factor(_schur_block(p, [], every, groups, R, W))
+
+            def scaled(v):
+                return _times(A, _congruence(groups, Rh, v))
+
+            def scaled_T(v):
+                return _congruence(groups, R, _times(A, v, transpose=True))
+
+            def frames(dy, dtau):
+                # t = A~^T dy - c~ dtau and W (A^T dy - c dtau) W, whose
+                # product with A is A~ t
+                t, Wt = _congruence(groups, RW, _times(A, dy, transpose=True) - c * dtau)
+                return t, _times(A, Wt)
         if factor is None:
             return failure(it)
+        rd_sc = ATy_sc + lam - c_sc * tau
 
         # the tau row and column by a scalar Schur complement: with
         # u = M^-1 (v1 + b), dtau is one division and dy = M^-1 g + u dtau;
@@ -606,7 +915,7 @@ def solve(program: ConicProgram, gap_tol: float = GAP_TOL) -> ConicSolution:
         row = b - v1
         w1, wb = _schur_solve(factor, np.stack([v1, b], axis=1)).T
         u = w1 + wb
-        r = c_sc - A_sc.T @ w1
+        r = c_sc - scaled_T(w1)
         den = (float(r @ r) + SCHUR_SHIFT * float(np.sum((w1 / factor[0]) ** 2))
                + float(b @ wb) + kappa / tau)
 
@@ -615,31 +924,31 @@ def solve(program: ConicProgram, gap_tol: float = GAP_TOL) -> ConicSolution:
             dtau = (h - float(row @ z)) / den
             return z + u * dtau, dtau
 
+
         def newton(sigma: float, eta: float, soc=0.0, soc_tk: float = 0.0):
             """The scaled step (dx~, dy, dtau, ds~, dkappa), with the
             corrector terms soc (cone, hvec) and soc_tk (tau kappa)."""
             Rc = sigma * mu * laminv - lam - soc
             r1 = -eta * rd_sc - Rc
-            r2 = -eta * r_p
             r3 = eta * r_g + (sigma * mu - tau * kappa - soc_tk) / tau
-            # dx = A~^T dy - c~ dtau - r1 leaves the reduced system in
+            # dx~ = A~^T dy - c~ dtau - r1 leaves the reduced system in
             # (dy, dtau) with right-hand side (g0, h0). It is solved once and
             # refined at most twice while its residual is above REFINE_TOL of
             # (g0, h0): near the optimum the Schur complement is so
             # ill-conditioned that one solve can leave the primal equation
             # off by more than the residual the step targets
-            g0, h0 = r2 + A_sc @ r1, r3 - float(c_sc @ r1)
+            g0, h0 = -eta * r_p + scaled(r1), r3 - float(c_sc @ r1)
             tol = REFINE_TOL * max(np.abs(g0).max(initial=0.0), abs(h0))
             dy, dtau = reduced_solve(g0, h0)
-            t = A_sc.T @ dy - c_sc * dtau
+            t, At = frames(dy, dtau)
             for _ in range(2):
-                g = g0 - (A_sc @ t - b * dtau)
+                g = g0 - (At - b * dtau)
                 h = h0 - (-float(c_sc @ t) + float(b @ dy) + (kappa / tau) * dtau)
                 if max(np.abs(g).max(initial=0.0), abs(h)) <= tol:
                     break
                 fy, ftau = reduced_solve(g, h)
                 dy, dtau = dy + fy, dtau + ftau
-                t = A_sc.T @ dy - c_sc * dtau
+                t, At = frames(dy, dtau)
             dx = t - r1
             ds = Rc - dx
             dkappa = (sigma * mu - tau * kappa - soc_tk - kappa * dtau) / tau
@@ -669,17 +978,17 @@ def solve(program: ConicProgram, gap_tol: float = GAP_TOL) -> ConicSolution:
         sigma = min(0.9999, max(SIGMA_MIN, (mu_aff / mu) ** 3))
 
         dx, dy, dtau, ds, dkappa = newton(sigma, 1.0 - sigma,
-                                          _corrector(groups, lams, dxa, dsa),
-                                          dtaua * dkappaa)
+                                              _corrector(groups, lams, dxa, dsa),
+                                              dtaua * dkappaa)
         alpha = min(1.0, STEP_FRAC * boundary(dx, ds, dtau, dkappa))
         if alpha <= 1e-10:
             return failure(it)
 
-        # map the accepted step back: dX = R dX~ R^dag, and dS from the dual
-        # equation A^T dy + dS - c dtau = -eta r_d in the original coordinates,
-        # so r_d shrinks by (1 - alpha eta); R^-dag dS~ R^-1 drifts from that
+        # the accepted step in the original coordinates: dX = R dx~ R^dag,
+        # and dS from the dual equation A^T dy + dS - c dtau = -eta r_d, so
+        # r_d shrinks by (1 - alpha eta); R^-dag dS~ R^-1 drifts from that
         # equation once R is ill-conditioned near the optimum
-        x = x + alpha * _congruence(groups, [_ct(Rk) for Rk in R], dx)
+        x = x + alpha * _congruence(groups, Rh, dx)
         s = s + alpha * (-(1.0 - sigma) * r_d - _times(A, dy, transpose=True)
                          + c * dtau)
         y = y + alpha * dy

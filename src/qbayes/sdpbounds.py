@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.linalg as npl
 
-from .conic import (GAP_TOL, TRI_LEAF, ConicProgram, ConicSolution,
+from .conic import (GAP_TOL, ConicProgram, ConicSolution,
                     SolverFailureError, hvec, hvec_basis, solve, solve_or_raise)
 from .matcore import (check_hermitian, hermitize, psd_sqrt, support_factor,
                       trace_abs, weighted_trace_abs)
@@ -81,26 +81,11 @@ class BoundSolution:
     diagnostics: ConicSolution
 
 
-def _pin_rows(prog, blk, dim, d, places, rhs):
-    """Add the d^2 rows i whose coefficient on the dim x dim block blk is
-    f E[i] at (row0, col0) for each (row0, col0, f) in places, E =
-    hvec_basis(d), zero elsewhere, with right-hand side rhs (d^2,). They are
-    added TRI_LEAF rows at a time, so no (d^2, dim, dim) stack is formed."""
-    E = hvec_basis(d)
-    for i in range(0, d * d, TRI_LEAF):
-        leaf = E[i:i + TRI_LEAF]
-        C = np.zeros((len(leaf), dim, dim), dtype=complex)
-        for row0, col0, f in places:
-            C[:, row0:row0 + d, col0:col0 + d] = f * leaf
-        prog.add_eq({blk: C}, rhs=rhs[i:i + TRI_LEAF])
-
-
-def _hermitian_offblock_rows(prog, blk, dim, row0, col0, G):
+def _hermitian_offblock_rows(prog, blk, row0, col0, G):
     """Pin the d x d block T at (row0, col0) of a Hermitian variable to
     T - T^+ = G, for anti-Hermitian d x d G (zero: T is Hermitian): d^2 rows
     equating the hvec coordinates of -i(T - T^+) and -iG."""
-    _pin_rows(prog, blk, dim, len(G), [(row0, col0, 1j), (col0, row0, -1j)],
-              hvec(-1j * G))
+    prog.add_pins([(blk, row0, col0, 1j), (blk, col0, row0, -1j)], hvec(-1j * G))
 
 
 def _objective(em: ExtendedMoments) -> np.ndarray:
@@ -121,9 +106,9 @@ def _estimator_block(prog: ConicProgram, em: ExtendedMoments):
     nd = n * d
     dim = nd + d
     g = prog.add_psd_block(dim)
-    _pin_rows(prog, g, dim, d, [(nd, nd, 1.0)], hvec(np.eye(d)))
+    prog.add_pins([(g, nd, nd, 1.0)], hvec(np.eye(d)))
     for j in range(n):
-        _hermitian_offblock_rows(prog, g, dim, j * d, nd, np.zeros((d, d)))
+        _hermitian_offblock_rows(prog, g, j * d, nd, np.zeros((d, d)))
     return g, _objective(em)
 
 
@@ -156,8 +141,7 @@ def nagaoka_hayashi_bound(em: ExtendedMoments,
     # upper block is Hermitian on its own (G Hermitian supplies L_kj = L_jk^+)
     for j in range(n):
         for k in range(j + 1, n):
-            _hermitian_offblock_rows(prog, g, nd + d, j * d, k * d,
-                                     np.zeros((d, d)))
+            _hermitian_offblock_rows(prog, g, j * d, k * d, np.zeros((d, d)))
     prog.set_objective({g: C}, offset=em.w_bar)
     return _solve_rung(prog, em, gap_tol, "block-operator bound")
 
@@ -333,7 +317,7 @@ def _dominating_program(Sfull: np.ndarray, X: np.ndarray,
     t = prog.add_psd_block(nd)
     for j in range(n):
         for k in range(j + 1, n):
-            _hermitian_offblock_rows(prog, t, nd, j * d, k * d,
+            _hermitian_offblock_rows(prog, t, j * d, k * d,
                                      Xb[k, :, j] - Xb[j, :, k])
     offset = float(np.real(np.trace(Sfull @ X)))
     prog.set_objective({t: hermitize(Sfull)}, offset=offset)

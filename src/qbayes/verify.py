@@ -25,7 +25,7 @@ import numpy as np
 import numpy.linalg as npl
 
 from .closedform import rld_bound, sld_bound
-from .conic import GAP_TOL, ConicProgram, hvec, hvec_basis, solve_or_raise
+from .conic import GAP_TOL, ConicProgram, hvec, solve_or_raise
 from .matcore import PSD_CLAMP, check_hermitian, hermitize
 from .model import StatisticalModel, build_extended_moments
 from .sdpbounds import holevo_type_bound, nagaoka_hayashi_bound
@@ -146,16 +146,21 @@ def optimal_povm_step(model: StatisticalModel, estimates,
     K = est.shape[0]
     if est.shape[1] != model.n:
         raise ValueError(f"estimate dimension {est.shape[1]}, expected {model.n}")
+    if not np.isfinite(est).all():
+        raise ValueError("estimates have non-finite entries")
     d = model.d
 
     prog = ConicProgram()
     blocks = [prog.add_psd_block(d) for _ in range(K)]
-    prog.add_eq({blk: hvec_basis(d) for blk in blocks}, rhs=hvec(np.eye(d)))
+    prog.add_pins([(blk, 0, 0, 1.0) for blk in blocks], hvec(np.eye(d)))
     # loss[x, m] = (est_x - theta_m)^T W_m (est_x - theta_m)
     diff = est[:, None, :] - model.thetas
-    loss = np.einsum("xmj,mjk,xmk->xm", diff,
-                     model.weight_spec.stack(len(model.points)), diff)
-    F = np.einsum("m,xm,mab->xab", model.pi, loss, model.states)
+    with np.errstate(over="ignore"):
+        loss = np.einsum("xmj,mjk,xmk->xm", diff,
+                         model.weight_spec.stack(len(model.points)), diff)
+        F = np.einsum("m,xm,mab->xab", model.pi, loss, model.states)
+    if not np.isfinite(F).all():
+        raise ValueError("the loss at these estimates overflows")
     prog.set_objective(dict(zip(blocks, hermitize(F))))
 
     sol = solve_or_raise(prog, gap_tol, what="measurement update")

@@ -180,6 +180,28 @@ def same_rows(A, B) -> bool:
     return all(np.array_equal(u, v) for u, v in zip(A, B))
 
 
+def schur_blocks(program, seed=0):
+    """(M, ref) for `program` at random NT factors R, one per block: the
+    Schur block `conic.solve` builds, pins read off W = R R^dag, and the
+    dense reference A~ A~^T of the scaled rows A~_i = hvec(R^dag A_i R),
+    with the dense A formed from its nonzeros. M holds only its lower
+    triangle, which is compared."""
+    rng = np.random.default_rng(seed)
+    A, _, _, _, groups, pins = program.assemble()
+    R = []
+    for k, cols in groups:
+        K = (cols.stop - cols.start) // (k * k)
+        R.append(rng.standard_normal((K, k, k)) + 1j * rng.standard_normal((K, k, k)))
+    dense = np.zeros(A.shape)
+    dense[A.rows, A.cols] = A.vals
+    scaled = conic._congruence(groups, R, dense)
+    plan, general = conic._schur_plan(A, groups, pins)
+    W = [Rk @ Rk.conj().swapaxes(-1, -2) for Rk in R]
+    M = conic._schur_block(A.shape[0], plan, general, groups, R, W)
+    low = np.tril(np.ones(M.shape, dtype=bool))
+    return M[low], (scaled @ scaled.T)[low]
+
+
 class ProgramCaptured(Exception):
     """Raised by the `conic.solve` of `capture_programs` in place of a solve."""
 

@@ -1,6 +1,7 @@
 """Unit tests for the dense interior-point conic solver."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -120,7 +121,7 @@ def test_stacked_rows_assemble_like_single_rows():
     progs[0].add_eq({0: stack, 1: other}, rhs=rhs)
     for C, D, r in zip(stack, other, rhs):
         progs[1].add_eq({0: C, 1: D}, rhs=r)
-    (A0, b0, _, starts, _), (A1, b1, *_) = (p.assemble() for p in progs)
+    (A0, b0, _, starts, *_), (A1, b1, *_) = (p.assemble() for p in progs)
     assert A0.shape == (5, 13) and starts == [0, 9]
     assert same_rows(A0, A1) and np.array_equal(b0, b1)
 
@@ -199,7 +200,7 @@ def test_support_scaled_rows_match_the_dense_congruence():
     prog.add_eq({blks[4]: np.concatenate([conic.hvec_basis(5)] * 6)},
                 rhs=np.ones(150))
     prog.add_eq({blks[4]: np.diag([0.0, 1.0, 0.0, 2.0, 3.0])}, rhs=1.0)
-    A, _, _, _, groups = prog.assemble()
+    A, _, _, _, groups, _ = prog.assemble()
     assert A.shape[0] == 157 > 2 * conic.TRI_LEAF
     assert groups == [(3, slice(0, 18)), (4, slice(18, 50)), (5, slice(50, 75))]
     R = [rng.standard_normal((K, k, k)) + 1j * rng.standard_normal((K, k, k))
@@ -230,7 +231,7 @@ def test_scaled_rows_touch_only_the_pairs_of_their_blocks():
         if i % 7 == 0:
             coeffs[blks[on[0]]] = random_hermitian(rng, 3)
         prog.add_eq(coeffs, rhs=1.0)
-    A, _, _, _, groups = prog.assemble()
+    A, _, _, _, groups, _ = prog.assemble()
     supports = conic._row_supports(groups, A)
     (chunks,) = supports
     pairs = np.concatenate([np.stack(at, axis=1) for at, _, _ in chunks])
@@ -391,7 +392,7 @@ def test_schur_substitution_matches_the_dense_solve(p):
     G = rng.standard_normal((p, 2 * p)) * np.logspace(-2, 2, p)[:, None]
     M = G @ G.T
     v = rng.standard_normal(p)
-    factor = _schur_factor(G)
+    factor = _schur_factor(M.copy())
     dinv, L = factor
     D = 1.0 / np.sqrt(M.diagonal())
     dense = np.linalg.cholesky(D[:, None] * M * D + conic.SCHUR_SHIFT * np.eye(p))
@@ -416,7 +417,7 @@ def test_schur_substitution_matches_the_dense_solve(p):
 def test_schur_factor_of_no_rows_is_empty():
     """A Schur block without rows factors to empty arrays, and its
     substitution maps an empty vector to an empty vector."""
-    dinv, L = factor = _schur_factor(np.zeros((0, 5)))
+    dinv, L = factor = _schur_factor(np.zeros((0, 0)))
     assert dinv.shape == (0,) and L.shape == (0, 0)
     z = _schur_solve(factor, np.zeros(0))
     assert z.shape == (0,)
@@ -424,11 +425,12 @@ def test_schur_factor_of_no_rows_is_empty():
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_schur_factor_rejects_a_non_finite_row(bad):
-    """A row with a non-finite entry, in the third leaf of 130 rows, makes
-    the factor None."""
+    """A Schur block of rows one of which, in the third leaf of 130 rows,
+    has a non-finite entry makes the factor None."""
     G = np.random.default_rng(5).standard_normal((130, 200))
     G[129, 3] = bad
-    assert _schur_factor(G) is None
+    with np.errstate(invalid="ignore"):
+        assert _schur_factor(G @ G.T) is None
 
 
 def test_schur_factor_fails_in_a_later_leaf(monkeypatch):
@@ -445,7 +447,7 @@ def test_schur_factor_fails_in_a_later_leaf(monkeypatch):
         return cholesky(a)
 
     monkeypatch.setattr(np.linalg, "cholesky", failing)
-    assert _schur_factor(G) is None
+    assert _schur_factor(G @ G.T) is None
     assert calls == [conic.TRI_LEAF, conic.TRI_LEAF]
 
 
@@ -619,3 +621,41 @@ def test_tau_pivot_survives_the_last_step(seed, d):
     alive."""
     run = seesaw(bench_frame_model(seed, d), outcome_count=d, iters=5, seed=0)
     assert np.isfinite(run.risk)
+
+
+@pytest.mark.parametrize("rhs,status", [(1.0, "infeasible"), (0.0, "optimal")])
+def test_a_row_of_zeros_keeps_the_unit_scale(rhs, status):
+    """A row without coefficients, 0 = rhs: with rhs 1 the program is
+    certified infeasible, and with rhs 0 it is optimal at 1.0. Its Schur
+    pivot is the shift alone, scaled by 1, where a floored row norm once
+    scaled it by 1e150 and overflowed at iteration 0."""
+    prog = ConicProgram()
+    blk = prog.add_psd_block(2)
+    prog.add_eq({blk: np.eye(2)}, 1.0)
+    prog.add_eq({}, rhs=rhs)
+    prog.set_objective({blk: np.diag([1.0, 2.0])})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve(prog)
+    assert sol.status == status
+    if status == "optimal":
+        assert abs(sol.primal_value - 1.0) <= 1e-7
+
+
+@pytest.mark.parametrize("places,message", [
+    ([], "at least one place"),
+    ([(3, 0, 0, 1.0)], "unknown block"),
+    ([(0, 0, 3, 1.0), (0, 3, 0, 1.0)], "does not fit"),
+    ([(0, 0, 2, 1j)], "no Hermitian mirror"),
+    ([(0, 0, 2, 1j), (0, 2, 0, 1j)], "no Hermitian mirror"),
+    ([(0, 0, 0, 1j)], "no Hermitian mirror"),
+    ([(0, 0, 1, 1.0), (0, 1, 0, 1.0)], "overlap"),
+])
+def test_add_pins_rejects_places_that_are_not_a_hermitian_pin(places, message):
+    """Every place of a 2 x 2 pin on a 4 x 4 block must fit it, sit on a
+    known block, not overlap another, and have its mirror with the
+    conjugate factor (itself, with a real factor, on the diagonal)."""
+    prog = ConicProgram()
+    prog.add_psd_block(4)
+    with pytest.raises(ProgramError, match=message):
+        prog.add_pins(places, np.zeros(4))

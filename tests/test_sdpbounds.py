@@ -21,6 +21,7 @@ from helpers import (
     random_unitary,
     record_row_counts,
     same_rows,
+    schur_blocks,
     tensor_moments,
 )
 from qbayes import conic
@@ -39,8 +40,8 @@ from qbayes.model import (
     with_weight,
 )
 from qbayes.sdpbounds import (
+    _dominating_program,
     _hermitian_offblock_rows,
-    _pin_rows,
     appendix_f,
     f_family_pinned_example,
     holevo_type_bound,
@@ -48,7 +49,7 @@ from qbayes.sdpbounds import (
     nagaoka_hayashi_bound,
     nagaoka_objective,
 )
-from qbayes.verify import rounded_measurement
+from qbayes.verify import optimal_povm_step, rounded_measurement
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -66,23 +67,24 @@ def test_offblock_pin_returns_the_target():
     G = 1j * random_hermitian(rng, 2)
     prog = ConicProgram()
     x = prog.add_psd_block(4)
-    _hermitian_offblock_rows(prog, x, 4, 0, 2, G)
+    _hermitian_offblock_rows(prog, x, 0, 2, G)
     prog.set_objective({x: np.eye(4)})
     assert prog.assemble()[0].shape == (4, 16)
     T = solve_or_raise(prog).variable_values[0][:2, 2:]
     assert np.allclose(T - T.conj().T, G, atol=1e-7)
 
 
-def test_pins_added_a_leaf_at_a_time_assemble_like_one_stack():
+def test_pins_assemble_like_one_stack():
     """The d^2 = 81 pin rows of a 9 x 9 off-block and of the identity
-    corner, added TRI_LEAF = 64 rows at a time, assemble the same A and b
-    as the whole (d^2, dim, dim) stacks added at once."""
+    corner, added by `add_pins` from their places, assemble the same A and
+    b, nonzero for nonzero, as the whole (d^2, dim, dim) coefficient stacks
+    `add_eq` takes."""
     rng = np.random.default_rng(41)
     d, dim = 9, 27
     G = 1j * random_hermitian(rng, d)
     E = hvec_basis(d)
-    whole, leaves = ConicProgram(), ConicProgram()
-    for prog in (whole, leaves):
+    whole, pins = ConicProgram(), ConicProgram()
+    for prog in (whole, pins):
         prog.add_psd_block(dim)
     C = np.zeros((d * d, dim, dim), dtype=complex)
     C[:, :d, d:2 * d] = 1j * E
@@ -91,11 +93,33 @@ def test_pins_added_a_leaf_at_a_time_assemble_like_one_stack():
     C = np.zeros((d * d, dim, dim), dtype=complex)
     C[:, 2 * d:, 2 * d:] = E
     whole.add_eq({0: C}, rhs=hvec(np.eye(d)))
-    _hermitian_offblock_rows(leaves, 0, dim, 0, d, G)
-    _pin_rows(leaves, 0, dim, d, [(2 * d, 2 * d, 1.0)], hvec(np.eye(d)))
-    assert len(leaves.rows) == 4
-    (A0, b0, *_), (A1, b1, *_) = whole.assemble(), leaves.assemble()
+    _hermitian_offblock_rows(pins, 0, 0, d, G)
+    pins.add_pins([(0, 2 * d, 2 * d, 1.0)], hvec(np.eye(d)))
+    (A0, b0, *_), (A1, b1, *_) = whole.assemble(), pins.assemble()
     assert A0.shape == (2 * d * d, dim * dim)
+    assert same_rows(A0, A1) and np.array_equal(b0, b1)
+
+
+def test_pins_on_several_blocks_assemble_like_one_stack():
+    """The measurement update's identity resolution, one place on each of
+    K = 4 blocks of size 3, and a pin with a complex factor and its mirror
+    beside a diagonal place, give the rows of their stacked forms."""
+    E = hvec_basis(3)
+    whole, pins = ConicProgram(), ConicProgram()
+    for prog in (whole, pins):
+        for _ in range(4):
+            prog.add_psd_block(3)
+        prog.add_psd_block(8)
+    whole.add_eq({b: E for b in range(4)}, rhs=hvec(np.eye(3)))
+    pins.add_pins([(b, 0, 0, 1.0) for b in range(4)], hvec(np.eye(3)))
+    C = np.zeros((9, 8, 8), dtype=complex)
+    C[:, :3, 5:] = (0.5 - 2j) * E
+    C[:, 5:, :3] = (0.5 + 2j) * E
+    C[:, 2:5, 2:5] = -3.0 * E
+    rhs = np.arange(9.0)
+    whole.add_eq({4: C}, rhs=rhs)
+    pins.add_pins([(4, 0, 5, 0.5 - 2j), (4, 5, 0, 0.5 + 2j), (4, 2, 2, -3.0)], rhs)
+    (A0, b0, *_), (A1, b1, *_) = whole.assemble(), pins.assemble()
     assert same_rows(A0, A1) and np.array_equal(b0, b1)
 
 
@@ -111,6 +135,53 @@ def test_programs_keep_their_row_counts(monkeypatch):
     appendix_f("f_sdp", [(1.0, random_spd(rng, n), random_density(rng, d))],
                hermitize(M))
     assert counts == [(1 + n * (n + 1) // 2) * d * d, n * (n - 1) // 2 * d * d]
+
+
+def _captured(monkeypatch, run):
+    """The one program `run` hands to the solver."""
+    programs = capture_programs(monkeypatch)
+    with pytest.raises(ProgramCaptured):
+        run()
+    (prog,) = programs
+    return prog
+
+
+def _rung_program(monkeypatch, rung, n, d, per_point_weight=False):
+    em = build_extended_moments(random_model(n, d, seed=1, grid=3))
+    return _captured(monkeypatch, lambda: rung(per_point(em) if per_point_weight else em))
+
+
+SCHUR_CASES = {
+    **{f"nh-n{n}-d{d}": (nagaoka_hayashi_bound, n, d, False)
+       for n in (2, 3) for d in (2, 3, 6)},
+    "holevo-constant": (holevo_type_bound, 2, 3, False),
+    "holevo-per-point": (holevo_type_bound, 3, 3, True),
+    "nagaoka2": (nagaoka_bound, 2, 3, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCHUR_CASES))
+def test_schur_block_read_off_w_matches_the_scaled_rows(monkeypatch, case):
+    """The Schur block each rung's program gets, pin pairs read off W and
+    the cap and commutator rows (with their terms against the pins) from
+    their scaled rows, equals A~ A~^T of the dense scaled rows within 1e-12
+    of its largest entry, at a random R per block."""
+    prog = _rung_program(monkeypatch, *SCHUR_CASES[case])
+    M, ref = schur_blocks(prog)
+    assert np.abs(M - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_schur_block_of_the_other_pin_programs_matches(monkeypatch):
+    """The same for the dominating program (three off-blocks of d = 3) and
+    for the measurement update's identity resolution over K = 5 blocks."""
+    rng = np.random.default_rng(47)
+    X = hermitize(rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)))
+    model = random_grid_model(rng, 2, 3, 3)
+    for prog in (_dominating_program(random_spd(rng, 9) + 0j, X, 3),
+                 _captured(monkeypatch, lambda: optimal_povm_step(
+                     model, rng.uniform(-1.0, 1.0, (5, 2))))):
+        M, ref = schur_blocks(prog, seed=3)
+        assert np.abs(M - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +359,7 @@ def test_holevo_cap_row_widens_only_its_chunk(monkeypatch):
     with pytest.raises(ProgramCaptured):
         holevo_type_bound(em)
     (prog,) = programs
-    A, _, _, _, groups = prog.assemble()
+    A, _, _, _, groups, _ = prog.assemble()
     (chunks,) = conic._row_supports(groups, A)
     assert A.shape[0] == 193
     assert [len(CS) for _, _, CS in chunks] == [64, 64, 64, 1]
@@ -325,19 +396,20 @@ def nh_traced_peak(d):
 
 
 def test_nh_solve_memory_stays_small():
-    """NH on a d = 10 model: 400 rows on one 30 x 30 block G. The solve
-    holds A as its nonzeros, one reused buffer of its scaled rows (2.7 MiB)
-    and the Schur factor, formed in place (1.2 MiB), and the program's pin
-    rows are built TRI_LEAF at a time: about 4.8 MiB traced, program build
-    included, where the dense A and a second 400 x 400 array beside the
-    factor took 8.9 MiB."""
-    assert nh_traced_peak(10) < 6 * 2**20
+    """NH on a d = 10 model: 400 rows on one 30 x 30 block G, all pins. The
+    solve holds A as its nonzeros and the Schur block (1.2 MiB), read off
+    the NT scaling W and factored in place, and no buffer of scaled rows:
+    about 3.0 MiB traced, program build included, where the scaled-row
+    buffer took it to 4.8 MiB and the dense A and a second 400 x 400 array
+    beside the factor to 8.9 MiB."""
+    assert nh_traced_peak(10) < 3.75 * 2**20
 
 
 def test_nh_solve_memory_stays_small_at_d14():
-    """The same at d = 14, 784 rows on a 42 x 42 block: about 17.2 MiB
-    traced, where the dense A and the second p x p array took 31.8 MiB."""
-    assert nh_traced_peak(14) < 20 * 2**20
+    """The same at d = 14, 784 rows on a 42 x 42 block: about 10.5 MiB
+    traced, where the scaled-row buffer took it to 17.1 MiB and the dense A
+    and the second p x p array to 31.8 MiB."""
+    assert nh_traced_peak(14) < 13 * 2**20
 
 
 def test_nh_assembly_memory_stays_small_at_d14(monkeypatch):
@@ -360,9 +432,9 @@ def test_nh_assembly_memory_stays_small_at_d14(monkeypatch):
 
 
 def test_holevo_pinned_value_at_d8():
-    """One 24 x 24 block G and (n + 1)d^2 + 1 = 193 rows, each scaled
-    through 16 of the 24 rows of the scaling factor (the cap row touches all
-    of L); about 0.05 s on two cores."""
+    """One 24 x 24 block G and (n + 1)d^2 + 1 = 193 rows: the 192 pin rows
+    read off W, and the cap row, which touches all of L, scaled through 16
+    of the 24 rows of the scaling factor; about 0.05 s on two cores."""
     em = build_extended_moments(random_model(2, 8, seed=1, grid=4))
     sol = holevo_type_bound(em)
     assert sol.diagnostics.status == "optimal"

@@ -166,6 +166,23 @@ def test_optimal_povm_step_charges_each_outcome_its_grid_loss(monkeypatch):
         assert np.allclose(F, expected, atol=1e-14)
 
 
+@pytest.mark.parametrize("bad,message", [
+    (np.nan, "estimates have non-finite entries"),
+    (np.inf, "estimates have non-finite entries"),
+    (1e200, "the loss at these estimates overflows"),
+])
+def test_optimal_povm_step_rejects_estimates_it_cannot_score(bad, message):
+    """Non-finite estimates, and finite ones whose quadratic loss
+    overflows, are rejected before a program is built, with the message
+    `bayes_risk` gives non-finite estimates or one naming the overflow."""
+    rng = np.random.default_rng(55)
+    model = random_grid_model(rng, 2, 2, 3)
+    est = rng.uniform(-1.0, 1.0, (3, 2))
+    est[1, 0] = bad
+    with pytest.raises(ValueError, match=message):
+        optimal_povm_step(model, est)
+
+
 def test_optimal_povm_step_pins_the_identity_resolution(monkeypatch):
     """One program with d^2 rows for sum_x E_x = I, however many outcomes."""
     counts = record_row_counts(monkeypatch)
