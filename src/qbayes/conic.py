@@ -672,11 +672,13 @@ def _schur_block(p: int, plan, general, groups, R, W) -> np.ndarray:
     if len(rows):
         _scaled_rows(groups, R, supports, Ag)
         M[np.ix_(rows, rows)] = Ag @ Ag.T
-        if len(first):
-            H = _congruence(groups, [_ct(Rk) for Rk in R], Ag)
+        # TRI_LEAF rows at a time, which bounds the congruence's stacks
+        for lo in range(0, len(rows) if len(first) else 0, TRI_LEAF):
+            g = rows[lo:lo + TRI_LEAF]
+            H = _congruence(groups, [_ct(Rk) for Rk in R], Ag[lo:lo + TRI_LEAF])
             cross = np.add.reduceat(H[:, pcol] * pval, first, axis=1)
-            M[np.ix_(prow[first], rows)] = cross.T
-            M[np.ix_(rows, prow[first])] = cross
+            M[np.ix_(prow[first], g)] = cross.T
+            M[np.ix_(g, prow[first])] = cross
     return M
 
 
