@@ -32,17 +32,19 @@ pins is read off W alone (Fujisawa, Kojima and Nakata, Math. Program. 79,
 1997): M[F u, F' v] = sum Re f f' Tr(E_u X E_v Y) over their places on one
 block, X and Y d x d sub-blocks of W, an O(d^4) batched product and fixed
 gathers per pair of pins (`_schur_block`). The other rows are scaled, A~_g,
-and give A~_g A~_g^T, and their terms with the pins A_pins hvec(R hmat(a~_g)
-R^dag). Every product with A~ is then a congruence and a product with A:
-A~^T v = hvec(R^dag hmat(A^T v) R), A~ v = A hvec(R hmat(v) R^dag); so A~
-is never formed, and an iteration holds the p x p block, factored in place,
-and the scaled rows of the rows that are not pins. A Schur block of one leaf
-of TRI_LEAF rows is instead A~ A~^T of all the scaled rows, held in one
-(p, N) buffer, as there one product with A~ costs less than one congruence.
-Should a factor read off W fail, near a degenerate optimum where its sums
-of products of W's entries lose the digits a pivot needs, that iteration's
-block is A~ A~^T of every row, a Gram matrix, scaled into a buffer kept
-from then on.
+into one buffer and give A~_g A~_g^T, and their terms with the pins
+A_pins hvec(R hmat(a~_g) R^dag). `_schur_plan` splits the rows so once per
+solve, and each iteration builds its block with one `_schur_block` call.
+With pins, every product with A~ is a congruence and a product with A:
+A~^T v = hvec(R^dag hmat(A^T v) R), A~ v = A hvec(R hmat(v) R^dag); so an
+iteration holds the p x p block, factored in place, and the scaled rows of
+the rows that are not pins. A split with no pins, which a block of one
+leaf (p <= TRI_LEAF) always gets, scales every row: M = A~ A~^T of the
+buffer, and a product with A~ is one product with it, cheaper at one leaf
+than one congruence. Should a factor read off W fail, near a degenerate
+optimum where its sums of products of W's entries lose the digits a pivot
+needs, the rows are split again with no pins, and the rest of the solve
+builds A~ A~^T, a Gram matrix.
 
 Only the touched (row, block) pairs of scaled rows, those with A_ib
 nonzero, are scaled; the others stay 0. A touched coefficient reaches only
@@ -109,7 +111,7 @@ REFINE_TOL = 1e-12   # reduced residual, relative to its right-hand side, at
                      # which a Newton solve stops refining
 TRI_LEAF = 64        # (row, block) pairs per chunk of the row scaling, rows
                      # per diagonal leaf of the Schur factor (a Schur block
-                     # of one leaf is built from the scaled rows), and
+                     # of one leaf reads no pin off W), and
                      # TRI_LEAF^2 entries per chunk of pin pairs
 SCHUR_SHIFT = 1e-14  # added to the unit diagonal of the row-scaled Schur block
 
@@ -236,9 +238,10 @@ class ConicProgram:
         self.offset = 0.0
 
     def add_psd_block(self, dim: int) -> int:
-        if dim < 1:
-            raise ProgramError(f"block dimension {dim} < 1")
-        self.blocks.append(dim)
+        """Add a dim x dim block, dim an integer >= 1 (a bool is not one)."""
+        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+            raise ProgramError(f"block dimension {dim!r} is not an integer >= 1")
+        self.blocks.append(int(dim))
         return len(self.blocks) - 1
 
     def _hvec_rows(self, coeffs: dict | None, r: int) -> dict:
@@ -612,7 +615,8 @@ def _schur_plan(A: Rows, groups, pins) -> tuple:
     and (rows, supports, buffer, pin nonzeros) for the rows that are not
     pins: their indices, the `_row_supports` of their own Rows, the buffer
     of their scaled rows, zeroed, and the nonzeros (rows, cols, vals) of
-    the pin rows with the first of each row's run."""
+    the pin rows with the first of each row's run. With no pins the plan is
+    empty and every row is scaled."""
     p, N = A.shape
     pinned = np.zeros(p, dtype=bool)
     for F in pins:
@@ -622,7 +626,7 @@ def _schur_plan(A: Rows, groups, pins) -> tuple:
     Ag = Rows((np.cumsum(~pinned) - 1)[A.rows[~on_pin]], A.cols[~on_pin],
               A.vals[~on_pin], (len(rows), N))
     prow = A.rows[on_pin]
-    first = np.flatnonzero(np.diff(prow, prepend=-1))
+    first = np.flatnonzero(prow != np.concatenate(([-1], prow[:-1])))
     supports = _row_supports(groups, Ag) if len(rows) else []
     return _pin_plan(pins), (rows, supports, np.zeros(Ag.shape),
                              (prow, A.cols[on_pin], A.vals[on_pin], first))
@@ -644,11 +648,16 @@ def _schur_block(p: int, plan, general, groups, R, W) -> np.ndarray:
     (a, b) the same way, and the factors i turn real parts into imaginary
     ones. The other rows are scaled (`_scaled_rows`) and give A~_g A~_g^T,
     and their terms with pin rows are A_pins hvec(W C_g W), W C_g W =
-    R hmat(a~_g) R^dag.
+    R hmat(a~_g) R^dag. With no pins (an empty plan; W may be None) every
+    row is scaled and M is A~ A~^T of the buffer.
     """
+    rows, supports, Ag, (prow, pcol, pval, first) = general
+    _scaled_rows(groups, R, supports, Ag)
+    if not plan:
+        return Ag @ Ag.T
     M = np.zeros((p, p))
     Wf = np.concatenate([Wk.reshape(-1) for Wk in W])
-    for d, d2, X, Y, f, rows, cols in plan:
+    for d, d2, X, Y, f, u, v in plan:     # u, v: the rows of F and F' in M
         P = len(X)
         _, i, j = _pair_maps(d)
         dg2, i2, j2 = _pair_maps(d2)
@@ -667,10 +676,8 @@ def _schur_block(p: int, plan, general, groups, R, W) -> np.ndarray:
                 src = z[..., part].imag if q == 1 else z[..., part].real
                 np.multiply(src, -1.0 if q else 1.0, out=out[..., part])
         B *= _pin_scale(d, d2)
-        M[cols[None, :, :], rows.T[:, :, None]] = B
-    rows, supports, Ag, (prow, pcol, pval, first) = general
+        M[v[None, :, :], u.T[:, :, None]] = B
     if len(rows):
-        _scaled_rows(groups, R, supports, Ag)
         M[np.ix_(rows, rows)] = Ag @ Ag.T
         # TRI_LEAF rows at a time, which bounds the congruence's stacks
         for lo in range(0, len(rows) if len(first) else 0, TRI_LEAF):
@@ -759,9 +766,8 @@ def solve(program: ConicProgram, gap_tol: float = GAP_TOL) -> ConicSolution:
 
     Memory: A is only ever its nonzeros, and an iteration holds the p x p
     Schur block, factored in place, and the (p_g, N) scaled rows of the
-    p_g rows that are not pins, or of all p rows for a block of one leaf or
-    once a factor read off W failed; the last iteration's factor goes
-    before the next block is built.
+    p_g rows that `_schur_plan` did not read off W as pins; the last
+    iteration's factor goes before the next block is built.
     """
     if not (np.isfinite(gap_tol) and gap_tol > 0):
         raise ValueError(f"gap_tol must be finite and positive, got {gap_tol!r}")
@@ -772,16 +778,8 @@ def solve(program: ConicProgram, gap_tol: float = GAP_TOL) -> ConicSolution:
     nu = sum(program.blocks)
     bnorm = 1.0 + np.abs(b).max(initial=0.0)
     cnorm = 1.0 + np.abs(c).max()
-    # a Schur block of one leaf is built from the scaled rows A~, whose
-    # buffer is then small and whose products are single calls; a larger
-    # one is read off W (`_schur_block`), with no such buffer, and every
-    # product with A~ is a congruence and a product with A
-    if p <= TRI_LEAF:
-        supports, A_sc = _row_supports(groups, A), np.zeros((p, N))
-    else:
-        A_sc = None
-        plan, general = _schur_plan(A, groups, pins)
-        every = None    # every row to scale, once a factor read off W fails
+    # the rows split once: a Schur block of one leaf reads no pin off W
+    plan, general = _schur_plan(A, groups, pins if p > TRI_LEAF else [])
 
     # interior start: identity in every block, tau = kappa = 1
     x = np.zeros(N)
@@ -861,40 +859,25 @@ def solve(program: ConicProgram, gap_tol: float = GAP_TOL) -> ConicSolution:
         # Schur block M = A~ A~^T bordered by the tau row and column. The
         # last iteration's factor goes before the next block is built
         factor = None
-        if A_sc is not None:
-            _scaled_rows(groups, R, supports, A_sc)
-            c_sc = _congruence(groups, R, c)
-            ATy_sc, v1 = A_sc.T @ y, A_sc @ c_sc
-            factor = _schur_factor(A_sc @ A_sc.T)
-
-            def scaled(v):                  # A~ v
-                return A_sc @ v
-
-            def scaled_T(v):                # A~^T v
-                return A_sc.T @ v
-
-            def frames(dy, dtau):
-                t = A_sc.T @ dy - c_sc * dtau
-                return t, A_sc @ t
-        else:
+        W = [Rk @ _ct(Rk) for Rk in R] if plan else None
+        factor = _schur_factor(_schur_block(p, plan, general, groups, R, W))
+        if factor is None and plan:
+            # read off W, a pin's terms are summed from products of W's
+            # entries and can lose the digits a pivot needs near a
+            # degenerate optimum; A~ A~^T, a Gram matrix, cannot, so the
+            # rows split again with no pins, for the rest of the solve
+            plan, general = _schur_plan(A, groups, [])
+            factor = _schur_factor(_schur_block(p, plan, general, groups, R, W))
+        if factor is None:
+            return failure(it)
+        if plan:
             # A~^T v = hvec(R^dag hmat(A^T v) R), and A~ v = A hvec(R hmat(v)
             # R^dag); one call gives both frames, R and W, of one vector, or
             # of a stack of them
-            W = [Rk @ _ct(Rk) for Rk in R]
             RW = [np.stack([Rk, Wk]) for Rk, Wk in zip(R, W)]
             (c_sc, ATy_sc), (Wc, _) = _congruence(groups, [P[:, None] for P in RW],
                                                   np.stack([c, ATy]))
             v1 = _times(A, Wc)              # A~ c~ = A hvec(W C W)
-            factor = _schur_factor(_schur_block(p, plan, general, groups, R, W))
-            if factor is None and plan:
-                # read off W, a pin's terms are summed from products of W's
-                # entries and can lose the digits a pivot needs near a
-                # degenerate optimum; A~ A~^T, a Gram matrix, cannot, so
-                # every row is scaled instead, into a buffer kept from then on
-                if every is None:
-                    every = (np.arange(p), _row_supports(groups, A), np.zeros((p, N)),
-                             (np.zeros(0, dtype=np.intp),) * 4)
-                factor = _schur_factor(_schur_block(p, [], every, groups, R, W))
 
             def scaled(v):
                 return _times(A, _congruence(groups, Rh, v))
@@ -907,8 +890,22 @@ def solve(program: ConicProgram, gap_tol: float = GAP_TOL) -> ConicSolution:
                 # product with A is A~ t
                 t, Wt = _congruence(groups, RW, _times(A, dy, transpose=True) - c * dtau)
                 return t, _times(A, Wt)
-        if factor is None:
-            return failure(it)
+        else:
+            # with no pins the buffer holds every scaled row, and a product
+            # with A~ is one matrix product
+            A_sc = general[2]
+            c_sc = _congruence(groups, R, c)
+            ATy_sc, v1 = A_sc.T @ y, A_sc @ c_sc
+
+            def scaled(v):                  # A~ v
+                return A_sc @ v
+
+            def scaled_T(v):                # A~^T v
+                return A_sc.T @ v
+
+            def frames(dy, dtau):
+                t = A_sc.T @ dy - c_sc * dtau
+                return t, A_sc @ t
         rd_sc = ATy_sc + lam - c_sc * tau
 
         # the tau row and column by a scalar Schur complement: with

@@ -144,6 +144,8 @@ def optimal_povm_step(model: StatisticalModel, estimates,
     """
     est = np.atleast_2d(np.asarray(estimates, dtype=float))
     K = est.shape[0]
+    if K == 0:
+        raise ValueError("a measurement update needs at least one estimate")
     if est.shape[1] != model.n:
         raise ValueError(f"estimate dimension {est.shape[1]}, expected {model.n}")
     if not np.isfinite(est).all():

@@ -180,14 +180,16 @@ def same_rows(A, B) -> bool:
     return all(np.array_equal(u, v) for u, v in zip(A, B))
 
 
-def schur_blocks(program, seed=0):
+def schur_blocks(program, seed=0, pins=True):
     """(M, ref) for `program` at random NT factors R, one per block: the
     Schur block `conic.solve` builds, pins read off W = R R^dag, and the
     dense reference A~ A~^T of the scaled rows A~_i = hvec(R^dag A_i R),
     with the dense A formed from its nonzeros. M holds only its lower
-    triangle, which is compared."""
+    triangle, which is compared. With `pins` false the rows are split with
+    no pins, as for a block of one leaf or after a failed factor read off
+    W, so every row is scaled."""
     rng = np.random.default_rng(seed)
-    A, _, _, _, groups, pins = program.assemble()
+    A, _, _, _, groups, found = program.assemble()
     R = []
     for k, cols in groups:
         K = (cols.stop - cols.start) // (k * k)
@@ -195,7 +197,7 @@ def schur_blocks(program, seed=0):
     dense = np.zeros(A.shape)
     dense[A.rows, A.cols] = A.vals
     scaled = conic._congruence(groups, R, dense)
-    plan, general = conic._schur_plan(A, groups, pins)
+    plan, general = conic._schur_plan(A, groups, found if pins else [])
     W = [Rk @ Rk.conj().swapaxes(-1, -2) for Rk in R]
     M = conic._schur_block(A.shape[0], plan, general, groups, R, W)
     low = np.tril(np.ones(M.shape, dtype=bool))

@@ -564,6 +564,21 @@ def test_program_validation_rejects_bad_shapes():
         ConicProgram().assemble()
 
 
+@pytest.mark.parametrize("dim", [2.5, 2.0, True, np.True_, "2", None, 0, -1])
+def test_add_psd_block_takes_an_integer_dimension(dim):
+    """A block dimension that is not an integer >= 1, a bool included, is a
+    ProgramError that names it, and no block is added; a NumPy integer is
+    a dimension."""
+    prog = ConicProgram()
+    with pytest.raises(ProgramError, match=re.escape(f"block dimension {dim!r} ")):
+        prog.add_psd_block(dim)
+    assert prog.blocks == []
+    assert prog.add_psd_block(np.int64(2)) == 0
+    prog.add_eq({0: np.eye(2)}, 1.0)
+    prog.set_objective({0: np.diag([1.0, 2.0])})
+    assert abs(solve(prog).primal_value - 1.0) <= 1e-7
+
+
 def test_lemma_identity_on_random_triples():
     """Closed form Tr(WA) + TrAbs(WB) equals its SDP on seeded draws."""
     rng = np.random.default_rng(34)

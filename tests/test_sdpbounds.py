@@ -165,10 +165,45 @@ def test_schur_block_read_off_w_matches_the_scaled_rows(monkeypatch, case):
     """The Schur block each rung's program gets, pin pairs read off W and
     the cap and commutator rows (with their terms against the pins) from
     their scaled rows, equals A~ A~^T of the dense scaled rows within 1e-12
-    of its largest entry, at a random R per block."""
+    of its largest entry, at a random R per block; so does the block of the
+    rows split with no pins, every row scaled."""
     prog = _rung_program(monkeypatch, *SCHUR_CASES[case])
-    M, ref = schur_blocks(prog)
-    assert np.abs(M - ref).max() <= 1e-12 * np.abs(ref).max()
+    for pins in (True, False):
+        M, ref = schur_blocks(prog, pins=pins)
+        assert np.abs(M - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("rung, p", [(nagaoka_hayashi_bound, 100), (holevo_type_bound, 76)],
+                         ids=["nh", "holevo"])
+def test_a_failed_factor_read_off_w_splits_the_rows_again(monkeypatch, rung, p):
+    """When the first factor of a block read off W fails, the solve splits
+    its rows again, once, with no pins and builds no block off W from then
+    on: NH at d = 5 (p = 100, pins only) and Holevo at d = 5 (p = 76, one
+    cap row) still end optimal, within 1e-10 relative of the unforced
+    solve."""
+    prog = _rung_program(monkeypatch, rung, 2, 5)
+    monkeypatch.undo()
+    assert prog.assemble()[0].shape[0] == p
+    ref = conic.solve(prog)
+    factor, block = conic._schur_factor, conic._schur_block
+    plans = []
+
+    def failing_once(M):
+        return None if len(plans) == 1 else factor(M)
+
+    def recording(size, plan, *args):
+        plans.append(bool(plan))
+        return block(size, plan, *args)
+
+    monkeypatch.setattr(conic, "_schur_factor", failing_once)
+    monkeypatch.setattr(conic, "_schur_block", recording)
+    sol = conic.solve(prog)
+    assert ref.status == sol.status == "optimal"
+    assert plans[0] and not any(plans[1:])
+    assert len(plans) == sol.iterations + 1
+    for got, want in ((sol.primal_value, ref.primal_value),
+                      (sol.dual_value, ref.dual_value)):
+        assert abs(got - want) <= 1e-10 * abs(want)
 
 
 def test_schur_block_of_the_other_pin_programs_matches(monkeypatch):

@@ -96,10 +96,12 @@ def test_ordering_audit_rejects_fewer_outcomes_than_d_before_solving(monkeypatch
      "estimates have non-finite entries"),
     (lambda m: optimal_povm_step(m, np.zeros((3, 1))),
      "estimate dimension 1, expected 2"),
+    (lambda m: optimal_povm_step(m, np.zeros((0, 2))),
+     "a measurement update needs at least one estimate"),
     (lambda m: Povm((np.eye(2) / 2, np.diag([0.5, 0.5, 0.0]))),
      "measurement elements must share one dimension"),
 ], ids=["bayes-risk-estimates-shape", "bayes-risk-nan-estimates",
-        "povm-step-estimate-dimension",
+        "povm-step-estimate-dimension", "povm-step-no-estimates",
         "povm-elements-of-two-dimensions"])
 def test_documented_argument_errors(call, message):
     with pytest.raises(ValueError, match=message):
