@@ -35,16 +35,18 @@ gathers per pair of pins (`_schur_block`). The other rows are scaled, A~_g,
 into one buffer and give A~_g A~_g^T, and their terms with the pins
 A_pins hvec(R hmat(a~_g) R^dag). `_schur_plan` splits the rows so once per
 solve, and each iteration builds its block with one `_schur_block` call.
-With pins, every product with A~ is a congruence and a product with A:
-A~^T v = hvec(R^dag hmat(A^T v) R), A~ v = A hvec(R hmat(v) R^dag); so an
-iteration holds the p x p block, factored in place, and the scaled rows of
-the rows that are not pins. A split with no pins, which a block of one
-leaf (p <= TRI_LEAF) always gets, scales every row: M = A~ A~^T of the
-buffer, and a product with A~ is one product with it, cheaper at one leaf
-than one congruence. Should a factor read off W fail, near a degenerate
-optimum where its sums of products of W's entries lose the digits a pivot
-needs, the rows are split again with no pins, and the rest of the solve
-builds A~ A~^T, a Gram matrix.
+The split decides that block and two products, A~ v and A~^T v; the rest
+of an iteration (A~^T y, A~ c~ and the frames of each Newton refinement)
+is written once over them. With pins each is a congruence and a product
+with A: A~ v = A hvec(R hmat(v) R^dag), A~^T v = hvec(R^dag hmat(A^T v) R);
+so an iteration holds the p x p block, factored in place, and the scaled
+rows of the rows that are not pins. A split with no pins, which a block of
+one leaf (p <= TRI_LEAF) always gets, scales every row: M = A~ A~^T of the
+buffer, and each product is one matrix product with it, cheaper at one
+leaf than a congruence (notes/decisions.md). Should a factor read off W
+fail, near a degenerate optimum where its sums of products of W's entries
+lose the digits a pivot needs, the rows are split again with no pins, and
+the rest of the solve builds A~ A~^T, a Gram matrix.
 
 Only the touched (row, block) pairs of scaled rows, those with A_ib
 nonzero, are scaled; the others stay 0. A touched coefficient reaches only
@@ -627,17 +629,16 @@ def _schur_plan(A: Rows, groups, pins) -> tuple:
               A.vals[~on_pin], (len(rows), N))
     prow = A.rows[on_pin]
     first = np.flatnonzero(prow != np.concatenate(([-1], prow[:-1])))
-    supports = _row_supports(groups, Ag) if len(rows) else []
-    return _pin_plan(pins), (rows, supports, np.zeros(Ag.shape),
+    return _pin_plan(pins), (rows, _row_supports(groups, Ag), np.zeros(Ag.shape),
                              (prow, A.cols[on_pin], A.vals[on_pin], first))
 
 
-def _schur_block(p: int, plan, general, groups, R, W) -> np.ndarray:
+def _schur_block(p: int, plan, general, groups, R) -> np.ndarray:
     """The Schur block M = A~ A~^T, M_ij = sum_b Tr(A_ib W_b A_jb W_b), of
     a program whose pins `_pin_plan` lists and whose other rows `general`
-    holds, for the NT factors R and scalings W = R R^dag of its blocks. Of
-    each pair of pins only the block below the diagonal is written, as
-    `_schur_factor` reads no other.
+    holds, for the NT factors R of its blocks. The pin pairs read the
+    scalings W = R R^dag, formed here. Of each pair of pins only the block
+    below the diagonal is written, as `_schur_factor` reads no other.
 
     A chunk of pin pairs is one batched product K[(a, c), (e, b)] =
     sum_tau f_tau X_tau[a, c] Y_tau[e, b], and M[u, v] = Re sum E[u][b, a]
@@ -648,15 +649,15 @@ def _schur_block(p: int, plan, general, groups, R, W) -> np.ndarray:
     (a, b) the same way, and the factors i turn real parts into imaginary
     ones. The other rows are scaled (`_scaled_rows`) and give A~_g A~_g^T,
     and their terms with pin rows are A_pins hvec(W C_g W), W C_g W =
-    R hmat(a~_g) R^dag. With no pins (an empty plan; W may be None) every
-    row is scaled and M is A~ A~^T of the buffer.
+    R hmat(a~_g) R^dag, TRI_LEAF rows at a time. With no pins (an empty plan)
+    every row is scaled, M is A~ A~^T of the buffer and W is not formed.
     """
     rows, supports, Ag, (prow, pcol, pval, first) = general
     _scaled_rows(groups, R, supports, Ag)
     if not plan:
         return Ag @ Ag.T
     M = np.zeros((p, p))
-    Wf = np.concatenate([Wk.reshape(-1) for Wk in W])
+    Wf = np.concatenate([(Rk @ _ct(Rk)).reshape(-1) for Rk in R])
     for d, d2, X, Y, f, u, v in plan:     # u, v: the rows of F and F' in M
         P = len(X)
         _, i, j = _pair_maps(d)
@@ -677,15 +678,14 @@ def _schur_block(p: int, plan, general, groups, R, W) -> np.ndarray:
                 np.multiply(src, -1.0 if q else 1.0, out=out[..., part])
         B *= _pin_scale(d, d2)
         M[v[None, :, :], u.T[:, :, None]] = B
-    if len(rows):
-        M[np.ix_(rows, rows)] = Ag @ Ag.T
-        # TRI_LEAF rows at a time, which bounds the congruence's stacks
-        for lo in range(0, len(rows) if len(first) else 0, TRI_LEAF):
-            g = rows[lo:lo + TRI_LEAF]
-            H = _congruence(groups, [_ct(Rk) for Rk in R], Ag[lo:lo + TRI_LEAF])
-            cross = np.add.reduceat(H[:, pcol] * pval, first, axis=1)
-            M[np.ix_(prow[first], g)] = cross.T
-            M[np.ix_(g, prow[first])] = cross
+    M[np.ix_(rows, rows)] = Ag @ Ag.T
+    # TRI_LEAF rows at a time, which bounds the congruence's stacks
+    for lo in range(0, len(rows), TRI_LEAF):
+        g = rows[lo:lo + TRI_LEAF]
+        H = _congruence(groups, [_ct(Rk) for Rk in R], Ag[lo:lo + TRI_LEAF])
+        cross = np.add.reduceat(H[:, pcol] * pval, first, axis=1)
+        M[np.ix_(prow[first], g)] = cross.T
+        M[np.ix_(g, prow[first])] = cross
     return M
 
 
@@ -763,6 +763,10 @@ def solve(program: ConicProgram, gap_tol: float = GAP_TOL) -> ConicSolution:
     embedding's certificates. Every step follows the module's step rule; one
     blocked below 1e-10, or MAX_ITERS, returns `numerical-failure` carrying
     the best iterate seen. `iterations` counts every iteration taken.
+
+    One iteration path: the row split of `_schur_plan` decides only how
+    the Schur block is built and the two products A~ v and A~^T v, and the
+    rest of the iteration is written once over them (module docstring).
 
     Memory: A is only ever its nonzeros, and an iteration holds the p x p
     Schur block, factored in place, and the (p_g, N) scaled rows of the
@@ -859,53 +863,38 @@ def solve(program: ConicProgram, gap_tol: float = GAP_TOL) -> ConicSolution:
         # Schur block M = A~ A~^T bordered by the tau row and column. The
         # last iteration's factor goes before the next block is built
         factor = None
-        W = [Rk @ _ct(Rk) for Rk in R] if plan else None
-        factor = _schur_factor(_schur_block(p, plan, general, groups, R, W))
+        factor = _schur_factor(_schur_block(p, plan, general, groups, R))
         if factor is None and plan:
             # read off W, a pin's terms are summed from products of W's
             # entries and can lose the digits a pivot needs near a
             # degenerate optimum; A~ A~^T, a Gram matrix, cannot, so the
             # rows split again with no pins, for the rest of the solve
             plan, general = _schur_plan(A, groups, [])
-            factor = _schur_factor(_schur_block(p, plan, general, groups, R, W))
+            factor = _schur_factor(_schur_block(p, plan, general, groups, R))
         if factor is None:
             return failure(it)
+        # the split decides the two products with A~; the rest is written once
         if plan:
-            # A~^T v = hvec(R^dag hmat(A^T v) R), and A~ v = A hvec(R hmat(v)
-            # R^dag); one call gives both frames, R and W, of one vector, or
-            # of a stack of them
-            RW = [np.stack([Rk, Wk]) for Rk, Wk in zip(R, W)]
-            (c_sc, ATy_sc), (Wc, _) = _congruence(groups, [P[:, None] for P in RW],
-                                                  np.stack([c, ATy]))
-            v1 = _times(A, Wc)              # A~ c~ = A hvec(W C W)
-
-            def scaled(v):
+            def scaled(v):                  # A~ v = A hvec(R hmat(v) R^dag)
                 return _times(A, _congruence(groups, Rh, v))
 
-            def scaled_T(v):
+            def scaled_T(v):                # A~^T v = hvec(R^dag hmat(A^T v) R)
                 return _congruence(groups, R, _times(A, v, transpose=True))
-
-            def frames(dy, dtau):
-                # t = A~^T dy - c~ dtau and W (A^T dy - c dtau) W, whose
-                # product with A is A~ t
-                t, Wt = _congruence(groups, RW, _times(A, dy, transpose=True) - c * dtau)
-                return t, _times(A, Wt)
         else:
-            # with no pins the buffer holds every scaled row, and a product
-            # with A~ is one matrix product
-            A_sc = general[2]
-            c_sc = _congruence(groups, R, c)
-            ATy_sc, v1 = A_sc.T @ y, A_sc @ c_sc
+            A_sc = general[2]               # the buffer holds every scaled row
 
-            def scaled(v):                  # A~ v
+            def scaled(v):
                 return A_sc @ v
 
-            def scaled_T(v):                # A~^T v
+            def scaled_T(v):
                 return A_sc.T @ v
+        c_sc = _congruence(groups, R, c)
+        ATy_sc, v1 = scaled_T(y), scaled(c_sc)
 
-            def frames(dy, dtau):
-                t = A_sc.T @ dy - c_sc * dtau
-                return t, A_sc @ t
+        def frames(dy, dtau):
+            t = scaled_T(dy) - c_sc * dtau
+            return t, scaled(t)
+
         rd_sc = ATy_sc + lam - c_sc * tau
 
         # the tau row and column by a scalar Schur complement: with

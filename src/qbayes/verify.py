@@ -143,6 +143,8 @@ def optimal_povm_step(model: StatisticalModel, estimates,
     its element sum before being returned.
     """
     est = np.atleast_2d(np.asarray(estimates, dtype=float))
+    if est.ndim != 2:
+        raise ValueError(f"estimates shape {est.shape}, expected (K, {model.n})")
     K = est.shape[0]
     if K == 0:
         raise ValueError("a measurement update needs at least one estimate")
@@ -195,6 +197,12 @@ def _require_outcomes(d: int, outcomes: int) -> None:
                          f"outcomes, got {outcomes}")
 
 
+def _require_count(name: str, value) -> None:
+    """ValueError unless value is an integer >= 1 (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be positive and an integer, got {value!r}")
+
+
 def _start_outcomes(model: StatisticalModel, outcome_count: int | None,
                     seed: int) -> int:
     """The outcome count of the seesaw's seeded start, `random_povm` from a
@@ -202,6 +210,7 @@ def _start_outcomes(model: StatisticalModel, outcome_count: int | None,
     The default max(n + 2, d) keeps at least d rank-one elements, as the
     identity on C^d needs."""
     K = outcome_count if outcome_count is not None else max(model.n + 2, model.d)
+    _require_count("outcome_count", K)
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     _require_outcomes(model.d, K)
@@ -225,8 +234,7 @@ def seesaw(model: StatisticalModel, outcome_count: int | None = None,
     from solver-level noise. Stops after `iters` rounds or when the
     improvement drops below 1e-10.
     """
-    if iters < 1:
-        raise ValueError(f"iters must be positive, got {iters}")
+    _require_count("iters", iters)
     if start is not None:
         if start.povm.dim != model.d:
             raise ValueError(f"start measurement acts on C^{start.povm.dim}, "
@@ -296,8 +304,7 @@ def ordering_audit(model: StatisticalModel,
     CapabilityError before any solve.
     """
     W = model.weight_spec.require_constant()
-    if iters < 1:
-        raise ValueError(f"iters must be positive, got {iters}")
+    _require_count("iters", iters)
     # checked up front, so bad arguments fail before any solve; drawn only
     # where the seesaw runs
     K = _start_outcomes(model, outcome_count, seed)

@@ -198,8 +198,7 @@ def schur_blocks(program, seed=0, pins=True):
     dense[A.rows, A.cols] = A.vals
     scaled = conic._congruence(groups, R, dense)
     plan, general = conic._schur_plan(A, groups, found if pins else [])
-    W = [Rk @ Rk.conj().swapaxes(-1, -2) for Rk in R]
-    M = conic._schur_block(A.shape[0], plan, general, groups, R, W)
+    M = conic._schur_block(A.shape[0], plan, general, groups, R)
     low = np.tril(np.ones(M.shape, dtype=bool))
     return M[low], (scaled @ scaled.T)[low]
 

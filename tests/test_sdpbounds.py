@@ -173,13 +173,16 @@ def test_schur_block_read_off_w_matches_the_scaled_rows(monkeypatch, case):
         assert np.abs(M - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("rung, p", [(nagaoka_hayashi_bound, 100), (holevo_type_bound, 76)],
-                         ids=["nh", "holevo"])
+@pytest.mark.parametrize("rung, p", [(nagaoka_hayashi_bound, 100), (holevo_type_bound, 76),
+                                     (nagaoka_bound, 150)],
+                         ids=["nh", "holevo", "nagaoka2"])
 def test_a_failed_factor_read_off_w_splits_the_rows_again(monkeypatch, rung, p):
     """When the first factor of a block read off W fails, the solve splits
     its rows again, once, with no pins and builds no block off W from then
-    on: NH at d = 5 (p = 100, pins only) and Holevo at d = 5 (p = 76, one
-    cap row) still end optimal, within 1e-10 relative of the unforced
+    on: NH at d = 5 (p = 100, pins only), Holevo at d = 5 (p = 76, one cap
+    row) and the Nagaoka bound at d = 5 (p = 150: 75 pin rows and 75
+    commutator rows, whose cross terms with the pins fill two chunks of
+    TRI_LEAF rows) still end optimal, within 1e-10 relative of the unforced
     solve."""
     prog = _rung_program(monkeypatch, rung, 2, 5)
     monkeypatch.undo()

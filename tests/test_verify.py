@@ -98,11 +98,20 @@ def test_ordering_audit_rejects_fewer_outcomes_than_d_before_solving(monkeypatch
      "estimate dimension 1, expected 2"),
     (lambda m: optimal_povm_step(m, np.zeros((0, 2))),
      "a measurement update needs at least one estimate"),
+    (lambda m: optimal_povm_step(m, np.zeros((3, 2, 2))),
+     r"estimates shape \(3, 2, 2\), expected \(K, 2\)"),
     (lambda m: Povm((np.eye(2) / 2, np.diag([0.5, 0.5, 0.0]))),
      "measurement elements must share one dimension"),
+    (lambda m: seesaw(m, iters=2.5), "iters must be positive and an integer, got 2.5"),
+    (lambda m: seesaw(m, iters=True), "iters must be positive and an integer, got True"),
+    (lambda m: seesaw(m, outcome_count=2.5),
+     "outcome_count must be positive and an integer, got 2.5"),
+    (lambda m: ordering_audit(m, iters=2.5), "iters must be positive and an integer"),
 ], ids=["bayes-risk-estimates-shape", "bayes-risk-nan-estimates",
         "povm-step-estimate-dimension", "povm-step-no-estimates",
-        "povm-elements-of-two-dimensions"])
+        "povm-step-estimates-3d", "povm-elements-of-two-dimensions",
+        "seesaw-fractional-iters", "seesaw-bool-iters",
+        "seesaw-fractional-outcome-count", "audit-fractional-iters"])
 def test_documented_argument_errors(call, message):
     with pytest.raises(ValueError, match=message):
         call(qubit_xy(0.6))
@@ -253,6 +262,13 @@ def test_seesaw_from_a_start_is_deterministic_and_monotone():
 def test_seesaw_rejects_an_iteration_count_below_one(iters):
     with pytest.raises(ValueError, match="iters must be positive"):
         seesaw(random_model(2, 2, seed=9), iters=iters, seed=3)
+
+
+def test_seesaw_takes_numpy_integer_counts():
+    model = qubit_xy(0.6)
+    a = seesaw(model, outcome_count=np.int64(4), iters=np.int64(2), seed=0)
+    b = seesaw(model, outcome_count=4, iters=2, seed=0)
+    assert a.risk == b.risk
 
 
 @pytest.mark.parametrize("iters", [0, -3])
