@@ -39,17 +39,16 @@ import warnings
 
 import numpy as np
 
-from .closedform import SingularInformationError, rld_bound, sld_bound, \
-    van_tree_bound
+from .closedform import SingularInformationError
 from .conic import GAP_TOL, SolverFailureError
 from .model import CapabilityError, ModelError, build_extended_moments, \
     load_model, model_to_dict, model_zoo
 from .sdpbounds import f_family_pinned_example, f_family_suite, \
-    holevo_lemma_sdp_value, holevo_lemma_suite, holevo_lemma_value, \
-    holevo_type_bound, nagaoka_bound, nagaoka_hayashi_bound
-from .verify import MARGIN_TOL, ladder_margins, ordering_audit, seesaw
+    holevo_lemma_sdp_value, holevo_lemma_suite, holevo_lemma_value
+from .verify import MARGIN_TOL, RUNGS, ladder_margins, ordering_audit, \
+    rung_entry, seesaw
 
-BOUND_NAMES = ("nh", "holevo", "nagaoka2", "sld", "rld", "vantree")
+BOUND_NAMES = tuple(RUNGS)
 GAP_TOL_ENV = "QBAYES_GAP_TOL"
 
 EXIT_OK = 0
@@ -141,53 +140,22 @@ class _Validation(Exception):
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _solved(sol) -> dict:
-    """Report fields of an SDP bound: its value and the solve's record."""
-    diag = sol.diagnostics
-    return {"value": sol.value, "solver_status": diag.status, "gap": diag.gap,
-            "iterations": diag.iterations, "feas_primal": diag.feas_primal,
-            "feas_dual": diag.feas_dual}
-
-
-def _bound_runners(model, gap_tol: float) -> dict:
-    """Per bound name, a call that returns its report entry."""
-    moments = functools.cache(lambda: build_extended_moments(model))
-    weight = model.weight_spec.require_constant
-
-    def closed_form(value):
-        return {"value": value, "solver_status": "closed-form", "gap": 0.0}
-
-    return {
-        "nh": lambda: _solved(nagaoka_hayashi_bound(moments(), gap_tol)),
-        "holevo": lambda: _solved(holevo_type_bound(moments(), gap_tol)),
-        "nagaoka2": lambda: _solved(nagaoka_bound(moments(), gap_tol)),
-        "sld": lambda: closed_form(sld_bound(moments(), weight())[0]),
-        "rld": lambda: closed_form(rld_bound(moments(), weight())[0]),
-        "vantree": lambda: closed_form(van_tree_bound(model, weight())),
-    }
-
-
 def cmd_bounds(args) -> int:
     model = _load(args.model)
     tokens = [t.strip() for t in args.bounds.split(",") if t.strip()]
     if not tokens:
         raise _Validation("empty bounds selector")
-    selected = []
-    for t in tokens:
-        if t == "all":
-            selected.extend(n for n in BOUND_NAMES if n not in selected)
-        elif t in BOUND_NAMES:
-            if t not in selected:
-                selected.append(t)
-        else:
-            raise _Validation(
-                f"unknown bound selector {t!r}; valid: "
-                f"{', '.join(BOUND_NAMES + ('all',))}")
+    unknown = [t for t in tokens if t != "all" and t not in BOUND_NAMES]
+    if unknown:
+        raise _Validation(f"unknown bound selector {unknown[0]!r}; valid: "
+                          f"{', '.join(BOUND_NAMES + ('all',))}")
+    selected = list(dict.fromkeys(
+        n for t in tokens for n in (BOUND_NAMES if t == "all" else (t,))))
     _check_outputs({"--model": args.model},
                    {"--out": args.out, "--csv": args.csv})
 
     gap_tol = _env_gap_tol() or GAP_TOL
-    runners = _bound_runners(model, gap_tol)
+    moments = functools.cache(lambda: build_extended_moments(model))
     bounds = {}
     notes = []
     solver_failed = False
@@ -196,7 +164,7 @@ def cmd_bounds(args) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                entry = runners[name]()
+                entry = rung_entry(RUNGS[name](model, moments, gap_tol))
             except (CapabilityError, SingularInformationError) as exc:
                 entry = {"error": str(exc), "error_kind": "capability"}
             except SolverFailureError as exc:
@@ -387,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="compute selected lower bounds")
     p.add_argument("--model", required=True, help="model JSON file")
     p.add_argument("--bounds", default="all",
-                   help="comma-separated: nh,holevo,nagaoka2,sld,rld,vantree,all")
+                   help="comma-separated: " + ",".join(BOUND_NAMES + ("all",)))
     p.add_argument("--out", default=None, help="report JSON path (default stdout)")
     p.add_argument("--csv", default=None, help="also write a flat CSV here")
     p.set_defaults(func=cmd_bounds)

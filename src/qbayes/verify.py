@@ -19,16 +19,17 @@ constant weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import numpy.linalg as npl
 
-from .closedform import rld_bound, sld_bound
+from .closedform import rld_bound, sld_bound, van_tree_bound
 from .conic import GAP_TOL, ConicProgram, hvec, solve_or_raise
 from .matcore import PSD_CLAMP, check_hermitian, hermitize
 from .model import StatisticalModel, build_extended_moments
-from .sdpbounds import holevo_type_bound, nagaoka_hayashi_bound
+from .sdpbounds import BoundSolution, holevo_type_bound, nagaoka_bound, \
+    nagaoka_hayashi_bound
 
 POVM_SUM_TOL = 1e-9          # allowed deviation of the identity resolution
 DEAD_OUTCOME_PROB = 1e-12    # below this an outcome's estimate uses the prior
@@ -38,6 +39,31 @@ MARGIN_TOL = 1e-6            # an ordering margin below -MARGIN_TOL is a violati
 # >= max(SLD, RLD), plus NH >= Holevo for models without nagaoka2.
 LADDER = (("seesaw", "nh"), ("nh", "nagaoka2"), ("nagaoka2", "holevo"),
           ("nh", "holevo"), ("holevo", "sld"), ("holevo", "rld"))
+
+
+# The one table of lower-bound rungs, read by `ordering_audit` and `qbayes
+# bounds`: each rung's call on (model, moments, gap_tol), `moments` a cached
+# zero-argument fold. An SDP returns its BoundSolution, a closed form its
+# value; the closed forms need a constant weight, checked after the fold.
+RUNGS = {
+    "nh": lambda m, em, tol: nagaoka_hayashi_bound(em(), tol),
+    "holevo": lambda m, em, tol: holevo_type_bound(em(), tol),
+    "nagaoka2": lambda m, em, tol: nagaoka_bound(em(), tol),
+    "sld": lambda m, em, tol: sld_bound(em(), m.weight_spec.require_constant())[0],
+    "rld": lambda m, em, tol: rld_bound(em(), m.weight_spec.require_constant())[0],
+    "vantree": lambda m, em, tol: van_tree_bound(m, m.weight_spec.require_constant()),
+}
+
+
+def rung_entry(result) -> dict:
+    """Report entry of a `RUNGS` result: an SDP's value and its solve's
+    record, or a closed form's value."""
+    if not isinstance(result, BoundSolution):
+        return {"value": result, "solver_status": "closed-form", "gap": 0.0}
+    diag = result.diagnostics
+    return {"value": result.value, "solver_status": diag.status, "gap": diag.gap,
+            "iterations": diag.iterations, "feas_primal": diag.feas_primal,
+            "feas_dual": diag.feas_dual}
 
 
 def ladder_margins(values: dict) -> dict:
@@ -92,7 +118,9 @@ def bayes_risk(model: StatisticalModel, povm: Povm, estimates) -> float:
     """Exact grid risk of a decision: the prior-weighted quadratic loss
     summed over grid points and outcomes. This is the yardstick every other
     routine is compared against, so it is a plain loop over the definition.
-    Estimates of another shape or with a non-finite entry are a ValueError."""
+    A measurement on another dimension, or estimates of another shape or with
+    a non-finite entry, are a ValueError."""
+    _require_dim(model, povm)
     est = np.atleast_2d(np.asarray(estimates, dtype=float))
     if est.shape != (len(povm), model.n):
         raise ValueError(f"estimates shape {est.shape}, expected "
@@ -119,6 +147,7 @@ def posterior_mean_estimator(model: StatisticalModel, povm: Povm) -> DecisionRis
     mu. Outcomes with probability below DEAD_OUTCOME_PROB take the prior in
     place of w (their risk weight vanishes).
     """
+    _require_dim(model, povm)
     pi, thetas = model.pi, model.thetas
     Ws = model.weight_spec.stack(len(model.points))
     w = pi * np.einsum("mab,xba->xm", model.states, povm.elements).real
@@ -185,6 +214,7 @@ def random_povm(d: int, outcomes: int, rng: np.random.Generator) -> Povm:
 
     Needs at least d outcomes: fewer rank-one elements leave their sum
     singular up to the ridge, too close to renormalize."""
+    _require_count("outcomes", outcomes)
     _require_outcomes(d, outcomes)
     g = rng.standard_normal((outcomes, 2, d))   # per element: real, then imag
     v = g[:, 0] + 1j * g[:, 1]
@@ -195,6 +225,12 @@ def _require_outcomes(d: int, outcomes: int) -> None:
     if outcomes < d:
         raise ValueError(f"a random measurement on C^{d} needs at least {d} "
                          f"outcomes, got {outcomes}")
+
+
+def _require_dim(model: StatisticalModel, povm: Povm) -> None:
+    if povm.dim != model.d:
+        raise ValueError(f"measurement acts on C^{povm.dim}, the model on "
+                         f"C^{model.d}")
 
 
 def _require_count(name: str, value) -> None:
@@ -211,7 +247,7 @@ def _start_outcomes(model: StatisticalModel, outcome_count: int | None,
     identity on C^d needs."""
     K = outcome_count if outcome_count is not None else max(model.n + 2, model.d)
     _require_count("outcome_count", K)
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     _require_outcomes(model.d, K)
     return K
@@ -223,7 +259,8 @@ def seesaw(model: StatisticalModel, outcome_count: int | None = None,
            start: DecisionRisk | None = None) -> DecisionRisk:
     """Alternate estimator and measurement updates from `start`, or from a
     seeded random measurement with `outcome_count` outcomes when no start is
-    given (`outcome_count` and `seed` are then unused). The weight may be
+    given (`outcome_count` and `seed` are then unused). A start is scored
+    with `bayes_risk`, whatever its `risk` field says. The weight may be
     constant or given per grid point: each estimator update is the
     W-weighted posterior mean of `posterior_mean_estimator`, exact for
     either.
@@ -236,10 +273,7 @@ def seesaw(model: StatisticalModel, outcome_count: int | None = None,
     """
     _require_count("iters", iters)
     if start is not None:
-        if start.povm.dim != model.d:
-            raise ValueError(f"start measurement acts on C^{start.povm.dim}, "
-                             f"the model on C^{model.d}")
-        current = start
+        current = replace(start, risk=bayes_risk(model, start.povm, start.estimates))
     else:
         K = _start_outcomes(model, outcome_count, seed)
         current = posterior_mean_estimator(
@@ -286,7 +320,8 @@ def ordering_audit(model: StatisticalModel,
                    gap_tol: float = GAP_TOL,
                    iters: int = 50, seed: int = 0,
                    outcome_count: int | None = None) -> dict:
-    """Compute the full bound chain plus an achieved risk and their margins.
+    """Run the sld, rld, holevo and nh rungs of `RUNGS` on one fold of the
+    model, plus an achieved risk, and their margins.
 
     Returns {"values": {...}, "margins": {...}, "min_margin": float,
     "ok": bool, "rounded_risk": float}; the margins are `ladder_margins` of
@@ -303,17 +338,16 @@ def ordering_audit(model: StatisticalModel,
     The SLD and RLD values need a constant weight: a per-point one raises
     CapabilityError before any solve.
     """
-    W = model.weight_spec.require_constant()
+    model.weight_spec.require_constant()
     _require_count("iters", iters)
     # checked up front, so bad arguments fail before any solve; drawn only
     # where the seesaw runs
     K = _start_outcomes(model, outcome_count, seed)
     em = build_extended_moments(model)
-    c_sld, _ = sld_bound(em, W)
-    c_rld, _ = rld_bound(em, W)
-    c_h = holevo_type_bound(em, gap_tol).value
-    nh = nagaoka_hayashi_bound(em, gap_tol)
-    c_nh = nh.value
+    rungs = {name: RUNGS[name](model, lambda: em, gap_tol)
+             for name in ("sld", "rld", "holevo", "nh")}
+    values = {name: rung_entry(r)["value"] for name, r in rungs.items()}
+    nh, c_nh = rungs["nh"], values["nh"]
     rounded = achieved = rounded_measurement(model, nh.Xopt)
     # NH was solved to gap_tol: below it a seesaw round cannot resolve a
     # lower risk, so the rounded decision stands
@@ -325,13 +359,7 @@ def ordering_audit(model: StatisticalModel,
         run = seesaw(model, iters=iters, gap_tol=gap_tol,
                      start=posterior_mean_estimator(model, blend))
         achieved = min(rounded, run, key=lambda r: r.risk)
-    values = {
-        "sld": c_sld,
-        "rld": c_rld,
-        "holevo": c_h,
-        "nh": c_nh,
-        "seesaw_risk": achieved.risk,
-    }
+    values["seesaw_risk"] = achieved.risk
     margins = ladder_margins({**values, "seesaw": achieved.risk})
     return {
         "values": values,

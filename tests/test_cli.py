@@ -16,7 +16,7 @@ import pytest
 
 from helpers import audit_ensemble, count_moment_builds, pure_model, shifted
 import qbayes
-from qbayes import cli, conic
+from qbayes import cli, conic, verify
 from qbayes.cli import main
 from qbayes.conic import SolverFailureError
 from qbayes.model import GridPoint, StatisticalModel, WeightSpec, \
@@ -185,7 +185,7 @@ def test_bounds_reports_a_solver_failure_and_exits_3(tmp_path, monkeypatch):
         raise SolverFailureError("block-operator bound ended with status "
                                  "numerical-failure")
 
-    monkeypatch.setattr(cli, "nagaoka_hayashi_bound", fail)
+    monkeypatch.setattr(verify, "nagaoka_hayashi_bound", fail)
     out, csv = tmp_path / "r.json", tmp_path / "r.csv"
     code = main(["bounds", "--model", write_cb(tmp_path), "--bounds", "nh,sld",
                  "--out", str(out), "--csv", str(csv)])
@@ -201,13 +201,13 @@ def test_bounds_reports_a_solver_failure_and_exits_3(tmp_path, monkeypatch):
 def test_bounds_notes_a_warning_raised_by_a_bound(tmp_path, monkeypatch):
     """No bound of the package warns today; the channel stays for one that
     does, one "<name>: <message>" note per warning."""
-    sld_bound = cli.sld_bound
+    sld_bound = verify.sld_bound
 
     def warning_sld(*args):
         warnings.warn("slow path taken", UserWarning)
         return sld_bound(*args)
 
-    monkeypatch.setattr(cli, "sld_bound", warning_sld)
+    monkeypatch.setattr(verify, "sld_bound", warning_sld)
     out = tmp_path / "r.json"
     assert main(["bounds", "--model", write_cb(tmp_path), "--bounds", "sld,rld",
                  "--out", str(out)]) == 0
@@ -331,6 +331,37 @@ def test_bounds_folds_the_model_once_for_every_bound(tmp_path, monkeypatch):
     assert main(["bounds", "--model", path, "--bounds", "all",
                  "--out", str(tmp_path / "r.json")]) == 0
     assert len(folds) == 1
+
+
+def test_bounds_all_runs_every_rung_of_the_table(tmp_path):
+    """`qbayes bounds --bounds all` runs exactly the rungs of `verify.RUNGS`,
+    in its order, and the table holds every lower rung of `verify.LADDER`."""
+    path = str(tmp_path / "zline.json")
+    save_model(model_zoo("qubit_z_line", ()), path)
+    out, csv = tmp_path / "r.json", tmp_path / "r.csv"
+    assert main(["bounds", "--model", path, "--bounds", "all",
+                 "--out", str(out), "--csv", str(csv)]) == 0
+    names = tuple(line.split(",")[0] for line in csv.read_text().splitlines()[1:])
+    assert names == tuple(verify.RUNGS)
+    assert set(json.loads(out.read_text())["bounds"]) == set(verify.RUNGS)
+    assert {r for pair in verify.LADDER for r in pair} - {"seesaw"} <= set(verify.RUNGS)
+
+
+@pytest.mark.parametrize("which", ["qubit_xy", "ensemble-30"])
+def test_audit_and_bounds_report_the_same_values(tmp_path, monkeypatch, which):
+    """`ordering_audit` and `qbayes bounds` read one table of rungs, so on
+    one model file they report the same sld, rld, holevo and nh values."""
+    monkeypatch.delenv("QBAYES_GAP_TOL", raising=False)
+    path = str(tmp_path / "m.json")
+    save_model(model_zoo("qubit_xy", (0.6,)) if which == "qubit_xy"
+               else list(audit_ensemble())[30], path)
+    out = tmp_path / "r.json"
+    assert main(["bounds", "--model", path, "--bounds", "sld,rld,holevo,nh",
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())["bounds"]
+    values = verify.ordering_audit(load_model(path), iters=8, seed=0)["values"]
+    for name in ("sld", "rld", "holevo", "nh"):
+        assert values[name] == report[name]["value"], name
 
 
 def test_closed_forms_of_a_shifted_ensemble_model(tmp_path):

@@ -27,6 +27,7 @@ from qbayes.model import (
 )
 from qbayes.sdpbounds import nagaoka_hayashi_bound
 from qbayes.verify import (
+    DecisionRisk,
     Povm,
     bayes_risk,
     optimal_povm_step,
@@ -107,11 +108,26 @@ def test_ordering_audit_rejects_fewer_outcomes_than_d_before_solving(monkeypatch
     (lambda m: seesaw(m, outcome_count=2.5),
      "outcome_count must be positive and an integer, got 2.5"),
     (lambda m: ordering_audit(m, iters=2.5), "iters must be positive and an integer"),
+    (lambda m: seesaw(m, iters=1, start=DecisionRisk(
+        Povm((np.eye(2),)), np.zeros((3, 2)), 1.0)),
+     r"estimates shape \(3, 2\), expected \(1, 2\)"),
+    (lambda m: bayes_risk(m, Povm((np.eye(3),)), np.zeros((1, 2))),
+     r"measurement acts on C\^3, the model on C\^2"),
+    (lambda m: posterior_mean_estimator(m, Povm((np.eye(3),))),
+     r"measurement acts on C\^3, the model on C\^2"),
+    (lambda m: random_povm(2, 2.5, np.random.default_rng(0)),
+     "outcomes must be positive and an integer, got 2.5"),
+    (lambda m: seesaw(m, seed=True), "seed must be a non-negative integer, got True"),
+    (lambda m: ordering_audit(m, seed=True),
+     "seed must be a non-negative integer, got True"),
 ], ids=["bayes-risk-estimates-shape", "bayes-risk-nan-estimates",
         "povm-step-estimate-dimension", "povm-step-no-estimates",
         "povm-step-estimates-3d", "povm-elements-of-two-dimensions",
         "seesaw-fractional-iters", "seesaw-bool-iters",
-        "seesaw-fractional-outcome-count", "audit-fractional-iters"])
+        "seesaw-fractional-outcome-count", "audit-fractional-iters",
+        "seesaw-start-estimates-shape", "bayes-risk-measurement-dimension",
+        "posterior-mean-measurement-dimension", "random-povm-fractional-outcomes",
+        "seesaw-bool-seed", "audit-bool-seed"])
 def test_documented_argument_errors(call, message):
     with pytest.raises(ValueError, match=message):
         call(qubit_xy(0.6))
@@ -256,6 +272,18 @@ def test_seesaw_from_a_start_is_deterministic_and_monotone():
     assert a.risk == b.risk
     assert np.array_equal(a.estimates, b.estimates)
     assert a.risk <= start.risk
+
+
+def test_seesaw_scores_its_start():
+    """A start's `risk` field is not trusted: the rounded NH decision on
+    qubit_xy(0.6) that claims risk 0 is scored afresh, so the seesaw returns
+    its exact risk, not an achieved risk below NH."""
+    model = qubit_xy(0.6)
+    nh = nagaoka_hayashi_bound(build_extended_moments(model))
+    dec = rounded_measurement(model, nh.Xopt)
+    run = seesaw(model, iters=5, start=dataclasses.replace(dec, risk=0.0))
+    assert abs(run.risk - 0.3276) < 1e-6
+    assert run.risk >= nh.value - 1e-6
 
 
 @pytest.mark.parametrize("iters", [0, -3])
