@@ -3,7 +3,9 @@
 These need only eigendecompositions. The SLD bound is Tr(W (M - K)) with K
 the Gram matrix of the averaged-state logarithmic derivatives; the RLD bound
 adds a trace-norm term from the imaginary part of its Gram matrix; the van
-Tree baseline combines prior and averaged quantum Fisher information.
+Tree baseline combines prior and averaged quantum Fisher information. Each
+checks its weight W as a model's is: finite, symmetric, PSD and (n, n), a
+ModelError otherwise.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy.linalg as npl
 from .matcore import (hermitize, lyapunov_solve, support_eig,
                       weighted_trace_abs)
 from .model import (CapabilityError, ExtendedMoments, StatisticalModel,
-                    _check_derivatives)
+                    WeightSpec, _check_derivatives, _check_weights)
 
 INFO_SINGULAR_TOL = 1e-12
 
@@ -41,6 +43,14 @@ class RldPackage:
     Ktilde: np.ndarray   # (n, n) complex Hermitian
 
 
+def _weight(W, n: int) -> np.ndarray:
+    """W as a float (n, n) array, ModelError unless it is finite, symmetric
+    and PSD (`model._check_weights`)."""
+    spec = WeightSpec(constant=W)
+    _check_weights(spec, n, 1)
+    return spec.constant
+
+
 def _symmetrized_gram(S: np.ndarray, L: np.ndarray) -> np.ndarray:
     """K_jk = Tr(S (L_j L_k + L_k L_j)) / 2, returned exactly symmetric."""
     P = np.einsum("jab,kba->jk", S @ L, L).real   # Tr(S L_j L_k)
@@ -54,7 +64,7 @@ def sld_bound(moments: ExtendedMoments, W: np.ndarray) -> tuple[float, SldPackag
     L_j S_B)/2, all j in one solve; a singular S_B is handled exactly on
     its support (see `lyapunov_solve`).
     """
-    W = np.asarray(W, dtype=float)
+    W = _weight(W, moments.n)
     L = lyapunov_solve(moments.S_B, moments.D_B)
     K = _symmetrized_gram(moments.S_B, L)
     value = float(np.trace(W @ (moments.M - K)))
@@ -73,7 +83,7 @@ def rld_bound(moments: ExtendedMoments, W: np.ndarray) -> tuple[float, RldPackag
     sqrt(W), so Tr W(V - Re Kt) >= TrAbs(sqrt(W) Im(Kt) sqrt(W)). A singular
     W, such as diag(1, 0) for a nuisance parameter, needs no special case.
     """
-    W = np.asarray(W, dtype=float)
+    W = _weight(W, moments.n)
     S = moments.S_B
     w, U, keep = support_eig(S)
     Sinv = (U / np.where(keep, w, np.inf)) @ U.conj().T
@@ -107,7 +117,7 @@ def van_tree_bound(model: StatisticalModel, W: np.ndarray) -> float:
     point; neither is ever finite-differenced from the grid. The grid form is
     a modeling surrogate for the continuous-prior inequality.
     """
-    W = np.asarray(W, dtype=float)
+    W = _weight(W, model.n)
     if not model.has_derivatives():
         raise CapabilityError("van Tree needs state_derivatives on every grid point")
     if model.prior_score is None:

@@ -49,12 +49,9 @@ lose the digits a pivot needs, the rows are split again with no pins, and
 the rest of the solve builds A~ A~^T, a Gram matrix.
 
 Only the touched (row, block) pairs of scaled rows, those with A_ib
-nonzero, are scaled; the others stay 0. A touched coefficient reaches only
-the indices S of its nonzero rows, read once per solve from the nonzeros of
-A, so A~_ib = R[S]^dag A_ib[S, S] R[S] with s rows of R in place of k. The
-pairs are scaled TRI_LEAF at a time, each chunk padded only to its own
-widest support, so Holevo's one dense cap row widens only the chunk it is
-in. c keeps the k x k congruence hvec(R^dag hmat(c) R). The Newton
+nonzero, are scaled, TRI_LEAF at a time, each on its whole k x k block as
+c is, A~_ib = hvec(R^dag hmat(a_ib) R); the others stay 0. The pairs are
+read once per solve from the nonzeros of A (`_row_pairs`). The Newton
 system and the step to the cone boundary then see only the diagonal lam. So
 the corrector, the affine step's V = dX~ o dS~ (A o B = (AB + BA)/2),
 enters the right-hand side as M_ij = 2 V_ij / (lam_i + lam_j), the closed-form solution of
@@ -463,74 +460,37 @@ def _times(A: Rows, v: np.ndarray, transpose: bool = False) -> np.ndarray:
     return np.bincount(i, weights=A.vals * v[j], minlength=A.shape[transpose])
 
 
-def _row_supports(groups, A: Rows) -> list:
+def _row_pairs(groups, A: Rows) -> list:
     """Per size group, its touched (row, block) pairs, those with A_ib
-    nonzero, in row order and in chunks of TRI_LEAF. A chunk is (at, S,
-    C[S, S]). `at` = (rows, blocks) indexes its P pairs in the (p, K, k^2)
-    view of the group's scaled rows. S (P, s) holds the indices each pair's
-    coefficient touches (its nonzero rows, which are its nonzero columns) as
-    flat rows of the group's (K k, k) stack of R, padded with untouched
-    indices to the chunk's widest support s, and C[S, S] is (P, s, s). All
-    is read off the nonzeros of the p rows of A, in their row-major order:
-    a nonzero hvec coordinate sets the entry (a, b) of C and its mirror
-    (b, a), at the places of a and b in S, with hmat's scales.
-    """
+    nonzero, in row order and in chunks of TRI_LEAF. A chunk is (at, a):
+    `at` = (rows, blocks) indexes its P pairs in the (p, K, k^2) view of the
+    group's scaled rows, and a (P, k^2) holds their hvec coefficients, read
+    off the nonzeros of the p rows of A."""
     rows, cols, vals, _ = A
     out = []
     for k, span in groups:
         K = (span.stop - span.start) // (k * k)   # from span: p may be 0
-        vec_idx, _, _, mat_scale = _gather_maps(k)
-        ends = np.divmod(vec_idx // 2, k)   # the entry (a, b) each coordinate sets
         inside = (cols >= span.start) & (cols < span.stop)
-        i = rows[inside]
         blk, coord = np.divmod(cols[inside] - span.start, k * k)
-        a, b = (end[coord] for end in ends)
-        im = vec_idx[coord] % 2             # the real (0) or imaginary (1) part
-        v = vals[inside] * mat_scale[vec_idx[coord]]
-        vt = np.where(im, -v, v)            # the value of the mirror (b, a)
-        # row-major nonzeros come in (row, block) order, so each touched
-        # pair is one run of them, from first[j] on; q numbers their pairs
-        pair = i * K + blk
-        new = np.ones(len(pair), dtype=bool)
-        np.not_equal(pair[1:], pair[:-1], out=new[1:])
-        first = np.flatnonzero(new)
-        q = np.cumsum(new) - 1
-        P = len(first)
-        touched = np.zeros((P, k), dtype=bool)
-        touched[q, a] = touched[q, b] = True
-        width = touched.sum(axis=-1)
-        S = np.argsort(~touched, axis=-1, kind="stable")
-        place = np.cumsum(touched, axis=-1) - 1     # of each touched index in S
-        qa, qb = place[q, a], place[q, b]
-        prow, pblk = i[first], blk[first]
-        chunks = []
-        for lo in range(0, P, TRI_LEAF):
-            hi = min(lo + TRI_LEAF, P)
-            s = width[lo:hi].max()
-            m = slice(first[lo], first[hi] if hi < P else None)  # its nonzeros
-            CS = np.zeros((hi - lo, s, s, 2))   # re and im of each C[S_a, S_b]
-            CS[q[m] - lo, qa[m], qb[m], im[m]] = v[m]
-            CS[q[m] - lo, qb[m], qa[m], im[m]] = vt[m]
-            chunks.append(((prow[lo:hi], pblk[lo:hi]),
-                           S[lo:hi, :s] + k * pblk[lo:hi, None],
-                           CS.view(complex)[..., 0]))
-        out.append(chunks)
+        pair, q = np.unique(rows[inside] * K + blk, return_inverse=True)
+        a = np.zeros((len(pair), k * k))
+        a[q, coord] = vals[inside]
+        prow, pblk = np.divmod(pair, K)
+        chunks = (slice(lo, lo + TRI_LEAF) for lo in range(0, len(pair), TRI_LEAF))
+        out.append([((prow[c], pblk[c]), a[c]) for c in chunks])
     return out
 
 
-def _scaled_rows(groups, R, supports, out: np.ndarray) -> np.ndarray:
+def _scaled_rows(groups, R, pairs, out: np.ndarray) -> np.ndarray:
     """hvec(R_b^dag A_ib R_b) for every touched row i and block b, written
-    into the (p, N) buffer `out` one chunk of `_row_supports` at a time and
-    returned. Each is formed as R[S]^dag C[S, S] R[S] over the pair's
-    support S: exact, since the entries of A_ib outside S are zero. The
-    untouched pairs, whose A_ib is zero, are not written, so `out` must
-    hold zeros there."""
-    for (k, cols), Rk, chunks in zip(groups, R, supports):
-        Rrows = Rk.reshape(-1, k)
-        pairs = out[:, cols].reshape(len(out), len(Rk), k * k)  # a view of out
-        for at, S, CS in chunks:
-            RS = Rrows[S]                   # (P, s, k): the rows S of R
-            pairs[at] = hvec(_ct(RS) @ CS @ RS)
+    into the (p, N) buffer `out` one chunk of `_row_pairs` at a time, each
+    pair on its whole k x k block, and returned. The untouched pairs, whose
+    A_ib is zero, are not written, so `out` must hold zeros there."""
+    for (k, cols), Rk, chunks in zip(groups, R, pairs):
+        view = out[:, cols].reshape(len(out), len(Rk), k * k)  # a view of out
+        for at, a in chunks:
+            Rb = Rk[at[1]]
+            view[at] = hvec(_ct(Rb) @ hmat(a, k) @ Rb)
     return out
 
 
@@ -548,18 +508,17 @@ def _corrector(groups, lams, dx: np.ndarray, ds: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _pair_maps(d: int):
     """(diag, i, j): the flat places i * d + i of the diagonal of a d x d
-    matrix, and i and j over its strict upper triangle, in hvec order."""
-    iu, ju = np.triu_indices(d, 1)
-    return np.arange(d) * (d + 1), iu, ju
+    matrix, and i and j over its strict upper triangle, in hvec order, read
+    off hvec's gather map."""
+    flat = _gather_maps(d)[0][:d * (d + 1) // 2] // 2
+    return (flat[:d], *np.divmod(flat[d:], d))
 
 
 @lru_cache(maxsize=None)
 def _pin_scale(d: int, d2: int) -> np.ndarray:
-    """(d^2, 1, d2^2): the hvec scales of E_u and E_v, 1 on the diagonal
-    and 1/sqrt2 off it, multiplied."""
-    def scale(n):
-        return np.concatenate([np.ones(n), np.full(n * (n - 1), 1 / SQRT2)])
-    return scale(d)[:, None, None] * scale(d2)
+    """(d^2, 1, d2^2): the scales of hmat on the hvec coordinates of E_u
+    and E_v, 1 on the diagonal and 1/sqrt2 off it, multiplied."""
+    return (1 / _gather_maps(d)[1])[:, None, None] * (1 / _gather_maps(d2)[1])
 
 
 def _pin_plan(pins) -> list:
@@ -614,8 +573,8 @@ def _pin_plan(pins) -> list:
 
 def _schur_plan(A: Rows, groups, pins) -> tuple:
     """(plan, general) for `_schur_block`: the pin pairs (`_pin_plan`),
-    and (rows, supports, buffer, pin nonzeros) for the rows that are not
-    pins: their indices, the `_row_supports` of their own Rows, the buffer
+    and (rows, pairs, buffer, pin nonzeros) for the rows that are not
+    pins: their indices, the `_row_pairs` of their own Rows, the buffer
     of their scaled rows, zeroed, and the nonzeros (rows, cols, vals) of
     the pin rows with the first of each row's run. With no pins the plan is
     empty and every row is scaled."""
@@ -629,7 +588,7 @@ def _schur_plan(A: Rows, groups, pins) -> tuple:
               A.vals[~on_pin], (len(rows), N))
     prow = A.rows[on_pin]
     first = np.flatnonzero(prow != np.concatenate(([-1], prow[:-1])))
-    return _pin_plan(pins), (rows, _row_supports(groups, Ag), np.zeros(Ag.shape),
+    return _pin_plan(pins), (rows, _row_pairs(groups, Ag), np.zeros(Ag.shape),
                              (prow, A.cols[on_pin], A.vals[on_pin], first))
 
 
@@ -652,8 +611,8 @@ def _schur_block(p: int, plan, general, groups, R) -> np.ndarray:
     R hmat(a~_g) R^dag, TRI_LEAF rows at a time. With no pins (an empty plan)
     every row is scaled, M is A~ A~^T of the buffer and W is not formed.
     """
-    rows, supports, Ag, (prow, pcol, pval, first) = general
-    _scaled_rows(groups, R, supports, Ag)
+    rows, pairs, Ag, (prow, pcol, pval, first) = general
+    _scaled_rows(groups, R, pairs, Ag)
     if not plan:
         return Ag @ Ag.T
     M = np.zeros((p, p))

@@ -337,8 +337,10 @@ def qubit_z_line(grid: int = 3) -> StatisticalModel:
 
 
 def random_model(n: int, d: int, seed: int, grid: int = 3) -> StatisticalModel:
-    """Seeded random model: full-rank states, uniform-ish weights, W = I."""
-    rng = np.random.default_rng(seed)
+    """Seeded random model: full-rank states, uniform-ish weights, W = I.
+    n, d, seed and grid must be whole numbers, all but seed at least 1."""
+    n, d, grid = _whole(n, "n", 1), _whole(d, "d", 1), _whole(grid, "grid count", 1)
+    rng = np.random.default_rng(_whole(seed, "seed", 0))
     raw = rng.uniform(0.5, 1.5, grid)
     weights = raw / raw.sum()
     # residual rounding in the normalized weights lands on the last point
@@ -391,19 +393,16 @@ def model_zoo(
                          + (" with the grid size" if grid_size is not None else ""))
     if len(params) > count:
         grid = params.pop()
-    if name == "random_model":
-        params = [_whole(params[0], "n", 1), _whole(params[1], "d", 1),
-                  _whole(params[2], "seed", 0)]
     if grid is not None:
         params.append(_whole(grid, "grid count", 1))
     return build(*params)
 
 
 def _whole(value: float, what: str, least: int) -> int:
-    """`value` as an int, if it is a whole number no less than `least`."""
-    value = float(value)
-    if not (value.is_integer() and value >= least):
-        raise ModelError(f"{what} must be an integer >= {least}, got {value:g}")
+    """`value` as an int, if it is a whole number no less than `least`; an
+    int is kept exact, however large."""
+    if not (float(value).is_integer() and value >= least):
+        raise ModelError(f"{what} must be an integer >= {least}, got {float(value):g}")
     return int(value)
 
 

@@ -52,6 +52,12 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def _require_count(name: str, value) -> None:
+    """ValueError unless value is an integer >= 1 (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be positive and an integer, got {value!r}")
+
+
 def _require_strictly_positive(em: ExtendedMoments) -> None:
     """CapabilityError unless every weight matrix of `em` is strictly positive."""
     w = npl.eigvalsh(em.weight_spec.stack(len(em.pi)))
@@ -445,6 +451,7 @@ def f_family_suite(trials: int = 100, seed: int = 0,
     """Random single-tensor-term instances with n = 2 and d = 2, 3, 4 in
     turn: equality of f_sdp and f1, plus the inequality chain, one result
     dict per trial."""
+    _require_count("trials", trials)
     rng = np.random.default_rng(seed)
     results = []
     for t in range(trials):
@@ -517,6 +524,7 @@ def holevo_lemma_suite(trials: int = 50, seed: int = 0,
     Each dict carries both values, their absolute difference, and the solve
     status; CLI `lemmas` and the acceptance run both consume this.
     """
+    _require_count("trials", trials)
     rng = np.random.default_rng(seed)
     out = []
     for t in range(trials):

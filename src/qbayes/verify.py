@@ -28,8 +28,8 @@ from .closedform import rld_bound, sld_bound, van_tree_bound
 from .conic import GAP_TOL, ConicProgram, hvec, solve_or_raise
 from .matcore import PSD_CLAMP, check_hermitian, hermitize
 from .model import StatisticalModel, build_extended_moments
-from .sdpbounds import BoundSolution, holevo_type_bound, nagaoka_bound, \
-    nagaoka_hayashi_bound
+from .sdpbounds import BoundSolution, _require_count, holevo_type_bound, \
+    nagaoka_bound, nagaoka_hayashi_bound
 
 POVM_SUM_TOL = 1e-9          # allowed deviation of the identity resolution
 DEAD_OUTCOME_PROB = 1e-12    # below this an outcome's estimate uses the prior
@@ -214,6 +214,7 @@ def random_povm(d: int, outcomes: int, rng: np.random.Generator) -> Povm:
 
     Needs at least d outcomes: fewer rank-one elements leave their sum
     singular up to the ridge, too close to renormalize."""
+    _require_count("d", d)
     _require_count("outcomes", outcomes)
     _require_outcomes(d, outcomes)
     g = rng.standard_normal((outcomes, 2, d))   # per element: real, then imag
@@ -231,12 +232,6 @@ def _require_dim(model: StatisticalModel, povm: Povm) -> None:
     if povm.dim != model.d:
         raise ValueError(f"measurement acts on C^{povm.dim}, the model on "
                          f"C^{model.d}")
-
-
-def _require_count(name: str, value) -> None:
-    """ValueError unless value is an integer >= 1 (a bool is not one)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be positive and an integer, got {value!r}")
 
 
 def _start_outcomes(model: StatisticalModel, outcome_count: int | None,

@@ -1,5 +1,6 @@
 """Unit tests for the closed-form quadratic bounds."""
 
+import re
 import warnings
 
 import numpy as np
@@ -18,10 +19,12 @@ from qbayes.matcore import lyapunov_solve
 from qbayes.model import (
     CapabilityError,
     GridPoint,
+    ModelError,
     StatisticalModel,
     WeightSpec,
     build_extended_moments,
     classical_binary,
+    qubit_xy,
     qubit_z_line,
 )
 
@@ -136,6 +139,23 @@ def test_sld_fisher_point_of_a_pure_state_is_four_covariances():
 def test_sld_fisher_point_requires_traceless_derivatives(state, derivative):
     with pytest.raises(ValueError):
         sld_fisher_point(state, np.stack([derivative]))
+
+
+@pytest.mark.parametrize("bound, W, message", [
+    (sld_bound, -np.eye(2), "weight: weight matrix not PSD"),
+    (sld_bound, np.full((2, 2), np.nan), "weight matrix has non-finite entries"),
+    (sld_bound, np.eye(3), "weight shape (3, 3), expected (2, 2)"),
+    (rld_bound, -np.eye(2), "weight: weight matrix not PSD"),
+    (van_tree_bound, [[0.0, 1.0], [0.0, 0.0]], "weight shape (2, 2), expected (1, 1)"),
+], ids=["sld-negative", "sld-nan", "sld-shape", "rld-negative", "van-tree-shape"])
+def test_closed_forms_check_their_weight(bound, W, message):
+    """A closed form checks W as a model's weight is checked. On qubit_xy,
+    W = -I once gave SLD the value -0.2952 and RLD a NotPsdError, a NaN W a
+    NaN value, and a 3 x 3 W an error inside NumPy's matmul."""
+    model = qubit_z_line() if bound is van_tree_bound else qubit_xy(0.6)
+    target = model if bound is van_tree_bound else build_extended_moments(model)
+    with pytest.raises(ModelError, match=re.escape(message)):
+        bound(target, W)
 
 
 def test_van_tree_needs_derivatives_and_score():

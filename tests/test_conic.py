@@ -181,13 +181,12 @@ def dense(A):
 
 
 def test_support_scaled_rows_match_the_dense_congruence():
-    """Each touched (row, block) pair scaled through the indices its
-    coefficient touches equals the dense congruence hvec(R^dag A_i R), on
-    blocks of sizes 3, 4, 3, 4 with a row on one block of a size group, a
-    block most rows skip, and a dense row. A block of size 5 adds 151 rows,
-    so its pairs span three chunks of TRI_LEAF = 64; only the last pair
-    touches three of its indices, so only the last chunk is that wide. The
-    buffer starts at 0, and the pairs no row touches stay 0."""
+    """Each touched (row, block) pair scaled on its whole block equals the
+    dense congruence hvec(R^dag A_i R), on blocks of sizes 3, 4, 3, 4 with
+    a row on one block of a size group, a block most rows skip, and a dense
+    row. A block of size 5 adds 151 rows, so its pairs span three chunks of
+    TRI_LEAF = 64. The buffer starts at 0, and the pairs no row touches
+    stay 0."""
     rng = np.random.default_rng(13)
     prog = ConicProgram()
     blks = [prog.add_psd_block(k) for k in (3, 4, 3, 4, 5)]
@@ -205,13 +204,18 @@ def test_support_scaled_rows_match_the_dense_congruence():
     assert groups == [(3, slice(0, 18)), (4, slice(18, 50)), (5, slice(50, 75))]
     R = [rng.standard_normal((K, k, k)) + 1j * rng.standard_normal((K, k, k))
          + k * np.eye(k) for (k, _), K in zip(groups, (2, 2, 1))]
-    supports = conic._row_supports(groups, A)
-    assert [[CS.shape[-1] for _, _, CS in chunks] for chunks in supports] \
-        == [[2], [4], [2, 2, 3]]
+    pairs = conic._row_pairs(groups, A)
+    assert [[len(a) for _, a in chunks] for chunks in pairs] \
+        == [[2], [5], [64, 64, 23]]
     ref = conic._congruence(groups, R, dense(A))
     out = np.zeros(A.shape)
-    assert conic._scaled_rows(groups, R, supports, out) is out
+    assert conic._scaled_rows(groups, R, pairs, out) is out
     assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+    for k, cols in groups:
+        def pairs_of(M, k=k, cols=cols):
+            return M[:, cols].reshape(len(M), -1, k * k)
+        idle = ~pairs_of(dense(A)).any(axis=-1)
+        assert idle.any() and (pairs_of(out)[idle] == 0.0).all()
 
 
 def test_scaled_rows_touch_only_the_pairs_of_their_blocks():
@@ -232,15 +236,14 @@ def test_scaled_rows_touch_only_the_pairs_of_their_blocks():
             coeffs[blks[on[0]]] = random_hermitian(rng, 3)
         prog.add_eq(coeffs, rhs=1.0)
     A, _, _, _, groups, _ = prog.assemble()
-    supports = conic._row_supports(groups, A)
-    (chunks,) = supports
-    pairs = np.concatenate([np.stack(at, axis=1) for at, _, _ in chunks])
-    assert [len(CS) for _, _, CS in chunks] == [64, touched.sum() - 64]
-    assert np.array_equal(pairs, np.argwhere(touched))
-    assert [CS.shape[-1] for _, _, CS in chunks] == [3, 3]
+    pairs = conic._row_pairs(groups, A)
+    (chunks,) = pairs
+    at = np.concatenate([np.stack(at, axis=1) for at, _ in chunks])
+    assert [len(a) for _, a in chunks] == [64, touched.sum() - 64]
+    assert np.array_equal(at, np.argwhere(touched))
     R = [rng.standard_normal((6, 3, 3)) + 1j * rng.standard_normal((6, 3, 3))
          + 3 * np.eye(3)]
-    out = conic._scaled_rows(groups, R, supports, np.zeros(A.shape))
+    out = conic._scaled_rows(groups, R, pairs, np.zeros(A.shape))
     scaled = out.reshape(70, 6, 9)
     assert (np.abs(scaled[touched]).max(axis=-1) > 0).all()
     assert (scaled[~touched] == 0.0).all()

@@ -338,6 +338,8 @@ def _set(path, value):
     (lambda: model_zoo("qubit_xy"), "qubit_xy takes parameters (b[, grid])"),
     (lambda: model_zoo("random_model", (2, 2)),
      "random_model takes parameters (n, d, seed[, grid])"),
+    (lambda: random_model(2, 2, 0, grid=0), "grid count must be an integer >= 1, got 0"),
+    (lambda: random_model(0, 2, 0), "n must be an integer >= 1, got 0"),
     (lambda: _edited_file(_set(["points", 0, "rho"], [[0.5, 0.0], [0.0, 0.5]])),
      "point 0: entries must be [re, im] pairs"),
     (lambda: _edited_file(_set(["points", 0, "rho"], [[[1.0, 0.0]]])),
@@ -380,7 +382,8 @@ def _set(path, value):
         "weight-not-psd", "weight-spec-both-forms", "weight-spec-neither-form",
         "theta-length", "derivative-shape", "prior-score-shape",
         "zoo-binary-arity", "zoo-qubit-xy-arity",
-        "zoo-random-arity", "json-entries-not-pairs", "json-matrix-shape",
+        "zoo-random-arity", "random-model-zero-grid", "random-model-zero-n",
+        "json-entries-not-pairs", "json-matrix-shape",
         "json-weight-form", "json-not-an-object", "json-empty-points",
         "json-drho-count", "json-partial-scores", "json-theta-string",
         "json-score-string", "json-score-length", "json-n-boolean",

@@ -386,31 +386,11 @@ def test_holevo_values_match_the_primal_program(name, params, constant, general)
     assert abs(vg - general) <= 1e-7 * general
 
 
-def test_holevo_cap_row_widens_only_its_chunk(monkeypatch):
-    """Holevo's constant form at d = 8 is 193 rows on G (24 x 24): 192 pin
-    the corner and make X Hermitian, touching at most 4 indices of G each,
-    and the last, the cap row Im Phi_B(L) = 0, touches L's nd = 16. Rows
-    are scaled TRI_LEAF at a time, each chunk padded only to its own widest
-    support, so the cap row is alone at width 16."""
-    programs = capture_programs(monkeypatch)
-    em = build_extended_moments(random_model(2, 8, seed=1, grid=4))
-    with pytest.raises(ProgramCaptured):
-        holevo_type_bound(em)
-    (prog,) = programs
-    A, _, _, _, groups, _ = prog.assemble()
-    (chunks,) = conic._row_supports(groups, A)
-    assert A.shape[0] == 193
-    assert [len(CS) for _, _, CS in chunks] == [64, 64, 64, 1]
-    widths = [CS.shape[-1] for _, _, CS in chunks]
-    assert max(widths[:-1]) <= 4 and widths[-1] == 16
-
-
 def test_holevo_scaling_memory_stays_small():
-    """The solver scales each row through the rows of the scaling factor
-    its coefficient touches, padded to the widest in its chunk of rows (the
-    cap row's nd = 12 of 18 here), so Holevo on a d = 6 model, one block G
-    of size (n + 1)d = 18, allocates well under the two k^2 x k^2 scaling tables per iteration
-    that a dense operator form of the scaling would need."""
+    """Holevo on a d = 6 model, one block G of size (n + 1)d = 18, reads
+    its pin rows off W and scales its cap row on the whole of G: about
+    0.7 MiB traced, well under the two k^2 x k^2 scaling tables per
+    iteration that a dense operator form of the scaling would need."""
     em = build_extended_moments(random_model(2, 6, seed=1, grid=4))
     tracemalloc.start()
     try:
@@ -418,7 +398,23 @@ def test_holevo_scaling_memory_stays_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 25 * 2**20
+    assert peak < 1.5 * 2**20
+
+
+def test_commutator_rows_scale_beside_pins_in_small_memory():
+    """`nagaoka_bound` at d = 5 is 175 rows: 75 pin rows on G, read off W,
+    and 100 commutator rows, each scaled on the 5 x 5 blocks P_m and N_m
+    and on G (`conic._row_pairs`), so both kinds of rows and their cross
+    terms meet in one Schur block. About 2.0 MiB traced."""
+    em = build_extended_moments(random_model(2, 5, seed=1, grid=4))
+    tracemalloc.start()
+    try:
+        sol = nagaoka_bound(em)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.diagnostics.status == "optimal"
+    assert peak < 2.5 * 2**20
 
 
 def nh_traced_peak(d):

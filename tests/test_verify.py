@@ -25,7 +25,8 @@ from qbayes.model import (
     qubit_xy,
     random_model,
 )
-from qbayes.sdpbounds import nagaoka_hayashi_bound
+from qbayes.sdpbounds import f_family_suite, holevo_lemma_suite, \
+    nagaoka_hayashi_bound
 from qbayes.verify import (
     DecisionRisk,
     Povm,
@@ -120,6 +121,14 @@ def test_ordering_audit_rejects_fewer_outcomes_than_d_before_solving(monkeypatch
     (lambda m: seesaw(m, seed=True), "seed must be a non-negative integer, got True"),
     (lambda m: ordering_audit(m, seed=True),
      "seed must be a non-negative integer, got True"),
+    (lambda m: random_povm(0, 2, np.random.default_rng(0)),
+     "d must be positive and an integer, got 0"),
+    (lambda m: random_povm(2.5, 3, np.random.default_rng(0)),
+     "d must be positive and an integer, got 2.5"),
+    (lambda m: f_family_suite(trials=-1),
+     "trials must be positive and an integer, got -1"),
+    (lambda m: holevo_lemma_suite(trials=2.5),
+     "trials must be positive and an integer, got 2.5"),
 ], ids=["bayes-risk-estimates-shape", "bayes-risk-nan-estimates",
         "povm-step-estimate-dimension", "povm-step-no-estimates",
         "povm-step-estimates-3d", "povm-elements-of-two-dimensions",
@@ -127,7 +136,9 @@ def test_ordering_audit_rejects_fewer_outcomes_than_d_before_solving(monkeypatch
         "seesaw-fractional-outcome-count", "audit-fractional-iters",
         "seesaw-start-estimates-shape", "bayes-risk-measurement-dimension",
         "posterior-mean-measurement-dimension", "random-povm-fractional-outcomes",
-        "seesaw-bool-seed", "audit-bool-seed"])
+        "seesaw-bool-seed", "audit-bool-seed", "random-povm-zero-dimension",
+        "random-povm-fractional-dimension", "f-family-negative-trials",
+        "holevo-lemma-fractional-trials"])
 def test_documented_argument_errors(call, message):
     with pytest.raises(ValueError, match=message):
         call(qubit_xy(0.6))
